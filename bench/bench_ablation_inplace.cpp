@@ -43,7 +43,7 @@ void runCase(const char *Name, AppInstance App,
     RunResult RR = I.run();
     if (!RR.Valid)
       std::fprintf(stderr, "VALIDITY FAILURE %s\n", Name);
-    return RR.ElapsedSeconds;
+    return RR.SimSeconds;
   };
   double TW = Elapsed(CWith->Program);
   double TO = Elapsed(CWithout->Program);

@@ -39,7 +39,7 @@ double timedRun(const AppInstance &App, bool Splitting,
   Msgs = RR.Messages;
   if (!RR.Valid)
     std::fprintf(stderr, "VALIDITY FAILURE (splitting=%d)\n", Splitting);
-  return RR.ElapsedSeconds;
+  return RR.SimSeconds;
 }
 
 } // namespace

@@ -27,8 +27,9 @@
 #include "core/Compiler.h"
 #include "net/Loopback.h"
 #include "placement/Placement.h"
-#include "rt/RankEngine.h"
 #include "rt/RankResult.h"
+#include "rt/TransportComm.h"
+#include "spmd/Layout.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +45,7 @@ using namespace dhpf;
 namespace {
 
 constexpr int64_t Procs = 8;
-const char *Algos[] = {"naive", "ring", "rdbl", "tree"};
+const char *Algos[] = {"naive", "rdbl", "tree"};
 
 struct AlgoRow {
   std::string Algo;
@@ -98,13 +99,11 @@ rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
     Ts.emplace_back([&, R] {
       try {
         auto T = Mesh.transport(R);
-        rt::RankConfig RCfg;
-        RCfg.Run = RC;
-        RCfg.Rank = R;
-        rt::RankEngine E(SP, RCfg, *T);
-        App.Setup(E);
-        spmd::RunResult RR = E.run();
-        Dumps[R] = rt::serializeRankDump(rt::dumpRank(E, RR, T->stats()));
+        rt::TransportComm C(*T);
+        spmd::Interpreter I(SP, RC, C);
+        App.Setup(I);
+        spmd::RunResult RR = I.run();
+        Dumps[R] = rt::serializeRankDump(rt::dumpRank(I, *T, RR));
       } catch (const std::exception &Ex) {
         Errs[R] = Ex.what();
       }

@@ -74,8 +74,8 @@ Series runSeries(AppInstance App, const std::string &Label,
                                              : RR.Violations[0].c_str());
     }
     if (NP == 1)
-      T1 = RR.ElapsedSeconds;
-    S.Points.push_back({NP, T1 / RR.ElapsedSeconds, RR.Messages, RR.Bytes});
+      T1 = RR.SimSeconds;
+    S.Points.push_back({NP, T1 / RR.SimSeconds, RR.Messages, RR.Bytes});
   }
   return S;
 }

@@ -51,7 +51,7 @@ AppInstance fixedTwin(const char *Which, int64_t N) {
   S.SemanticsId = 0;
   Nest.Stmts = {S};
   P.addNest(Main, Nest);
-  App.Setup = [](spmd::ProgramHost &) {};
+  App.Setup = [](spmd::Interpreter &) {};
   return App;
 }
 
@@ -90,10 +90,10 @@ int main() {
     G.Setup(I);
     RunResult RR = I.run();
     if (Shape[0] == 1 && Shape[1] == 1)
-      T1 = RR.ElapsedSeconds;
+      T1 = RR.SimSeconds;
     std::printf("%4lldx%-3lld %12.4f %12llu %10.2f\n",
-                (long long)Shape[0], (long long)Shape[1], RR.ElapsedSeconds,
-                (unsigned long long)RR.Messages, T1 / RR.ElapsedSeconds);
+                (long long)Shape[0], (long long)Shape[1], RR.SimSeconds,
+                (unsigned long long)RR.Messages, T1 / RR.SimSeconds);
     if (!RR.Valid)
       std::printf("  VALIDITY FAILURE: %s\n",
                   RR.Violations.empty() ? "?" : RR.Violations[0].c_str());

@@ -45,7 +45,7 @@ int main() {
     std::string Err;
     bool OK = RR.Valid && App.Check(I, Err);
     std::printf("%4lldx%-3lld %12.5f %10llu %10llu %8s\n",
-                (long long)Shape[0], (long long)Shape[1], RR.ElapsedSeconds,
+                (long long)Shape[0], (long long)Shape[1], RR.SimSeconds,
                 (unsigned long long)RR.Messages,
                 (unsigned long long)RR.Bytes, OK ? "ok" : "FAIL");
     if (!OK)

@@ -44,10 +44,9 @@ struct AppInstance {
   std::string Name;
   std::unique_ptr<hpf::Program> Prog;
   std::string ProcArrayName;
-  /// Registers statement semantics and initializes arrays. Takes the
-  /// abstract host surface so the same closure drives the in-process
-  /// Interpreter and the distributed rank runtime.
-  std::function<void(spmd::ProgramHost &)> Setup;
+  /// Registers statement semantics and initializes arrays, on an
+  /// in-process Interpreter or on one rank of a distributed run.
+  std::function<void(spmd::Interpreter &)> Setup;
   /// Compares the final state with a serial reference; returns true on
   /// success and fills \p Err otherwise. Null when no check is provided.
   std::function<bool(spmd::Interpreter &, std::string &Err)> Check;

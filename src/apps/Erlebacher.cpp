@@ -108,7 +108,7 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
            0.05 * double(Idx[2]);
   };
 
-  App.Setup = [Init](spmd::ProgramHost &I) {
+  App.Setup = [Init](spmd::Interpreter &I) {
     I.setSemantics(0, [](const std::vector<double> &Rd,
                          const std::vector<int64_t> &, AccumMap &) {
       return 0.5 * (Rd[1] - Rd[0]) + 0.5 * (Rd[3] - Rd[2]);

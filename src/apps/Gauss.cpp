@@ -60,7 +60,7 @@ AppInstance apps::makeGauss(int64_t N) {
     return V;
   };
 
-  App.Setup = [Init](spmd::ProgramHost &I) {
+  App.Setup = [Init](spmd::Interpreter &I) {
     I.setSemantics(0, [](const std::vector<double> &Rd,
                          const std::vector<int64_t> &, AccumMap &) {
       return Rd[0] - Rd[1] * Rd[2];

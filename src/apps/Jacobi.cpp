@@ -78,7 +78,7 @@ AppInstance apps::makeJacobi(int64_t N, int64_t Steps) {
     return std::sin(0.05 * double(Idx[0])) + std::cos(0.07 * double(Idx[1]));
   };
 
-  App.Setup = [Init](spmd::ProgramHost &I) {
+  App.Setup = [Init](spmd::Interpreter &I) {
     I.setSemantics(0, [](const std::vector<double> &Rd,
                          const std::vector<int64_t> &, AccumMap &Acc) {
       double V = 0.25 * (Rd[0] + Rd[1] + Rd[2] + Rd[3]);

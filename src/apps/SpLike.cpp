@@ -148,7 +148,7 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
     }
   }
 
-  App.Setup = [](spmd::ProgramHost &I) {
+  App.Setup = [](spmd::Interpreter &I) {
     auto Avg = [](const std::vector<double> &Rd,
                   const std::vector<int64_t> &, AccumMap &) {
       double S = 0;

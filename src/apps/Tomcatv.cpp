@@ -104,7 +104,7 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
     return 0.02 * double(Idx[1]) + std::cos(0.1 * double(Idx[0]));
   };
 
-  App.Setup = [InitX, InitY](spmd::ProgramHost &I) {
+  App.Setup = [InitX, InitY](spmd::Interpreter &I) {
     I.setSemantics(0, [](const std::vector<double> &Rd,
                          const std::vector<int64_t> &, AccumMap &Acc) {
       double R = Rd[0] + Rd[1] + Rd[2] + Rd[3] - 4.0 * Rd[4];

@@ -140,8 +140,8 @@ byRank(const std::vector<std::pair<uint32_t, uint64_t>> &Held, unsigned NP,
   return V;
 }
 
-/// Gather through rank 0, combine there, broadcast the result — the
-/// historical RankEngine reduction, message for message.
+/// Gather through rank 0, combine there, broadcast the result: the oracle
+/// the other schedules are checked against.
 class NaiveColl final : public Collective {
 public:
   const char *name() const override { return "naive"; }
@@ -162,31 +162,6 @@ public:
     }
     post8(T, 0, Tag, Own, St);
     return recv8(T, 0, Tag, St);
-  }
-};
-
-/// Ring allgather: P-1 rounds, each rank forwarding the contribution it
-/// received the previous round. Uniform load — 2(P-1) scalar frames per
-/// rank — so no rank is the bottleneck the naive root is.
-class RingColl final : public Collective {
-public:
-  const char *name() const override { return "ring"; }
-  double allreduce(net::Transport &T, double Own, Op O, uint64_t Tag,
-                   CollStats &St) override {
-    unsigned NP = T.size(), P = T.rank();
-    if (NP == 1)
-      return combineByRank({Own}, O);
-    unsigned Next = (P + 1) % NP, Prev = (P + NP - 1) % NP;
-    std::vector<double> ByRank(NP);
-    ByRank[P] = Own;
-    for (unsigned K = 1; K != NP; ++K) {
-      // This round moves the contribution that originated K-1 hops back.
-      unsigned SendOf = (P + NP - (K - 1)) % NP;
-      unsigned RecvOf = (P + NP - K) % NP;
-      post8(T, Next, Tag, ByRank[SendOf], St);
-      ByRank[RecvOf] = recv8(T, Prev, Tag, St);
-    }
-    return combineByRank(ByRank, O);
   }
 };
 
@@ -279,8 +254,6 @@ Collective::~Collective() = default;
 Algo coll::parseAlgo(const std::string &Name) {
   if (Name == "naive")
     return Algo::Naive;
-  if (Name == "ring")
-    return Algo::Ring;
   if (Name == "rdbl")
     return Algo::Rdbl;
   if (Name == "tree")
@@ -288,7 +261,7 @@ Algo coll::parseAlgo(const std::string &Name) {
   if (Name == "auto")
     return Algo::Auto;
   throw net::TransportError("DHPF_COLL: unknown collective \"" + Name +
-                            "\" (want naive|ring|rdbl|tree|auto)");
+                            "\" (want naive|rdbl|tree|auto)");
 }
 
 Algo coll::algoFromEnv() {
@@ -310,8 +283,6 @@ const char *coll::algoName(Algo A) {
   switch (A) {
   case Algo::Naive:
     return "naive";
-  case Algo::Ring:
-    return "ring";
   case Algo::Rdbl:
     return "rdbl";
   case Algo::Tree:
@@ -324,8 +295,6 @@ const char *coll::algoName(Algo A) {
 
 std::unique_ptr<Collective> coll::makeCollective(Algo A, unsigned NP) {
   switch (resolveAlgo(A, NP)) {
-  case Algo::Ring:
-    return std::make_unique<RingColl>();
   case Algo::Rdbl:
     return std::make_unique<RdblColl>();
   case Algo::Tree:
@@ -335,83 +304,4 @@ std::unique_ptr<Collective> coll::makeCollective(Algo A, unsigned NP) {
     break;
   }
   return std::make_unique<NaiveColl>();
-}
-
-void coll::bcastBinomial(net::Transport &T, uint64_t Tag,
-                         std::vector<uint8_t> &Buf, CollStats &St) {
-  unsigned NP = T.size(), P = T.rank();
-  if (NP == 1)
-    return;
-  unsigned Top = 1;
-  while (Top < NP)
-    Top <<= 1;
-  if (P != 0) {
-    unsigned Lsb = P & (~P + 1);
-    Buf = T.recv(P - Lsb, Tag);
-    ++St.Messages;
-    St.Bytes += Buf.size();
-    Top = Lsb;
-  }
-  for (unsigned D = Top >> 1; D >= 1; D >>= 1) {
-    if (P + D < NP) {
-      net::ByteSpan S{Buf.data(), Buf.size()};
-      T.post(P + D, Tag, &S, 1);
-      ++St.Messages;
-      St.Bytes += Buf.size();
-    }
-    if (D == 1)
-      break;
-  }
-}
-
-std::vector<std::vector<uint8_t>>
-coll::gatherBinomial(net::Transport &T, uint64_t Tag, const uint8_t *Own,
-                     size_t Len, CollStats &St) {
-  unsigned NP = T.size(), P = T.rank();
-  // Accumulated (rank, payload) set, encoded u32 rank + Len bytes each.
-  std::vector<uint8_t> Held;
-  auto Append = [&](uint32_t R, const uint8_t *D) {
-    size_t At = Held.size();
-    Held.resize(At + 4 + Len);
-    std::memcpy(Held.data() + At, &R, 4);
-    std::memcpy(Held.data() + At + 4, D, Len);
-  };
-  Append(P, Own);
-  for (unsigned Mask = 1; Mask < NP; Mask <<= 1) {
-    if (P & Mask) {
-      net::ByteSpan S{Held.data(), Held.size()};
-      T.post(P - Mask, Tag, &S, 1);
-      ++St.Messages;
-      St.Bytes += Held.size();
-      return {};
-    }
-    if (P + Mask < NP) {
-      std::vector<uint8_t> Pay = T.recv(P + Mask, Tag);
-      ++St.Messages;
-      St.Bytes += Pay.size();
-      if (Pay.size() % (4 + Len) != 0)
-        throw net::TransportError("rank " + std::to_string(P) +
-                                  ": malformed gather payload from rank " +
-                                  std::to_string(P + Mask));
-      Held.insert(Held.end(), Pay.begin(), Pay.end());
-    }
-  }
-  if (P != 0)
-    return {};
-  std::vector<std::vector<uint8_t>> Out(NP);
-  std::vector<char> Seen(NP, 0);
-  for (size_t At = 0; At != Held.size(); At += 4 + Len) {
-    uint32_t R;
-    std::memcpy(&R, Held.data() + At, 4);
-    if (R >= NP || Seen[R])
-      throw net::TransportError(
-          "rank 0: inconsistent gather contribution set");
-    Seen[R] = 1;
-    Out[R].assign(Held.begin() + At + 4, Held.begin() + At + 4 + Len);
-  }
-  for (unsigned R = 0; R != NP; ++R)
-    if (!Seen[R])
-      throw net::TransportError("rank 0: gather missing rank " +
-                                std::to_string(R));
-  return Out;
 }

@@ -6,15 +6,14 @@
 ///
 /// \file
 /// Collective algorithms for the distributed runtime's scalar reductions:
-/// naive gather/broadcast through rank 0 (the historical RankEngine path),
-/// ring allgather, recursive doubling, and a binomial tree, selected by
-/// DHPF_COLL=naive|ring|rdbl|tree|auto.
+/// naive gather/broadcast through rank 0 (the oracle), recursive doubling,
+/// and a binomial tree, selected by DHPF_COLL=naive|rdbl|tree|auto.
 ///
 /// Bit-identicality is the design constraint: every engine (and the paper's
 /// simulated machine) combines reduction contributions *in rank order
 /// 0..P-1 starting from the identity*, and floating-point combining is not
-/// associative — a ring or tree that combined partial sums along its data
-/// path would produce different bits per algorithm. So every algorithm
+/// associative — a tree that combined partial sums along its data path
+/// would produce different bits per algorithm. So every algorithm
 /// here moves the *raw per-rank contributions* (an allgather / gather +
 /// broadcast pattern) and performs the combine locally in the canonical
 /// order. The algorithms therefore differ only in their message schedule —
@@ -22,7 +21,6 @@
 ///
 ///   max per-rank messages, P ranks, scalar payloads:
 ///     naive  2(P-1)        (rank 0 is the bottleneck)
-///     ring   2(P-1)        (uniform — a bandwidth algorithm)
 ///     rdbl   2·ceil(lg P)  (pairwise exchange, contribution lists)
 ///     tree   2·ceil(lg P)  (binomial gather + binomial broadcast)
 ///
@@ -47,9 +45,9 @@
 namespace dhpf {
 namespace coll {
 
-enum class Algo : uint8_t { Naive, Ring, Rdbl, Tree, Auto };
+enum class Algo : uint8_t { Naive, Rdbl, Tree, Auto };
 
-/// Parses "naive"|"ring"|"rdbl"|"tree"|"auto"; throws net::TransportError
+/// Parses "naive"|"rdbl"|"tree"|"auto"; throws net::TransportError
 /// on anything else (a typo must not silently change the schedule).
 Algo parseAlgo(const std::string &Name);
 
@@ -72,9 +70,9 @@ struct CollStats {
 };
 
 /// One reduction-collective schedule. Instances are stateless between
-/// calls; one per RankEngine. Every call must be made by all NP ranks with
-/// the same arguments (tag discipline: the caller allocates one fresh tag
-/// per collective instance, same on every rank).
+/// calls; one per rank (rt::TransportComm). Every call must be made by all
+/// NP ranks with the same arguments (tag discipline: the caller allocates
+/// one fresh tag per collective instance, same on every rank).
 class Collective {
 public:
   virtual ~Collective();
@@ -90,20 +88,6 @@ public:
 
 /// Creates the schedule for \p A (Auto resolved for \p NP ranks).
 std::unique_ptr<Collective> makeCollective(Algo A, unsigned NP);
-
-/// Binomial-tree broadcast from rank 0: on rank 0 \p Buf is the payload to
-/// send; on other ranks it is replaced by the received payload. Counts the
-/// frames this rank moved into \p St.
-void bcastBinomial(net::Transport &T, uint64_t Tag,
-                   std::vector<uint8_t> &Buf, CollStats &St);
-
-/// Binomial-tree gather to rank 0 of one fixed-size payload per rank.
-/// Returns (on rank 0) all P payloads indexed by rank, each \p Len bytes;
-/// other ranks return an empty vector. \p Own must be \p Len bytes.
-std::vector<std::vector<uint8_t>> gatherBinomial(net::Transport &T,
-                                                 uint64_t Tag,
-                                                 const uint8_t *Own,
-                                                 size_t Len, CollStats &St);
 
 } // namespace coll
 } // namespace dhpf

@@ -6,6 +6,9 @@
 
 #include "rt/RankResult.h"
 
+#include "spmd/Layout.h"
+
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -57,17 +60,17 @@ bool parseHex64(const std::string &S, uint64_t &Out) {
 
 } // namespace
 
-RankDump rt::dumpRank(const RankEngine &E, const RunResult &R,
-                      const net::TransportStats &St) {
+RankDump rt::dumpRank(const Interpreter &I, const net::Transport &T,
+                      const RunResult &R) {
   RankDump D;
-  D.Rank = E.rank();
-  D.NP = E.numProcs();
+  D.Rank = T.rank();
+  D.NP = T.size();
   D.R = R;
-  D.OverlapNum = St.BytesFlushedDuringCompute;
-  D.OverlapDen = St.WireBytesSent;
+  D.OverlapNum = T.stats().BytesFlushedDuringCompute;
+  D.OverlapDen = T.stats().WireBytesSent;
   for (const auto &[Name, V] : R.FinalAccums)
     D.AccumBits[Name] = bitsOf(V);
-  for (const auto &[Name, A] : E.arrays()) {
+  for (const auto &[Name, A] : I.arrays()) {
     auto &Out = D.Elems[Name];
     for (size_t F = 0; F != A.size(); ++F) {
       int32_t Own = A.Owner.empty() ? -1 : A.Owner[F];
@@ -88,8 +91,7 @@ std::string rt::serializeRankDump(const RankDump &D) {
      << " stmts " << D.R.StmtInstances << " upgrades "
      << D.R.InPlaceRuntimeUpgrades << " collmsgs " << D.R.CollMessages
      << " collbytes " << D.R.CollBytes << "\n";
-  OS << "stat elapsed " << hex64(bitsOf(D.R.ElapsedSeconds))
-     << " overlapnum " << D.OverlapNum << " overlapden " << D.OverlapDen
+  OS << "stat overlapnum " << D.OverlapNum << " overlapden " << D.OverlapDen
      << "\n";
   OS << "valid " << (D.R.Valid ? 1 : 0) << "\n";
   for (const std::string &V : D.R.Violations)
@@ -147,14 +149,6 @@ bool rt::parseRankDump(const std::string &Text, RankDump &Out,
     } else if (Tok == "stat") {
       std::string Key;
       while (LS >> Key) {
-        if (Key == "elapsed") {
-          std::string Hex;
-          uint64_t Bits;
-          if (!(LS >> Hex) || !parseHex64(Hex, Bits))
-            return Fail("bad elapsed");
-          Out.R.ElapsedSeconds = doubleOf(Bits);
-          continue;
-        }
         uint64_t V;
         if (!(LS >> V))
           return Fail("bad stat value for " + Key);
@@ -260,8 +254,6 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
     Out.MaxRankCollMessages =
         std::max(Out.MaxRankCollMessages, D.R.CollMessages);
     Out.MaxRankCollBytes = std::max(Out.MaxRankCollBytes, D.R.CollBytes);
-    Out.R.ElapsedSeconds =
-        std::max(Out.R.ElapsedSeconds, D.R.ElapsedSeconds);
     ONum += D.OverlapNum;
     ODen += D.OverlapDen;
     if (!D.R.Valid)

@@ -14,14 +14,15 @@
 /// replicated and ownerless elements (which replicated computation keeps
 /// identical on every rank). Per-rank counters sum to the in-process
 /// totals; the overlap ratio merges from wire-byte numerators and
-/// denominators.
+/// denominators. Ranks run on real time, so a merged run has no simulated
+/// time (RunResult::SimSeconds stays 0); callers time the launch itself.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_RT_RANKRESULT_H
 #define DHPF_RT_RANKRESULT_H
 
-#include "rt/RankEngine.h"
+#include "net/Net.h"
 #include "spmd/Interp.h"
 
 #include <map>
@@ -44,9 +45,10 @@ struct RankDump {
   std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> Elems;
 };
 
-/// Captures a finished engine's state as a dump.
-RankDump dumpRank(const RankEngine &E, const spmd::RunResult &R,
-                  const net::TransportStats &St);
+/// Captures the state of \p I, which ran rank T.rank() over \p T and
+/// returned \p R, as a dump.
+RankDump dumpRank(const spmd::Interpreter &I, const net::Transport &T,
+                  const spmd::RunResult &R);
 
 std::string serializeRankDump(const RankDump &D);
 

@@ -20,13 +20,13 @@ namespace {
 /// Fallback semantics for programs with no registered benchmark: a
 /// deterministic function of the values read, plus a deterministic array
 /// initialization, so any valid .hpf input is runnable end to end.
-void genericSetup(spmd::ProgramHost &H, const spmd::SpmdProgram &SP) {
+void genericSetup(spmd::Interpreter &I, const spmd::SpmdProgram &SP) {
   std::set<int> Sems;
   for (const spmd::CompiledStmt &S : SP.Stmts)
     if (S.SemanticsId >= 0)
       Sems.insert(S.SemanticsId);
   for (int Id : Sems)
-    H.setSemantics(Id, [](const std::vector<double> &Reads,
+    I.setSemantics(Id, [](const std::vector<double> &Reads,
                           const std::vector<int64_t> &, spmd::AccumMap &) {
       double V = 1.0;
       for (double R : Reads)
@@ -36,7 +36,7 @@ void genericSetup(spmd::ProgramHost &H, const spmd::SpmdProgram &SP) {
   if (!SP.Source)
     return;
   for (const auto &A : SP.Source->arrays())
-    H.initArray(A.first, [](const std::vector<int64_t> &Idx) {
+    I.initArray(A.first, [](const std::vector<int64_t> &Idx) {
       double V = 0.5;
       for (int64_t X : Idx)
         V = V * 1.9 + 0.3 * static_cast<double>(X);
@@ -47,12 +47,12 @@ void genericSetup(spmd::ProgramHost &H, const spmd::SpmdProgram &SP) {
 } // namespace
 
 void Session::setup(const spmd::SpmdProgram &SP,
-                    spmd::ProgramHost &H) const {
+                    spmd::Interpreter &I) const {
   if (Reg && Canonical) {
     apps::AppInstance App = Reg->MakeCanonical();
-    App.Setup(H);
+    App.Setup(I);
   } else {
-    genericSetup(H, SP);
+    genericSetup(I, SP);
   }
 }
 

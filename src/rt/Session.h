@@ -50,9 +50,10 @@ struct Session {
   const apps::RegistryEntry *Reg = nullptr; ///< null if not a benchmark
   bool Canonical = false; ///< program matches the canonical export
 
-  /// Registers semantics and seeds arrays on any executor: the canonical
-  /// benchmark Setup, or the generic deterministic semantics.
-  void setup(const spmd::SpmdProgram &SP, spmd::ProgramHost &H) const;
+  /// Registers semantics and seeds arrays on \p I (in-process or one rank
+  /// of a launch): the canonical benchmark Setup, or the generic
+  /// deterministic semantics.
+  void setup(const spmd::SpmdProgram &SP, spmd::Interpreter &I) const;
 };
 
 /// Resolves shape + semantics for \p SP. Returns std::nullopt and fills

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <set>
 
 using namespace dhpf;
@@ -87,10 +86,7 @@ bool atomHolds(int64_t V, cg::GuardAtom::Kind K, int64_t Mod) {
 
 namespace {
 
-/// Lowers one SpmdProgram into a PlanBuild. Stateless beyond the output;
-/// extracted from PlanExecutor so rt::RankEngine builds the identical plan
-/// (and therefore the identical native kernel source) from its own
-/// bindings.
+/// Lowers one SpmdProgram into a PlanBuild. Stateless beyond the output.
 class PlanLowering {
 public:
   PlanLowering(const SpmdProgram &Prog, const PlanBuildInputs &In,
@@ -104,7 +100,7 @@ private:
   const PlanBuildInputs &In;
   PlanBuild &B;
   ExecPlan &Plan;
-  int32_t NextComputeId = 0, NextReduceId = 0;
+  int32_t NextComputeId = 0;
 
   void noteDepth(const bc::Prog &P);
   bc::Prog flattenExpr(const std::vector<cg::Expr> &Subs, const ArrayStore &A,
@@ -261,6 +257,7 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
     break;
   case SpmdNode::Kind::Compute: {
     P.NativeComputeId = NextComputeId++;
+    P.SpanName = "compute:" + N.NestName;
     if (!N.Loops)
       break;
     lowerInto(P.Loops, *N.Loops, Fixed);
@@ -285,7 +282,6 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
     P.EventId = N.EventId;
     break;
   case SpmdNode::Kind::Reduce:
-    P.NativeReduceId = NextReduceId++;
     P.RedOp = N.RedOp;
     P.RedName = N.RedName;
     P.RedBytes = N.RedBytes;
@@ -411,9 +407,14 @@ PlanBuild spmd::buildExecPlan(const SpmdProgram &Prog,
   return B;
 }
 
+/// Compute pumps Comm::progress() every this many statement instances: the
+/// Figure 4 window in which posted sends drain while the rank computes.
+static constexpr uint64_t ProgressEvery = 256;
+
 PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
-                           unsigned Threads, EngineKind Engine)
-    : Prog(ProgIn), I(IIn), NP(IIn.NumProcs) {
+                           Comm &CIn, unsigned Threads, EngineKind Engine)
+    : Prog(ProgIn), I(IIn), Com(CIn), NP(IIn.NumProcs), Lo(CIn.First),
+      Hi(CIn.First + CIn.Local) {
   {
     PlanBuild B = buildExecPlan(
         Prog, {&I.Arrays, &I.AllBindings, &I.ProcShape, &I.EventInPlace});
@@ -432,7 +433,7 @@ PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
                      Plan.ArrayNames.size()));
   PdV.assign(NP, std::vector<std::unordered_map<int64_t, double>>(
                      Plan.ArrayNames.size()));
-  if (Threads > 1 && NP > 1)
+  if (Threads > 1 && Hi - Lo > 1)
     Pool = std::make_unique<ThreadPool>(Threads - 1);
   if (Engine == EngineKind::Native)
     setupNative();
@@ -485,7 +486,7 @@ struct PlanExecutor::NativeState {
     Ctx *X = of(C);
     return X->PE->nativeStmt(X->P, Leaf, N, C->Reads);
   }
-  static void progress(DhpfCtx *) {} // in-process: nothing to pump
+  static void progress(DhpfCtx *C) { of(C)->PE->Com.progress(); }
   static void growPairs(DhpfCtx *C) {
     Ctx *X = of(C);
     Scratch &S = X->PE->PerProc[X->P];
@@ -554,7 +555,7 @@ void PlanExecutor::setupNative() {
     C.Clock = &I.Mach.clockRef(P);
     C.Stmts = &PerProc[P].Stmts;
     C.ProgressCtr = 0;
-    C.ProgressEvery = ~0ull; // in-process: no transport to pump
+    C.ProgressEvery = ProgressEvery;
     C.ReadSlow = &NativeState::readSlow;
     C.WriteSlow = &NativeState::writeSlow;
     C.Stmt = &NativeState::stmt;
@@ -627,11 +628,12 @@ void PlanExecutor::walkAll(const PlanAst &A, int64_t *Regs, int64_t *Stack,
 }
 
 template <typename Fn> void PlanExecutor::forProcs(bool Parallel, Fn &&F) {
-  if (Parallel && Pool && NP > 1) {
-    Pool->parallelFor(NP, [&](size_t P) { F(static_cast<unsigned>(P)); });
+  if (Parallel && Pool) {
+    Pool->parallelFor(Hi - Lo,
+                      [&](size_t K) { F(Lo + static_cast<unsigned>(K)); });
     return;
   }
-  for (unsigned P = 0; P != NP; ++P)
+  for (unsigned P = Lo; P != Hi; ++P)
     F(P);
 }
 
@@ -639,7 +641,7 @@ template <typename Fn> void PlanExecutor::forProcs(bool Parallel, Fn &&F) {
 /// shared result, in processor order (matching the tree engine's sequential
 /// execution order exactly).
 void PlanExecutor::mergeScratch() {
-  for (unsigned P = 0; P != NP; ++P) {
+  for (unsigned P = Lo; P != Hi; ++P) {
     Scratch &S = PerProc[P];
     I.Result.StmtInstances += S.Stmts;
     S.Stmts = 0;
@@ -798,21 +800,20 @@ void PlanExecutor::runSend(const PlanNode &N) {
     S.OutQ.clear();
     for (const PartnerList &PL : *L) {
       const std::vector<int64_t> &F = *PL.Flats;
-      Payload Pay;
+      S.OutQ.push_back(PL.Q);
+      Payload &Pay = S.Out.emplace_back();
       Pay.Base = PL.Base;
+      Pay.N = F.size();
       Pay.Contig = PL.Contig;
+      if (!PL.Contig)
+        Pay.Flats = PL.Flats;
+      // The Section 3.3 shape, a contiguous run of locally owned storage,
+      // is not gathered here: the comm reads it straight from the store.
       Pay.Span = PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig;
+      if (Pay.Span)
+        continue;
       Pay.Vals.resize(F.size());
-      if (PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig) {
-        // Zero-copy span gather: the Section 3.3 analysis promised this
-        // shape; memcpy straight out of the store (via the kernel's pack
-        // body when the native engine is live).
-        if (Native && Native->T)
-          Native->T->CopySpan(Pay.Vals.data(), Arr.data() + PL.Base,
-                              F.size());
-        else
-          std::copy_n(Arr.data() + PL.Base, F.size(), Pay.Vals.data());
-      } else if (PL.Own == PartnerList::OwnClass::AllLocal) {
+      if (PL.Own == PartnerList::OwnClass::AllLocal) {
         if (Native && Native->T)
           Native->T->Gather(Pay.Vals.data(), Arr.data(), F.data(), F.size());
         else
@@ -839,30 +840,21 @@ void PlanExecutor::runSend(const PlanNode &N) {
           }
         }
       }
-      if (!PL.Contig)
-        Pay.Flats = PL.Flats;
-      S.Out.push_back(std::move(Pay));
-      S.OutQ.push_back(PL.Q);
     }
   });
-  // Sequential merge in processor order: simulator clocks, message
-  // counters and payload queues see exactly the tree engine's sequence.
-  for (unsigned P = 0; P != NP; ++P) {
+  // Sequential merge in processor order: the comm sees exactly the tree
+  // engine's message sequence.
+  for (unsigned P = Lo; P != Hi; ++P) {
     Scratch &S = PerProc[P];
     for (const std::string &M : S.Viol)
       I.violation(M);
     S.Viol.clear();
     for (size_t K = 0; K != S.Out.size(); ++K) {
-      Payload &Pay = S.Out[K];
-      if (Pay.Span)
+      if (S.Out[K].Span)
         ++I.Result.SpanCopies;
       else
         ++I.Result.PackedCopies;
-      uint64_t Bytes = Pay.count() * Arr.elemBytes();
-      uint64_t PackBytes = EP.InPlace ? 0 : Bytes;
-      I.Mach.send(P, S.OutQ[K], static_cast<uint64_t>(EP.Id), Bytes,
-                  PackBytes);
-      Payloads[{P, S.OutQ[K], EP.Id}].push(std::move(Pay));
+      Com.post(P, S.OutQ[K], EP, Arr, std::move(S.Out[K]));
     }
     S.Out.clear();
     S.OutQ.clear();
@@ -884,30 +876,24 @@ void PlanExecutor::runRecv(const PlanNode &N) {
       buildLists(EP.Recv, EP, P, PerProc[P].Lists, /*RecvSide=*/true);
     }
   });
-  // Phase 2 (sequential): match payloads, advance clocks, apply values.
-  for (unsigned P = 0; P != NP; ++P) {
+  // Phase 2 (sequential): receive payloads, validate, apply values.
+  for (unsigned P = Lo; P != Hi; ++P) {
     std::vector<PartnerList> &L = EP.Cacheable
                                       ? RecvCache[N.EventId][P].Partners
                                       : PerProc[P].Lists;
     auto &Ov = OvV[P][EP.Array];
     for (const PartnerList &PL : L) {
       const std::vector<int64_t> &Exp = *PL.Flats;
-      auto PIt = Payloads.find({PL.Q, P, EP.Id});
-      if (PIt == Payloads.end() || PIt->second.empty()) {
+      Payload Pay;
+      if (!Com.receive(P, PL.Q, EP, Arr, Pay)) {
         I.violation("proc " + std::to_string(P) + " expects a message from " +
                     std::to_string(PL.Q) + " for event " +
                     std::to_string(EP.Id) + " that was never sent");
         continue;
       }
-      Payload Pay = std::move(PIt->second.front());
-      PIt->second.pop();
-      if (PIt->second.empty())
-        Payloads.erase(PIt);
-      I.Mach.recv(PL.Q, P, static_cast<uint64_t>(EP.Id),
-                  EP.InPlace ? 0 : Pay.count() * Arr.elemBytes());
-      if (Pay.count() != Exp.size())
+      if (Pay.N != Exp.size())
         I.violation("message size mismatch for event " + std::to_string(EP.Id) +
-                    " (" + std::to_string(Pay.count()) + " sent vs " +
+                    " (" + std::to_string(Pay.N) + " sent vs " +
                     std::to_string(Exp.size()) + " expected)");
       auto Apply = [&](int64_t F, double V) {
         if (!Arr.Owner.empty() && Arr.Owner[F] == static_cast<int32_t>(P))
@@ -920,16 +906,14 @@ void PlanExecutor::runRecv(const PlanNode &N) {
                     std::to_string(EP.Id) + ")");
       };
       if (Pay.Contig && PL.Contig && Pay.Base == PL.Base &&
-          Pay.count() == Exp.size() &&
-          PL.Own == PartnerList::OwnClass::AllLocal) {
+          Pay.N == Exp.size() && PL.Own == PartnerList::OwnClass::AllLocal) {
         // Zero-copy span apply: unpack is a single memcpy into the store.
         if (Native && Native->T)
-          Native->T->CopySpan(Arr.data() + PL.Base, Pay.Vals.data(),
-                              Pay.count());
+          Native->T->CopySpan(Arr.data() + PL.Base, Pay.Vals.data(), Pay.N);
         else
-          std::copy_n(Pay.Vals.data(), Pay.count(), Arr.data() + PL.Base);
+          std::copy_n(Pay.Vals.data(), Pay.N, Arr.data() + PL.Base);
       } else if (Pay.Contig) {
-        int64_t Cnt = static_cast<int64_t>(Pay.count());
+        int64_t Cnt = static_cast<int64_t>(Pay.N);
         for (int64_t F : Exp) {
           int64_t Idx = F - Pay.Base;
           if (Idx < 0 || Idx >= Cnt)
@@ -955,10 +939,12 @@ void PlanExecutor::runRecv(const PlanNode &N) {
 }
 
 void PlanExecutor::runCompute(const PlanNode &N) {
+  obs::TraceSpan Span(Com.Trace, N.SpanName, "rt.exec");
   if (Native && Native->T && N.NativeComputeId >= 0) {
     // The compiled loop nest performs the identical sequence of reads,
-    // statement calls, stores, clock bumps, and instance counts; slow
-    // paths (non-local elements) come back through the trampolines.
+    // statement calls, stores, clock bumps, instance counts and progress
+    // pumps; slow paths (non-local elements) come back through the
+    // trampolines.
     const DhpfComputeFn Fn = Native->T->Compute[N.NativeComputeId];
     forProcs(N.ParallelSafe,
              [&](unsigned P) { Fn(&Native->Procs[P].C, I.Env[P].data()); });
@@ -980,37 +966,22 @@ void PlanExecutor::runCompute(const PlanNode &N) {
       writeFast(P, SP.WriteArray, SP.WriteFlat.eval(R, Stack), V);
       I.Mach.addCompute(P, SP.Cost);
       ++S.Stmts;
+      if (++S.SinceProgress == ProgressEvery) {
+        S.SinceProgress = 0;
+        Com.progress();
+      }
     });
   });
   mergeScratch();
 }
 
 void PlanExecutor::runReduce(const PlanNode &N) {
-  double Combined = N.RedOp == SpmdNode::ReduceOp::Max
-                        ? -std::numeric_limits<double>::infinity()
-                        : 0.0;
-  std::vector<double *> Slot(NP);
-  if (Native && Native->T && N.NativeReduceId >= 0) {
-    // The kernel combine body folds in processor order with the exact
-    // same floating-point operation sequence as the loop below.
-    std::vector<double> Vals(NP);
-    for (unsigned P = 0; P != NP; ++P) {
-      double &V = I.Accums[P][N.RedName];
-      Slot[P] = &V;
-      Vals[P] = V;
-    }
-    Combined = Native->T->Reduce[N.NativeReduceId](Vals.data(), NP);
-  } else
-    for (unsigned P = 0; P != NP; ++P) {
-      double &V = I.Accums[P][N.RedName];
-      Slot[P] = &V;
-      Combined = N.RedOp == SpmdNode::ReduceOp::Max ? std::max(Combined, V)
-                                                    : Combined + V;
-    }
-  for (unsigned P = 0; P != NP; ++P)
-    *Slot[P] = Combined;
-  I.Mach.allReduce(N.RedBytes);
-  I.Mach.addCompute(0, N.RedCost);
+  std::vector<double> Own;
+  for (unsigned P = Lo; P != Hi; ++P)
+    Own.push_back(I.Accums[P][N.RedName]);
+  double Combined = Com.allReduce(N, Own);
+  for (unsigned P = Lo; P != Hi; ++P)
+    I.Accums[P][N.RedName] = Combined;
   I.Result.FinalAccums[N.RedName] = Combined;
 }
 
@@ -1022,11 +993,11 @@ void PlanExecutor::runNode(const PlanNode &N) {
       runNode(C);
     break;
   case SpmdNode::Kind::TimeLoop: {
-    int64_t *Stack = PerProc[0].Stack.data();
-    int64_t Lo = N.SeqLo.eval(I.Env[0].data(), Stack);
-    int64_t Hi = N.SeqHi.eval(I.Env[0].data(), Stack);
-    for (int64_t V = Lo; V <= Hi; ++V) {
-      for (unsigned P = 0; P != NP; ++P)
+    int64_t *Stack = PerProc[Lo].Stack.data();
+    int64_t First = N.SeqLo.eval(I.Env[Lo].data(), Stack);
+    int64_t Last = N.SeqHi.eval(I.Env[Lo].data(), Stack);
+    for (int64_t V = First; V <= Last; ++V) {
+      for (unsigned P = Lo; P != Hi; ++P)
         I.Env[P][N.SeqSlot] = V;
       for (const PlanNode &C : N.Children)
         runNode(C);
@@ -1055,13 +1026,15 @@ RunResult PlanExecutor::run() {
     if (It != I.Semantics.end())
       Sems[K] = &It->second;
   }
-  if (Prog.Root)
-    runNode(Plan.Root);
-  if (!Payloads.empty())
-    I.violation("unconsumed messages remain (send/recv sets are not dual)");
-  I.Result.ElapsedSeconds = I.Mach.elapsed();
-  I.Result.Messages = I.Mach.totalMessages();
-  I.Result.Bytes = I.Mach.totalBytes();
+  {
+    obs::TraceSpan Span(Com.Trace, "rank:run", "rt");
+    if (Prog.Root)
+      runNode(Plan.Root);
+  }
+  {
+    obs::TraceSpan Span(Com.Trace, "rank:finish", "rt");
+    Com.finish(I.Result);
+  }
   if (obs::compiledIn()) {
     // Flushed once per run — the dispatch loop itself stays probe-free.
     static const char *KindNames[6] = {"seq",  "time_loop", "compute",

@@ -5,18 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode execution engine: a load-time lowering pass that walks a
-/// compiled SpmdProgram once and produces a flat, fully pre-resolved plan,
-/// plus the executor that runs it. Lowering resolves array names to dense
+/// The plan executor, the one execution engine besides the tree oracle: a
+/// load-time lowering pass that walks a compiled SpmdProgram once and
+/// produces a flat, fully pre-resolved plan, plus the executor that runs it
+/// as bytecode or native kernels. Lowering resolves array names to dense
 /// ids with cached stores and precomputed strides (subscript tuples become
 /// one fused flatten expression), compiles every Expr to postfix bytecode
 /// (Bytecode.h) with run-constant slots folded, drops statically dead
 /// guards and loops, and precomputes the per-dimension virtual-processor
 /// mapping with block sizes bound to constants.
 ///
-/// The executor preserves the tree interpreter's observable behaviour
-/// bit-for-bit (array state, message traffic, simulated clocks, violation
-/// reports) while restructuring the hot paths:
+/// The executor runs the plan for the ranks that live in its process — all
+/// of them in-process, one in a distributed rank process — and leaves the
+/// movement of messages and reductions to a Comm (Comm.h). It preserves
+/// the tree interpreter's observable behaviour bit-for-bit (array state,
+/// message traffic, simulated clocks, violation reports) while
+/// restructuring the hot paths:
 ///
 ///  - per-partner element lists are sorted flat vectors (dedup by
 ///    sort+unique instead of per-element ordered-set insertion), built once
@@ -24,11 +28,12 @@
 ///    depend on a sequential loop variable;
 ///  - packing is zero-copy where the Section 3.3 analysis proved (or the
 ///    runtime check upgraded) contiguity: a message is a base + count span
-///    of the array store, gathered and applied with std::copy;
+///    of the array store, read by the comm straight from storage and
+///    applied with one copy;
 ///  - independent processor ranks of an event run in parallel on a
-///    ThreadPool, with all shared-state mutation (simulator clocks, payload
-///    queues, violations) replayed in processor order afterwards, so the
-///    result is identical for any thread count.
+///    ThreadPool, with all shared-state mutation (comm calls, violations)
+///    replayed in processor order afterwards, so the result is identical
+///    for any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,14 +41,13 @@
 #define DHPF_SPMD_EXECPLAN_H
 
 #include "spmd/Bytecode.h"
+#include "spmd/Comm.h"
 #include "spmd/Interp.h"
 #include "spmd/SpmdProgram.h"
 #include "support/ThreadPool.h"
 
 #include <map>
 #include <memory>
-#include <queue>
-#include <tuple>
 #include <vector>
 
 namespace dhpf {
@@ -119,6 +123,9 @@ struct PlanNode {
   /// Every written array has full per-element ownership, so distinct ranks
   /// touch distinct elements and may run concurrently.
   bool ParallelSafe = false;
+  std::string SpanName; ///< "compute:<nest>", the node's trace span
+  /// Native compute-kernel index, assigned by buildExecPlan in preorder.
+  int32_t NativeComputeId = -1;
   // Send/Recv
   int EventId = -1;
   // Reduce
@@ -126,11 +133,6 @@ struct PlanNode {
   std::string RedName;
   uint64_t RedBytes = 8;
   double RedCost = 1.0;
-  /// Native-engine kernel indices, assigned by buildExecPlan in preorder
-  /// (every Compute/Reduce node gets one, so the i-th Compute SpmdNode in
-  /// preorder maps to compute kernel i — rt::RankEngine relies on this).
-  int32_t NativeComputeId = -1; // Compute
-  int32_t NativeReduceId = -1;  // Reduce
   std::vector<PlanNode> Children;
 };
 
@@ -154,12 +156,11 @@ struct ExecPlan {
   unsigned StackDepth = 1; // max bytecode stack depth over the whole plan
 };
 
-/// Everything lowering needs from an execution context. Both in-process
-/// engines (via the Interpreter) and the distributed rank runtime
-/// (rt::RankEngine) build plans from the same inputs, so a plan — and the
-/// native kernel source generated from it — is identical wherever it is
-/// built, which is what lets every rank of a launch share one kernel-cache
-/// entry.
+/// Everything lowering needs from an execution context. Every Interpreter —
+/// in-process or one rank of a launch — builds its plan from the same
+/// inputs, so a plan, and the native kernel source generated from it, is
+/// identical wherever it is built, which is what lets every rank of a
+/// launch share one kernel-cache entry with the driver.
 struct PlanBuildInputs {
   std::map<std::string, ArrayStore> *Arrays = nullptr;
   const std::map<std::string, int64_t> *AllBindings = nullptr;
@@ -179,34 +180,21 @@ struct PlanBuild {
 PlanBuild buildExecPlan(const SpmdProgram &Prog, const PlanBuildInputs &In);
 
 /// Runs one lowered plan against an Interpreter's state (arrays,
-/// environments, simulated machine). Built by the Interpreter constructor
-/// when the bytecode engine is selected.
+/// environments, simulated machine) for the ranks \p C assigns to this
+/// process. Built by the Interpreter constructor whenever the tree engine
+/// is not selected.
 class PlanExecutor {
 public:
   /// \p Engine must be Bytecode or Native. Native compiles the plan's hot
   /// loops through the kernel cache at construction time and falls back to
   /// bytecode dispatch (with one stderr note) when no compiler is usable.
-  PlanExecutor(const SpmdProgram &Prog, Interpreter &I, unsigned Threads,
-               EngineKind Engine = EngineKind::Bytecode);
+  PlanExecutor(const SpmdProgram &Prog, Interpreter &I, Comm &C,
+               unsigned Threads, EngineKind Engine);
   ~PlanExecutor();
 
   RunResult run();
 
 private:
-  /// A message payload: sorted unique flat indices plus values. Contiguous
-  /// payloads carry no index vector — the span [Base, Base+Vals.size())
-  /// is implicit.
-  struct Payload {
-    std::shared_ptr<const std::vector<int64_t>> Flats; // null when Contig
-    std::vector<double> Vals;
-    int64_t Base = 0;
-    bool Contig = false;
-    /// Gathered as a contiguous span of locally-owned storage (the
-    /// Section 3.3 shape) — feeds RunResult::SpanCopies.
-    bool Span = false;
-    size_t count() const { return Vals.size(); }
-  };
-
   /// One partner's cached element list for one (event, proc) side.
   struct PartnerList {
     unsigned Q = 0;
@@ -239,12 +227,14 @@ private:
     std::vector<unsigned> OutQ;
     std::vector<std::string> Viol;
     uint64_t Stmts = 0;
-    double ComputeWork = 0;
+    uint64_t SinceProgress = 0; ///< statement instances since progress()
   };
 
   const SpmdProgram &Prog;
   Interpreter &I;
-  unsigned NP; // processor count
+  Comm &Com;
+  unsigned NP;     // processor count of the whole mesh
+  unsigned Lo, Hi; // this process runs ranks [Lo, Hi)
   /// Node-dispatch counts by SpmdNode::Kind, flushed to the obs registry
   /// ("spmd.bytecode.dispatch.*") once at the end of run().
   uint64_t Dispatch[6] = {};
@@ -258,8 +248,6 @@ private:
   /// Engine-private overlay/pending stores indexed [proc][array id]
   /// (the tree engine's string-keyed maps stay untouched).
   std::vector<std::vector<std::unordered_map<int64_t, double>>> OvV, PdV;
-  std::map<std::tuple<unsigned, unsigned, int>, std::queue<Payload>>
-      Payloads;
 
   /// Native-engine state: the loaded kernel table plus one DhpfCtx per
   /// processor rank (defined in ExecPlan.cpp; null when the engine is

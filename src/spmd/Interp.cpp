@@ -7,6 +7,7 @@
 #include "spmd/Interp.h"
 
 #include "obs/Metrics.h"
+#include "spmd/Comm.h"
 #include "spmd/ExecPlan.h"
 #include "spmd/Layout.h"
 #include "support/MathExtras.h"
@@ -16,10 +17,78 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <stdexcept>
 
 using namespace dhpf;
 using namespace dhpf::spmd;
 using namespace dhpf::hpf;
+
+namespace {
+
+/// All ranks in one address space: payloads wait in per-(src, dst, event)
+/// queues, and every message and reduction is charged to the simulated
+/// machine, so RunResult::SimSeconds is the modelled parallel time.
+class InProcessComm final : public Comm {
+public:
+  explicit InProcessComm(sim::Machine &M)
+      : Comm(M.numProcs(), 0, M.numProcs(), nullptr), Mach(M) {}
+
+  void post(unsigned P, unsigned Q, const EventPlan &EP, const ArrayStore &A,
+            Payload &&Pay) override {
+    // The receiver applies the values later, after the sender may have
+    // overwritten them: snapshot a span now.
+    if (Pay.Span) {
+      const double *Src = A.values().data() + Pay.Base;
+      Pay.Vals.assign(Src, Src + Pay.N);
+    }
+    uint64_t Bytes = Pay.N * EP.ElemBytes;
+    Mach.send(P, Q, static_cast<uint64_t>(EP.Id), Bytes,
+              EP.InPlace ? 0 : Bytes);
+    Payloads[{P, Q, EP.Id}].push(std::move(Pay));
+  }
+
+  bool receive(unsigned P, unsigned Q, const EventPlan &EP,
+               const ArrayStore &, Payload &Out) override {
+    auto It = Payloads.find({Q, P, EP.Id});
+    if (It == Payloads.end())
+      return false;
+    Out = std::move(It->second.front());
+    It->second.pop();
+    if (It->second.empty())
+      Payloads.erase(It);
+    Mach.recv(Q, P, static_cast<uint64_t>(EP.Id),
+              EP.InPlace ? 0 : Out.N * EP.ElemBytes);
+    return true;
+  }
+
+  double allReduce(const PlanNode &N,
+                   const std::vector<double> &Own) override {
+    bool Max = N.RedOp == SpmdNode::ReduceOp::Max;
+    double Acc = Max ? -std::numeric_limits<double>::infinity() : 0.0;
+    for (double V : Own)
+      Acc = Max ? std::max(Acc, V) : Acc + V;
+    Mach.allReduce(N.RedBytes);
+    Mach.addCompute(0, N.RedCost);
+    return Acc;
+  }
+
+  void progress() override {}
+
+  void finish(RunResult &R) override {
+    if (!Payloads.empty())
+      R.addViolation(
+          "unconsumed messages remain (send/recv sets are not dual)");
+    R.SimSeconds = Mach.elapsed();
+    R.Messages = Mach.totalMessages();
+    R.Bytes = Mach.totalBytes();
+  }
+
+private:
+  sim::Machine &Mach;
+  std::map<std::tuple<unsigned, unsigned, int>, std::queue<Payload>> Payloads;
+};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // ArrayStore
@@ -41,6 +110,14 @@ ArrayStore::ArrayStore(std::vector<int64_t> LoV, std::vector<int64_t> ExtentV,
 //===----------------------------------------------------------------------===//
 
 Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn)
+    : Interpreter(ProgIn, std::move(ConfigIn), nullptr) {}
+
+Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
+                         Comm &C)
+    : Interpreter(ProgIn, std::move(ConfigIn), &C) {}
+
+Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
+                         Comm *C)
     : Prog(ProgIn), Config(std::move(ConfigIn)),
       Mach(1, Config.Machine) /* resized below */ {
   ProgramLayout L = resolveLayout(Prog, Config);
@@ -55,18 +132,30 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn)
   Pending.resize(NumProcs);
   Accums.resize(NumProcs);
   EngineKind E = resolveEngine(Config.Engine);
-  if (E == EngineKind::Bytecode || E == EngineKind::Native) {
-    unsigned T = Config.ExecThreads;
-    if (T == 0) {
-      if (const char *S = std::getenv("DHPF_SPMD_THREADS")) {
-        long V = std::strtol(S, nullptr, 10);
-        T = V > 0 ? static_cast<unsigned>(V) : 1;
-      } else {
-        T = ThreadPool::hardwareThreads();
-      }
-    }
-    Exec = std::make_unique<PlanExecutor>(Prog, *this, T, E);
+  if (C) {
+    if (C->Size != NumProcs)
+      throw std::runtime_error("comm spans " + std::to_string(C->Size) +
+                               " ranks but the layout needs " +
+                               std::to_string(NumProcs));
+    if (E == EngineKind::Tree)
+      E = EngineKind::Bytecode;
   }
+  if (E == EngineKind::Tree)
+    return;
+  if (!C) {
+    OwnComm = std::make_unique<InProcessComm>(Mach);
+    C = OwnComm.get();
+  }
+  unsigned T = Config.ExecThreads;
+  if (T == 0) {
+    if (const char *S = std::getenv("DHPF_SPMD_THREADS")) {
+      long V = std::strtol(S, nullptr, 10);
+      T = V > 0 ? static_cast<unsigned>(V) : 1;
+    } else {
+      T = ThreadPool::hardwareThreads();
+    }
+  }
+  Exec = std::make_unique<PlanExecutor>(Prog, *this, *C, T, E);
 }
 
 Interpreter::~Interpreter() = default;
@@ -118,10 +207,6 @@ void Interpreter::setupArrays() {
       buildArrayStores(Prog, Config, {ProcShape, NumProcs, AllBindings});
 }
 
-unsigned Interpreter::rankOf(const std::vector<int64_t> &Coords) const {
-  return linearRank(ProcShape, Coords);
-}
-
 unsigned Interpreter::partnerRank(const std::vector<int64_t> &Partner) const {
   return vpPartnerRank(Prog, ProcShape, AllBindings, Partner);
 }
@@ -140,12 +225,6 @@ void Interpreter::setupEnvs() {
 //===----------------------------------------------------------------------===//
 // Execution
 //===----------------------------------------------------------------------===//
-
-void Interpreter::violation(const std::string &Msg) {
-  Result.Valid = false;
-  if (Result.Violations.size() < 20)
-    Result.Violations.push_back(Msg);
-}
 
 double Interpreter::readElem(unsigned P, ArrayStore &A,
                              const std::string &Array, int64_t Flat) {
@@ -399,7 +478,7 @@ RunResult Interpreter::run() {
   execNode(*Prog.Root);
   if (!Payloads.empty())
     violation("unconsumed messages remain (send/recv sets are not dual)");
-  Result.ElapsedSeconds = Mach.elapsed();
+  Result.SimSeconds = Mach.elapsed();
   Result.Messages = Mach.totalMessages();
   Result.Bytes = Mach.totalBytes();
   if (obs::compiledIn()) {

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The binary contract between the host engines (PlanExecutor,
-/// rt::RankEngine) and the native kernels NativeGen emits and KernelCache
-/// compiles with the system C compiler. The declarations live in the
-/// DHPF_KERNEL_ABI_DECLS macro so there is exactly one source of truth:
+/// The binary contract between the host (the PlanExecutor, in-process or
+/// in a distributed rank) and the native kernels NativeGen emits and
+/// KernelCache compiles with the system C compiler. The declarations live
+/// in the DHPF_KERNEL_ABI_DECLS macro so there is exactly one source of
+/// truth:
 /// this header expands it for the C++ host, and NativeGen stringizes the
 /// same macro into the preamble of every generated translation unit.
 ///
@@ -33,7 +34,7 @@
 
 #include <stdint.h>
 
-#define DHPF_KERNEL_ABI_VERSION 1
+#define DHPF_KERNEL_ABI_VERSION 2
 
 /// The symbol every kernel exports; resolves to a DhpfEntryFn.
 #define DHPF_KERNEL_ENTRY_SYMBOL "dhpf_kernel_entry"
@@ -54,7 +55,7 @@
     const int64_t *Size;        /* [array id] element count */                \
     double *Reads;              /* statement read buffer (>= max arity) */    \
     const double *LeafCostSec;  /* [leaf id] Cost * SecPerWork */             \
-    double *Clock;              /* simulated per-proc clock (or a dummy) */   \
+    double *Clock;              /* simulated per-proc clock */                \
     uint64_t *Stmts;            /* statement-instance counter */              \
     uint64_t ProgressCtr;       /* instances since the last Progress() */     \
     uint64_t ProgressEvery;     /* pump period; UINT64_MAX disables */        \
@@ -70,7 +71,6 @@
   };                                                                          \
   typedef void (*DhpfComputeFn)(DhpfCtx *, int64_t *);                        \
   typedef void (*DhpfEnumFn)(DhpfCtx *, int64_t *);                           \
-  typedef double (*DhpfReduceFn)(const double *, uint64_t);                   \
   typedef void (*DhpfCopySpanFn)(double *, const double *, uint64_t);         \
   typedef void (*DhpfGatherFn)(double *, const double *, const int64_t *,     \
                                uint64_t);                                     \
@@ -78,13 +78,11 @@
     int32_t AbiVersion;         /* DHPF_KERNEL_ABI_VERSION at emit time */    \
     int32_t NumCompute;                                                       \
     int32_t NumEvents;                                                        \
-    int32_t NumReduce;                                                        \
     uint64_t Fingerprint;       /* FNV-1a of the TU body */                   \
     uint64_t CtxSize;           /* sizeof(DhpfCtx) as the C compiler saw */   \
     const DhpfComputeFn *Compute;   /* [NumCompute] */                        \
     const DhpfEnumFn *EventSend;    /* [NumEvents], entries may be 0 */       \
     const DhpfEnumFn *EventRecv;    /* [NumEvents], entries may be 0 */       \
-    const DhpfReduceFn *Reduce;     /* [NumReduce] */                         \
     DhpfCopySpanFn CopySpan;    /* Section 3.3 contiguous pack/unpack */      \
     DhpfGatherFn Gather;        /* element-by-element pack */                 \
   } DhpfKernelTable;

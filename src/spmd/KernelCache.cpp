@@ -151,8 +151,7 @@ const DhpfKernelTable *openVerified(const std::string &SoPath,
     ::dlclose(H);
     return nullptr;
   }
-  if (T->NumCompute != Src.NumCompute || T->NumEvents != Src.NumEvents ||
-      T->NumReduce != Src.NumReduce) {
+  if (T->NumCompute != Src.NumCompute || T->NumEvents != Src.NumEvents) {
     *Err = SoPath + ": kernel table shape mismatch";
     ::dlclose(H);
     return nullptr;

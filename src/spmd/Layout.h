@@ -12,10 +12,10 @@
 /// partner tuples to physical ranks, and deciding the effective per-event
 /// in-place flags (compile verdicts plus Section 3.3 runtime upgrades).
 ///
-/// These were private to the in-process Interpreter; the distributed rank
-/// runtime (src/rt) executes a single rank in its own OS process and must
-/// reach bit-identical decisions, so the logic lives here and both callers
-/// share it.
+/// Every Interpreter — in-process or one rank of a launch — runs this
+/// setup, and the launcher (src/rt) resolves the same layout to size the
+/// mesh and merge the rank dumps, so the logic lives here where both can
+/// reach it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -220,9 +220,7 @@ private:
   void emitComputeFn(const PlanNode &N);
   void emitEnumFn(const std::string &Name, const PlanAst &A,
                   const EventPlan &EP);
-  void emitReduceFn(const PlanNode &N);
-  void collect(const PlanNode &N, std::vector<const PlanNode *> &Comp,
-               std::vector<const PlanNode *> &Red);
+  void collect(const PlanNode &N, std::vector<const PlanNode *> &Comp);
 };
 
 void Emitter::emitAst(const PlanAst &A, uint32_t Idx, Scope &Sc,
@@ -407,46 +405,25 @@ void Emitter::emitEnumFn(const std::string &Name, const PlanAst &A,
   line("");
 }
 
-void Emitter::emitReduceFn(const PlanNode &N) {
-  bool Max = N.RedOp == SpmdNode::ReduceOp::Max;
-  line("/* reduce \"" + N.RedName + "\" (" + (Max ? "max" : "sum") +
-       "), combined in rank order */");
-  open("static double dhpf_reduce_" + std::to_string(N.NativeReduceId) +
-       "(const double *v, uint64_t n) {");
-  line(Max ? "double acc = -INFINITY;" : "double acc = 0.0;");
-  line("uint64_t i;");
-  open("for (i = 0; i != n; ++i) {");
-  line(Max ? "acc = acc < v[i] ? v[i] : acc;" : "acc = acc + v[i];");
-  close();
-  line("return acc;");
-  close();
-  line("");
-}
-
-void Emitter::collect(const PlanNode &N, std::vector<const PlanNode *> &Comp,
-                      std::vector<const PlanNode *> &Red) {
+void Emitter::collect(const PlanNode &N,
+                      std::vector<const PlanNode *> &Comp) {
   if (N.K == SpmdNode::Kind::Compute && N.NativeComputeId >= 0) {
     if (Comp.size() <= static_cast<size_t>(N.NativeComputeId))
       Comp.resize(N.NativeComputeId + 1, nullptr);
     Comp[N.NativeComputeId] = &N;
   }
-  if (N.K == SpmdNode::Kind::Reduce && N.NativeReduceId >= 0) {
-    if (Red.size() <= static_cast<size_t>(N.NativeReduceId))
-      Red.resize(N.NativeReduceId + 1, nullptr);
-    Red[N.NativeReduceId] = &N;
-  }
   for (const PlanNode &C : N.Children)
-    collect(C, Comp, Red);
+    collect(C, Comp);
 }
 
 PlanSource Emitter::run() {
-  std::vector<const PlanNode *> Comp, Red;
-  collect(Plan.Root, Comp, Red);
+  std::vector<const PlanNode *> Comp;
+  collect(Plan.Root, Comp);
 
   line("/* dhpf native kernel (generated by NativeGen; do not edit).");
   line(" * One translation unit per ExecPlan: compute loop nests, comm-");
-  line(" * event (partner, element) enumerations, reduction bodies, and");
-  line(" * the Section 3.3 contiguous pack/unpack helpers. */");
+  line(" * event (partner, element) enumerations, and the Section 3.3");
+  line(" * contiguous pack/unpack helpers. */");
   line("#include <stdint.h>");
   line("#include <string.h>");
   line("#include <math.h>");
@@ -493,10 +470,6 @@ PlanSource Emitter::run() {
     emitEnumFn("dhpf_event_send_" + std::to_string(E), EP.Send, EP);
     emitEnumFn("dhpf_event_recv_" + std::to_string(E), EP.Recv, EP);
   }
-  for (const PlanNode *N : Red) {
-    assert(N && "reduce id gap");
-    emitReduceFn(*N);
-  }
 
   line("/* Section 3.3 pack/unpack bodies */");
   line("static void dhpf_copy_span(double *dst, const double *src,");
@@ -530,9 +503,6 @@ PlanSource Emitter::run() {
   tab("DhpfEnumFn", "dhpf_event_recv_tab", Plan.Events.size(), [](size_t I) {
     return "dhpf_event_recv_" + std::to_string(I);
   });
-  tab("DhpfReduceFn", "dhpf_reduce_tab", Red.size(), [](size_t I) {
-    return "dhpf_reduce_" + std::to_string(I);
-  });
   line("");
 
   // Everything above is the fingerprinted body; the table below embeds
@@ -542,7 +512,6 @@ PlanSource Emitter::run() {
   Out.Fingerprint = fnv1a64(S);
   Out.NumCompute = static_cast<int32_t>(Comp.size());
   Out.NumEvents = static_cast<int32_t>(Plan.Events.size());
-  Out.NumReduce = static_cast<int32_t>(Red.size());
   for (const StmtPlan &SP : Plan.Stmts)
     if (SP.Reads.size() > Out.MaxReads)
       Out.MaxReads = static_cast<unsigned>(SP.Reads.size());
@@ -553,10 +522,10 @@ PlanSource Emitter::run() {
   open("static const DhpfKernelTable dhpf_table = {");
   line(std::to_string(DHPF_KERNEL_ABI_VERSION) + ", " +
        std::to_string(Out.NumCompute) + ", " + std::to_string(Out.NumEvents) +
-       ", " + std::to_string(Out.NumReduce) + ",");
+       ",");
   line(std::string(FP) + "ULL, sizeof(DhpfCtx),");
   line("dhpf_compute_tab, dhpf_event_send_tab, dhpf_event_recv_tab,");
-  line("dhpf_reduce_tab, dhpf_copy_span, dhpf_gather,");
+  line("dhpf_copy_span, dhpf_gather,");
   close("};");
   line("const DhpfKernelTable *dhpf_kernel_entry(void) { return &dhpf_table; "
        "}");

@@ -45,12 +45,11 @@ struct PlanSource {
   uint64_t Fingerprint = 0; ///< FNV-1a of C (matches the baked table field)
   int32_t NumCompute = 0;
   int32_t NumEvents = 0;
-  int32_t NumReduce = 0;
   unsigned MaxReads = 0; ///< widest statement read arity in the plan
 };
 
-/// Emits the complete kernel TU for \p Plan. Requires the plan's nodes to
-/// carry NativeComputeId/NativeReduceId (assigned by buildExecPlan).
+/// Emits the complete kernel TU for \p Plan. Requires the plan's compute
+/// nodes to carry NativeComputeId (assigned by buildExecPlan).
 PlanSource emitPlanSource(const ExecPlan &Plan);
 
 /// C expression text for one compiled bytecode program, reading variable

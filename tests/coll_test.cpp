@@ -91,19 +91,19 @@ void expectBitEqual(double A, double B, const std::string &What) {
       << What << ": " << A << " vs " << B;
 }
 
-const Algo AllAlgos[] = {Algo::Naive, Algo::Ring, Algo::Rdbl, Algo::Tree};
+const Algo AllAlgos[] = {Algo::Naive, Algo::Rdbl, Algo::Tree};
 
 //===----------------------------------------------------------------------===//
 // Algorithm selection
 //===----------------------------------------------------------------------===//
 
 TEST(CollAlgo, ParseRoundTripsEveryName) {
-  for (Algo A : {Algo::Naive, Algo::Ring, Algo::Rdbl, Algo::Tree, Algo::Auto})
+  for (Algo A : {Algo::Naive, Algo::Rdbl, Algo::Tree, Algo::Auto})
     EXPECT_EQ(parseAlgo(algoName(A)), A);
 }
 
 TEST(CollAlgo, ParseRejectsTypos) {
-  for (const char *Bad : {"", "Naive", "ringg", "rd", "butterfly"})
+  for (const char *Bad : {"", "Naive", "ring", "rd", "butterfly"})
     EXPECT_THROW(parseAlgo(Bad), net::TransportError) << Bad;
 }
 
@@ -112,8 +112,8 @@ TEST(CollAlgo, EnvDefaultsToAuto) {
   std::string Saved = Old ? Old : "";
   unsetenv("DHPF_COLL");
   EXPECT_EQ(algoFromEnv(), Algo::Auto);
-  setenv("DHPF_COLL", "ring", 1);
-  EXPECT_EQ(algoFromEnv(), Algo::Ring);
+  setenv("DHPF_COLL", "tree", 1);
+  EXPECT_EQ(algoFromEnv(), Algo::Tree);
   if (Old)
     setenv("DHPF_COLL", Saved.c_str(), 1);
   else
@@ -125,7 +125,7 @@ TEST(CollAlgo, AutoResolvesByMeshSize) {
   EXPECT_EQ(resolveAlgo(Algo::Auto, 2), Algo::Naive);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 4), Algo::Rdbl);
   EXPECT_EQ(resolveAlgo(Algo::Auto, 8), Algo::Rdbl);
-  EXPECT_EQ(resolveAlgo(Algo::Ring, 8), Algo::Ring);
+  EXPECT_EQ(resolveAlgo(Algo::Tree, 8), Algo::Tree);
 }
 
 //===----------------------------------------------------------------------===//
@@ -189,8 +189,7 @@ TEST(CollSchedule, MaxPerRankFramesMatchTheAdvertisedCounts) {
   struct {
     Algo A;
     uint64_t Expect;
-  } Cases[] = {{Algo::Naive, 14}, {Algo::Ring, 14}, {Algo::Rdbl, 6},
-               {Algo::Tree, 6}};
+  } Cases[] = {{Algo::Naive, 14}, {Algo::Rdbl, 6}, {Algo::Tree, 6}};
   for (const auto &[A, Expect] : Cases) {
     std::vector<RankOutcome> Out = runAllreduce(A, NP, C, Op::Sum);
     for (const RankOutcome &O : Out)
@@ -199,16 +198,13 @@ TEST(CollSchedule, MaxPerRankFramesMatchTheAdvertisedCounts) {
   }
 }
 
-TEST(CollSchedule, RingIsUniformNaiveBottlenecksRankZero) {
+TEST(CollSchedule, NaiveBottlenecksRankZero) {
   const unsigned NP = 8;
   std::vector<double> C = spikyContributions(NP);
   std::vector<RankOutcome> Naive = runAllreduce(Algo::Naive, NP, C, Op::Sum);
   EXPECT_EQ(Naive[0].St.Messages, 14u);
   for (unsigned R = 1; R != NP; ++R)
     EXPECT_EQ(Naive[R].St.Messages, 2u) << "rank " << R;
-  std::vector<RankOutcome> Ring = runAllreduce(Algo::Ring, NP, C, Op::Sum);
-  for (unsigned R = 0; R != NP; ++R)
-    EXPECT_EQ(Ring[R].St.Messages, 14u) << "rank " << R;
 }
 
 TEST(CollSchedule, LogSchedulesBeatNaiveBottleneckAtP8) {
@@ -221,55 +217,6 @@ TEST(CollSchedule, LogSchedulesBeatNaiveBottleneckAtP8) {
   uint64_t TreeMax = maxRankMessages(runAllreduce(Algo::Tree, NP, C, Op::Sum));
   EXPECT_LT(RdblMax, NaiveMax);
   EXPECT_LT(TreeMax, NaiveMax);
-}
-
-//===----------------------------------------------------------------------===//
-// Binomial gather / broadcast primitives
-//===----------------------------------------------------------------------===//
-
-TEST(CollPrimitives, GatherThenBroadcastRoundTrips) {
-  const unsigned NP = 6;
-  net::LoopbackMesh Mesh(NP);
-  std::vector<std::string> Errs(NP);
-  std::vector<std::thread> Ts;
-  for (unsigned R = 0; R != NP; ++R)
-    Ts.emplace_back([&, R] {
-      try {
-        auto T = Mesh.transport(R);
-        CollStats St;
-        uint8_t Own[4] = {static_cast<uint8_t>(R), 0xaa, 0xbb,
-                          static_cast<uint8_t>(R * 3)};
-        std::vector<std::vector<uint8_t>> All =
-            gatherBinomial(*T, 500, Own, sizeof(Own), St);
-        if (R == 0) {
-          ASSERT_EQ(All.size(), NP);
-          for (unsigned Q = 0; Q != NP; ++Q) {
-            ASSERT_EQ(All[Q].size(), sizeof(Own));
-            EXPECT_EQ(All[Q][0], Q);
-            EXPECT_EQ(All[Q][3], static_cast<uint8_t>(Q * 3));
-          }
-        } else {
-          EXPECT_TRUE(All.empty());
-        }
-        // Broadcast rank 0's concatenation back out; every rank must see
-        // identical bytes.
-        std::vector<uint8_t> Buf;
-        if (R == 0)
-          for (const auto &P : All)
-            Buf.insert(Buf.end(), P.begin(), P.end());
-        bcastBinomial(*T, 501, Buf, St);
-        ASSERT_EQ(Buf.size(), NP * sizeof(Own));
-        for (unsigned Q = 0; Q != NP; ++Q)
-          EXPECT_EQ(Buf[Q * sizeof(Own)], Q);
-        EXPECT_GT(St.Messages, 0u);
-      } catch (const std::exception &E) {
-        Errs[R] = E.what();
-      }
-    });
-  for (auto &T : Ts)
-    T.join();
-  for (unsigned R = 0; R != NP; ++R)
-    EXPECT_EQ(Errs[R], "") << "rank " << R;
 }
 
 } // namespace

@@ -37,7 +37,7 @@ namespace {
 struct Observed {
   std::string SpmdText; ///< printed SPMD program from the compile
   std::map<std::string, std::vector<double>> ArrayValues;
-  double ElapsedSeconds = 0;
+  double SimSeconds = 0;
   uint64_t Messages = 0;
   uint64_t Bytes = 0;
   uint64_t StmtInstances = 0;
@@ -77,7 +77,7 @@ Observed runOnce(AppInstance (*Make)(), const std::vector<int64_t> &Shape,
     (void)Decl;
     O.ArrayValues[Name] = I.array(Name).values();
   }
-  O.ElapsedSeconds = RR.ElapsedSeconds;
+  O.SimSeconds = RR.SimSeconds;
   O.Messages = RR.Messages;
   O.Bytes = RR.Bytes;
   O.StmtInstances = RR.StmtInstances;
@@ -105,7 +105,7 @@ void expectBitIdentical(const Observed &Off, const Observed &On,
                              Vals.size() * sizeof(double)))
         << "array " << Name << " not bit-identical (" << Config << ")";
   }
-  EXPECT_EQ(0, std::memcmp(&Off.ElapsedSeconds, &On.ElapsedSeconds,
+  EXPECT_EQ(0, std::memcmp(&Off.SimSeconds, &On.SimSeconds,
                            sizeof(double)))
       << Config;
   EXPECT_EQ(Off.Messages, On.Messages) << Config;

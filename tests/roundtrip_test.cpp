@@ -78,7 +78,7 @@ void expectBitIdentical(const RunSnapshot &A, const RunSnapshot &B) {
   EXPECT_EQ(A.Result.Messages, B.Result.Messages);
   EXPECT_EQ(A.Result.Bytes, B.Result.Bytes);
   EXPECT_EQ(A.Result.StmtInstances, B.Result.StmtInstances);
-  EXPECT_EQ(A.Result.ElapsedSeconds, B.Result.ElapsedSeconds);
+  EXPECT_EQ(A.Result.SimSeconds, B.Result.SimSeconds);
   EXPECT_EQ(A.Result.FinalAccums.size(), B.Result.FinalAccums.size());
   for (const auto &Acc : A.Result.FinalAccums) {
     auto It = B.Result.FinalAccums.find(Acc.first);

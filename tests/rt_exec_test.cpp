@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The distributed runtime's core claim: P cooperating RankEngines — over
-/// the loopback mesh AND over real Unix sockets — produce results
-/// bit-identical to the in-process engines, for all four Figure 7
-/// benchmarks at P in {1, 4}. The comparison goes through the full result
-/// pipeline (dump -> serialize -> parse -> merge), so the rank-dump text
-/// format is covered by the same assertions. Fault-injected runs must die
-/// with a named-rank diagnostic under the watchdog, never hang.
+/// The distributed runtime's core claim: P cooperating rank interpreters
+/// (the plan executor over rt::TransportComm) — over the loopback mesh AND
+/// over real Unix sockets — produce results bit-identical to the in-process
+/// engines, for all four Figure 7 benchmarks at P in {1, 4}. The comparison
+/// goes through the full result pipeline (dump -> serialize -> parse ->
+/// merge), so the rank-dump text format is covered by the same assertions.
+/// Fault-injected runs must die with a named-rank diagnostic under the
+/// watchdog, never hang, and hostile comm-event frames must be diagnosed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,12 @@
 #include "core/Compiler.h"
 #include "net/Loopback.h"
 #include "net/Socket.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "rt/RankEngine.h"
 #include "rt/RankResult.h"
-#include "spmd/Interp.h"
+#include "rt/TransportComm.h"
+#include "spmd/ExecPlan.h"
+#include "spmd/Layout.h"
 
 #include "gtest/gtest.h"
 
@@ -89,13 +92,11 @@ rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
           Opts.MeshDir = Dir;
           T = net::connectSocketMesh(R, NP, Opts);
         }
-        rt::RankConfig RCfg;
-        RCfg.Run = RC;
-        RCfg.Rank = R;
-        rt::RankEngine E(SP, RCfg, *T);
-        App.Setup(E);
-        spmd::RunResult RR = E.run();
-        Dumps[R] = rt::serializeRankDump(rt::dumpRank(E, RR, T->stats()));
+        rt::TransportComm C(*T);
+        spmd::Interpreter I(SP, RC, C);
+        App.Setup(I);
+        spmd::RunResult RR = I.run();
+        Dumps[R] = rt::serializeRankDump(rt::dumpRank(I, *T, RR));
       } catch (const std::exception &Ex) {
         Errs[R] = Ex.what();
       }
@@ -201,7 +202,7 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   ASSERT_TRUE(Ref.Valid);
 
   std::map<std::string, uint64_t> MaxRankFrames;
-  for (const char *Algo : {"naive", "ring", "rdbl", "tree"}) {
+  for (const char *Algo : {"naive", "rdbl", "tree"}) {
     setenv("DHPF_COLL", Algo, 1);
     rt::MergedRun Loop = runDistributed(SP, S.App, RC, Mesh::Loopback);
     expectBitIdentical(Loop, Ref, I);
@@ -218,6 +219,33 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   unsetenv("DHPF_COLL");
   EXPECT_LT(MaxRankFrames["rdbl"], MaxRankFrames["naive"]);
   EXPECT_LT(MaxRankFrames["tree"], MaxRankFrames["naive"]);
+}
+
+/// A rank's compute pumps the transport every 256 statement instances,
+/// under bytecode and native kernels alike (the Figure 4 overlap window):
+/// each rank pumps floor(its instances / 256) times, the counter carrying
+/// over from one compute node to the next.
+TEST(RtExec, ComputePumpsProgressEvery256Statements) {
+  if (!obs::compiledIn())
+    GTEST_SKIP() << "metrics compiled out";
+  apps::AppInstance App = apps::makeJacobi(32, 2);
+  auto Compiled = core::compileProgram(*App.Prog);
+  ASSERT_TRUE(Compiled);
+  const spmd::SpmdProgram &SP = Compiled->Program;
+  obs::Counter *Pumps =
+      obs::MetricsRegistry::global().counter("rt.comm.progress_calls");
+  for (spmd::EngineKind E :
+       {spmd::EngineKind::Bytecode, spmd::EngineKind::Native}) {
+    spmd::RunConfig RC;
+    RC.ProcExtents[App.ProcArrayName] = {2, 2};
+    RC.Engine = E;
+    uint64_t Before = Pumps->value();
+    rt::MergedRun M = runDistributed(SP, App, RC, Mesh::Loopback);
+    uint64_t Calls = Pumps->value() - Before, Stmts = M.R.StmtInstances;
+    EXPECT_GT(Calls, 0u);
+    EXPECT_LE(Calls * 256, Stmts);
+    EXPECT_GE(Calls * 256 + 4 * 255, Stmts);
+  }
 }
 
 /// Rank-dump parser: malformed dumps are line-numbered errors, and a dump
@@ -242,8 +270,8 @@ TEST(RtDump, ParserDiagnosesTruncation) {
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
 }
 
-/// Per-rank trace buffers wired through RankConfig::Trace: the engine
-/// emits one "send" complete event at exactly the sites that bump
+/// Per-rank trace buffers wired through TransportComm: the comm emits one
+/// "send" complete event at exactly the sites that bump
 /// RunResult::Messages, so per-rank send-span counts equal the per-rank
 /// message counters, the merged timeline's total equals the summed
 /// counter, and all four rank lanes survive the merge. With DHPF_OBS=OFF
@@ -267,13 +295,10 @@ TEST(RtExec, TraceSendEventsMatchMessageCounters) {
         Bufs[R].setLane(R + 1, "rank " + std::to_string(R));
         Bufs[R].start();
         auto T = Mesh.transport(R);
-        rt::RankConfig RCfg;
-        RCfg.Run = RC;
-        RCfg.Rank = R;
-        RCfg.Trace = &Bufs[R];
-        rt::RankEngine E(SP, RCfg, *T);
-        S.App.Setup(E);
-        Msgs[R] = E.run().Messages;
+        rt::TransportComm C(*T, &Bufs[R]);
+        spmd::Interpreter I(SP, RC, C);
+        S.App.Setup(I);
+        Msgs[R] = I.run().Messages;
       } catch (const std::exception &Ex) {
         Errs[R] = Ex.what();
       }
@@ -349,12 +374,10 @@ TEST(RtExec, FaultInjectionDiagnosesNeverHangs) {
     Ts.emplace_back([&, R] {
       try {
         auto T = Mesh.transport(R);
-        rt::RankConfig RCfg;
-        RCfg.Run = RC;
-        RCfg.Rank = R;
-        rt::RankEngine E(SP, RCfg, *T);
-        S.App.Setup(E);
-        E.run();
+        rt::TransportComm C(*T);
+        spmd::Interpreter I(SP, RC, C);
+        S.App.Setup(I);
+        I.run();
       } catch (const net::TransportError &Ex) {
         Errs[R] = Ex.what();
       }
@@ -389,6 +412,93 @@ TEST(RtExec, FaultInjectionDiagnosesNeverHangs) {
     EXPECT_TRUE(FaultSeen) << "no fault instant event in the trace";
   }
   GB.clear();
+}
+
+/// Hostile comm-event frames: a peer that speaks the transport protocol
+/// correctly but sends payloads no correct sender could produce. Each must
+/// end as a TransportError naming both ranks and the event — never an
+/// abort, an allocation failure, or an out-of-bounds access (the sanitizer
+/// build runs this).
+TEST(RtExec, HostileEventFramesAreDiagnosed) {
+  auto U64 = [](std::vector<uint8_t> &B, uint64_t V) {
+    uint8_t Tmp[8];
+    std::memcpy(Tmp, &V, 8);
+    B.insert(B.end(), Tmp, Tmp + 8);
+  };
+  // kind 0: count, the flat indices, then one value per index.
+  auto Packed = [&](uint64_t Count, const std::vector<int64_t> &Flats) {
+    std::vector<uint8_t> B = {0};
+    U64(B, Count);
+    for (int64_t F : Flats)
+      U64(B, static_cast<uint64_t>(F));
+    for (size_t I = 0; I != Flats.size(); ++I)
+      U64(B, 0x3ff0000000000000ull); // 1.0
+    return B;
+  };
+  // kind 1: count, the base, then NVals values.
+  auto Contig = [&](uint64_t Count, int64_t Base, size_t NVals) {
+    std::vector<uint8_t> B = {1};
+    U64(B, Count);
+    U64(B, static_cast<uint64_t>(Base));
+    for (size_t I = 0; I != NVals; ++I)
+      U64(B, 0x3ff0000000000000ull);
+    return B;
+  };
+  std::vector<uint8_t> UnknownKind = Contig(1, 0, 1);
+  UnknownKind[0] = 2;
+  std::vector<uint8_t> Wrapping = {0};
+  U64(Wrapping, 1ull << 60); // 9 + 2^60 * 16 wraps to 9 in 64 bits
+  std::vector<uint8_t> WrappingContig = {1};
+  U64(WrappingContig, 1ull << 61); // 17 + 2^61 * 8 wraps to 17
+  U64(WrappingContig, 0);
+  const struct {
+    const char *Name;
+    std::vector<uint8_t> Frame;
+  } Cases[] = {
+      {"short frame", {0, 1, 0}},
+      {"unknown kind byte", UnknownKind},
+      {"packed length disagrees with count", Packed(2, {3})},
+      {"contiguous length disagrees with count", Contig(3, 0, 2)},
+      {"packed count wraps the length check", Wrapping},
+      {"contiguous count wraps the length check", WrappingContig},
+      {"packed flats unsorted", Packed(2, {5, 3})},
+      {"packed flats duplicated", Packed(2, {4, 4})},
+      {"packed flat past the array", Packed(2, {3, 16})},
+      {"packed flat negative", Packed(2, {-1, 2})},
+      {"contiguous run past the array", Contig(2, 15, 2)},
+      {"contiguous base negative", Contig(1, -1, 1)},
+  };
+  spmd::ArrayStore A({1}, {16}, 8); // the receiver's copy: 16 elements
+  spmd::EventPlan EP;
+  EP.Id = 7;
+  auto Deliver = [&](const std::vector<uint8_t> &Frame, spmd::Payload &Out) {
+    net::LoopbackMesh Mesh(2);
+    auto T0 = Mesh.transport(0), T1 = Mesh.transport(1);
+    net::ByteSpan S{Frame.data(), Frame.size()};
+    T1->post(0, static_cast<uint64_t>(EP.Id), &S, 1);
+    rt::TransportComm C(*T0);
+    return C.receive(0, 1, EP, A, Out);
+  };
+
+  // The harness itself: a well-formed frame decodes.
+  spmd::Payload Good;
+  ASSERT_TRUE(Deliver(Packed(2, {3, 9}), Good));
+  ASSERT_EQ(Good.N, 2u);
+  EXPECT_EQ((*Good.Flats)[1], 9);
+  EXPECT_EQ(Good.Vals[1], 1.0);
+
+  for (const auto &C : Cases) {
+    spmd::Payload Out;
+    try {
+      Deliver(C.Frame, Out);
+      ADD_FAILURE() << C.Name << ": accepted";
+    } catch (const net::TransportError &E) {
+      std::string W = E.what();
+      EXPECT_NE(W.find("rank 0"), std::string::npos) << C.Name << ": " << W;
+      EXPECT_NE(W.find("rank 1"), std::string::npos) << C.Name << ": " << W;
+      EXPECT_NE(W.find("event 7"), std::string::npos) << C.Name << ": " << W;
+    }
+  }
 }
 
 } // namespace

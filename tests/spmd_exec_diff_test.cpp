@@ -34,7 +34,7 @@ namespace {
 /// totals, accumulators, and validity.
 struct Observed {
   std::map<std::string, std::vector<double>> ArrayValues;
-  double ElapsedSeconds = 0;
+  double SimSeconds = 0;
   uint64_t Messages = 0;
   uint64_t Bytes = 0;
   uint64_t StmtInstances = 0;
@@ -58,7 +58,7 @@ Observed runOnce(const CompileOutput &Compiled, const AppInstance &App,
   Observed O;
   for (const auto &[Name, Decl] : App.Prog->arrays())
     O.ArrayValues[Name] = I.array(Name).values();
-  O.ElapsedSeconds = RR.ElapsedSeconds;
+  O.SimSeconds = RR.SimSeconds;
   O.Messages = RR.Messages;
   O.Bytes = RR.Bytes;
   O.StmtInstances = RR.StmtInstances;
@@ -96,8 +96,8 @@ void expectSame(const Observed &Tree, const Observed &Byte,
   }
   // Simulated time is a deterministic function of the event sequence; the
   // engines must agree on every bit of it.
-  expectBitIdentical({Tree.ElapsedSeconds}, {Byte.ElapsedSeconds},
-                     "ElapsedSeconds", Config);
+  expectBitIdentical({Tree.SimSeconds}, {Byte.SimSeconds},
+                     "SimSeconds", Config);
   EXPECT_EQ(Tree.Messages, Byte.Messages) << Config;
   EXPECT_EQ(Tree.Bytes, Byte.Bytes) << Config;
   EXPECT_EQ(Tree.StmtInstances, Byte.StmtInstances) << Config;

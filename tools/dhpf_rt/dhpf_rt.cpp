@@ -7,7 +7,8 @@
 /// \file
 /// The per-rank worker `dhpfc launch` fork/execs: loads a serialized .spmd,
 /// resolves the identical session every other rank resolves, joins the
-/// Unix-socket mesh, executes its own rank's node program, and writes its
+/// Unix-socket mesh, executes its own rank's node program on the plan
+/// executor (bytecode or native, over rt::TransportComm), and writes its
 /// result dump (hex-bit doubles) for the launcher to merge.
 ///
 ///   dhpf_rt <prog.spmd> --rank=R --mesh <dir> --result=<file>
@@ -25,9 +26,10 @@
 #include "net/Tcp.h"
 #include "obs/Trace.h"
 #include "rt/Launch.h"
-#include "rt/RankEngine.h"
 #include "rt/RankResult.h"
 #include "rt/Session.h"
+#include "rt/TransportComm.h"
+#include "spmd/Layout.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
@@ -176,14 +178,12 @@ int main(int Argc, char **Argv) {
                                  SockOpts);
     }
 
-    rt::RankConfig RC;
-    RC.Run = S->Config;
-    RC.Rank = static_cast<unsigned>(O.Rank);
-    rt::RankEngine E(*SP, RC, *T);
-    S->setup(*SP, E);
-    spmd::RunResult R = E.run();
+    rt::TransportComm C(*T);
+    spmd::Interpreter I(*SP, S->Config, C);
+    S->setup(*SP, I);
+    spmd::RunResult R = I.run();
 
-    rt::RankDump D = rt::dumpRank(E, R, T->stats());
+    rt::RankDump D = rt::dumpRank(I, *T, R);
     std::ofstream Out(O.ResultPath, std::ios::binary | std::ios::trunc);
     if (!Out) {
       std::cerr << "dhpf_rt rank " << O.Rank << ": cannot write "

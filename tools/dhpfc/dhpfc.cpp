@@ -40,6 +40,7 @@
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -122,8 +123,8 @@ int usage(const char *Argv0) {
          "file, or 'auto'\n"
       << "                       to reserve loopback ports (default: unix "
          "sockets)\n"
-      << "  --coll=<algo>        reduction collective: naive | ring | rdbl "
-         "| tree | auto\n"
+      << "  --coll=<algo>        reduction collective: naive | rdbl | tree "
+         "| auto\n"
       << "                       (default DHPF_COLL or auto)\n"
       << "  --timeout-ms=<n>     per-launch deadline (default "
          "DHPF_LAUNCH_TIMEOUT_MS or 60000)\n"
@@ -164,7 +165,7 @@ int printVersion() {
               << "' unusable; native falls back to bytecode)";
   std::cout << "\n"
             << "  transports: loopback unix-socket tcp\n"
-            << "  collectives: naive ring rdbl tree\n"
+            << "  collectives: naive rdbl tree\n"
             << "  kernel cache: "
             << (Dir.empty() ? "disabled (in-memory only)" : Dir) << "\n";
   return 0;
@@ -335,7 +336,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         coll::parseAlgo(V);
       } catch (const net::TransportError &) {
         std::cerr << "dhpfc: unknown collective '" << V
-                  << "' (want naive|ring|rdbl|tree|auto)\n";
+                  << "' (want naive|rdbl|tree|auto)\n";
         return false;
       }
       O.Coll = V;
@@ -539,8 +540,11 @@ void printRunHeader(const rt::Session &S, const char *How) {
   std::cout << ", " << How << "\n";
 }
 
-void printRunStats(const spmd::RunResult &RR) {
-  std::cout << "  simulated time: " << RR.ElapsedSeconds
+/// \p TimeLabel names what \p Seconds measures: the simulated machine's
+/// time in-process, the wall-clock time of a launch.
+void printRunStats(const spmd::RunResult &RR, const char *TimeLabel,
+                   double Seconds) {
+  std::cout << "  " << TimeLabel << ": " << Seconds
             << " s, messages: " << RR.Messages << ", bytes: " << RR.Bytes
             << ", stmt instances: " << RR.StmtInstances
             << ", in-place upgrades: " << RR.InPlaceRuntimeUpgrades
@@ -588,7 +592,7 @@ int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
 
   printRunHeader(*S, (std::string("engine ") + engineName(RC.Engine)).c_str());
   if (O.Stats)
-    printRunStats(RR);
+    printRunStats(RR, "simulated time", RR.SimSeconds);
   if (!RR.Valid)
     return reportInvalid(RR);
   if (!O.NoCheck) {
@@ -612,8 +616,8 @@ int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
 
 /// Bitwise comparison of a distributed run against an in-process engine
 /// run of the same session. Returns a description of the first mismatch,
-/// empty on agreement. Wall-clock time and the overlap ratio are real
-/// measurements, not simulation outputs, and are excluded.
+/// empty on agreement. Simulated time (ranks run on real time and report
+/// none) and the overlap ratio (a real measurement) are excluded.
 std::string compareRuns(const rt::MergedRun &Dist, const spmd::RunResult &Ref,
                         const spmd::Interpreter &I) {
   auto Num = [](const char *What, uint64_t A, uint64_t B) {
@@ -733,7 +737,11 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
     return 2;
   }
 
+  auto T0 = std::chrono::steady_clock::now();
   rt::LaunchResult LR = rt::launchRanks(*SP, *S, LO);
+  double WallSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+          .count();
   for (const std::string &Doc : LR.RankTraces)
     if (!Doc.empty())
       extraTraceDocs().push_back(Doc);
@@ -749,7 +757,7 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
                       (O.Hosts.empty() ? "unix sockets" : "tcp"))
                          .c_str());
   if (O.Stats)
-    printRunStats(LR.Merged.R);
+    printRunStats(LR.Merged.R, "wall time", WallSeconds);
   if (!LR.Merged.R.Valid)
     return reportInvalid(LR.Merged.R);
 
