@@ -20,8 +20,9 @@
 //      artifact hit rate, and throughput.
 //
 // --quick shrinks the SP subject (CI mode), --check exits nonzero if the
-// warm speedup drops below 2x, --out=/--ref= follow the repo's bench
-// discipline (BENCH_daemon.json committed as the reference).
+// warm speedup drops below 2x, --out= writes the JSON report (nothing is
+// written without it) and --ref= names the reference (default: the
+// committed BENCH_daemon.json).
 //
 //===----------------------------------------------------------------------===//
 
@@ -156,7 +157,7 @@ double readRefSpeedup(const char *Path) {
 
 int main(int argc, char **argv) {
   bool Quick = false, Check = false;
-  const char *Out = "BENCH_daemon.json";
+  const char *Out = nullptr;
   const char *Ref = "BENCH_daemon.json";
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
@@ -233,37 +234,39 @@ int main(int argc, char **argv) {
   D.stop();
   ::unlink(DO.SocketPath.c_str());
 
-  std::FILE *F = std::fopen(Out, "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot write %s\n", Out);
-    return 1;
+  if (Out) {
+    std::FILE *F = std::fopen(Out, "w");
+    if (!F) {
+      std::fprintf(stderr, "cannot write %s\n", Out);
+      return 1;
+    }
+    std::fprintf(F, "{\n");
+    std::fprintf(F, "  \"bench\": \"daemon\",\n");
+    std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
+    std::fprintf(F, "  \"subject\": \"sp-sym\",\n");
+    std::fprintf(F, "  \"cold_batch_s\": %.6f,\n", ColdSecs);
+    std::fprintf(F, "  \"warm_daemon_s\": %.6f,\n", WarmSecs);
+    std::fprintf(F, "  \"warm_speedup\": %.3f,\n", Speedup);
+    std::fprintf(F, "  \"load\": {\n");
+    std::fprintf(F, "    \"clients\": %u,\n", Clients);
+    std::fprintf(F, "    \"rounds\": %u,\n", Rounds);
+    std::fprintf(F, "    \"requests\": %llu,\n",
+                 (unsigned long long)L.Requests);
+    std::fprintf(F, "    \"compiles_started\": %llu,\n",
+                 (unsigned long long)L.CompilesStarted);
+    std::fprintf(F, "    \"deduped_inflight\": %llu,\n",
+                 (unsigned long long)L.DedupedInFlight);
+    std::fprintf(F, "    \"artifact_hits\": %llu,\n",
+                 (unsigned long long)L.ArtifactHits);
+    std::fprintf(F, "    \"hit_rate\": %.4f,\n", HitRate);
+    std::fprintf(F, "    \"wall_s\": %.6f,\n", L.WallSecs);
+    std::fprintf(F, "    \"requests_per_s\": %.2f\n",
+                 L.WallSecs > 0 ? L.Requests / L.WallSecs : 0.0);
+    std::fprintf(F, "  }\n");
+    std::fprintf(F, "}\n");
+    std::fclose(F);
+    std::printf("\nwrote %s\n", Out);
   }
-  std::fprintf(F, "{\n");
-  std::fprintf(F, "  \"bench\": \"daemon\",\n");
-  std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
-  std::fprintf(F, "  \"subject\": \"sp-sym\",\n");
-  std::fprintf(F, "  \"cold_batch_s\": %.6f,\n", ColdSecs);
-  std::fprintf(F, "  \"warm_daemon_s\": %.6f,\n", WarmSecs);
-  std::fprintf(F, "  \"warm_speedup\": %.3f,\n", Speedup);
-  std::fprintf(F, "  \"load\": {\n");
-  std::fprintf(F, "    \"clients\": %u,\n", Clients);
-  std::fprintf(F, "    \"rounds\": %u,\n", Rounds);
-  std::fprintf(F, "    \"requests\": %llu,\n",
-               (unsigned long long)L.Requests);
-  std::fprintf(F, "    \"compiles_started\": %llu,\n",
-               (unsigned long long)L.CompilesStarted);
-  std::fprintf(F, "    \"deduped_inflight\": %llu,\n",
-               (unsigned long long)L.DedupedInFlight);
-  std::fprintf(F, "    \"artifact_hits\": %llu,\n",
-               (unsigned long long)L.ArtifactHits);
-  std::fprintf(F, "    \"hit_rate\": %.4f,\n", HitRate);
-  std::fprintf(F, "    \"wall_s\": %.6f,\n", L.WallSecs);
-  std::fprintf(F, "    \"requests_per_s\": %.2f\n",
-               L.WallSecs > 0 ? L.Requests / L.WallSecs : 0.0);
-  std::fprintf(F, "  }\n");
-  std::fprintf(F, "}\n");
-  std::fclose(F);
-  std::printf("\nwrote %s\n", Out);
 
   if (Check) {
     // The acceptance bar is absolute (>= 2x), so a missing reference only

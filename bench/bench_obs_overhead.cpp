@@ -17,8 +17,8 @@
 //
 // --check exits nonzero on a validity failure, on a traced run that
 // recorded no events (probes silently dead), or on overhead past a
-// generous noise bound. --out sets the JSON path (default
-// BENCH_obs_overhead.json).
+// generous noise bound. --out writes the JSON report (nothing is written
+// without it).
 //
 //===----------------------------------------------------------------------===//
 
@@ -147,7 +147,7 @@ AppInstance fullGauss() { return makeGauss(96); }
 
 int main(int argc, char **argv) {
   bool Quick = false, Check = false;
-  const char *Out = "BENCH_obs_overhead.json";
+  const char *Out = nullptr;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
       Quick = true;
@@ -198,7 +198,9 @@ int main(int argc, char **argv) {
       Ok = false;
     }
   }
-  writeJson(Out, Ms);
-  std::printf("wrote %s\n", Out);
+  if (Out) {
+    writeJson(Out, Ms);
+    std::printf("wrote %s\n", Out);
+  }
   return Ok ? 0 : 1;
 }

@@ -6,7 +6,8 @@
 // compiler (supporting the Section 6 claim that set manipulation is not
 // the dominant cost): satisfiability, subtraction, composition,
 // simplification, hulls, and code generation on sets representative of the
-// compiler's workload (layouts, CPMaps, communication sets).
+// compiler's workload (layouts, CPMaps, communication sets). JSON goes
+// only where --benchmark_out= points.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,10 +17,6 @@
 #include "pset/Relation.h"
 
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <string>
-#include <vector>
 
 using namespace dhpf;
 
@@ -215,28 +212,4 @@ BENCHMARK(BM_DisjointSubtractFastPath);
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): default to mirroring results
-// into BENCH_pset_ops.json (machine-readable) alongside the console
-// report, unless the caller passed an explicit --benchmark_out.
-int main(int argc, char **argv) {
-  std::vector<char *> Args(argv, argv + argc);
-  std::string OutFlag = "--benchmark_out=BENCH_pset_ops.json";
-  std::string FmtFlag = "--benchmark_out_format=json";
-  bool HasOut = false;
-  for (int I = 1; I != argc; ++I)
-    if (std::string(argv[I]).rfind("--benchmark_out=", 0) == 0)
-      HasOut = true;
-  if (!HasOut) {
-    Args.push_back(OutFlag.data());
-    Args.push_back(FmtFlag.data());
-  }
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!HasOut)
-    std::printf("wrote BENCH_pset_ops.json\n");
-  return 0;
-}
+BENCHMARK_MAIN();

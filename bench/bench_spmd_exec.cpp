@@ -15,8 +15,8 @@
 // and, for native, absorbs the one-time kernel compilation so the timed
 // runs measure the warm cache), then the minimum of two timed runs.
 //
-// --quick shrinks the problem sizes (CI mode), --out sets the JSON report
-// path (default BENCH_spmd_exec.json). --check exits nonzero if an
+// --quick shrinks the problem sizes (CI mode), --out writes the JSON
+// report (nothing is written without it). --check exits nonzero if an
 // interpreted engine is slower than the tree, if native is slower than
 // the tree, or if an engine regressed more than 15% against the --ref
 // JSON (default BENCH_spmd_exec.json) — a real regression shows up both
@@ -212,7 +212,7 @@ bool regressed(double Secs, double TreeSecs, double RefSecs,
 
 int main(int argc, char **argv) {
   bool Quick = false, Check = false;
-  const char *Out = "BENCH_spmd_exec.json";
+  const char *Out = nullptr;
   const char *Ref = "BENCH_spmd_exec.json";
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
@@ -293,7 +293,9 @@ int main(int argc, char **argv) {
       Ok = false;
     }
   }
-  writeJson(Out, Ms);
-  std::printf("wrote %s\n", Out);
+  if (Out) {
+    writeJson(Out, Ms);
+    std::printf("wrote %s\n", Out);
+  }
   return Ok ? 0 : 1;
 }

@@ -44,7 +44,7 @@ std::unique_ptr<CompileOutput> compileWith(const AppInstance &App,
   pset::OpCache::global().clear();
   pset::OpCache::global().setEnabled(PerfLayer);
   CompilerOptions Opts;
-  Opts.ParallelAnalysis = PerfLayer;
+  Opts.AnalysisThreads = PerfLayer ? 0 : 1;
   return compileProgram(*App.Prog, Opts);
 }
 
@@ -85,9 +85,10 @@ int main(int argc, char **argv) {
   // --quick skips the slow no-cache baseline runs (CI mode; subject sizes
   // stay identical so the optimized timings remain comparable), --check
   // exits nonzero if the sp-sym comm-set-equation time regresses more than
-  // 15% against the committed reference JSON.
+  // 15% against the committed reference JSON, --out= writes the JSON
+  // report (nothing is written without it).
   bool Quick = false, Check = false;
-  const char *Out = "BENCH_table1.json";
+  const char *Out = nullptr;
   const char *Ref = "BENCH_table1.json";
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0)
@@ -182,14 +183,17 @@ int main(int argc, char **argv) {
                     CS.FastSubsetFP));
   }
 
-  bench::writeTable1Json(
-      Out,
-      {{"SP-4", BSp4 ? BSp4->Timers.seconds(phase::Total) : 0.0, OSp4.get()},
-       {"sp-sym", BSpSym ? BSpSym->Timers.seconds(phase::Total) : 0.0,
-        OSpSym.get()},
-       {"T-sym", BTom ? BTom->Timers.seconds(phase::Total) : 0.0,
-        OTom.get()}});
-  std::printf("\nwrote %s\n", Out);
+  if (Out) {
+    bench::writeTable1Json(
+        Out,
+        {{"SP-4", BSp4 ? BSp4->Timers.seconds(phase::Total) : 0.0,
+          OSp4.get()},
+         {"sp-sym", BSpSym ? BSpSym->Timers.seconds(phase::Total) : 0.0,
+          OSpSym.get()},
+         {"T-sym", BTom ? BTom->Timers.seconds(phase::Total) : 0.0,
+          OTom.get()}});
+    std::printf("\nwrote %s\n", Out);
+  }
 
   if (Check) {
     double Measured = OSpSym->Timers.seconds(phase::CommEquations);

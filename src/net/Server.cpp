@@ -46,10 +46,7 @@ sockaddr_un mkAddr(const std::string &Path) {
 
 MsgStream::MsgStream(int FdIn, int TimeoutMs, unsigned SelfId,
                      unsigned PeerId)
-    : Fd(FdIn),
-      Watchdog(TimeoutMs > 0 ? TimeoutMs : envMs("DHPF_NET_TIMEOUT_MS",
-                                                 10000)),
-      Self(SelfId), Peer(PeerId) {}
+    : Fd(FdIn), Watchdog(TimeoutMs), Self(SelfId), Peer(PeerId) {}
 
 MsgStream::~MsgStream() {
   if (Fd >= 0)
@@ -173,6 +170,7 @@ MsgServer::~MsgServer() { stop(); }
 void MsgServer::start(const std::string &SocketPath, Handler H, Closer C) {
   if (Running.load())
     throw TransportError("server already running on " + Path);
+  Watchdog = envMs("DHPF_NET_TIMEOUT_MS", 10000);
   Path = SocketPath;
   Handle = std::move(H);
   Close = std::move(C);
@@ -216,9 +214,9 @@ void MsgServer::acceptLoop() {
 }
 
 void MsgServer::serveOne(int Fd, unsigned ClientId) {
-  // The stream owns Fd and closes it when this scope exits, on every path.
-  MsgStream Stream(Fd, /*TimeoutMs=*/0, /*Self=*/0, /*Peer=*/ClientId);
   try {
+    // The stream owns Fd and closes it when this scope exits, on every path.
+    MsgStream Stream(Fd, Watchdog, /*Self=*/0, /*Peer=*/ClientId);
     uint64_t Tag;
     std::string Payload;
     bool Keep = true;
@@ -267,11 +265,9 @@ void MsgServer::stop() {
 // Client connect
 //===----------------------------------------------------------------------===//
 
-std::unique_ptr<MsgStream> net::connectClient(const std::string &SocketPath,
-                                              int ConnectTimeoutMs,
-                                              int IoTimeoutMs) {
-  int TimeoutMs = ConnectTimeoutMs > 0 ? ConnectTimeoutMs
-                                       : envMs("DHPF_NET_CONNECT_MS", 5000);
+std::unique_ptr<MsgStream> net::connectClient(const std::string &SocketPath) {
+  int TimeoutMs = envMs("DHPF_NET_CONNECT_MS", 5000);
+  int Watchdog = envMs("DHPF_NET_TIMEOUT_MS", 10000);
   int64_t Deadline = nowMs() + TimeoutMs;
   int BackoffUs = 1000;
   for (;;) {
@@ -281,7 +277,7 @@ std::unique_ptr<MsgStream> net::connectClient(const std::string &SocketPath,
     sockaddr_un Addr = mkAddr(SocketPath);
     if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
         0)
-      return std::make_unique<MsgStream>(Fd, IoTimeoutMs, /*Self=*/0,
+      return std::make_unique<MsgStream>(Fd, Watchdog, /*Self=*/0,
                                          /*Peer=*/0);
     int E = errno;
     ::close(Fd);

@@ -46,9 +46,9 @@ namespace net {
 /// connection so send and recv never race.
 class MsgStream {
 public:
-  /// Takes ownership of \p Fd. \p TimeoutMs bounds every blocking wait
-  /// (0 picks DHPF_NET_TIMEOUT_MS or 10 s). \p SelfId is stamped into the
-  /// Src field of outgoing frames, \p PeerId into the expected Dst.
+  /// Takes ownership of \p Fd. \p TimeoutMs (positive) bounds every
+  /// blocking wait. \p SelfId is stamped into the Src field of outgoing
+  /// frames, \p PeerId into the expected Dst.
   MsgStream(int Fd, int TimeoutMs, unsigned SelfId, unsigned PeerId);
   ~MsgStream();
   MsgStream(const MsgStream &) = delete;
@@ -97,8 +97,10 @@ public:
   MsgServer(const MsgServer &) = delete;
   MsgServer &operator=(const MsgServer &) = delete;
 
-  /// Binds \p SocketPath (unlinking any stale socket), starts the accept
-  /// loop, and returns. Throws TransportError on bind/listen failure.
+  /// Reads the per-message watchdog (DHPF_NET_TIMEOUT_MS, default 10 s),
+  /// binds \p SocketPath (unlinking any stale socket), starts the accept
+  /// loop, and returns. Throws TransportError on a malformed watchdog or a
+  /// bind/listen failure, before accepting any connection.
   void start(const std::string &SocketPath, Handler H, Closer C = nullptr);
 
   /// Stops accepting, closes the listening socket, wakes every service
@@ -119,6 +121,7 @@ public:
 private:
   std::string Path;
   int ListenFd = -1;
+  int Watchdog = 0; ///< per-message timeout of every served stream
   Handler Handle;
   Closer Close;
   std::thread Acceptor;
@@ -133,12 +136,11 @@ private:
 };
 
 /// Connects to a MsgServer socket with bounded retry (the daemon may
-/// still be binding). Returns the connected stream; throws TransportError
-/// when \p SocketPath cannot be reached within the connect timeout
-/// (0 picks DHPF_NET_CONNECT_MS or 5000).
-std::unique_ptr<MsgStream> connectClient(const std::string &SocketPath,
-                                         int ConnectTimeoutMs = 0,
-                                         int IoTimeoutMs = 0);
+/// still be binding). Returns the connected stream, whose watchdog is
+/// DHPF_NET_TIMEOUT_MS (default 10 s); throws TransportError when
+/// \p SocketPath cannot be reached within DHPF_NET_CONNECT_MS (default
+/// 5000), or when either variable is malformed.
+std::unique_ptr<MsgStream> connectClient(const std::string &SocketPath);
 
 } // namespace net
 } // namespace dhpf

@@ -34,9 +34,7 @@ public:
       : StreamTransport(Rank, NP) {
     if (NP <= 1)
       return;
-    int ConnectMs = Opts.ConnectTimeoutMs;
-    if (ConnectMs <= 0)
-      ConnectMs = envMs("DHPF_NET_CONNECT_MS", 5000);
+    int ConnectMs = envMs("DHPF_NET_CONNECT_MS", 5000);
     listenOn(sockPath(Opts.MeshDir, Rank));
     // Connect to every lower rank (retry/backoff: listeners may not have
     // bound yet), then accept every higher rank.

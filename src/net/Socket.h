@@ -34,13 +34,12 @@ namespace dhpf {
 namespace net {
 
 struct SocketOptions {
-  std::string MeshDir;      ///< directory holding the rank sockets
-  int ConnectTimeoutMs = 0; ///< 0: DHPF_NET_CONNECT_MS or 5000
+  std::string MeshDir; ///< directory holding the rank sockets
 };
 
 /// Creates rank \p Rank's transport and wires the full mesh (blocking,
-/// bounded by the connect timeout). Throws TransportError if any peer
-/// cannot be reached in time.
+/// bounded by DHPF_NET_CONNECT_MS, default 5000). Throws TransportError if
+/// any peer cannot be reached in time.
 std::unique_ptr<Transport> connectSocketMesh(unsigned Rank, unsigned NP,
                                              const SocketOptions &Opts);
 

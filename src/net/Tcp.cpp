@@ -69,9 +69,7 @@ public:
                            " lists " + std::to_string(Spec.size()) +
                            " endpoints for a " + std::to_string(NP) +
                            "-rank mesh");
-    int ConnectMs = Opts.ConnectTimeoutMs;
-    if (ConnectMs <= 0)
-      ConnectMs = envMs("DHPF_NET_CONNECT_MS", 5000);
+    int ConnectMs = envMs("DHPF_NET_CONNECT_MS", 5000);
     listenOn(Spec[Rank]);
     for (unsigned Q = 0; Q != Rank; ++Q)
       connectTo(Q, Spec[Q], ConnectMs);

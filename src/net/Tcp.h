@@ -40,8 +40,7 @@ struct HostPort {
 };
 
 struct TcpOptions {
-  std::string HostsPath;    ///< rank-spec file: line r = "host:port"
-  int ConnectTimeoutMs = 0; ///< 0: DHPF_NET_CONNECT_MS or 5000
+  std::string HostsPath; ///< rank-spec file: line r = "host:port"
 };
 
 /// Parses rank-spec text: one `host:port` per line, rank order; `#` starts
@@ -62,9 +61,9 @@ std::vector<HostPort> writeLocalRankSpec(const std::string &Path,
                                          unsigned NP);
 
 /// Creates rank \p Rank's transport and wires the full mesh over TCP
-/// (blocking, bounded by the connect timeout). The spec must list exactly
-/// \p NP endpoints. Throws TransportError if any peer cannot be reached in
-/// time.
+/// (blocking, bounded by DHPF_NET_CONNECT_MS, default 5000). The spec must
+/// list exactly \p NP endpoints. Throws TransportError if any peer cannot
+/// be reached in time.
 std::unique_ptr<Transport> connectTcpMesh(unsigned Rank, unsigned NP,
                                           const TcpOptions &Opts);
 

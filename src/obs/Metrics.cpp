@@ -11,26 +11,6 @@
 using namespace dhpf;
 using namespace dhpf::obs;
 
-Histogram::Histogram(std::vector<int64_t> EdgesIn)
-    : Edges(std::move(EdgesIn)),
-      Counts(new std::atomic<uint64_t>[Edges.size() + 1]) {
-  for (size_t I = 0; I != Edges.size() + 1; ++I)
-    Counts[I].store(0, std::memory_order_relaxed);
-}
-
-uint64_t Histogram::total() const {
-  uint64_t T = 0;
-  for (size_t I = 0; I != Edges.size() + 1; ++I)
-    T += Counts[I].load(std::memory_order_relaxed);
-  return T;
-}
-
-void Histogram::reset() {
-  for (size_t I = 0; I != Edges.size() + 1; ++I)
-    Counts[I].store(0, std::memory_order_relaxed);
-  Sum.store(0, std::memory_order_relaxed);
-}
-
 MetricsRegistry &MetricsRegistry::global() {
   static MetricsRegistry R;
   return R;
@@ -52,15 +32,6 @@ Gauge *MetricsRegistry::gauge(const std::string &Name) {
   return E.G.get();
 }
 
-Histogram *MetricsRegistry::histogram(const std::string &Name,
-                                      std::vector<int64_t> Edges) {
-  std::lock_guard<std::mutex> Lock(M);
-  Entry &E = Metrics[Name];
-  if (!E.H)
-    E.H = std::make_unique<Histogram>(std::move(Edges));
-  return E.H.get();
-}
-
 std::string MetricsRegistry::reportText() const {
   std::lock_guard<std::mutex> Lock(M);
   std::ostringstream OS;
@@ -69,15 +40,6 @@ std::string MetricsRegistry::reportText() const {
       OS << Name << " " << E.C->value() << "\n";
     if (E.G)
       OS << Name << " " << E.G->value() << "\n";
-    if (E.H) {
-      for (size_t I = 0; I != E.H->edges().size(); ++I)
-        OS << Name << ".le." << E.H->edges()[I] << " " << E.H->bucket(I)
-           << "\n";
-      OS << Name << ".overflow " << E.H->bucket(E.H->edges().size())
-         << "\n";
-      OS << Name << ".total " << E.H->total() << "\n";
-      OS << Name << ".sum " << E.H->sum() << "\n";
-    }
   }
   return OS.str();
 }
@@ -98,17 +60,6 @@ std::string MetricsRegistry::reportJson() const {
       Key(Name), OS << E.C->value();
     if (E.G)
       Key(Name), OS << E.G->value();
-    if (E.H) {
-      Key(Name);
-      OS << "{\"buckets\": [";
-      for (size_t I = 0; I != E.H->edges().size() + 1; ++I)
-        OS << (I ? "," : "") << E.H->bucket(I);
-      OS << "], \"edges\": [";
-      for (size_t I = 0; I != E.H->edges().size(); ++I)
-        OS << (I ? "," : "") << E.H->edges()[I];
-      OS << "], \"total\": " << E.H->total() << ", \"sum\": " << E.H->sum()
-         << "}";
-    }
   }
   OS << "\n}\n";
   return OS.str();
@@ -122,7 +73,5 @@ void MetricsRegistry::resetAll() {
       E.C->reset();
     if (E.G)
       E.G->reset();
-    if (E.H)
-      E.H->reset();
   }
 }

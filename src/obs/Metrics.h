@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A low-overhead, thread-safe registry of named counters, gauges, and
-/// histograms shared by every layer of the system (set engine, compiler
-/// driver, SPMD engines, transport, rank runtime). Instruments register a
-/// metric once (a mutex-guarded map insert) and keep the returned pointer;
-/// the hot-path operations — Counter::inc, Gauge::set,
-/// Histogram::observe — are single relaxed atomics with no locking.
+/// A low-overhead, thread-safe registry of named counters and gauges
+/// shared by every layer of the system (set engine, compiler driver, SPMD
+/// engines, transport, rank runtime). Instruments register a metric once
+/// (a mutex-guarded map insert) and keep the returned pointer; the
+/// hot-path operations — Counter::inc, Gauge::set — are single relaxed
+/// atomics with no locking.
 ///
 /// The whole subsystem is compiled behind DHPF_OBS_ENABLED (the DHPF_OBS
 /// CMake option). When OFF, every hot-path operation is an empty inline
@@ -37,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace dhpf {
 namespace obs {
@@ -79,45 +78,6 @@ private:
   std::atomic<int64_t> V{0};
 };
 
-/// A fixed-bucket histogram. Bucket i counts observations with
-/// `value <= Edges[i]` (and greater than the previous edge); one implicit
-/// overflow bucket counts everything past the last edge. Edges are fixed
-/// at registration, so observe() is a binary search plus one relaxed
-/// atomic increment.
-class Histogram {
-public:
-  explicit Histogram(std::vector<int64_t> EdgesIn);
-
-  void observe(int64_t X) {
-    if (!compiledIn())
-      return;
-    size_t Lo = 0, Hi = Edges.size();
-    while (Lo < Hi) { // first edge >= X
-      size_t Mid = (Lo + Hi) / 2;
-      if (Edges[Mid] < X)
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    Counts[Lo].fetch_add(1, std::memory_order_relaxed);
-    Sum.fetch_add(X, std::memory_order_relaxed);
-  }
-
-  const std::vector<int64_t> &edges() const { return Edges; }
-  /// Count in bucket \p I (I == edges().size() is the overflow bucket).
-  uint64_t bucket(size_t I) const {
-    return Counts[I].load(std::memory_order_relaxed);
-  }
-  uint64_t total() const;
-  int64_t sum() const { return Sum.load(std::memory_order_relaxed); }
-  void reset();
-
-private:
-  std::vector<int64_t> Edges;
-  std::unique_ptr<std::atomic<uint64_t>[]> Counts; // Edges.size() + 1
-  std::atomic<int64_t> Sum{0};
-};
-
 /// The registry: name -> metric, with stable pointers for the lifetime of
 /// the registry. Metric names use dotted lower-case paths
 /// ("pset.cache.hits", "rt.comm.send.bytes").
@@ -135,15 +95,10 @@ public:
   /// registry's lifetime; re-registering a name returns the same object.
   Counter *counter(const std::string &Name);
   Gauge *gauge(const std::string &Name);
-  /// \p Edges must be strictly increasing; re-registration ignores the
-  /// edges and returns the existing histogram.
-  Histogram *histogram(const std::string &Name, std::vector<int64_t> Edges);
 
-  /// Flat text report: `name<space>value`, histograms expanded into
-  /// per-bucket lines (`name.le.<edge>` / `name.overflow` / `name.sum`).
+  /// Flat text report: one `name<space>value` line per metric.
   std::string reportText() const;
-  /// The same data as one JSON object (metric name -> number, histograms
-  /// as nested objects).
+  /// The same data as one JSON object (metric name -> number).
   std::string reportJson() const;
 
   /// Zeroes every registered metric (tests; metrics keep registration).
@@ -153,7 +108,6 @@ private:
   struct Entry {
     std::unique_ptr<Counter> C;
     std::unique_ptr<Gauge> G;
-    std::unique_ptr<Histogram> H;
   };
   mutable std::mutex M;
   std::map<std::string, Entry> Metrics;

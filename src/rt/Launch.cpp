@@ -99,9 +99,6 @@ std::string rt::findRtBinary(const std::string &Explicit, const char *Argv0) {
   };
   if (!Explicit.empty())
     return Usable(Explicit) ? Explicit : "";
-  if (const char *Env = std::getenv("DHPF_RT_BIN"))
-    if (Usable(Env))
-      return Env;
   std::string A0 = Argv0 ? Argv0 : "";
   size_t Slash = A0.find_last_of('/');
   std::string Dir = Slash == std::string::npos ? "." : A0.substr(0, Slash);
@@ -118,16 +115,6 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   spmd::ProgramLayout L = resolveLayout(SP, S.Config);
   unsigned NP = L.NumProcs;
   LR.NumRanks = NP;
-
-  int TimeoutMs = Opts.TimeoutMs;
-  if (TimeoutMs <= 0) {
-    TimeoutMs = 60000;
-    if (const char *E = std::getenv("DHPF_LAUNCH_TIMEOUT_MS")) {
-      long V = std::strtol(E, nullptr, 10);
-      if (V > 0)
-        TimeoutMs = static_cast<int>(V);
-    }
-  }
 
   const char *Tmp = std::getenv("TMPDIR");
   std::string Templ =
@@ -213,7 +200,7 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
 
   // Supervise: reap under the deadline; kill stragglers past it so a hung
   // or deadlocked mesh becomes a diagnostic, not a hung launcher.
-  int64_t Deadline = nowMs() + TimeoutMs;
+  int64_t Deadline = nowMs() + Opts.TimeoutMs;
   std::vector<int> Status(NP, -1);
   unsigned Live = NP;
   bool TimedOut = false;
@@ -272,7 +259,7 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
             (Tail.empty() ? "" : "\n  " + Tail);
   }
   if (TimedOut)
-    Fail = "launch deadline (" + std::to_string(TimeoutMs) +
+    Fail = "launch deadline (" + std::to_string(Opts.TimeoutMs) +
            " ms) expired\n" + Fail;
   if (!Fail.empty()) {
     LR.Error = Fail;

@@ -28,8 +28,7 @@ namespace rt {
 struct LaunchOptions {
   std::string SpmdPath; ///< serialized program every rank loads
   std::string RtBinary; ///< path to dhpf_rt
-  /// Per-run deadline; 0 consults DHPF_LAUNCH_TIMEOUT_MS, default 60000.
-  int TimeoutMs = 0;
+  int TimeoutMs = 60000; ///< per-run deadline
   bool KeepDir = false; ///< keep the mesh/result directory for debugging
   /// Trace every rank: each rank process records its own Chrome trace
   /// (lane pid = rank+1, via DHPF_TRACE) and the launcher collects the
@@ -60,9 +59,9 @@ struct LaunchResult {
 LaunchResult launchRanks(const spmd::SpmdProgram &SP, const Session &S,
                          const LaunchOptions &Opts);
 
-/// Locates the dhpf_rt binary: \p Explicit if nonempty, else DHPF_RT_BIN,
-/// else next to \p Argv0 (same directory, then sibling tools/dhpf_rt/).
-/// Empty string when not found.
+/// Locates the dhpf_rt binary: \p Explicit if nonempty, else next to
+/// \p Argv0 (same directory, then sibling tools/dhpf_rt/). Empty string
+/// when not found.
 std::string findRtBinary(const std::string &Explicit, const char *Argv0);
 
 } // namespace rt

@@ -76,8 +76,7 @@ bool decode(const std::vector<uint8_t> &Pay, uint64_t Size, Payload &Out) {
 } // namespace
 
 TransportComm::TransportComm(net::Transport &TIn, obs::TraceBuffer *Trace)
-    : Comm(TIn.size(), TIn.rank(), 1, Trace), T(TIn),
-      Coll(coll::makeCollective(coll::algoFromEnv(), TIn.size())) {}
+    : Comm(TIn.size(), TIn.rank(), 1, Trace), T(TIn) {}
 
 void TransportComm::post(unsigned, unsigned Q, const EventPlan &EP,
                          const ArrayStore &A, Payload &&Pay) {
@@ -128,13 +127,43 @@ bool TransportComm::receive(unsigned P, unsigned Q, const EventPlan &EP,
   return true;
 }
 
+void TransportComm::postScalar(unsigned Q, uint64_t Tag, double V) {
+  net::ByteSpan S{&V, 8};
+  T.post(Q, Tag, &S, 1);
+  ++CollMessages;
+  CollBytes += 8;
+}
+
+double TransportComm::recvScalar(unsigned Q, uint64_t Tag) {
+  std::vector<uint8_t> Pay = T.recv(Q, Tag);
+  if (Pay.size() != 8)
+    throw net::TransportError("rank " + std::to_string(First) +
+                              ": malformed reduction frame from rank " +
+                              std::to_string(Q));
+  ++CollMessages;
+  CollBytes += 8;
+  double V = 0;
+  std::memcpy(&V, Pay.data(), 8);
+  return V;
+}
+
 double TransportComm::allReduce(const PlanNode &N,
                                 const std::vector<double> &Own) {
   obs::TraceSpan Span(Trace, "reduce:" + N.RedName, "rt.comm");
-  double Combined = Coll->allreduce(
-      T, Own.front(),
-      N.RedOp == SpmdNode::ReduceOp::Max ? coll::Op::Max : coll::Op::Sum,
-      ReduceTagBase + ReduceSeq++, CollSt);
+  uint64_t Tag = ReduceTagBase + ReduceSeq++;
+  double Combined = 0;
+  if (First == 0) {
+    std::vector<double> ByRank(Size);
+    ByRank[0] = Own.front();
+    for (unsigned Q = 1; Q != Size; ++Q)
+      ByRank[Q] = recvScalar(Q, Tag);
+    Combined = fold(N, ByRank);
+    for (unsigned Q = 1; Q != Size; ++Q)
+      postScalar(Q, Tag, Combined);
+  } else {
+    postScalar(0, Tag, Own.front());
+    Combined = recvScalar(0, Tag);
+  }
   // Logical accounting mirrors sim::Machine::allReduce: P messages total
   // for the collective, one per rank. The paired zero-duration "send" span
   // keeps trace event counts == Messages.
@@ -175,8 +204,8 @@ void TransportComm::finish(RunResult &R) {
     R.addViolation("unconsumed messages remain (send/recv sets are not dual)");
   R.Messages = Messages;
   R.Bytes = Bytes;
-  R.CollMessages = CollSt.Messages;
-  R.CollBytes = CollSt.Bytes;
+  R.CollMessages = CollMessages;
+  R.CollBytes = CollBytes;
   const net::TransportStats &St = T.stats();
   R.OverlapRatio =
       St.WireBytesSent

@@ -24,23 +24,22 @@
 /// before using it; a frame that could not have come from a correct sender
 /// is a TransportError naming both ranks and the event.
 ///
-/// Reductions route through the src/coll collective library (DHPF_COLL):
-/// every schedule combines the raw per-rank contributions in rank order
-/// 0..P-1, so the choice changes only CollMessages/CollBytes, never result
-/// bits. finish() drains the send queues, runs a FIN barrier with every
-/// peer, and reports frames left undelivered as a validity violation.
+/// A reduction gathers every rank's raw contribution (one 8-byte frame) at
+/// rank 0, which folds them in rank order 0..P-1 exactly as the in-process
+/// comm does and broadcasts the result, so the result bits match the
+/// in-process engines. Rank 0 posts and receives 2(P-1) frames per
+/// reduction, every other rank 2; CollMessages/CollBytes count them.
+/// finish() drains the send queues, runs a FIN barrier with every peer,
+/// and reports frames left undelivered as a validity violation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_RT_TRANSPORTCOMM_H
 #define DHPF_RT_TRANSPORTCOMM_H
 
-#include "coll/Collective.h"
 #include "net/Net.h"
 #include "obs/Trace.h"
 #include "spmd/Comm.h"
-
-#include <memory>
 
 namespace dhpf {
 namespace rt {
@@ -63,10 +62,12 @@ public:
 
 private:
   net::Transport &T;
-  std::unique_ptr<coll::Collective> Coll;
-  coll::CollStats CollSt;
   uint64_t ReduceSeq = 0; ///< reduce instance counter (tag sync)
   uint64_t Messages = 0, Bytes = 0, ProgressCalls = 0;
+  uint64_t CollMessages = 0, CollBytes = 0;
+
+  void postScalar(unsigned Q, uint64_t Tag, double V);
+  double recvScalar(unsigned Q, uint64_t Tag);
 };
 
 } // namespace rt

@@ -96,6 +96,10 @@ public:
 protected:
   Comm(unsigned Size, unsigned First, unsigned Local, obs::TraceBuffer *Trace)
       : Size(Size), First(First), Local(Local), Trace(Trace) {}
+
+  /// The fold every allReduce ends in: \p ByRank holds one contribution per
+  /// rank in rank order, combined from the identity of \p N's operator.
+  static double fold(const PlanNode &N, const std::vector<double> &ByRank);
 };
 
 } // namespace spmd

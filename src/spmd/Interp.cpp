@@ -63,13 +63,9 @@ public:
 
   double allReduce(const PlanNode &N,
                    const std::vector<double> &Own) override {
-    bool Max = N.RedOp == SpmdNode::ReduceOp::Max;
-    double Acc = Max ? -std::numeric_limits<double>::infinity() : 0.0;
-    for (double V : Own)
-      Acc = Max ? std::max(Acc, V) : Acc + V;
     Mach.allReduce(N.RedBytes);
     Mach.addCompute(0, N.RedCost);
-    return Acc;
+    return fold(N, Own);
   }
 
   void progress() override {}
@@ -89,6 +85,14 @@ private:
 };
 
 } // namespace
+
+double Comm::fold(const PlanNode &N, const std::vector<double> &ByRank) {
+  bool Max = N.RedOp == SpmdNode::ReduceOp::Max;
+  double Acc = Max ? -std::numeric_limits<double>::infinity() : 0.0;
+  for (double V : ByRank)
+    Acc = Max ? std::max(Acc, V) : Acc + V;
+  return Acc;
+}
 
 //===----------------------------------------------------------------------===//
 // ArrayStore
@@ -146,15 +150,8 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
     OwnComm = std::make_unique<InProcessComm>(Mach);
     C = OwnComm.get();
   }
-  unsigned T = Config.ExecThreads;
-  if (T == 0) {
-    if (const char *S = std::getenv("DHPF_SPMD_THREADS")) {
-      long V = std::strtol(S, nullptr, 10);
-      T = V > 0 ? static_cast<unsigned>(V) : 1;
-    } else {
-      T = ThreadPool::hardwareThreads();
-    }
-  }
+  unsigned T = Config.ExecThreads ? Config.ExecThreads
+                                  : ThreadPool::hardwareThreads();
   Exec = std::make_unique<PlanExecutor>(Prog, *this, *C, T, E);
 }
 

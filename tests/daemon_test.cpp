@@ -13,6 +13,8 @@
 //     local run of the same program;
 //   - a malformed request draws an error reply and leaves both the
 //     connection and the daemon serving;
+//   - a malformed DHPF_NET_TIMEOUT_MS stops start() with a named error
+//     before the daemon serves anyone;
 //   - stop() persists the OpCache and a new daemon starts warm from it;
 //   - KernelCache::sweepStale reclaims tmp files of dead writers only.
 //
@@ -180,6 +182,27 @@ TEST(DaemonFault, MalformedRequestKeepsDaemonServing) {
   DaemonCompileResult R = daemonCompile(
       *S2, "<after>", appSource(apps::makeJacobi, 10, 1), CompilerOptions());
   EXPECT_TRUE(R.Ok) << R.DiagText;
+}
+
+TEST(DaemonFault, MalformedWatchdogFailsStart) {
+  DaemonOptions Opts;
+  Opts.SocketPath = tempPath("dhpf_daemon_watchdog.sock");
+  Opts.Quiet = true;
+  ::setenv("DHPF_NET_TIMEOUT_MS", "abc", 1);
+  std::string Err;
+  {
+    Daemon D(Opts);
+    try {
+      D.start();
+    } catch (const net::TransportError &E) {
+      Err = E.what();
+    }
+  }
+  ::unsetenv("DHPF_NET_TIMEOUT_MS");
+  EXPECT_NE(Err.find("malformed DHPF_NET_TIMEOUT_MS='abc'"), std::string::npos)
+      << "start() under a malformed watchdog: '" << Err << "'";
+  EXPECT_NE(::access(Opts.SocketPath.c_str(), F_OK), 0)
+      << "the daemon bound " << Opts.SocketPath;
 }
 
 TEST(DaemonPersist, ColdDaemonStartsWarmFromSavedCache) {

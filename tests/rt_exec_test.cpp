@@ -11,8 +11,10 @@
 /// engines, for all four Figure 7 benchmarks at P in {1, 4}. The comparison
 /// goes through the full result pipeline (dump -> serialize -> parse ->
 /// merge), so the rank-dump text format is covered by the same assertions.
-/// Fault-injected runs must die with a named-rank diagnostic under the
-/// watchdog, never hang, and hostile comm-event frames must be diagnosed.
+/// Reductions gather to rank 0 and broadcast back with the in-process
+/// rank-order fold. Fault-injected runs must die with a named-rank
+/// diagnostic under the watchdog, never hang, and hostile comm-event frames
+/// must be diagnosed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +31,12 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -183,42 +187,139 @@ TEST(RtExec, ErlebacherP4) { checkApp(subjects()[2], subjects()[2].Shape4); }
 TEST(RtExec, GaussP1) { checkApp(subjects()[3], subjects()[3].Shape1); }
 TEST(RtExec, GaussP4) { checkApp(subjects()[3], subjects()[3].Shape4); }
 
-/// Every collective algorithm must leave the distributed run bit-identical
-/// to the in-process engine at P=8 — the algorithms differ only in their
-/// physical frame schedule, which the merged CollStats counters expose:
-/// recursive doubling must cut the bottleneck rank's frame count against
-/// the naive gather/broadcast.
+/// At P=8 the reductions stay bit-identical to the in-process engine over
+/// both meshes, and the merged frame counters pin the gather/broadcast
+/// schedule: the 3 reduce instances of canonical jacobi (3 time steps)
+/// cost rank 0 2(P-1) = 14 frames each and every other rank 2, 8 bytes
+/// apiece.
 TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
-  Subject S = std::move(subjects()[0]); // jacobi on a 2x4 mesh
-  auto Compiled = core::compileProgram(*S.App.Prog);
+  apps::AppInstance App = apps::makeJacobi(16, 3); // on a 2x4 mesh
+  auto Compiled = core::compileProgram(*App.Prog);
   ASSERT_TRUE(Compiled);
   const spmd::SpmdProgram &SP = Compiled->Program;
   spmd::RunConfig RC;
-  RC.ProcExtents[S.App.ProcArrayName] = {2, 4};
+  RC.ProcExtents[App.ProcArrayName] = {2, 4};
 
   spmd::Interpreter I(SP, RC);
-  S.App.Setup(I);
+  App.Setup(I);
   spmd::RunResult Ref = I.run();
   ASSERT_TRUE(Ref.Valid);
 
-  std::map<std::string, uint64_t> MaxRankFrames;
-  for (const char *Algo : {"naive", "rdbl", "tree"}) {
-    setenv("DHPF_COLL", Algo, 1);
-    rt::MergedRun Loop = runDistributed(SP, S.App, RC, Mesh::Loopback);
-    expectBitIdentical(Loop, Ref, I);
-    rt::MergedRun Sock = runDistributed(SP, S.App, RC, Mesh::Socket);
-    expectBitIdentical(Sock, Ref, I);
-    // The physical schedule is a property of the algorithm, not the
-    // transport it runs over.
-    EXPECT_EQ(Loop.R.CollMessages, Sock.R.CollMessages) << Algo;
-    EXPECT_EQ(Loop.R.CollBytes, Sock.R.CollBytes) << Algo;
-    EXPECT_EQ(Loop.MaxRankCollMessages, Sock.MaxRankCollMessages) << Algo;
-    EXPECT_GT(Loop.R.CollMessages, 0u) << Algo;
-    MaxRankFrames[Algo] = Loop.MaxRankCollMessages;
+  for (Mesh Kind : {Mesh::Loopback, Mesh::Socket}) {
+    rt::MergedRun M = runDistributed(SP, App, RC, Kind);
+    expectBitIdentical(M, Ref, I);
+    EXPECT_EQ(M.R.CollMessages, 84u);
+    EXPECT_EQ(M.R.CollBytes, 672u);
+    EXPECT_EQ(M.MaxRankCollMessages, 42u);
   }
-  unsetenv("DHPF_COLL");
-  EXPECT_LT(MaxRankFrames["rdbl"], MaxRankFrames["naive"]);
-  EXPECT_LT(MaxRankFrames["tree"], MaxRankFrames["naive"]);
+}
+
+//===----------------------------------------------------------------------===//
+// TransportComm::allReduce on its own, over the loopback mesh
+//===----------------------------------------------------------------------===//
+
+/// The in-process fold: the identity, then the contributions in rank order.
+double rankOrderFold(const std::vector<double> &C, bool Max) {
+  double V = Max ? -std::numeric_limits<double>::infinity() : 0.0;
+  for (double X : C)
+    V = Max ? std::max(V, X) : V + X;
+  return V;
+}
+
+/// Contributions of wildly mixed magnitude and sign: summing these in any
+/// order other than 0..P-1 yields different low-order bits, so a reduction
+/// that combined along its data path would be caught.
+std::vector<double> spikyContributions(unsigned NP) {
+  std::vector<double> C(NP);
+  for (unsigned R = 0; R != NP; ++R)
+    C[R] = std::sin(1.7 * R + 0.3) *
+           std::pow(10.0, static_cast<int>(R % 7) - 3);
+  return C;
+}
+
+struct ReduceOutcome {
+  std::vector<double> Results; ///< one per reduce instance
+  uint64_t Frames = 0;         ///< RunResult::CollMessages
+  std::string Err;
+};
+
+/// All NP ranks run \p Instances successive reductions of \p C, each rank
+/// contributing C[rank], then finish.
+std::vector<ReduceOutcome> runAllReduce(unsigned NP,
+                                        const std::vector<double> &C,
+                                        bool Max, unsigned Instances = 1) {
+  spmd::PlanNode N;
+  N.K = spmd::SpmdNode::Kind::Reduce;
+  N.RedOp = Max ? spmd::SpmdNode::ReduceOp::Max : spmd::SpmdNode::ReduceOp::Sum;
+  N.RedName = "acc";
+  net::LoopbackMesh Mesh(NP);
+  std::vector<ReduceOutcome> Out(NP);
+  std::vector<std::thread> Ts;
+  for (unsigned R = 0; R != NP; ++R)
+    Ts.emplace_back([&, R] {
+      try {
+        auto T = Mesh.transport(R);
+        rt::TransportComm Comm(*T, nullptr);
+        for (unsigned I = 0; I != Instances; ++I)
+          Out[R].Results.push_back(Comm.allReduce(N, {C[R]}));
+        spmd::RunResult RR;
+        Comm.finish(RR);
+        Out[R].Frames = RR.CollMessages;
+      } catch (const std::exception &E) {
+        Out[R].Err = E.what();
+      }
+    });
+  for (auto &T : Ts)
+    T.join();
+  return Out;
+}
+
+void expectBitEqual(double A, double B, const std::string &What) {
+  EXPECT_EQ(std::memcmp(&A, &B, sizeof(double)), 0)
+      << What << ": " << A << " vs " << B;
+}
+
+TEST(CollBits, MatchesRankOrderFold) {
+  for (unsigned NP : {1u, 2u, 3u, 4u, 5u, 8u}) {
+    std::vector<double> C = spikyContributions(NP);
+    for (bool Max : {false, true}) {
+      double Ref = rankOrderFold(C, Max);
+      std::vector<ReduceOutcome> Out = runAllReduce(NP, C, Max);
+      for (unsigned R = 0; R != NP; ++R) {
+        std::string What = std::string(Max ? "max" : "sum") + " P=" +
+                           std::to_string(NP) + " rank " + std::to_string(R);
+        EXPECT_EQ(Out[R].Err, "") << What;
+        ASSERT_EQ(Out[R].Results.size(), 1u) << What;
+        expectBitEqual(Out[R].Results[0], Ref, What);
+      }
+    }
+  }
+}
+
+TEST(CollBits, SuccessiveInstancesStayOrderedAtNonPowerOfTwo) {
+  // Back-to-back reductions on a non-power-of-two mesh: one instance's
+  // frames must not bleed into the next (fresh tag per instance).
+  const unsigned NP = 6, Instances = 5;
+  std::vector<double> C = spikyContributions(NP);
+  double Ref = rankOrderFold(C, /*Max=*/false);
+  std::vector<ReduceOutcome> Out = runAllReduce(NP, C, false, Instances);
+  for (unsigned R = 0; R != NP; ++R) {
+    EXPECT_EQ(Out[R].Err, "") << "rank " << R;
+    ASSERT_EQ(Out[R].Results.size(), Instances);
+    for (double V : Out[R].Results)
+      expectBitEqual(V, Ref, "rank " + std::to_string(R));
+  }
+}
+
+TEST(CollSchedule, NaiveBottlenecksRankZero) {
+  const unsigned NP = 8;
+  std::vector<ReduceOutcome> Out =
+      runAllReduce(NP, spikyContributions(NP), false);
+  for (const ReduceOutcome &O : Out)
+    EXPECT_EQ(O.Err, "");
+  EXPECT_EQ(Out[0].Frames, 2u * (NP - 1));
+  for (unsigned R = 1; R != NP; ++R)
+    EXPECT_EQ(Out[R].Frames, 2u) << "rank " << R;
 }
 
 /// A rank's compute pumps the transport every 256 statement instances,

@@ -23,7 +23,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/Registry.h"
-#include "coll/Collective.h"
 #include "core/Compiler.h"
 #include "core/CompilerService.h"
 #include "core/InPlace.h"
@@ -96,8 +95,9 @@ int usage(const char *Argv0) {
       << "  --no-split           disable loop splitting (Figure 4)\n"
       << "  --no-coalesce        disable communication coalescing\n"
       << "  --no-inplace         disable in-place (contiguity) analysis\n"
-      << "  --sequential         single-threaded analysis and execution\n"
-      << "  --threads=<n>        analysis worker threads (0 = hardware)\n"
+      << "  --threads=<n>        analysis and execution worker threads (0 = "
+         "hardware,\n"
+      << "                       1 = sequential)\n"
       << "  --stats              print compile statistics and phase times\n"
       << "\n"
       << "run options:\n"
@@ -105,10 +105,6 @@ int usage(const char *Argv0) {
       << "  --procs=<a,b,..>     explicit processor-array extents\n"
       << "  --engine=<e>         tree | bytecode | native | auto (default "
          "auto)\n"
-      << "  --kernel-cache=<d>   native-kernel cache directory ('off' = "
-         "in-memory only;\n"
-      << "                       default DHPF_KERNEL_CACHE or "
-         "~/.cache/dhpf-kernels)\n"
       << "  --param=<name=val>   bind a program parameter\n"
       << "  --place              pick the processor shape with the "
          "placement cost model\n"
@@ -117,17 +113,12 @@ int usage(const char *Argv0) {
       << "  --stats              print message/byte/statement counts\n"
       << "\n"
       << "launch options (plus the run options above):\n"
-      << "  --rt-bin=<path>      dhpf_rt binary (default: DHPF_RT_BIN or "
-         "next to dhpfc)\n"
+      << "  --rt-bin=<path>      dhpf_rt binary (default: next to dhpfc)\n"
       << "  --hosts=<spec|auto>  TCP transport: host:port-per-rank spec "
          "file, or 'auto'\n"
       << "                       to reserve loopback ports (default: unix "
          "sockets)\n"
-      << "  --coll=<algo>        reduction collective: naive | rdbl | tree "
-         "| auto\n"
-      << "                       (default DHPF_COLL or auto)\n"
-      << "  --timeout-ms=<n>     per-launch deadline (default "
-         "DHPF_LAUNCH_TIMEOUT_MS or 60000)\n"
+      << "  --timeout-ms=<n>     per-launch deadline (default 60000)\n"
       << "  --keep-mesh          keep the mesh/result directory for "
          "debugging\n"
       << "\n"
@@ -165,7 +156,6 @@ int printVersion() {
               << "' unusable; native falls back to bytecode)";
   std::cout << "\n"
             << "  transports: loopback unix-socket tcp\n"
-            << "  collectives: naive rdbl tree\n"
             << "  kernel cache: "
             << (Dir.empty() ? "disabled (in-memory only)" : Dir) << "\n";
   return 0;
@@ -221,18 +211,15 @@ struct CliOptions {
   bool NoSplit = false;
   bool NoCoalesce = false;
   bool NoInPlace = false;
-  bool Sequential = false;
-  unsigned Threads = 0;
+  unsigned Threads = 0; ///< --threads: analysis and execution workers
   bool Stats = false;
   bool NoCheck = false;
   bool NoValidity = false;
-  std::string KernelCache; ///< --kernel-cache= native cache dir override
   std::string Server;  ///< --server= daemon socket (empty = in-process)
   std::string RtBin;   ///< --rt-bin override for launch
   std::string Hosts;   ///< --hosts= TCP rank spec ('auto' = loopback)
-  std::string Coll;    ///< --coll= reduction collective algorithm
   bool Place = false;  ///< --place: cost-model processor shape
-  int TimeoutMs = 0;   ///< --timeout-ms launch deadline
+  int TimeoutMs = 0;   ///< --timeout-ms launch deadline (0 = default)
   bool KeepMesh = false;
   std::string TracePath;   ///< --trace= (or DHPF_TRACE)
   std::string MetricsPath; ///< --metrics= (or DHPF_METRICS)
@@ -290,8 +277,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.DumpAfter = V;
     } else if (Value(A, "--engine=", V)) {
       O.Engine = V;
-    } else if (Value(A, "--kernel-cache=", V)) {
-      O.KernelCache = V;
     } else if (Value(A, "--server=", V)) {
       O.Server = V;
     } else if (Value(A, "--threads=", V)) {
@@ -331,15 +316,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.RtBin = V;
     } else if (Value(A, "--hosts=", V)) {
       O.Hosts = V;
-    } else if (Value(A, "--coll=", V)) {
-      try {
-        coll::parseAlgo(V);
-      } catch (const net::TransportError &) {
-        std::cerr << "dhpfc: unknown collective '" << V
-                  << "' (want naive|rdbl|tree|auto)\n";
-        return false;
-      }
-      O.Coll = V;
     } else if (Value(A, "--timeout-ms=", V)) {
       int64_t N;
       if (!parseInt(V, N) || N < 1) {
@@ -361,8 +337,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.NoCoalesce = true;
     } else if (A == "--no-inplace") {
       O.NoInPlace = true;
-    } else if (A == "--sequential") {
-      O.Sequential = true;
     } else if (A == "--stats") {
       O.Stats = true;
     } else if (A == "--no-check") {
@@ -387,7 +361,6 @@ core::CompilerOptions compilerOptions(const CliOptions &O) {
   CO.LoopSplitting = !O.NoSplit;
   CO.Coalescing = !O.NoCoalesce;
   CO.InPlaceAnalysis = !O.NoInPlace;
-  CO.ParallelAnalysis = !O.Sequential;
   CO.AnalysisThreads = O.Threads;
   CO.DumpAfter = O.DumpAfter;
   return CO;
@@ -504,16 +477,12 @@ const char *engineName(spmd::EngineKind E) {
   }
 }
 
-/// Materializes the engine-affecting options into the environment, so the
-/// in-process engines, the version banner, and — crucially — the rank
-/// processes a launch forks all resolve them identically.
+/// Materializes --engine into the environment, so the in-process engines
+/// and — crucially — the rank processes a launch forks all resolve it
+/// identically.
 void applyEngineEnv(const CliOptions &O) {
   if (!O.Engine.empty() && O.Engine != "auto")
     ::setenv("DHPF_SPMD_ENGINE", O.Engine.c_str(), 1);
-  if (!O.KernelCache.empty())
-    ::setenv("DHPF_KERNEL_CACHE", O.KernelCache.c_str(), 1);
-  if (!O.Coll.empty())
-    ::setenv("DHPF_COLL", O.Coll.c_str(), 1);
 }
 
 rt::SessionOptions sessionOptions(const CliOptions &O) {
@@ -577,8 +546,7 @@ int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
     return 2;
   }
   spmd::RunConfig RC = S->Config;
-  if (O.Sequential)
-    RC.ExecThreads = 1;
+  RC.ExecThreads = O.Threads;
   if (!parseEngine(O.Engine, RC.Engine)) {
     std::cerr << "dhpfc: unknown engine '" << O.Engine
               << "' (want tree|bytecode|native|auto)\n";
@@ -673,8 +641,8 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
               << "' (want tree|bytecode|native|auto)\n";
     return 2;
   }
-  // Before any fork: the rank processes must resolve the same engine and
-  // kernel cache as the in-process oracle below.
+  // Before any fork: the rank processes must resolve the same engine as
+  // the in-process oracle below.
   applyEngineEnv(O);
   std::string Text, Err;
   if (!readFile(O.Input, Text, Err)) {
@@ -726,14 +694,14 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
 
   rt::LaunchOptions LO;
   LO.SpmdPath = SpmdPath;
-  LO.TimeoutMs = O.TimeoutMs;
+  if (O.TimeoutMs > 0)
+    LO.TimeoutMs = O.TimeoutMs;
   LO.KeepDir = O.KeepMesh;
   LO.Hosts = O.Hosts;
   LO.Trace = obs::TraceBuffer::global().active();
   LO.RtBinary = rt::findRtBinary(O.RtBin, Argv0);
   if (LO.RtBinary.empty()) {
-    std::cerr << "dhpfc: cannot find the dhpf_rt binary (try --rt-bin= or "
-                 "DHPF_RT_BIN)\n";
+    std::cerr << "dhpfc: cannot find the dhpf_rt binary (try --rt-bin=)\n";
     return 2;
   }
 
@@ -765,6 +733,7 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
     // Differential oracle: the same session through the in-process engine
     // must agree bit for bit.
     spmd::RunConfig RC = S->Config;
+    RC.ExecThreads = O.Threads;
     if (!parseEngine(O.Engine, RC.Engine)) {
       std::cerr << "dhpfc: unknown engine '" << O.Engine
                 << "' (want tree|bytecode|native|auto)\n";
