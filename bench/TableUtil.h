@@ -10,11 +10,51 @@
 #include "core/Compiler.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace dhpf {
 namespace bench {
+
+/// The whole file at \p Path; empty when it cannot be read.
+inline std::string slurpFile(const char *Path) {
+  std::FILE *F = std::fopen(Path, "r");
+  if (!F)
+    return {};
+  std::string Text;
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+    Text.append(Buf, N);
+  std::fclose(F);
+  return Text;
+}
+
+/// Writes the top-level "hardware_concurrency" line every bench JSON
+/// carries right after its "bench" key, so a committed reference records
+/// how many threads the machine that measured it ran at once.
+inline void writeMachineStamp(std::FILE *F) {
+  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
+}
+
+/// Under --check: when the reference text \p Ref (read from \p Path)
+/// records a different hardware_concurrency than this machine's, or none,
+/// prints both, since thread-sensitive timings then compare machines.
+inline void noteRefMachine(const std::string &Ref, const char *Path) {
+  const char Key[] = "\"hardware_concurrency\": ";
+  size_t K = Ref.find(Key);
+  unsigned There = K == std::string::npos
+                       ? 0
+                       : std::atoi(Ref.c_str() + K + sizeof(Key) - 1);
+  unsigned Here = std::thread::hardware_concurrency();
+  if (!Ref.empty() && There != Here)
+    std::printf("note: reference %s records hardware_concurrency %s, this "
+                "machine has %u\n",
+                Path, There ? std::to_string(There).c_str() : "(none)", Here);
+}
 
 /// One compile-time column of the Table 1 report.
 struct CompileColumn {
@@ -85,8 +125,9 @@ inline void writeTable1Json(const char *Path,
       core::phase::ContigCheck,    core::phase::RectCheck,
       core::phase::OptGenerated,   core::phase::MMCodegen,
   };
-  std::fprintf(F, "{\n  \"bench\": \"table1_compile_time\",\n"
-                  "  \"subjects\": [\n");
+  std::fprintf(F, "{\n  \"bench\": \"table1_compile_time\",\n");
+  writeMachineStamp(F);
+  std::fprintf(F, "  \"subjects\": [\n");
   for (size_t I = 0; I != Subjects.size(); ++I) {
     const SubjectResult &S = Subjects[I];
     double OptSecs = S.Opt->Timers.seconds(core::phase::Total);

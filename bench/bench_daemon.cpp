@@ -26,6 +26,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TableUtil.h"
 #include "apps/Apps.h"
 #include "core/CompilerService.h"
 #include "hpf/HpfPrinter.h"
@@ -138,16 +139,7 @@ LoadResult runLoad(rt::Daemon &D,
   return L;
 }
 
-double readRefSpeedup(const char *Path) {
-  std::FILE *F = std::fopen(Path, "r");
-  if (!F)
-    return -1.0;
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
+double readRefSpeedup(const std::string &Text) {
   size_t K = Text.find("\"warm_speedup\": ");
   return K == std::string::npos ? -1.0
                                 : std::atof(Text.c_str() + K + 16);
@@ -169,7 +161,9 @@ int main(int argc, char **argv) {
     else if (std::strncmp(argv[I], "--ref=", 6) == 0)
       Ref = argv[I] + 6;
   }
-  double RefSpeedup = Check ? readRefSpeedup(Ref) : -1.0;
+  std::string RefText = Check ? bench::slurpFile(Ref) : std::string();
+  double RefSpeedup = readRefSpeedup(RefText);
+  bench::noteRefMachine(RefText, Ref);
 
   std::printf("== Daemon vs batch: warm-cache compile service ==\n\n");
 
@@ -242,6 +236,7 @@ int main(int argc, char **argv) {
     }
     std::fprintf(F, "{\n");
     std::fprintf(F, "  \"bench\": \"daemon\",\n");
+    bench::writeMachineStamp(F);
     std::fprintf(F, "  \"quick\": %s,\n", Quick ? "true" : "false");
     std::fprintf(F, "  \"subject\": \"sp-sym\",\n");
     std::fprintf(F, "  \"cold_batch_s\": %.6f,\n", ColdSecs);

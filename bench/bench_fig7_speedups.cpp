@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TableUtil.h"
 #include "apps/Apps.h"
 #include "core/Compiler.h"
 
@@ -105,7 +106,9 @@ void writeJson(const char *Path, const std::vector<Series> &All) {
     std::fprintf(stderr, "cannot write %s\n", Path);
     std::exit(1);
   }
-  std::fprintf(F, "{\n  \"bench\": \"fig7_speedups\",\n  \"series\": [\n");
+  std::fprintf(F, "{\n  \"bench\": \"fig7_speedups\",\n");
+  bench::writeMachineStamp(F);
+  std::fprintf(F, "  \"series\": [\n");
   for (size_t S = 0; S != All.size(); ++S) {
     std::fprintf(F, "    {\n      \"label\": \"%s\",\n      \"points\": [\n",
                  All[S].Label.c_str());

@@ -22,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TableUtil.h"
 #include "apps/Apps.h"
 #include "core/Compiler.h"
 #include "obs/Trace.h"
@@ -116,6 +117,7 @@ void writeJson(const char *Path, const std::vector<Measurement> &Ms) {
     return;
   }
   std::fprintf(F, "{\n  \"bench\": \"obs_overhead\",\n");
+  bench::writeMachineStamp(F);
   std::fprintf(F, "  \"compiled_in\": %s,\n",
                obs::compiledIn() ? "true" : "false");
   std::fprintf(F, "  \"apps\": [\n");

@@ -28,6 +28,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TableUtil.h"
 #include "apps/Apps.h"
 #include "core/Compiler.h"
 #include "spmd/KernelCache.h"
@@ -131,7 +132,9 @@ void writeJson(const char *Path, const std::vector<Measurement> &Ms) {
     std::fprintf(stderr, "cannot write %s\n", Path);
     return;
   }
-  std::fprintf(F, "{\n  \"bench\": \"spmd_exec\",\n  \"apps\": [\n");
+  std::fprintf(F, "{\n  \"bench\": \"spmd_exec\",\n");
+  bench::writeMachineStamp(F);
+  std::fprintf(F, "  \"apps\": [\n");
   for (size_t I = 0; I != Ms.size(); ++I) {
     const Measurement &M = Ms[I];
     std::fprintf(F, "    {\n      \"name\": \"%s\",\n      \"procs\": [",
@@ -185,19 +188,6 @@ RefTimes readRef(const std::string &Text, const std::string &App) {
   return R;
 }
 
-std::string slurp(const char *Path) {
-  std::FILE *F = std::fopen(Path, "r");
-  if (!F)
-    return {};
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
-  return Text;
-}
-
 /// True when \p Secs regressed more than 15% against \p RefSecs both in
 /// absolute terms and relative to the tree time measured alongside each.
 bool regressed(double Secs, double TreeSecs, double RefSecs,
@@ -225,11 +215,12 @@ int main(int argc, char **argv) {
       Ref = argv[I] + 6;
   }
   // Read the reference before any writes in case --out aliases --ref.
-  std::string RefText = Check ? slurp(Ref) : std::string();
+  std::string RefText = Check ? bench::slurpFile(Ref) : std::string();
   if (Check && RefText.empty())
     std::fprintf(stderr, "warning: no reference %s; regression check "
                          "limited to engine ordering\n",
                  Ref);
+  bench::noteRefMachine(RefText, Ref);
 
   bool HaveCc = native::KernelCache::global().compilerAvailable();
   std::printf("== SPMD execution engines: tree vs bytecode vs native ==\n");

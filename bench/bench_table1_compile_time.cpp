@@ -55,17 +55,8 @@ struct RefNumbers {
   double TotalSecs = -1.0;  ///< optimized total seconds
 };
 
-RefNumbers readRef(const char *Path) {
+RefNumbers readRef(const std::string &Text) {
   RefNumbers R;
-  std::FILE *F = std::fopen(Path, "r");
-  if (!F)
-    return R;
-  std::string Text;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, N);
-  std::fclose(F);
   size_t Subj = Text.find("\"name\": \"sp-sym\"");
   if (Subj == std::string::npos)
     return R;
@@ -101,7 +92,9 @@ int main(int argc, char **argv) {
       Ref = argv[I] + 6;
   }
   // Read the reference before any writes in case --out aliases --ref.
-  RefNumbers RefN = Check ? readRef(Ref) : RefNumbers();
+  std::string RefText = Check ? bench::slurpFile(Ref) : std::string();
+  RefNumbers RefN = readRef(RefText);
+  bench::noteRefMachine(RefText, Ref);
   std::printf("== Table 1: breakdown of compilation time ==\n");
   std::printf("(paper: SP-4 1145s / sp-sym 1073s / TOMCATV 28s on a 250MHz "
               "UltraSparc; only the *shape* — no dominant phase, symbolic P "

@@ -122,8 +122,8 @@ void OpCache::serialize(std::ostream &OS) {
   // the same recency order.
   struct Entry {
     Key K;
-    bool IsBool;
-    bool B;
+    bool IsBool = false;
+    bool B = false;
     std::string Rel;
   };
   std::vector<Entry> Entries;

@@ -9,6 +9,7 @@
 #include "core/InPlace.h"
 #include "obs/Metrics.h"
 #include "pset/Intern.h"
+#include "spmd/Layout.h"
 #include "spmd/Serialize.h"
 
 #include <chrono>
@@ -173,6 +174,12 @@ bool rt::runForSummary(spmd::SpmdProgram &SP, const SessionOptions &SO,
   std::optional<Session> S = resolveSession(SP, SO, Err);
   if (!S)
     return false;
+  try {
+    spmd::admitFootprint(SP, spmd::resolveLayout(SP, S->Config));
+  } catch (const spmd::FootprintError &E) {
+    Err = E.what();
+    return false;
+  }
   spmd::Interpreter I(SP, S->Config);
   S->setup(SP, I);
   spmd::RunResult RR = I.run();

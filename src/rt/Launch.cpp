@@ -17,7 +17,6 @@
 #include <fcntl.h>
 #include <fstream>
 #include <signal.h>
-#include <sstream>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -34,13 +33,12 @@ int64_t nowMs() {
 }
 
 bool readWholeFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
+  std::ifstream In(Path, std::ios::binary | std::ios::ate);
   if (!In)
     return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
+  Out.resize(static_cast<size_t>(In.tellg()));
+  In.seekg(0);
+  return static_cast<bool>(In.read(Out.data(), Out.size()));
 }
 
 /// Last few lines of a rank's captured stderr, for the failure report.
@@ -115,6 +113,14 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   spmd::ProgramLayout L = resolveLayout(SP, S.Config);
   unsigned NP = L.NumProcs;
   LR.NumRanks = NP;
+  // Every rank and the merge allocate the full arrays: refuse a program
+  // whose arrays do not fit before spawning anything.
+  try {
+    spmd::admitFootprint(SP, L);
+  } catch (const spmd::FootprintError &E) {
+    LR.Error = E.what();
+    return LR;
+  }
 
   const char *Tmp = std::getenv("TMPDIR");
   std::string Templ =
@@ -271,14 +277,14 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   std::vector<RankDump> Dumps;
   for (unsigned R = 0; R != NP; ++R) {
     std::string Path = Dir + "/rank" + std::to_string(R) + ".result";
-    std::string Text, Err;
+    std::string Bytes, Err;
     RankDump D;
-    if (!readWholeFile(Path, Text)) {
+    if (!readWholeFile(Path, Bytes)) {
       LR.Error = "rank " + std::to_string(R) + " exited 0 but left no "
                  "result file";
       break;
     }
-    if (!parseRankDump(Text, D, Err)) {
+    if (!parseRankDump(Bytes, D, Err)) {
       LR.Error = "rank " + std::to_string(R) + ": " + Err;
       break;
     }

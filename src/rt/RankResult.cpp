@@ -12,7 +12,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -20,43 +19,90 @@ using namespace dhpf::spmd;
 
 namespace {
 
+constexpr char Magic[8] = {'d', 'h', 'p', 'f', 'r', 'a', 'n', 'k'};
+constexpr uint32_t Version = 1;
+constexpr uint32_t ByteOrderProbe = 0x01020304;
+/// Magic, version, byte-order probe and the leading total: the prefix that
+/// identifies a result file.
+constexpr size_t IdentBytes = 24;
+/// The trailing total and checksum.
+constexpr size_t TrailerBytes = 16;
+
 uint64_t bitsOf(double D) {
-  uint64_t V;
+  uint64_t V = 0;
   std::memcpy(&V, &D, 8);
   return V;
 }
 
-double doubleOf(uint64_t V) {
-  double D;
-  std::memcpy(&D, &V, 8);
-  return D;
-}
-
-std::string hex64(uint64_t V) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
-  return Buf;
-}
-
-bool parseHex64(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.size() > 16)
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    int D;
-    if (C >= '0' && C <= '9')
-      D = C - '0';
-    else if (C >= 'a' && C <= 'f')
-      D = C - 'a' + 10;
-    else if (C >= 'A' && C <= 'F')
-      D = C - 'A' + 10;
-    else
-      return false;
-    V = (V << 4) | static_cast<uint64_t>(D);
+uint64_t fnv1a(const char *P, size_t N) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I != N; ++I) {
+    H ^= static_cast<unsigned char>(P[I]);
+    H *= 0x100000001b3ull;
   }
-  Out = V;
-  return true;
+  return H;
 }
+
+uint64_t wordAt(const std::string &B, size_t Pos) {
+  uint64_t V = 0;
+  std::memcpy(&V, B.data() + Pos, 8);
+  return V;
+}
+
+void putWord(std::string &B, uint64_t V) {
+  B.append(reinterpret_cast<const char *>(&V), 8);
+}
+
+void putString(std::string &B, const std::string &S) {
+  putWord(B, S.size());
+  B += S;
+}
+
+/// The rank that reports element \p F of \p A: its owner, or rank 0 for a
+/// replicated or ownerless element.
+unsigned reporterOf(const ArrayStore &A, size_t F) {
+  int32_t Own = A.Owner.empty() ? -1 : A.Owner[F];
+  return Own < 0 ? 0 : static_cast<unsigned>(Own);
+}
+
+/// Reads words and strings from [Pos, End), checking every length and
+/// count against the bytes that remain before using it.
+struct Reader {
+  const char *Data;
+  size_t Pos, End;
+  std::string &Err;
+
+  bool fail(const std::string &Why) {
+    Err = "result file: " + Why;
+    return false;
+  }
+  size_t left() const { return End - Pos; }
+  bool word(uint64_t &V, const std::string &What) {
+    if (left() < 8)
+      return fail("no room for the " + What);
+    std::memcpy(&V, Data + Pos, 8);
+    Pos += 8;
+    return true;
+  }
+  /// A count of records that take at least \p MinBytes each.
+  bool count(uint64_t &N, size_t MinBytes, const std::string &What) {
+    if (!word(N, What))
+      return false;
+    if (N > left() / MinBytes)
+      return fail(What + " " + std::to_string(N) +
+                  " exceeds the " + std::to_string(left()) +
+                  " bytes that remain");
+    return true;
+  }
+  bool string(std::string &S, const std::string &What) {
+    uint64_t N = 0;
+    if (!count(N, 1, What))
+      return false;
+    S.assign(Data + Pos, N);
+    Pos += N;
+    return true;
+  }
+};
 
 } // namespace
 
@@ -68,151 +114,156 @@ RankDump rt::dumpRank(const Interpreter &I, const net::Transport &T,
   D.R = R;
   D.OverlapNum = T.stats().BytesFlushedDuringCompute;
   D.OverlapDen = T.stats().WireBytesSent;
-  for (const auto &[Name, V] : R.FinalAccums)
-    D.AccumBits[Name] = bitsOf(V);
   for (const auto &[Name, A] : I.arrays()) {
-    auto &Out = D.Elems[Name];
-    for (size_t F = 0; F != A.size(); ++F) {
-      int32_t Own = A.Owner.empty() ? -1 : A.Owner[F];
-      bool Mine = Own == static_cast<int32_t>(D.Rank) ||
-                  (Own < 0 && D.Rank == 0);
-      if (Mine)
-        Out.push_back({static_cast<int64_t>(F), bitsOf(A.at(F))});
-    }
+    std::vector<double> &Out = D.Owned[Name];
+    for (size_t F = 0; F != A.size(); ++F)
+      if (reporterOf(A, F) == D.Rank)
+        Out.push_back(A.at(F));
   }
   return D;
 }
 
 std::string rt::serializeRankDump(const RankDump &D) {
-  std::ostringstream OS;
-  OS << "rankdump " << D.Rank << " " << D.NP << "\n";
-  OS << "stat messages " << D.R.Messages << " bytes " << D.R.Bytes
-     << " span " << D.R.SpanCopies << " packed " << D.R.PackedCopies
-     << " stmts " << D.R.StmtInstances << " upgrades "
-     << D.R.InPlaceRuntimeUpgrades << " collmsgs " << D.R.CollMessages
-     << " collbytes " << D.R.CollBytes << "\n";
-  OS << "stat overlapnum " << D.OverlapNum << " overlapden " << D.OverlapDen
-     << "\n";
-  OS << "valid " << (D.R.Valid ? 1 : 0) << "\n";
+  size_t Values = 0;
+  for (const auto &[Name, V] : D.Owned)
+    Values += V.size();
+  std::string B;
+  B.reserve(1024 + 8 * Values);
+  B.append(Magic, sizeof(Magic));
+  uint32_t Ident[2] = {Version, ByteOrderProbe};
+  B.append(reinterpret_cast<const char *>(Ident), sizeof(Ident));
+  putWord(B, 0); // the total, known once everything is written
+  for (uint64_t W :
+       {uint64_t(D.Rank), uint64_t(D.NP), D.R.Messages, D.R.Bytes,
+        D.R.SpanCopies, D.R.PackedCopies, D.R.StmtInstances,
+        uint64_t(D.R.InPlaceRuntimeUpgrades), D.R.CollMessages,
+        D.R.CollBytes, D.OverlapNum, D.OverlapDen, uint64_t(D.R.Valid)})
+    putWord(B, W);
+  putWord(B, D.R.Violations.size());
   for (const std::string &V : D.R.Violations)
-    OS << "viol " << V << "\n";
-  for (const auto &[Name, Bits] : D.AccumBits)
-    OS << "accum " << Name << " " << hex64(Bits) << "\n";
-  for (const auto &[Name, Elems] : D.Elems) {
-    OS << "array " << Name << " " << Elems.size() << "\n";
-    for (const auto &[Flat, Bits] : Elems)
-      OS << "e " << Flat << " " << hex64(Bits) << "\n";
+    putString(B, V);
+  putWord(B, D.R.FinalAccums.size());
+  for (const auto &[Name, V] : D.R.FinalAccums) {
+    putString(B, Name);
+    putWord(B, bitsOf(V));
   }
-  OS << "end\n";
-  return OS.str();
+  putWord(B, D.Owned.size());
+  for (const auto &[Name, V] : D.Owned) {
+    putString(B, Name);
+    putWord(B, V.size());
+    B.append(reinterpret_cast<const char *>(V.data()), 8 * V.size());
+  }
+  uint64_t Total = B.size() + TrailerBytes;
+  std::memcpy(&B[IdentBytes - 8], &Total, 8);
+  putWord(B, Total);
+  putWord(B, fnv1a(B.data(), B.size()));
+  return B;
 }
 
-bool rt::parseRankDump(const std::string &Text, RankDump &Out,
+bool rt::parseRankDump(const std::string &B, RankDump &Out,
                        std::string &Err) {
-  std::istringstream IS(Text);
-  std::string Line;
   Out = RankDump();
-  bool SawHeader = false, SawEnd = false;
-  std::vector<std::pair<int64_t, uint64_t>> *CurArray = nullptr;
-  size_t CurLeft = 0;
-  int LineNo = 0;
-  auto Fail = [&](const std::string &Why) {
-    Err = "rank dump line " + std::to_string(LineNo) + ": " + Why;
-    return false;
+  size_t Size = B.size();
+  Reader In{B.data(), IdentBytes, IdentBytes, Err}; // empty until checked
+  auto Truncated = [&] {
+    return In.fail("ends at byte " + std::to_string(Size) +
+                   (Size < IdentBytes
+                        ? std::string()
+                        : " of " + std::to_string(wordAt(B, 16))) +
+                   ": truncated (rank died mid-dump?)");
   };
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    std::istringstream LS(Line);
-    std::string Tok;
-    LS >> Tok;
-    if (Tok == "e") {
-      if (!CurArray || CurLeft == 0)
-        return Fail("stray element line");
-      int64_t Flat;
-      std::string Hex;
-      uint64_t Bits;
-      if (!(LS >> Flat >> Hex) || !parseHex64(Hex, Bits))
-        return Fail("bad element");
-      CurArray->push_back({Flat, Bits});
-      --CurLeft;
-      continue;
-    }
-    if (CurLeft != 0)
-      return Fail("array dump truncated");
-    CurArray = nullptr;
-    if (Tok == "rankdump") {
-      if (!(LS >> Out.Rank >> Out.NP) || Out.NP == 0 || Out.Rank >= Out.NP)
-        return Fail("bad header");
-      SawHeader = true;
-    } else if (Tok == "stat") {
-      std::string Key;
-      while (LS >> Key) {
-        uint64_t V;
-        if (!(LS >> V))
-          return Fail("bad stat value for " + Key);
-        if (Key == "messages")
-          Out.R.Messages = V;
-        else if (Key == "bytes")
-          Out.R.Bytes = V;
-        else if (Key == "span")
-          Out.R.SpanCopies = V;
-        else if (Key == "packed")
-          Out.R.PackedCopies = V;
-        else if (Key == "stmts")
-          Out.R.StmtInstances = V;
-        else if (Key == "upgrades")
-          Out.R.InPlaceRuntimeUpgrades = static_cast<unsigned>(V);
-        else if (Key == "collmsgs")
-          Out.R.CollMessages = V;
-        else if (Key == "collbytes")
-          Out.R.CollBytes = V;
-        else if (Key == "overlapnum")
-          Out.OverlapNum = V;
-        else if (Key == "overlapden")
-          Out.OverlapDen = V;
-        else
-          return Fail("unknown stat key " + Key);
-      }
-    } else if (Tok == "valid") {
-      int V;
-      if (!(LS >> V))
-        return Fail("bad valid flag");
-      Out.R.Valid = V != 0;
-    } else if (Tok == "viol") {
-      std::string Rest;
-      std::getline(LS, Rest);
-      if (!Rest.empty() && Rest[0] == ' ')
-        Rest.erase(0, 1);
-      Out.R.Violations.push_back(Rest);
-    } else if (Tok == "accum") {
-      std::string Name, Hex;
-      uint64_t Bits;
-      if (!(LS >> Name >> Hex) || !parseHex64(Hex, Bits))
-        return Fail("bad accum");
-      Out.AccumBits[Name] = Bits;
-      Out.R.FinalAccums[Name] = doubleOf(Bits);
-    } else if (Tok == "array") {
-      std::string Name;
-      size_t N;
-      if (!(LS >> Name >> N))
-        return Fail("bad array header");
-      CurArray = &Out.Elems[Name];
-      CurArray->reserve(N);
-      CurLeft = N;
-    } else if (Tok == "end") {
-      SawEnd = true;
-    } else {
-      return Fail("unknown directive '" + Tok + "'");
-    }
+  if (Size < IdentBytes + TrailerBytes)
+    return Truncated();
+  if (std::memcmp(B.data(), Magic, sizeof(Magic)) != 0)
+    return In.fail("bad magic: not a rank result file");
+  uint32_t Ident[2] = {};
+  std::memcpy(Ident, B.data() + 8, sizeof(Ident));
+  if (Ident[1] != ByteOrderProbe) {
+    char Buf[96];
+    std::snprintf(Buf, sizeof(Buf),
+                  "byte-order probe reads 0x%08" PRIx32
+                  ", not 0x%08" PRIx32 ": written in another byte order",
+                  Ident[1], ByteOrderProbe);
+    return In.fail(Buf);
   }
-  if (!SawHeader)
-    return Fail("missing rankdump header");
-  if (CurLeft != 0)
-    return Fail("array dump truncated");
-  if (!SawEnd)
-    return Fail("missing end marker (rank died mid-dump?)");
+  if (Ident[0] != Version)
+    return In.fail("unsupported version " + std::to_string(Ident[0]) +
+                   " (this build reads version " + std::to_string(Version) +
+                   ")");
+  // A file whose size both length words contradict was cut short; one
+  // that agrees with either was damaged in place, which the checksum
+  // catches.
+  uint64_t Head = wordAt(B, 16), Tail = wordAt(B, Size - TrailerBytes);
+  if (Head != Size && Tail != Size)
+    return Truncated();
+  if (fnv1a(B.data(), Size - 8) != wordAt(B, Size - 8))
+    return In.fail("checksum mismatch (corrupt result file)");
+  if (Head != Size || Tail != Size)
+    return In.fail("length words disagree with the file size");
+  In.End = Size - TrailerBytes;
+
+  uint64_t W[13] = {}; // rank, NP, the ten counters, validity
+  if (In.left() < sizeof(W))
+    return In.fail("no room for the header");
+  std::memcpy(W, B.data() + In.Pos, sizeof(W));
+  In.Pos += sizeof(W);
+  if (W[1] == 0 || W[1] > UINT32_MAX || W[0] >= W[1])
+    return In.fail("bad header: rank " + std::to_string(W[0]) + " of " +
+                   std::to_string(W[1]));
+  Out.Rank = static_cast<unsigned>(W[0]);
+  Out.NP = static_cast<unsigned>(W[1]);
+  Out.R.Messages = W[2];
+  Out.R.Bytes = W[3];
+  Out.R.SpanCopies = W[4];
+  Out.R.PackedCopies = W[5];
+  Out.R.StmtInstances = W[6];
+  Out.R.InPlaceRuntimeUpgrades = static_cast<unsigned>(W[7]);
+  Out.R.CollMessages = W[8];
+  Out.R.CollBytes = W[9];
+  Out.OverlapNum = W[10];
+  Out.OverlapDen = W[11];
+  Out.R.Valid = W[12] != 0;
+
+  uint64_t N = 0;
+  if (!In.count(N, 8, "violation count"))
+    return false;
+  for (uint64_t K = 0; K != N; ++K) {
+    std::string V;
+    if (!In.string(V, "violation length"))
+      return false;
+    Out.R.Violations.push_back(std::move(V));
+  }
+  if (!In.count(N, 16, "accumulator count"))
+    return false;
+  for (uint64_t K = 0; K != N; ++K) {
+    std::string Name;
+    uint64_t Bits = 0;
+    if (!In.string(Name, "accumulator name length") ||
+        !In.word(Bits, "accumulator value"))
+      return false;
+    double V = 0;
+    std::memcpy(&V, &Bits, 8);
+    Out.R.FinalAccums[Name] = V;
+  }
+  if (!In.count(N, 16, "array count"))
+    return false;
+  for (uint64_t K = 0; K != N; ++K) {
+    std::string Name;
+    uint64_t Count = 0;
+    if (!In.string(Name, "array name length") ||
+        !In.count(Count, 8, "value count of array '" + Name + "'"))
+      return false;
+    auto [It, Fresh] = Out.Owned.try_emplace(Name);
+    if (!Fresh)
+      return In.fail("array '" + Name + "' appears twice");
+    It->second.resize(Count);
+    if (Count != 0)
+      std::memcpy(It->second.data(), B.data() + In.Pos, 8 * Count);
+    In.Pos += 8 * Count;
+  }
+  if (In.left() != 0)
+    return In.fail(std::to_string(In.left()) +
+                   " stray bytes after the arrays");
   return true;
 }
 
@@ -220,14 +271,15 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
                         const std::vector<RankDump> &Dumps, MergedRun &Out,
                         std::string &Err) {
   ProgramLayout L = resolveLayout(SP, Config);
-  if (Dumps.size() != L.NumProcs) {
+  unsigned NP = L.NumProcs;
+  if (Dumps.size() != NP) {
     Err = "have " + std::to_string(Dumps.size()) + " rank dumps, need " +
-          std::to_string(L.NumProcs);
+          std::to_string(NP);
     return false;
   }
-  std::vector<const RankDump *> ByRank(L.NumProcs, nullptr);
+  std::vector<const RankDump *> ByRank(NP, nullptr);
   for (const RankDump &D : Dumps) {
-    if (D.NP != L.NumProcs || D.Rank >= L.NumProcs) {
+    if (D.NP != NP || D.Rank >= NP) {
       Err = "rank dump " + std::to_string(D.Rank) + "/" +
             std::to_string(D.NP) + " does not match the layout";
       return false;
@@ -242,7 +294,8 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
   Out.R = RunResult();
   Out.Arrays = buildArrayStores(SP, Config, L);
   uint64_t ONum = 0, ODen = 0;
-  for (unsigned P = 0; P != L.NumProcs; ++P) {
+  const RankDump &D0 = *ByRank[0];
+  for (unsigned P = 0; P != NP; ++P) {
     const RankDump &D = *ByRank[P];
     Out.R.Messages += D.R.Messages;
     Out.R.Bytes += D.R.Bytes;
@@ -262,39 +315,57 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
       if (Out.R.Violations.size() < 40)
         Out.R.Violations.push_back("rank " + std::to_string(P) + ": " + V);
     // Broadcast values must agree bitwise across ranks.
-    if (D.R.InPlaceRuntimeUpgrades !=
-        ByRank[0]->R.InPlaceRuntimeUpgrades) {
+    if (D.R.InPlaceRuntimeUpgrades != D0.R.InPlaceRuntimeUpgrades) {
       Err = "rank " + std::to_string(P) +
             " disagrees on in-place runtime upgrades";
       return false;
     }
-    for (const auto &[Name, Bits] : D.AccumBits) {
-      auto It = ByRank[0]->AccumBits.find(Name);
-      if (It == ByRank[0]->AccumBits.end() || It->second != Bits) {
+    for (const auto &[Name, V] : D.R.FinalAccums) {
+      auto It = D0.R.FinalAccums.find(Name);
+      if (It == D0.R.FinalAccums.end() || bitsOf(It->second) != bitsOf(V)) {
         Err = "rank " + std::to_string(P) +
               " disagrees on broadcast accumulator '" + Name + "'";
         return false;
       }
     }
-    for (const auto &[Name, Elems] : D.Elems) {
-      auto AIt = Out.Arrays.find(Name);
-      if (AIt == Out.Arrays.end()) {
+    for (const auto &[Name, V] : D.Owned)
+      if (!Out.Arrays.count(Name)) {
         Err = "rank " + std::to_string(P) + " dumped unknown array '" +
               Name + "'";
         return false;
       }
-      for (const auto &[Flat, Bits] : Elems) {
-        if (Flat < 0 || Flat >= static_cast<int64_t>(AIt->second.size())) {
-          Err = "rank " + std::to_string(P) +
-                " dumped out-of-range element of '" + Name + "'";
-          return false;
-        }
-        AIt->second.at(Flat) = doubleOf(Bits);
-      }
-    }
   }
-  Out.R.InPlaceRuntimeUpgrades = ByRank[0]->R.InPlaceRuntimeUpgrades;
-  Out.R.FinalAccums = ByRank[0]->R.FinalAccums;
+
+  // Place the values by walking the owner map: the k-th value rank P
+  // reported for an array is the k-th element of it that P reports.
+  static const std::vector<double> None;
+  std::vector<const double *> Src(NP);
+  std::vector<size_t> Have(NP), Next(NP);
+  for (auto &[Name, A] : Out.Arrays) {
+    for (unsigned P = 0; P != NP; ++P) {
+      auto It = ByRank[P]->Owned.find(Name);
+      const std::vector<double> &V =
+          It == ByRank[P]->Owned.end() ? None : It->second;
+      Src[P] = V.data();
+      Have[P] = V.size();
+      Next[P] = 0;
+    }
+    for (size_t F = 0; F != A.size(); ++F) {
+      unsigned P = reporterOf(A, F);
+      size_t K = Next[P]++;
+      if (K < Have[P])
+        A.at(F) = Src[P][K];
+    }
+    for (unsigned P = 0; P != NP; ++P)
+      if (Next[P] != Have[P]) {
+        Err = "rank " + std::to_string(P) + " dumped " +
+              std::to_string(Have[P]) + " values of array '" + Name +
+              "' but owns " + std::to_string(Next[P]);
+        return false;
+      }
+  }
+  Out.R.InPlaceRuntimeUpgrades = D0.R.InPlaceRuntimeUpgrades;
+  Out.R.FinalAccums = D0.R.FinalAccums;
   Out.R.OverlapRatio = ODen ? double(ONum) / double(ODen) : 0.0;
   return true;
 }

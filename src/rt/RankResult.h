@@ -7,15 +7,34 @@
 /// \file
 /// The result a rank process reports back to the launcher, and the merge
 /// that reassembles a RunResult bit-identical to the in-process engines.
-/// Doubles travel as 64-bit hex bit patterns — never through decimal
-/// formatting — so the merged arrays and accumulators compare bitwise.
 ///
-/// Each rank dumps the array elements it owns; rank 0 additionally dumps
-/// replicated and ownerless elements (which replicated computation keeps
-/// identical on every rank). Per-rank counters sum to the in-process
+/// Each rank reports the values of the array elements it owns; rank 0 also
+/// reports the replicated and ownerless elements (which replicated
+/// computation keeps identical on every rank). The values carry no index:
+/// the launcher builds the same block/cyclic owner map the ranks built, so
+/// the k-th value rank P reports for an array is the array's k-th element
+/// in flat order that P owns. Per-rank counters sum to the in-process
 /// totals; the overlap ratio merges from wire-byte numerators and
 /// denominators. Ranks run on real time, so a merged run has no simulated
 /// time (RunResult::SimSeconds stays 0); callers time the launch itself.
+///
+/// The result file is binary, in the writer's byte order. Besides the two
+/// 32-bit identification words every integer is a 64-bit word, and every
+/// double is its raw 8 bytes:
+///
+///   magic "dhpfrank" | u32 version | u32 byte-order probe 0x01020304
+///   total file bytes | rank | NP
+///   Messages Bytes SpanCopies PackedCopies StmtInstances
+///   InPlaceRuntimeUpgrades CollMessages CollBytes OverlapNum OverlapDen
+///   valid | #violations, each (length, bytes)
+///   #accumulators, each (name length, name, value bits)
+///   #arrays in name order, each (name length, name, #values, values)
+///   total file bytes | FNV-1a 64 of every byte before this word
+///
+/// The reader checks the identification words, then tells a truncated
+/// file (both length words disagree with its size: the rank died
+/// mid-dump) from a corrupted one (the checksum fails), and checks every
+/// length and count against the bytes that remain before using it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,17 +51,18 @@
 namespace dhpf {
 namespace rt {
 
-/// Everything one rank reports: its rank-local RunResult, the overlap
-/// fraction's wire-byte terms, and bit dumps of accumulators and owned
-/// array elements.
+/// Everything one rank reports: its rank-local RunResult (counters,
+/// validity, violations, accumulators), the overlap fraction's wire-byte
+/// terms, and the values of its owned array elements.
 struct RankDump {
   unsigned Rank = 0;
   unsigned NP = 0;
   spmd::RunResult R;
   uint64_t OverlapNum = 0; ///< wire bytes flushed during compute
   uint64_t OverlapDen = 0; ///< wire bytes sent in total
-  std::map<std::string, uint64_t> AccumBits;
-  std::map<std::string, std::vector<std::pair<int64_t, uint64_t>>> Elems;
+  /// Per array, the values of the elements this rank owns (rank 0: also
+  /// the replicated and ownerless ones), in increasing flat order.
+  std::map<std::string, std::vector<double>> Owned;
 };
 
 /// Captures the state of \p I, which ran rank T.rank() over \p T and
@@ -50,25 +70,27 @@ struct RankDump {
 RankDump dumpRank(const spmd::Interpreter &I, const net::Transport &T,
                   const spmd::RunResult &R);
 
+/// The result file's bytes for \p D.
 std::string serializeRankDump(const RankDump &D);
 
-/// Parses a dump; false (with \p Err set) on malformed input.
-bool parseRankDump(const std::string &Text, RankDump &Out, std::string &Err);
+/// Parses a result file; false (with \p Err set) on malformed input.
+bool parseRankDump(const std::string &Bytes, RankDump &Out, std::string &Err);
 
 /// A reassembled distributed run: the merged result plus full arrays.
 struct MergedRun {
   spmd::RunResult R;
   std::map<std::string, spmd::ArrayStore> Arrays;
   /// Bottleneck view of the collective schedule: the largest per-rank
-  /// CollMessages/CollBytes (R.CollMessages/CollBytes hold the sums).
-  /// This is where recursive doubling beats the naive gather — the naive
-  /// root moves 2(P-1) frames while rdbl's worst rank moves 2·ceil(lg P).
+  /// CollMessages/CollBytes (R.CollMessages/CollBytes hold the sums). The
+  /// gather/broadcast root moves 2(P-1) frames per reduction.
   uint64_t MaxRankCollMessages = 0;
   uint64_t MaxRankCollBytes = 0;
 };
 
-/// Merges one dump per rank. False (with \p Err) when dumps are missing,
-/// inconsistent, or disagree on broadcast values.
+/// Merges one dump per rank, placing each rank's values by walking the
+/// owner map. False (with \p Err) when dumps are missing or inconsistent,
+/// when a rank reports more or fewer values of an array than it owns, or
+/// when ranks disagree on broadcast values.
 bool mergeRankDumps(const spmd::SpmdProgram &SP,
                     const spmd::RunConfig &Config,
                     const std::vector<RankDump> &Dumps, MergedRun &Out,

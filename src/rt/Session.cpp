@@ -9,8 +9,11 @@
 #include "hpf/HpfPrinter.h"
 #include "placement/Placement.h"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <sstream>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -54,6 +57,52 @@ void Session::setup(const spmd::SpmdProgram &SP,
   } else {
     genericSetup(I, SP);
   }
+}
+
+bool rt::parseIntArg(const std::string &Tok, int64_t Min, int64_t &Out) {
+  if (Tok.empty())
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(Tok.c_str(), &End, 10);
+  if (errno != 0 || End != Tok.c_str() + Tok.size() || V < Min)
+    return false;
+  Out = V;
+  return true;
+}
+
+bool rt::parseProcsArg(const std::string &List, std::vector<int64_t> &Shape,
+                       std::string &Err) {
+  Shape.clear();
+  std::stringstream SS(List);
+  std::string Tok;
+  while (std::getline(SS, Tok, ',')) {
+    int64_t E = 0;
+    if (!parseIntArg(Tok, 1, E)) {
+      Err = "invalid --procs extent '" + Tok + "'";
+      return false;
+    }
+    Shape.push_back(E);
+  }
+  if (Shape.empty()) {
+    Err = "empty --procs list";
+    return false;
+  }
+  return true;
+}
+
+bool rt::parseParamArg(const std::string &KV,
+                       std::map<std::string, int64_t> &Params,
+                       std::string &Err) {
+  size_t Eq = KV.find('=');
+  int64_t V = 0;
+  if (Eq == std::string::npos || Eq == 0 ||
+      !parseIntArg(KV.substr(Eq + 1), INT64_MIN, V)) {
+    Err = "--param expects name=value, got '" + KV + "'";
+    return false;
+  }
+  Params[KV.substr(0, Eq)] = V;
+  return true;
 }
 
 std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,

@@ -23,6 +23,7 @@
 #include "spmd/Interp.h"
 #include "spmd/SpmdProgram.h"
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +56,20 @@ struct Session {
   /// deterministic semantics.
   void setup(const spmd::SpmdProgram &SP, spmd::Interpreter &I) const;
 };
+
+/// Command-line values both `dhpfc` and `dhpf_rt` take, checked the same
+/// way. Each returns false, with \p Err naming the offending token, on a
+/// malformed value.
+/// \{
+/// A whole-token decimal integer no smaller than \p Min.
+bool parseIntArg(const std::string &Tok, int64_t Min, int64_t &Out);
+/// `--procs=a,b,...`: every extent an integer >= 1.
+bool parseProcsArg(const std::string &List, std::vector<int64_t> &Shape,
+                   std::string &Err);
+/// `--param=name=value`: binds one program parameter in \p Params.
+bool parseParamArg(const std::string &KV,
+                   std::map<std::string, int64_t> &Params, std::string &Err);
+/// \}
 
 /// Resolves shape + semantics for \p SP. Returns std::nullopt and fills
 /// \p Err when the processor count cannot be mapped onto the grid.

@@ -9,24 +9,92 @@
 #include "hpf/Maps.h"
 #include "support/MathExtras.h"
 
+#include <unistd.h>
+
 using namespace dhpf;
 using namespace dhpf::spmd;
 using namespace dhpf::hpf;
 
 namespace {
 
-int64_t evalAffine(const AffineExpr &E,
-                   const std::map<std::string, int64_t> &Bind) {
+/// Evaluates \p E under \p Bind with overflow checks that stay in every
+/// build; \p What names the bound in the FootprintError thrown on
+/// overflow.
+int64_t evalBound(const AffineExpr &E,
+                  const std::map<std::string, int64_t> &Bind,
+                  const std::string &What) {
   int64_t V = E.K;
   for (auto &[Name, Coef] : E.Terms) {
     auto It = Bind.find(Name);
     assert(It != Bind.end() && "unbound parameter in affine expression");
-    V = addOv(V, mulOv(Coef, It->second));
+    int64_t T = 0;
+    if (__builtin_mul_overflow(Coef, It->second, &T) ||
+        __builtin_add_overflow(V, T, &V))
+      throw FootprintError(What + ": a bound overflows 64 bits");
   }
   return V;
 }
 
+uint64_t physicalMemoryBytes() {
+  long Pages = ::sysconf(_SC_PHYS_PAGES), Page = ::sysconf(_SC_PAGESIZE);
+  return Pages > 0 && Page > 0 ? uint64_t(Pages) * uint64_t(Page) : 0;
+}
+
+struct ArrayShape {
+  std::vector<int64_t> Lo, Extent;
+};
+
+/// Every array's bounds, admitted before anything is allocated: element
+/// counts and bytes (a double per element, plus an int32 owner for
+/// aligned arrays) are computed with overflow checks that stay in every
+/// build, and their total must fit in physical memory.
+std::map<std::string, ArrayShape> admitShapes(const SpmdProgram &Prog,
+                                              const ProgramLayout &L) {
+  static const uint64_t Phys = physicalMemoryBytes();
+  const Program &P = *Prog.Source;
+  std::map<std::string, ArrayShape> Shapes;
+  uint64_t Total = 0;
+  for (const auto &[Name, Decl] : P.arrays()) {
+    ArrayShape &S = Shapes[Name];
+    std::string What = "array '" + Name + "'";
+    std::string Dims;
+    for (const DimRange &R : Decl.Dims) {
+      int64_t Lo = evalBound(R.Lo, L.AllBindings, What);
+      int64_t Hi = evalBound(R.Hi, L.AllBindings, What), E = 0;
+      if (__builtin_sub_overflow(Hi, Lo, &E) ||
+          __builtin_add_overflow(E, 1, &E))
+        throw FootprintError(What + ": an extent overflows 64 bits");
+      Dims += (Dims.empty() ? "" : ", ") + std::to_string(Lo) + ":" +
+              std::to_string(Hi);
+      S.Lo.push_back(Lo);
+      S.Extent.push_back(E);
+    }
+    What += "(" + Dims + ")";
+    int64_t N = 1;
+    for (int64_t E : S.Extent) {
+      if (E < 0)
+        throw FootprintError(What + " has a negative extent");
+      if (__builtin_mul_overflow(N, E, &N))
+        throw FootprintError(What +
+                             " has more elements than 64 bits can count");
+    }
+    uint64_t Bytes = 0;
+    if (__builtin_mul_overflow(uint64_t(N), P.alignOf(Name) ? 12u : 8u,
+                               &Bytes) ||
+        __builtin_add_overflow(Total, Bytes, &Total) ||
+        (Phys && Total > Phys))
+      throw FootprintError(What + " takes the program's arrays past the " +
+                           std::to_string(Phys) +
+                           " bytes of physical memory");
+  }
+  return Shapes;
+}
+
 } // namespace
+
+void spmd::admitFootprint(const SpmdProgram &Prog, const ProgramLayout &L) {
+  admitShapes(Prog, L);
+}
 
 ProgramLayout spmd::resolveLayout(const SpmdProgram &Prog,
                                   const RunConfig &Config) {
@@ -61,21 +129,18 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
                        const ProgramLayout &L) {
   const Program &P = *Prog.Source;
   const std::map<std::string, int64_t> &All = L.AllBindings;
+  std::map<std::string, ArrayShape> Shapes = admitShapes(Prog, L);
   std::map<std::string, ArrayStore> Arrays;
 
   for (const auto &[Name, Decl] : P.arrays()) {
-    std::vector<int64_t> Lo, Extent;
-    for (const DimRange &R : Decl.Dims) {
-      int64_t LoV = evalAffine(R.Lo, All), Hi = evalAffine(R.Hi, All);
-      Lo.push_back(LoV);
-      Extent.push_back(Hi - LoV + 1);
-    }
+    const std::vector<int64_t> &Lo = Shapes[Name].Lo;
+    const std::vector<int64_t> &Extent = Shapes[Name].Extent;
     ArrayStore Store(Lo, Extent, Decl.ElemBytes);
 
     // Ownership, computed independently of the set framework (direct
     // block/cyclic formulas) so it cross-checks the compiled sets.
     const Align *Al = P.alignOf(Name);
-    if (Al) {
+    if (Al && Store.size() != 0) {
       const TemplateDecl &T = P.templateDecl(Al->TemplateName);
       const Distribute &D = P.distributeOf(Al->TemplateName);
       auto ExtIt = Config.ProcExtents.find(D.ProcName);
@@ -84,6 +149,13 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
       for (unsigned I = 0; I != PA.rank(); ++I)
         PExt.push_back(PA.Dims[I].isSymbolic() ? ExtIt->second[I]
                                                : PA.Dims[I].Fixed);
+      // Template bounds per dimension, evaluated once.
+      std::vector<int64_t> TLo, TExt;
+      for (const DimRange &R : T.Dims) {
+        std::string What = "template '" + Al->TemplateName + "'";
+        TLo.push_back(evalBound(R.Lo, All, What));
+        TExt.push_back(evalBound(R.Hi, All, What) - TLo.back() + 1);
+      }
       Store.Owner.assign(Store.size(), -1);
       std::vector<int64_t> Idx(Decl.rank());
       for (unsigned DD = 0; DD != Decl.rank(); ++DD)
@@ -103,21 +175,17 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
           int64_t Tpos = AT.K == AlignTerm::Kind::Constant
                              ? AT.Constant
                              : AT.Stride * Idx[AT.ArrayDim] + AT.Offset;
-          int64_t TLo = evalAffine(T.Dims[TD].Lo, All);
-          int64_t THi = evalAffine(T.Dims[TD].Hi, All);
           int64_t PN = PExt[PDim];
           int64_t Coord = 0;
           switch (Spec.K) {
-          case DistSpec::Kind::Block: {
-            int64_t B = ceilDiv(THi - TLo + 1, PN);
-            Coord = (Tpos - TLo) / B;
+          case DistSpec::Kind::Block:
+            Coord = (Tpos - TLo[TD]) / ceilDiv(TExt[TD], PN);
             break;
-          }
           case DistSpec::Kind::Cyclic:
-            Coord = floorMod(Tpos - TLo, PN);
+            Coord = floorMod(Tpos - TLo[TD], PN);
             break;
           case DistSpec::Kind::CyclicK:
-            Coord = floorMod((Tpos - TLo) / Spec.BlockK, PN);
+            Coord = floorMod((Tpos - TLo[TD]) / Spec.BlockK, PN);
             break;
           case DistSpec::Kind::Star:
             break;

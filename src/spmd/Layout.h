@@ -26,6 +26,7 @@
 #include "spmd/SpmdProgram.h"
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,23 @@ struct ProgramLayout {
 /// Config.ProcExtents.
 ProgramLayout resolveLayout(const SpmdProgram &Prog, const RunConfig &Config);
 
+/// A program whose arrays cannot be allocated: a bound, extent or element
+/// count that overflows 64 bits, a negative extent, or arrays that
+/// together exceed this machine's physical memory. The message names the
+/// array and its bounds.
+class FootprintError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Throws FootprintError unless every array of \p Prog under \p L can be
+/// allocated. buildArrayStores runs the same check before it allocates.
+void admitFootprint(const SpmdProgram &Prog, const ProgramLayout &L);
+
 /// Builds every array's dense store, including the per-element Owner map
 /// computed from the direct block/cyclic formulas (independent of the set
-/// framework, so it cross-checks the compiled sets).
+/// framework, so it cross-checks the compiled sets). Throws
+/// FootprintError, before allocating anything, for arrays that do not fit.
 std::map<std::string, ArrayStore>
 buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
                  const ProgramLayout &L);

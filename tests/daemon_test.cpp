@@ -11,8 +11,9 @@
 //     to ONE compile (CompilesStarted +1, Requests +N);
 //   - a daemon-side run renders the same wall-clock-free summary as a
 //     local run of the same program;
-//   - a malformed request draws an error reply and leaves both the
-//     connection and the daemon serving;
+//   - a malformed request, or a run whose arrays cannot be allocated,
+//     draws an error reply and leaves both the connection and the daemon
+//     serving;
 //   - a malformed DHPF_NET_TIMEOUT_MS stops start() with a named error
 //     before the daemon serves anyone;
 //   - stop() persists the OpCache and a new daemon starts warm from it;
@@ -182,6 +183,29 @@ TEST(DaemonFault, MalformedRequestKeepsDaemonServing) {
   DaemonCompileResult R = daemonCompile(
       *S2, "<after>", appSource(apps::makeJacobi, 10, 1), CompilerOptions());
   EXPECT_TRUE(R.Ok) << R.DiagText;
+}
+
+TEST(DaemonFault, OversizedArraysDrawAnErrorReply) {
+  ScopedDaemon SD;
+  std::string Source = appSource(apps::makeJacobi, 16, 1);
+  for (size_t P; (P = Source.find("1:16")) != std::string::npos;)
+    Source.replace(P, 4, "1:4000000000");
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  DaemonCompileResult C =
+      daemonCompile(*S, "<huge>", Source, CompilerOptions());
+  ASSERT_TRUE(C.Ok) << C.DiagText;
+  // 4e9 x 4e9 elements: refused by name before any allocation.
+  DaemonRunResult R = daemonRun(*S, C.Spmd, SessionOptions(), /*Check=*/true);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("array 'U'(1:4000000000, 1:4000000000)"),
+            std::string::npos)
+      << R.Error;
+  // The same connection still runs a program that fits.
+  DaemonCompileResult Small = daemonCompile(
+      *S, "<small>", appSource(apps::makeJacobi, 12, 1), CompilerOptions());
+  ASSERT_TRUE(Small.Ok) << Small.DiagText;
+  DaemonRunResult Ok = daemonRun(*S, Small.Spmd, SessionOptions(), true);
+  EXPECT_TRUE(Ok.Ok) << Ok.Error;
 }
 
 TEST(DaemonFault, MalformedWatchdogFailsStart) {

@@ -1,12 +1,14 @@
 #!/bin/sh
-# Drives one dhpfc setting end to end and checks what it promises.
+# Drives one dhpfc or dhpf_rt setting, or one input they must refuse, end
+# to end and checks what it promises.
 #
 #   dhpfc_settings_test.sh <dhpfc> <examples-dir> <case> [ON|OFF]
 #
 # The optional last argument is the build's DHPF_OBS value; metric-value
-# checks are skipped when observability is compiled out. Every case works
-# in a private scratch directory, which is also the TMPDIR the launcher
-# creates its mesh directories in, and removes it on exit.
+# checks are skipped when observability is compiled out. dhpf_rt is found
+# where dhpfc launch finds it. Every case works in a private scratch
+# directory, which is also the TMPDIR the launcher creates its mesh
+# directories in, and removes it on exit.
 
 set -u
 DHPFC=$1
@@ -14,6 +16,7 @@ EX=$2
 CASE=$3
 OBS=${4:-ON}
 PROG=$EX/jacobi.hpf
+RT=$(dirname "$DHPFC")/../dhpf_rt/dhpf_rt
 
 W=$(mktemp -d "${TMPDIR:-/tmp}/dhpfc_settings.XXXXXX") || exit 1
 trap 'rm -rf "$W"' EXIT
@@ -77,6 +80,43 @@ metrics-env)
   DHPF_METRICS=$W/m.txt "$DHPFC" compile "$PROG" -o /dev/null ||
     fail "exit $?"
   [ -s "$W/m.txt" ] || fail "DHPF_METRICS file not written"
+  ;;
+rt-procs-zero | rt-procs-nonnumeric | rt-procs-negative | rt-rank-nonnumeric)
+  # A malformed value is a usage error naming the token, before the rank
+  # joins (and waits on) any mesh.
+  case $CASE in
+  rt-procs-zero) args="--rank=0 --procs=0,4" bad=0 ;;
+  rt-procs-nonnumeric) args="--rank=0 --procs=2,x" bad=x ;;
+  rt-procs-negative) args="--rank=0 --procs=-2,-2" bad=-2 ;;
+  rt-rank-nonnumeric) args="--rank=abc" bad=abc ;;
+  esac
+  "$DHPFC" compile "$PROG" -o "$W/p.spmd" >/dev/null || fail "compile failed"
+  mkdir "$W/mesh"
+  # shellcheck disable=SC2086
+  out=$(timeout 4 "$RT" "$W/p.spmd" $args --mesh "$W/mesh" --result "$W/r" 2>&1)
+  st=$?
+  [ "$st" -eq 2 ] || fail "exit $st, want 2: $out"
+  echo "$out" | grep -q "'$bad'" || fail "'$bad' not named: $out"
+  ;;
+footprint-run | footprint-launch | footprint-rank)
+  # Arrays of 4e9 x 4e9 elements: refused with a message naming the array,
+  # never an abort, a wrapped size or a hang.
+  sed 's/1:16/1:4000000000/g' "$PROG" >"$W/huge.hpf"
+  "$DHPFC" compile "$W/huge.hpf" -o "$W/huge.spmd" >/dev/null ||
+    fail "compile failed"
+  case $CASE in
+  footprint-run) out=$("$DHPFC" run "$W/huge.spmd" 2>&1) ;;
+  footprint-launch) out=$("$DHPFC" launch "$W/huge.spmd" -p 4 2>&1) ;;
+  footprint-rank)
+    mkdir "$W/mesh"
+    out=$(timeout 4 "$RT" "$W/huge.spmd" --rank=0 --mesh "$W/mesh" \
+      --result "$W/r" 2>&1)
+    ;;
+  esac
+  st=$?
+  [ "$st" -eq 1 ] || fail "exit $st, want 1: $out"
+  echo "$out" | grep -q "array 'U'" || fail "array U not named: $out"
+  [ -z "$(ls -A "$TMPDIR")" ] || fail "left behind: $(ls -A "$TMPDIR")"
   ;;
 *)
   echo "unknown case '$CASE'"

@@ -10,11 +10,13 @@
 /// over real Unix sockets — produce results bit-identical to the in-process
 /// engines, for all four Figure 7 benchmarks at P in {1, 4}. The comparison
 /// goes through the full result pipeline (dump -> serialize -> parse ->
-/// merge), so the rank-dump text format is covered by the same assertions.
-/// Reductions gather to rank 0 and broadcast back with the in-process
-/// rank-order fold. Fault-injected runs must die with a named-rank
-/// diagnostic under the watchdog, never hang, and hostile comm-event frames
-/// must be diagnosed.
+/// merge), so the binary result file is covered by the same assertions,
+/// and hostile result files (cut short, corrupted, oversized counts,
+/// foreign identification words, value counts the owner map disagrees
+/// with) must be refused. Reductions gather to rank 0 and broadcast back
+/// with the in-process rank-order fold. Fault-injected runs must die with
+/// a named-rank diagnostic under the watchdog, never hang, and hostile
+/// comm-event frames must be diagnosed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,12 +65,11 @@ std::vector<Subject> subjects() {
 
 enum class Mesh { Loopback, Socket };
 
-/// Runs \p SP distributed on \p Mesh with one thread per rank, pushes every
-/// rank's result through the dump text round trip, and merges. Any rank
-/// error fails the test.
-rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
-                             const apps::AppInstance &App,
-                             const spmd::RunConfig &RC, Mesh Kind) {
+/// Runs \p SP distributed on \p Mesh with one thread per rank and returns
+/// every rank's result file. Any rank error fails the test.
+std::vector<std::string> rankResults(const spmd::SpmdProgram &SP,
+                                     const apps::AppInstance &App,
+                                     const spmd::RunConfig &RC, Mesh Kind) {
   spmd::ProgramLayout L = spmd::resolveLayout(SP, RC);
   unsigned NP = L.NumProcs;
 
@@ -113,18 +114,31 @@ rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
     rmdir(Dir.c_str());
   }
 
-  rt::MergedRun Merged;
   for (unsigned R = 0; R != NP; ++R)
     EXPECT_EQ(Errs[R], "") << "rank " << R;
+  return Dumps;
+}
+
+std::vector<rt::RankDump> parseAll(const std::vector<std::string> &Files) {
   std::vector<rt::RankDump> Parsed;
-  for (unsigned R = 0; R != NP; ++R) {
+  for (const std::string &F : Files) {
     rt::RankDump D;
     std::string Err;
-    EXPECT_TRUE(rt::parseRankDump(Dumps[R], D, Err)) << Err;
+    EXPECT_TRUE(rt::parseRankDump(F, D, Err)) << Err;
     Parsed.push_back(std::move(D));
   }
+  return Parsed;
+}
+
+/// rankResults, then the launcher's parse and merge.
+rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
+                             const apps::AppInstance &App,
+                             const spmd::RunConfig &RC, Mesh Kind) {
+  rt::MergedRun Merged;
   std::string Err;
-  EXPECT_TRUE(rt::mergeRankDumps(SP, RC, Parsed, Merged, Err)) << Err;
+  EXPECT_TRUE(rt::mergeRankDumps(
+      SP, RC, parseAll(rankResults(SP, App, RC, Kind)), Merged, Err))
+      << Err;
   return Merged;
 }
 
@@ -349,26 +363,171 @@ TEST(RtExec, ComputePumpsProgressEvery256Statements) {
   }
 }
 
-/// Rank-dump parser: malformed dumps are line-numbered errors, and a dump
-/// cut off mid-array is flagged as a likely mid-dump death.
-TEST(RtDump, ParserDiagnosesTruncation) {
+//===----------------------------------------------------------------------===//
+// Hostile result files, built from the four files of a real P=4 run
+//===----------------------------------------------------------------------===//
+
+/// Canonical jacobi on its P=4 grid, run over loopback: the compiled
+/// program, its configuration, and the four rank result files.
+struct JacobiFiles {
+  apps::AppInstance App = apps::findApp("jacobi")->MakeCanonical();
+  std::unique_ptr<core::CompileOutput> Compiled =
+      core::compileProgram(*App.Prog);
+  spmd::RunConfig RC;
+  std::vector<std::string> Files;
+
+  JacobiFiles() {
+    RC.ProcExtents[App.ProcArrayName] = apps::findApp("jacobi")->ProcShape(4);
+    Files = rankResults(Compiled->Program, App, RC, Mesh::Loopback);
+  }
+};
+
+uint64_t wordAt(const std::string &F, size_t Pos) {
+  uint64_t V = 0;
+  std::memcpy(&V, F.data() + Pos, 8);
+  return V;
+}
+
+void setWord(std::string &F, size_t Pos, uint64_t V) {
+  std::memcpy(&F[Pos], &V, 8);
+}
+
+/// Recomputes the trailing FNV-1a 64 checksum, as a writer that meant
+/// every byte would.
+void reseal(std::string &F) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (size_t I = 0; I + 8 < F.size(); ++I) {
+    H ^= static_cast<unsigned char>(F[I]);
+    H *= 0x100000001b3ull;
+  }
+  setWord(F, F.size() - 8, H);
+}
+
+/// Offsets of the count words, found by walking the layout
+/// rt/RankResult.h documents: the header is 16 words, then the
+/// violations, the accumulators, and the arrays.
+struct CountWords {
+  size_t Violations, Accums, Arrays, FirstValues;
+};
+
+CountWords countWords(const std::string &F) {
+  CountWords C = {};
+  size_t Pos = C.Violations = 16 * 8;
+  uint64_t N = wordAt(F, Pos);
+  for (Pos += 8; N != 0; --N)
+    Pos += 8 + wordAt(F, Pos);
+  C.Accums = Pos;
+  N = wordAt(F, Pos);
+  for (Pos += 8; N != 0; --N)
+    Pos += 8 + wordAt(F, Pos) + 8;
+  C.Arrays = Pos;
+  Pos += 8;
+  C.FirstValues = Pos + 8 + wordAt(F, Pos);
+  return C;
+}
+
+std::string parseError(const std::string &F) {
   rt::RankDump D;
   std::string Err;
-  EXPECT_FALSE(rt::parseRankDump("", D, Err));
-  EXPECT_NE(Err.find("missing rankdump header"), std::string::npos) << Err;
+  EXPECT_FALSE(rt::parseRankDump(F, D, Err)) << "accepted";
+  return Err;
+}
 
-  std::string NoEnd = "rankdump 0 2\nvalid 1\n";
-  EXPECT_FALSE(rt::parseRankDump(NoEnd, D, Err));
-  EXPECT_NE(Err.find("mid-dump"), std::string::npos) << Err;
+/// Every proper prefix of every rank's file is a rank that died mid-dump.
+TEST(RtDump, ParserDiagnosesTruncation) {
+  JacobiFiles J;
+  for (const std::string &F : J.Files) {
+    rt::RankDump D;
+    std::string Err;
+    ASSERT_TRUE(rt::parseRankDump(F, D, Err)) << Err;
+    for (size_t Len = 0; Len != F.size(); ++Len) {
+      std::string Why = parseError(F.substr(0, Len));
+      EXPECT_NE(Why.find("mid-dump"), std::string::npos)
+          << "prefix of " << Len << " bytes: " << Why;
+    }
+  }
+}
 
-  std::string CutArray =
-      "rankdump 0 2\nvalid 1\narray U 3\ne 0 0000000000000000\n";
-  EXPECT_FALSE(rt::parseRankDump(CutArray, D, Err));
-  EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
+/// A byte flipped anywhere past the identification words fails the
+/// checksum (those words are named instead; see below), including a byte
+/// of either length word: the other one still matches the file's size,
+/// so the file is whole.
+TEST(RtDump, FlippedBytesFailTheChecksum) {
+  JacobiFiles J;
+  for (const std::string &F : J.Files) {
+    std::vector<size_t> Offsets = {16, F.size() - 16};
+    for (size_t Off = 61; Off < F.size(); Off += 61)
+      Offsets.push_back(Off);
+    for (size_t Off : Offsets) {
+      std::string G = F;
+      G[Off] = static_cast<char>(G[Off] ^ 0xff);
+      std::string Why = parseError(G);
+      EXPECT_NE(Why.find("checksum"), std::string::npos)
+          << "flip at " << Off << ": " << Why;
+    }
+  }
+}
 
-  std::string BadLine = "rankdump 0 2\nwhatisthis 5\n";
-  EXPECT_FALSE(rt::parseRankDump(BadLine, D, Err));
-  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+/// Counts claiming 2^60 records or values in a correctly sealed file are
+/// refused against the bytes that remain, before anything is allocated
+/// (under ASan an attempted allocation of that size aborts the test).
+TEST(RtDump, HugeCountsRejectedBeforeAllocation) {
+  JacobiFiles J;
+  const std::string &F = J.Files[1];
+  CountWords C = countWords(F);
+  ASSERT_EQ(wordAt(F, C.FirstValues), 64u) << "U's quarter of a 16x16 grid";
+  for (size_t Pos : {C.Violations, C.Accums, C.Arrays, C.FirstValues}) {
+    std::string G = F;
+    setWord(G, Pos, uint64_t(1) << 60);
+    reseal(G);
+    std::string Why = parseError(G);
+    EXPECT_NE(Why.find("1152921504606846976 exceeds"), std::string::npos)
+        << "count at " << Pos << ": " << Why;
+  }
+}
+
+/// A file from a different writer is named for what differs.
+TEST(RtDump, ForeignMagicVersionOrByteOrderIsNamed) {
+  JacobiFiles J;
+  auto Patched = [&](size_t Pos, uint32_t V) {
+    std::string G = J.Files[0];
+    std::memcpy(&G[Pos], &V, 4);
+    reseal(G);
+    return parseError(G);
+  };
+  std::string Why = Patched(0, 0x66706858); // "Xhpf"
+  EXPECT_NE(Why.find("magic"), std::string::npos) << Why;
+  Why = Patched(8, 2);
+  EXPECT_NE(Why.find("unsupported version 2"), std::string::npos) << Why;
+  Why = Patched(12, 0x04030201);
+  EXPECT_NE(Why.find("byte order"), std::string::npos) << Why;
+  EXPECT_NE(parseError("rankdump 0 4\nvalid 1\nend\n" + std::string(64, ' '))
+                .find("magic"),
+            std::string::npos);
+}
+
+/// A rank that reports one value more or fewer than the owner map gives
+/// it fails the merge, naming the rank and the array.
+TEST(RtDump, MergeRejectsCountsTheOwnerMapDisagreesWith) {
+  JacobiFiles J;
+  const spmd::SpmdProgram &SP = J.Compiled->Program;
+  rt::MergedRun M;
+  std::string Err;
+  ASSERT_TRUE(rt::mergeRankDumps(SP, J.RC, parseAll(J.Files), M, Err)) << Err;
+
+  std::vector<rt::RankDump> Short = parseAll(J.Files);
+  Short[2].Owned["U"].pop_back();
+  EXPECT_FALSE(rt::mergeRankDumps(SP, J.RC, Short, M, Err));
+  EXPECT_NE(Err.find("rank 2 dumped 63 values of array 'U' but owns 64"),
+            std::string::npos)
+      << Err;
+
+  std::vector<rt::RankDump> Long = parseAll(J.Files);
+  Long[1].Owned["V"].push_back(0.0);
+  EXPECT_FALSE(rt::mergeRankDumps(SP, J.RC, Long, M, Err));
+  EXPECT_NE(Err.find("rank 1 dumped 65 values of array 'V' but owns 64"),
+            std::string::npos)
+      << Err;
 }
 
 /// Per-rank trace buffers wired through TransportComm: the comm emits one

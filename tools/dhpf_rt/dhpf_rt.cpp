@@ -9,15 +9,16 @@
 /// resolves the identical session every other rank resolves, joins the
 /// Unix-socket mesh, executes its own rank's node program on the plan
 /// executor (bytecode or native, over rt::TransportComm), and writes its
-/// result dump (hex-bit doubles) for the launcher to merge.
+/// binary result file (rt/RankResult.h) for the launcher to merge.
 ///
 ///   dhpf_rt <prog.spmd> --rank=R --mesh <dir> --result=<file>
 ///           [--procs=a,b,...] [--param=k=v]... [--no-validity]
 ///
 /// Exit 0 on success (even with validity violations — those travel in the
-/// dump for the merged report), 1 on any transport/runtime failure, 2 on a
-/// usage error. Failures print a diagnostic naming this rank on stderr,
-/// which the launcher forwards.
+/// dump for the merged report), 1 on any transport/runtime failure
+/// (including arrays too large to allocate), 2 on a usage error, which
+/// names the offending token. Failures print a diagnostic naming this
+/// rank on stderr, which the launcher forwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +34,6 @@
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -50,7 +49,7 @@ struct RtOptions {
   std::string MeshDir;
   std::string HostsPath; ///< TCP rank spec; empty = Unix-socket mesh
   std::string ResultPath;
-  long Rank = -1;
+  int64_t Rank = -1;
   rt::SessionOptions Session;
 };
 
@@ -75,12 +74,14 @@ bool takeValue(const std::string &Arg, const std::string &Name, int Argc,
   return false;
 }
 
+/// Returns false on a usage error, after naming the offending token.
 bool parseArgs(int Argc, char **Argv, RtOptions &O) {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    std::string V;
+    std::string V, Err;
     if (takeValue(Arg, "--rank", Argc, Argv, I, V)) {
-      O.Rank = std::strtol(V.c_str(), nullptr, 10);
+      if (!rt::parseIntArg(V, 0, O.Rank))
+        Err = "invalid --rank '" + V + "'";
     } else if (takeValue(Arg, "--mesh", Argc, Argv, I, V)) {
       O.MeshDir = V;
     } else if (takeValue(Arg, "--hosts", Argc, Argv, I, V)) {
@@ -88,22 +89,18 @@ bool parseArgs(int Argc, char **Argv, RtOptions &O) {
     } else if (takeValue(Arg, "--result", Argc, Argv, I, V)) {
       O.ResultPath = V;
     } else if (takeValue(Arg, "--procs", Argc, Argv, I, V)) {
-      std::istringstream SS(V);
-      std::string Tok;
-      while (std::getline(SS, Tok, ','))
-        O.Session.ProcShape.push_back(
-            std::strtoll(Tok.c_str(), nullptr, 10));
+      rt::parseProcsArg(V, O.Session.ProcShape, Err);
     } else if (takeValue(Arg, "--param", Argc, Argv, I, V)) {
-      size_t Eq = V.find('=');
-      if (Eq == std::string::npos)
-        return false;
-      O.Session.Params[V.substr(0, Eq)] =
-          std::strtoll(V.c_str() + Eq + 1, nullptr, 10);
+      rt::parseParamArg(V, O.Session.Params, Err);
     } else if (Arg == "--no-validity") {
       O.Session.CheckValidity = false;
     } else if (!Arg.empty() && Arg[0] != '-' && O.SpmdPath.empty()) {
       O.SpmdPath = Arg;
     } else {
+      Err = "unexpected argument '" + Arg + "'";
+    }
+    if (!Err.empty()) {
+      std::cerr << "dhpf_rt: " << Err << "\n";
       return false;
     }
   }
@@ -160,11 +157,13 @@ int main(int Argc, char **Argv) {
 
   try {
     spmd::ProgramLayout L = spmd::resolveLayout(*SP, S->Config);
-    if (static_cast<unsigned long>(O.Rank) >= L.NumProcs) {
+    if (static_cast<uint64_t>(O.Rank) >= L.NumProcs) {
       std::cerr << "dhpf_rt: rank " << O.Rank << " out of range for "
                 << L.NumProcs << " processors\n";
       return 1;
     }
+    // Refuse arrays that cannot be allocated before joining the mesh.
+    spmd::admitFootprint(*SP, L);
     std::unique_ptr<net::Transport> T;
     if (!O.HostsPath.empty()) {
       net::TcpOptions TcpOpts;

@@ -36,6 +36,7 @@
 #include "rt/Session.h"
 #include "spmd/Interp.h"
 #include "spmd/KernelCache.h"
+#include "spmd/Layout.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
@@ -232,18 +233,6 @@ std::vector<std::string> &extraTraceDocs() {
   return Docs;
 }
 
-bool parseInt(const std::string &S, int64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (errno != 0 || End != S.c_str() + S.size())
-    return false;
-  Out = V;
-  return true;
-}
-
 /// Parses everything after the subcommand. Returns false (after printing
 /// the offending option) on a usage error.
 bool parseArgs(int Argc, char **Argv, CliOptions &O) {
@@ -257,7 +246,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
   };
   for (int I = 2; I < Argc; ++I) {
     std::string A = Argv[I];
-    std::string V;
+    std::string V, Err;
     if (A == "-o" || A == "-p" || A == "-d") {
       if (I + 1 >= Argc) {
         std::cerr << "dhpfc: " << A << " requires a value\n";
@@ -268,7 +257,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
         O.Output = V;
       else if (A == "-d")
         O.ExportDir = V;
-      else if (!parseInt(V, O.NumProcs) || O.NumProcs < 1) {
+      else if (!rt::parseIntArg(V, 1, O.NumProcs)) {
         std::cerr << "dhpfc: invalid processor count '" << V << "'\n";
         return false;
       }
@@ -281,44 +270,28 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Server = V;
     } else if (Value(A, "--threads=", V)) {
       int64_t N;
-      if (!parseInt(V, N) || N < 0) {
+      if (!rt::parseIntArg(V, 0, N)) {
         std::cerr << "dhpfc: invalid thread count '" << V << "'\n";
         return false;
       }
       O.Threads = static_cast<unsigned>(N);
     } else if (Value(A, "--procs=", V)) {
-      std::stringstream SS(V);
-      std::string Tok;
-      O.ProcShape.clear();
-      while (std::getline(SS, Tok, ',')) {
-        int64_t E;
-        if (!parseInt(Tok, E) || E < 1) {
-          std::cerr << "dhpfc: invalid --procs extent '" << Tok << "'\n";
-          return false;
-        }
-        O.ProcShape.push_back(E);
-      }
-      if (O.ProcShape.empty()) {
-        std::cerr << "dhpfc: empty --procs list\n";
+      if (!rt::parseProcsArg(V, O.ProcShape, Err)) {
+        std::cerr << "dhpfc: " << Err << "\n";
         return false;
       }
     } else if (Value(A, "--param=", V)) {
-      size_t Eq = V.find('=');
-      int64_t Val;
-      if (Eq == std::string::npos || Eq == 0 ||
-          !parseInt(V.substr(Eq + 1), Val)) {
-        std::cerr << "dhpfc: --param expects name=value, got '" << V
-                  << "'\n";
+      if (!rt::parseParamArg(V, O.Params, Err)) {
+        std::cerr << "dhpfc: " << Err << "\n";
         return false;
       }
-      O.Params[V.substr(0, Eq)] = Val;
     } else if (Value(A, "--rt-bin=", V)) {
       O.RtBin = V;
     } else if (Value(A, "--hosts=", V)) {
       O.Hosts = V;
     } else if (Value(A, "--timeout-ms=", V)) {
       int64_t N;
-      if (!parseInt(V, N) || N < 1) {
+      if (!rt::parseIntArg(V, 1, N)) {
         std::cerr << "dhpfc: invalid --timeout-ms '" << V << "'\n";
         return false;
       }
@@ -1027,7 +1000,13 @@ int main(int Argc, char **Argv) {
     obs::TraceBuffer::global().setLane(0, "driver");
     obs::TraceBuffer::global().start();
   }
-  int Rc = dispatch(Cmd, O, Argv[0]);
+  int Rc;
+  try {
+    Rc = dispatch(Cmd, O, Argv[0]);
+  } catch (const spmd::FootprintError &E) {
+    std::cerr << "dhpfc: " << E.what() << "\n";
+    Rc = 1;
+  }
   writeObsReports(O);
   return Rc;
 }
