@@ -5,9 +5,11 @@
 // Measures the wall-clock time of executing the compiled Figure 7 codes
 // under the tree-walking interpreter, the bytecode engine (ExecPlan.h),
 // and the native engine (NativeGen.h: plans compiled to C kernels and
-// dlopen'd through the fingerprint-keyed kernel cache). All engines
-// produce bit-identical results (tests/spmd_exec_diff_test.cpp); this
-// benchmark reports the price of interpretation.
+// dlopen'd through the fingerprint-keyed kernel cache), the two plan
+// engines on one execution thread and on all hardware threads — the
+// configuration `dhpfc run` and `dist-fig7` use. All engines produce
+// bit-identical results (tests/spmd_exec_diff_test.cpp); this benchmark
+// reports the price of interpretation and what the threads buy.
 //
 //   bench_spmd_exec [--quick] [--check] [--out=FILE] [--ref=FILE]
 //
@@ -55,6 +57,7 @@ struct Measurement {
   double ByteSeqSecs = 0; ///< bytecode, 1 execution thread
   double ByteParSecs = 0; ///< bytecode, hardware threads
   double NativeSecs = 0;  ///< compiled kernels, 1 thread; 0 = no compiler
+  double NativeParSecs = 0; ///< compiled kernels, hardware threads
   uint64_t StmtInstances = 0;
   uint64_t Messages = 0;
   uint64_t Bytes = 0;
@@ -121,8 +124,10 @@ Measurement benchApp(AppInstance App, const std::vector<int64_t> &Procs) {
   M.TreeSecs = Best(EngineKind::Tree, 1);
   M.ByteSeqSecs = Best(EngineKind::Bytecode, 1);
   M.ByteParSecs = Best(EngineKind::Bytecode, 0); // auto: hardware threads
-  if (native::KernelCache::global().compilerAvailable())
+  if (native::KernelCache::global().compilerAvailable()) {
     M.NativeSecs = Best(EngineKind::Native, 1);
+    M.NativeParSecs = Best(EngineKind::Native, 0);
+  }
   return M;
 }
 
@@ -147,12 +152,15 @@ void writeJson(const char *Path, const std::vector<Measurement> &Ms) {
     std::fprintf(F, "      \"bytecode_seq_s\": %.6f,\n", M.ByteSeqSecs);
     std::fprintf(F, "      \"bytecode_par_s\": %.6f,\n", M.ByteParSecs);
     std::fprintf(F, "      \"native_s\": %.6f,\n", M.NativeSecs);
+    std::fprintf(F, "      \"native_par_s\": %.6f,\n", M.NativeParSecs);
     std::fprintf(F, "      \"speedup_seq\": %.3f,\n",
                  M.ByteSeqSecs > 0 ? M.TreeSecs / M.ByteSeqSecs : 0.0);
     std::fprintf(F, "      \"speedup_par\": %.3f,\n",
                  M.ByteParSecs > 0 ? M.TreeSecs / M.ByteParSecs : 0.0);
     std::fprintf(F, "      \"speedup_native\": %.3f,\n",
                  M.NativeSecs > 0 ? M.TreeSecs / M.NativeSecs : 0.0);
+    std::fprintf(F, "      \"speedup_native_par\": %.3f,\n",
+                 M.NativeParSecs > 0 ? M.TreeSecs / M.NativeParSecs : 0.0);
     std::fprintf(F, "      \"stmt_instances\": %llu,\n",
                  static_cast<unsigned long long>(M.StmtInstances));
     std::fprintf(F, "      \"messages\": %llu,\n",
@@ -240,17 +248,19 @@ int main(int argc, char **argv) {
     Ms.push_back(benchApp(makeGauss(96), {2, 2}));
   }
 
-  std::printf("  %-14s | %10s | %12s | %12s | %10s | %7s | %7s | %7s\n",
+  std::printf("  %-14s | %10s | %12s | %12s | %10s | %11s | %7s | %7s | "
+              "%7s | %9s\n",
               "app", "tree", "bytecode(1t)", "bytecode(par)", "native",
-              "x (1t)", "x (par)", "x (nat)");
+              "native(par)", "x (1t)", "x (par)", "x (nat)", "x (natpar)");
   bool Ok = true;
   for (const Measurement &M : Ms) {
-    std::printf("  %-14s | %9.3fs | %11.3fs | %12.3fs | %9.3fs | %6.2fx "
-                "| %6.2fx | %6.2fx\n",
+    std::printf("  %-14s | %9.3fs | %11.3fs | %12.3fs | %9.3fs | %10.3fs | "
+                "%6.2fx | %6.2fx | %6.2fx | %8.2fx\n",
                 M.Name.c_str(), M.TreeSecs, M.ByteSeqSecs, M.ByteParSecs,
-                M.NativeSecs, M.TreeSecs / M.ByteSeqSecs,
+                M.NativeSecs, M.NativeParSecs, M.TreeSecs / M.ByteSeqSecs,
                 M.TreeSecs / M.ByteParSecs,
-                M.NativeSecs > 0 ? M.TreeSecs / M.NativeSecs : 0.0);
+                M.NativeSecs > 0 ? M.TreeSecs / M.NativeSecs : 0.0,
+                M.NativeParSecs > 0 ? M.TreeSecs / M.NativeParSecs : 0.0);
     if (!M.Valid)
       Ok = false;
     if (!Check)

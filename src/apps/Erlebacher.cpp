@@ -109,18 +109,18 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
   };
 
   App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(0, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &) {
       return 0.5 * (Rd[1] - Rd[0]) + 0.5 * (Rd[3] - Rd[2]);
     });
-    I.setSemantics(1, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &Acc) {
+    I.setSemantics(1, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &Acc) {
       double V = Rd[0] + 0.5 * (Rd[2] - Rd[1]);
       Acc["dsum"] += V;
       return V;
     });
-    I.setSemantics(2, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(2, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &) {
       return Rd[0] - CPipe * Rd[1];
     });
     I.initArray("F", Init);

@@ -61,8 +61,8 @@ AppInstance apps::makeGauss(int64_t N) {
   };
 
   App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(0, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &) {
       return Rd[0] - Rd[1] * Rd[2];
     });
     I.initArray("A", Init);

@@ -79,14 +79,14 @@ AppInstance apps::makeJacobi(int64_t N, int64_t Steps) {
   };
 
   App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &Acc) {
+    I.setSemantics(0, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &Acc) {
       double V = 0.25 * (Rd[0] + Rd[1] + Rd[2] + Rd[3]);
       Acc["resid"] = std::max(Acc["resid"], std::abs(V - Rd[4]));
       return V;
     });
-    I.setSemantics(1, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(1, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &) {
       return Rd[0];
     });
     I.initArray("U", Init);

@@ -149,8 +149,8 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
   }
 
   App.Setup = [](spmd::Interpreter &I) {
-    auto Avg = [](const std::vector<double> &Rd,
-                  const std::vector<int64_t> &, AccumMap &) {
+    auto Avg = [](std::span<const double> Rd,
+                  std::span<const int64_t>, AccumMap &) {
       double S = 0;
       for (double V : Rd)
         S += V;

@@ -105,15 +105,15 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
   };
 
   App.Setup = [InitX, InitY](spmd::Interpreter &I) {
-    I.setSemantics(0, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &Acc) {
+    I.setSemantics(0, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &Acc) {
       double R = Rd[0] + Rd[1] + Rd[2] + Rd[3] - 4.0 * Rd[4];
       Acc["rxm"] = std::max(Acc["rxm"], std::abs(R));
       Acc["rym"] = Acc["rxm"];
       return R;
     });
-    I.setSemantics(1, [](const std::vector<double> &Rd,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(1, [](std::span<const double> Rd,
+                         std::span<const int64_t>, AccumMap &) {
       return Rd[0] + Omega * Rd[1];
     });
     I.initArray("X", InitX);

@@ -29,8 +29,8 @@ void genericSetup(spmd::Interpreter &I, const spmd::SpmdProgram &SP) {
     if (S.SemanticsId >= 0)
       Sems.insert(S.SemanticsId);
   for (int Id : Sems)
-    I.setSemantics(Id, [](const std::vector<double> &Reads,
-                          const std::vector<int64_t> &, spmd::AccumMap &) {
+    I.setSemantics(Id, [](std::span<const double> Reads,
+                          std::span<const int64_t>, spmd::AccumMap &) {
       double V = 1.0;
       for (double R : Reads)
         V += 0.25 * R;

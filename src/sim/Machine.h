@@ -21,6 +21,8 @@
 #ifndef DHPF_SIM_MACHINE_H
 #define DHPF_SIM_MACHINE_H
 
+#include "support/CacheLine.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -44,25 +46,27 @@ struct MachineParams {
   double PackPerByte = 4e-9;   ///< buffer copy cost per byte (pack/unpack)
 };
 
-/// Per-processor clocks plus an in-flight message store.
+/// Per-processor clocks plus an in-flight message store. Each clock sits on
+/// its own cache line: in-process ranks on different threads bump their
+/// clocks once per statement instance.
 class Machine {
 public:
   Machine(unsigned NumProcs, MachineParams P = {})
-      : Params(P), Clocks(NumProcs, 0.0) {}
+      : Params(P), Clocks(NumProcs) {}
 
   unsigned numProcs() const { return Clocks.size(); }
   const MachineParams &params() const { return Params; }
 
-  double clock(unsigned P) const { return Clocks[P]; }
+  double clock(unsigned P) const { return Clocks[P].T; }
   void addCompute(unsigned P, double WorkUnits) {
-    Clocks[P] += WorkUnits * Params.SecPerWork;
+    Clocks[P].T += WorkUnits * Params.SecPerWork;
   }
   /// Direct clock storage for \p P. The native SPMD engine hands this to
   /// its compiled kernels, which replicate addCompute's exact arithmetic
   /// (one precomputed WorkUnits * SecPerWork product added per statement)
   /// so simulated times stay bit-identical across engines.
-  double &clockRef(unsigned P) { return Clocks[P]; }
-  void addSeconds(unsigned P, double S) { Clocks[P] += S; }
+  double &clockRef(unsigned P) { return Clocks[P].T; }
+  void addSeconds(unsigned P, double S) { Clocks[P].T += S; }
 
   /// Posts a message of \p Bytes from \p Src to \p Dst under \p Tag.
   /// The sender pays the injection overhead; the payload becomes available
@@ -70,9 +74,10 @@ public:
   /// explicit copy into a send buffer (0 when sent in place).
   void send(unsigned Src, unsigned Dst, uint64_t Tag, uint64_t Bytes,
             uint64_t PackBytes) {
-    Clocks[Src] += PackBytes * Params.PackPerByte;
-    Clocks[Src] += Params.SendOverhead;
-    double Avail = Clocks[Src] + Params.Alpha + Bytes * Params.BetaPerByte;
+    double &T = Clocks[Src].T;
+    T += PackBytes * Params.PackPerByte;
+    T += Params.SendOverhead;
+    double Avail = T + Params.Alpha + Bytes * Params.BetaPerByte;
     InFlight[key(Src, Dst, Tag)].push(Avail);
     TotalMessages++;
     TotalBytes += Bytes;
@@ -88,24 +93,30 @@ public:
     It->second.pop();
     if (It->second.empty())
       InFlight.erase(It);
-    Clocks[Dst] = std::max(Clocks[Dst], Avail);
-    Clocks[Dst] += UnpackBytes * Params.PackPerByte;
+    double &T = Clocks[Dst].T;
+    T = std::max(T, Avail);
+    T += UnpackBytes * Params.PackPerByte;
   }
 
   /// An all-reduce over all processors: synchronizes clocks and charges a
   /// combining-tree cost of 2*ceil(log2 P) message steps.
   void allReduce(uint64_t Bytes) {
-    double T = *std::max_element(Clocks.begin(), Clocks.end());
+    double T = elapsed();
     unsigned P = numProcs();
     double Steps = P > 1 ? 2.0 * std::ceil(std::log2(double(P))) : 0.0;
     T += Steps * (Params.Alpha + Bytes * Params.BetaPerByte);
-    std::fill(Clocks.begin(), Clocks.end(), T);
+    for (Clock &C : Clocks)
+      C.T = T;
     TotalMessages += P > 1 ? P : 0;
   }
 
   /// Simulated parallel completion time.
   double elapsed() const {
-    return *std::max_element(Clocks.begin(), Clocks.end());
+    return std::max_element(Clocks.begin(), Clocks.end(),
+                            [](const Clock &A, const Clock &B) {
+                              return A.T < B.T;
+                            })
+        ->T;
   }
 
   /// True if every posted message was received.
@@ -119,8 +130,13 @@ private:
     return (uint64_t(Src) << 48) | (uint64_t(Dst) << 32) | (Tag & 0xffffffff);
   }
 
+  struct alignas(CacheLine) Clock {
+    double T = 0.0;
+  };
+  static_assert(sizeof(Clock) == CacheLine, "one clock per cache line");
+
   MachineParams Params;
-  std::vector<double> Clocks;
+  std::vector<Clock> Clocks;
   std::map<uint64_t, std::queue<double>> InFlight;
   uint64_t TotalMessages = 0;
   uint64_t TotalBytes = 0;

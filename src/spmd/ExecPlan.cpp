@@ -422,9 +422,15 @@ PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
     ArrayIds = std::move(B.ArrayIds);
     Stores = std::move(B.Stores);
   }
+  size_t MaxReads = 1;
+  for (const StmtPlan &SP : Plan.Stmts)
+    MaxReads = std::max(MaxReads, SP.Reads.size());
   PerProc.resize(NP);
-  for (Scratch &S : PerProc) {
+  for (unsigned P = 0; P != NP; ++P) {
+    Scratch &S = PerProc[P];
+    S.Regs.assign(I.Env[P].begin(), I.Env[P].end());
     S.Stack.assign(Plan.StackDepth + 1, 0);
+    S.Reads.assign(MaxReads, 0.0);
     S.PartnerPos.assign(NP, -1);
   }
   SendCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
@@ -445,10 +451,10 @@ PlanExecutor::~PlanExecutor() = default;
 // Native engine state
 //===----------------------------------------------------------------------===//
 
-/// The per-executor native state: the loaded kernel table, stable array
-/// tables, and one DhpfCtx per processor rank. Kernels call back into the
-/// executor through the static trampolines below; Ctx keeps the C context
-/// as its first member so a DhpfCtx* converts back to the full record.
+/// The per-executor native state: the loaded kernel table and stable array
+/// tables. Each rank's DhpfCtx lives in its Scratch record; kernels call
+/// back into the executor through the static trampolines below, which find
+/// it in DhpfCtx::Host and the rank in DhpfCtx::Me.
 struct PlanExecutor::NativeState {
   const native::Kernel *Kern = nullptr;
   const DhpfKernelTable *T = nullptr;
@@ -463,33 +469,25 @@ struct PlanExecutor::NativeState {
   /// arithmetic, so simulated clocks stay bit-identical.
   std::vector<double> LeafCostSec;
 
-  struct Ctx {
-    DhpfCtx C = {}; // must stay first (standard-layout cast target)
-    PlanExecutor *PE = nullptr;
-    unsigned P = 0;
-  };
-  std::vector<Ctx> Procs;
-  std::vector<std::vector<double>> ReadBufs; // per proc, MaxReads wide
-
-  static Ctx *of(DhpfCtx *C) { return reinterpret_cast<Ctx *>(C); }
+  static PlanExecutor &host(DhpfCtx *C) {
+    return *static_cast<PlanExecutor *>(C->Host);
+  }
+  static unsigned rank(DhpfCtx *C) { return static_cast<unsigned>(C->Me); }
 
   static double readSlow(DhpfCtx *C, int32_t A, int64_t F) {
-    Ctx *X = of(C);
-    return X->PE->readFast(X->P, static_cast<uint32_t>(A), F,
-                           X->PE->PerProc[X->P]);
+    PlanExecutor &PE = host(C);
+    return PE.readFast(rank(C), static_cast<uint32_t>(A), F,
+                       PE.PerProc[rank(C)]);
   }
   static void writeSlow(DhpfCtx *C, int32_t A, int64_t F, double V) {
-    Ctx *X = of(C);
-    X->PE->writeFast(X->P, static_cast<uint32_t>(A), F, V);
+    host(C).writeFast(rank(C), static_cast<uint32_t>(A), F, V);
   }
   static double stmt(DhpfCtx *C, int32_t Leaf, int32_t N) {
-    Ctx *X = of(C);
-    return X->PE->nativeStmt(X->P, Leaf, N, C->Reads);
+    return host(C).runStmt(rank(C), Leaf, static_cast<size_t>(N));
   }
-  static void progress(DhpfCtx *C) { of(C)->PE->Com.progress(); }
+  static void progress(DhpfCtx *C) { host(C).Com.progress(); }
   static void growPairs(DhpfCtx *C) {
-    Ctx *X = of(C);
-    Scratch &S = X->PE->PerProc[X->P];
+    Scratch &S = host(C).PerProc[rank(C)];
     size_t Cap = S.RawQ.empty() ? 256 : S.RawQ.size() * 2;
     S.RawQ.resize(Cap);
     S.RawF.resize(Cap);
@@ -499,13 +497,11 @@ struct PlanExecutor::NativeState {
   }
 };
 
-double PlanExecutor::nativeStmt(unsigned P, int32_t Leaf, int32_t N,
-                                const double *Reads) {
+double PlanExecutor::runStmt(unsigned P, int32_t Leaf, size_t N) {
   Scratch &S = PerProc[P];
-  S.Reads.assign(Reads, Reads + N);
   const StmtFn *Fn = Sems[Leaf];
   assert(Fn && "statement without semantics");
-  return (*Fn)(S.Reads, I.Env[P], I.Accums[P]);
+  return (*Fn)({S.Reads.data(), N}, S.Regs, I.Accums[P]);
 }
 
 void PlanExecutor::setupNative() {
@@ -536,24 +532,20 @@ void PlanExecutor::setupNative() {
   const double SPW = I.Config.Machine.SecPerWork;
   for (const StmtPlan &SP : Plan.Stmts)
     NS->LeafCostSec.push_back(SP.Cost * SPW);
-  NS->ReadBufs.assign(
-      NP, std::vector<double>(Src.MaxReads ? Src.MaxReads : 1, 0.0));
-  NS->Procs.resize(NP);
   for (unsigned P = 0; P != NP; ++P) {
-    NativeState::Ctx &X = NS->Procs[P];
-    X.PE = this;
-    X.P = P;
-    DhpfCtx &C = X.C;
-    C.Host = &X;
+    Scratch &S = PerProc[P];
+    assert(S.Reads.size() >= Src.MaxReads && "read buffer too narrow");
+    DhpfCtx &C = S.Ctx;
+    C.Host = this;
     C.Me = static_cast<int32_t>(P);
     C.NumArrays = static_cast<int32_t>(Stores.size());
     C.Data = NS->Data.data();
     C.Owner = NS->Owner.data();
     C.Size = NS->Size.data();
-    C.Reads = NS->ReadBufs[P].data();
+    C.Reads = S.Reads.data();
     C.LeafCostSec = NS->LeafCostSec.data();
     C.Clock = &I.Mach.clockRef(P);
-    C.Stmts = &PerProc[P].Stmts;
+    C.Stmts = &S.Stmts;
     C.ProgressCtr = 0;
     C.ProgressEvery = ProgressEvery;
     C.ReadSlow = &NativeState::readSlow;
@@ -702,26 +694,25 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
     // Native enumeration: the kernel folds the realVP check and rank
     // mapping to constants and fills RawQ/RawF through the pair buffer.
     size_t EIdx = static_cast<size_t>(&EP - Plan.Events.data());
-    NativeState::Ctx &X = Native->Procs[P];
     if (S.RawQ.empty()) {
       S.RawQ.resize(256);
       S.RawF.resize(256);
     }
-    X.C.PairQ = S.RawQ.data();
-    X.C.PairF = S.RawF.data();
-    X.C.NumPairs = 0;
-    X.C.CapPairs = S.RawQ.size();
+    S.Ctx.PairQ = S.RawQ.data();
+    S.Ctx.PairF = S.RawF.data();
+    S.Ctx.NumPairs = 0;
+    S.Ctx.CapPairs = S.RawQ.size();
     DhpfEnumFn Fn =
         RecvSide ? Native->T->EventRecv[EIdx] : Native->T->EventSend[EIdx];
-    Fn(&X.C, I.Env[P].data());
-    S.RawLen = X.C.NumPairs;
+    Fn(&S.Ctx, S.Regs.data());
+    S.RawLen = S.Ctx.NumPairs;
   } else {
     S.RawQ.clear();
     S.RawF.clear();
     const unsigned ND = static_cast<unsigned>(EP.PartnerSlots.size());
     std::vector<int64_t> PT(ND);
     int64_t *Stack = S.Stack.data();
-    walkAll(A, I.Env[P].data(), Stack,
+    walkAll(A, S.Regs.data(), Stack,
             [&](int32_t, const int64_t *Regs) {
               for (unsigned D = 0; D != ND; ++D)
                 PT[D] = Regs[EP.PartnerSlots[D]];
@@ -946,23 +937,23 @@ void PlanExecutor::runCompute(const PlanNode &N) {
     // pumps; slow paths (non-local elements) come back through the
     // trampolines.
     const DhpfComputeFn Fn = Native->T->Compute[N.NativeComputeId];
-    forProcs(N.ParallelSafe,
-             [&](unsigned P) { Fn(&Native->Procs[P].C, I.Env[P].data()); });
+    forProcs(N.ParallelSafe, [&](unsigned P) {
+      Scratch &S = PerProc[P];
+      Fn(&S.Ctx, S.Regs.data());
+    });
     mergeScratch();
     return;
   }
   forProcs(N.ParallelSafe, [&](unsigned P) {
     Scratch &S = PerProc[P];
-    int64_t *Regs = I.Env[P].data();
+    int64_t *Regs = S.Regs.data();
     int64_t *Stack = S.Stack.data();
     walkAll(N.Loops, Regs, Stack, [&](int32_t Leaf, const int64_t *R) {
       const StmtPlan &SP = Plan.Stmts[Leaf];
-      S.Reads.clear();
-      for (const StmtPlan::Read &Rd : SP.Reads)
-        S.Reads.push_back(readFast(P, Rd.Array, Rd.Flat.eval(R, Stack), S));
-      const StmtFn *Fn = Sems[Leaf];
-      assert(Fn && "statement without semantics");
-      double V = (*Fn)(S.Reads, I.Env[P], I.Accums[P]);
+      for (size_t K = 0; K != SP.Reads.size(); ++K)
+        S.Reads[K] = readFast(P, SP.Reads[K].Array,
+                              SP.Reads[K].Flat.eval(R, Stack), S);
+      double V = runStmt(P, Leaf, SP.Reads.size());
       writeFast(P, SP.WriteArray, SP.WriteFlat.eval(R, Stack), V);
       I.Mach.addCompute(P, SP.Cost);
       ++S.Stmts;
@@ -993,12 +984,12 @@ void PlanExecutor::runNode(const PlanNode &N) {
       runNode(C);
     break;
   case SpmdNode::Kind::TimeLoop: {
-    int64_t *Stack = PerProc[Lo].Stack.data();
-    int64_t First = N.SeqLo.eval(I.Env[Lo].data(), Stack);
-    int64_t Last = N.SeqHi.eval(I.Env[Lo].data(), Stack);
+    Scratch &L = PerProc[Lo];
+    int64_t First = N.SeqLo.eval(L.Regs.data(), L.Stack.data());
+    int64_t Last = N.SeqHi.eval(L.Regs.data(), L.Stack.data());
     for (int64_t V = First; V <= Last; ++V) {
       for (unsigned P = Lo; P != Hi; ++P)
-        I.Env[P][N.SeqSlot] = V;
+        PerProc[P].Regs[N.SeqSlot] = V;
       for (const PlanNode &C : N.Children)
         runNode(C);
     }

@@ -43,7 +43,9 @@
 #include "spmd/Bytecode.h"
 #include "spmd/Comm.h"
 #include "spmd/Interp.h"
+#include "spmd/KernelABI.h"
 #include "spmd/SpmdProgram.h"
+#include "support/CacheLine.h"
 #include "support/ThreadPool.h"
 
 #include <map>
@@ -184,6 +186,8 @@ PlanBuild buildExecPlan(const SpmdProgram &Prog, const PlanBuildInputs &In);
 /// process. Built by the Interpreter constructor whenever the tree engine
 /// is not selected.
 class PlanExecutor {
+  friend struct RankLayoutProbe; // tests/exec_layout_test.cpp
+
 public:
   /// \p Engine must be Bytecode or Native. Native compiles the plan's hot
   /// loops through the kernel cache at construction time and falls back to
@@ -209,11 +213,22 @@ private:
     std::vector<PartnerList> Partners;
   };
 
-  /// Per-processor scratch, reused across events (parallel phases write
-  /// only their own entry).
-  struct Scratch {
-    std::vector<int64_t> Stack;
-    std::vector<double> Reads;
+  /// Everything one rank writes while it runs, reused across nodes.
+  /// Parallel phases write only their own rank's record. The record and
+  /// the blocks a compute nest writes on every statement instance (loop
+  /// registers, bytecode stack, read buffer) own their cache lines, so
+  /// ranks on different threads never write the same line (DESIGN.md §7).
+  struct alignas(CacheLine) Scratch {
+    /// Loop registers: the rank's variable environment, seeded from
+    /// Interpreter::Env and written on every loop iteration.
+    LineVector<int64_t> Regs;
+    LineVector<int64_t> Stack;
+    /// The statement read buffer, as wide as the widest statement. Compute
+    /// fills it (native kernels through Ctx.Reads) and hands it to the
+    /// statement semantics as a span.
+    LineVector<double> Reads;
+    /// The native kernels' view of this rank (unused under bytecode).
+    DhpfCtx Ctx = {};
     /// Raw (partner, flat) enumeration, split into parallel arrays so the
     /// native event kernels can fill them directly through the DhpfCtx
     /// pair buffer. In native mode the vectors are capacity storage and
@@ -229,6 +244,9 @@ private:
     uint64_t Stmts = 0;
     uint64_t SinceProgress = 0; ///< statement instances since progress()
   };
+  static_assert(alignof(Scratch) == CacheLine &&
+                    sizeof(Scratch) % CacheLine == 0,
+                "each rank's record owns whole cache lines");
 
   const SpmdProgram &Prog;
   Interpreter &I;
@@ -249,16 +267,15 @@ private:
   /// (the tree engine's string-keyed maps stay untouched).
   std::vector<std::vector<std::unordered_map<int64_t, double>>> OvV, PdV;
 
-  /// Native-engine state: the loaded kernel table plus one DhpfCtx per
-  /// processor rank (defined in ExecPlan.cpp; null when the engine is
-  /// bytecode or the native setup fell back).
+  /// Native-engine state: the loaded kernel table and the array tables
+  /// every rank's Scratch::Ctx points at (defined in ExecPlan.cpp; null
+  /// when the engine is bytecode or the native setup fell back).
   struct NativeState;
   std::unique_ptr<NativeState> Native;
   void setupNative();
-  /// Statement-semantics trampoline target for native kernels (member so
-  /// it retains the executor's friend access to the Interpreter).
-  double nativeStmt(unsigned P, int32_t Leaf, int32_t N,
-                    const double *Reads);
+  /// Runs statement \p Leaf's semantics on the first \p N values of rank
+  /// \p P's read buffer.
+  double runStmt(unsigned P, int32_t Leaf, size_t N);
 
   // Execution.
   void runNode(const PlanNode &N);

@@ -7,6 +7,7 @@
 #include "spmd/Interp.h"
 
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "spmd/Comm.h"
 #include "spmd/ExecPlan.h"
 #include "spmd/Layout.h"
@@ -31,7 +32,8 @@ namespace {
 class InProcessComm final : public Comm {
 public:
   explicit InProcessComm(sim::Machine &M)
-      : Comm(M.numProcs(), 0, M.numProcs(), nullptr), Mach(M) {}
+      : Comm(M.numProcs(), 0, M.numProcs(), &obs::TraceBuffer::global()),
+        Mach(M) {}
 
   void post(unsigned P, unsigned Q, const EventPlan &EP, const ArrayStore &A,
             Payload &&Pay) override {

@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -57,10 +58,11 @@ namespace spmd {
 using AccumMap = std::map<std::string, double>;
 
 /// Statement semantics: computes the value to store from the values read.
-/// \p Iter is the current loop-variable environment; \p Acc the executing
-/// processor's accumulators.
-using StmtFn = std::function<double(const std::vector<double> &Reads,
-                                    const std::vector<int64_t> &Env,
+/// \p Env is the current loop-variable environment; \p Acc the executing
+/// processor's accumulators. Under the plan executor both spans view the
+/// executing rank's own read buffer and loop registers, uncopied.
+using StmtFn = std::function<double(std::span<const double> Reads,
+                                    std::span<const int64_t> Env,
                                     AccumMap &Acc)>;
 
 /// Which execution engine runs the program.
@@ -79,9 +81,10 @@ struct RunConfig {
   /// Verify reads/receives against ownership and overlays (slower).
   bool CheckValidity = true;
   EngineKind Engine = EngineKind::Auto;
-  /// Worker threads for parallel rank execution (bytecode engine only):
-  /// 1 runs fully sequential, 0 selects the hardware concurrency. Results
-  /// are identical for any value.
+  /// Worker threads the plan executor (bytecode and native engines) runs
+  /// in-process ranks on: 1 runs fully sequential, 0 selects the hardware
+  /// concurrency. The tree engine is always sequential. Results are
+  /// identical for any value.
   unsigned ExecThreads = 0;
 };
 
@@ -201,6 +204,7 @@ public:
 
 private:
   friend class PlanExecutor;
+  friend struct RankLayoutProbe; // tests/exec_layout_test.cpp
 
   Interpreter(const SpmdProgram &Prog, RunConfig Config, Comm *C);
 
@@ -216,7 +220,9 @@ private:
   std::map<int, StmtFn> Semantics;
 
   // Per-processor state.
-  std::vector<std::vector<int64_t>> Env;        // variable environments
+  /// Variable environments. The tree engine walks these; the plan executor
+  /// starts its per-rank loop registers from them (ExecPlan.h).
+  std::vector<std::vector<int64_t>> Env;
   std::vector<AccumMap> Accums;
   // Received non-local values: per proc, per array, flat index -> value.
   std::vector<std::map<std::string, std::unordered_map<int64_t, double>>>

@@ -147,8 +147,8 @@ void runCyclicK(bool Symbolic, int64_t K,
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](const std::vector<double> &R,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(0, [](std::span<const double> R,
+                         std::span<const int64_t>, AccumMap &) {
       return R[0] * 10.0 + R[1];
     });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {

@@ -57,8 +57,8 @@ void runStencil(const Program &P, CompilerOptions Opts,
   RunConfig RC;
   RC.ProcExtents = Procs;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return R[0] + R[1];
   });
   I.initArray("B", [](const std::vector<int64_t> &Idx) {
@@ -102,8 +102,8 @@ TEST(EndToEnd, Stencil1DSymbolicProcs) {
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](const std::vector<double> &R,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(0, [](std::span<const double> R,
+                         std::span<const int64_t>, AccumMap &) {
       return R[0] + R[1];
     });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {
@@ -147,8 +147,8 @@ TEST(EndToEnd, Stencil1DCyclicSymbolic) {
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](const std::vector<double> &R,
-                         const std::vector<int64_t> &, AccumMap &) {
+    I.setSemantics(0, [](std::span<const double> R,
+                         std::span<const int64_t>, AccumMap &) {
       return R[0] + R[1];
     });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {
@@ -192,8 +192,8 @@ TEST(EndToEnd, Jacobi2DBlockBlock) {
   EXPECT_GT(Compiled->NumCommEvents, 0u);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return 0.25 * (R[0] + R[1] + R[2] + R[3]);
   });
   auto Init = [](const std::vector<int64_t> &Idx) {
@@ -258,14 +258,14 @@ TEST(EndToEnd, TimeLoopWithReduction) {
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &Rd,
-                       const std::vector<int64_t> &, AccumMap &Acc) {
+  I.setSemantics(0, [](std::span<const double> Rd,
+                       std::span<const int64_t>, AccumMap &Acc) {
     double NewV = (Rd[0] + Rd[1] + Rd[2]) / 3.0;
     Acc["diff"] = std::max(Acc["diff"], std::abs(NewV - Rd[2]));
     return NewV;
   });
-  I.setSemantics(1, [](const std::vector<double> &Rd,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(1, [](std::span<const double> Rd,
+                       std::span<const int64_t>, AccumMap &) {
     return Rd[0];
   });
   I.initArray("U", [](const std::vector<int64_t> &Idx) {
@@ -317,8 +317,8 @@ TEST(EndToEnd, NonOwnerComputesWriteComm) {
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return 2.0 * R[0];
   });
   I.initArray("B",
@@ -360,8 +360,8 @@ TEST(EndToEnd, PipelinedPlacement) {
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return R[0] + R[1];
   });
   I.initArray("A", [](const std::vector<int64_t> &Idx) {

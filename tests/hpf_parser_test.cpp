@@ -112,14 +112,14 @@ TEST(HpfParser, ParsedProgramCompilesAndRuns) {
   RunConfig RC;
   RC.ProcExtents = {{"PR", {2, 2}}};
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &Acc) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &Acc) {
     double V = 0.25 * (R[0] + R[1] + R[2] + R[3]);
     Acc["resid"] = std::max(Acc["resid"], V);
     return V;
   });
-  I.setSemantics(1, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(1, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return R[0];
   });
   auto Init = [](const std::vector<int64_t> &Idx) {

@@ -13,11 +13,15 @@
 // the diff then documents that an *attempt* to enable tracing changes
 // nothing, which is exactly the zero-overhead contract.
 //
+// A traced in-process run must also show the plan executor's own spans,
+// as every launched rank's trace does.
+//
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
 #include "core/Compiler.h"
 #include "obs/Trace.h"
+#include "spmd/KernelCache.h"
 
 #include <gtest/gtest.h>
 
@@ -149,5 +153,47 @@ TEST(ObsDiff, Jacobi) { diffApp(makeJacobiApp, {2, 2}); }
 TEST(ObsDiff, Tomcatv) { diffApp(makeTomcatvApp, {4}); }
 TEST(ObsDiff, Erlebacher) { diffApp(makeErlebacherApp, {4}); }
 TEST(ObsDiff, Gauss) { diffApp(makeGaussApp, {2, 2}); }
+
+// In-process runs hand the executor the global trace buffer, so a traced
+// `dhpfc run` (and the driver lane of `dhpfc launch`) shows rank:run, one
+// compute:<nest> span per compute node the executor dispatches, and
+// rank:finish.
+TEST(ObsDiff, InProcessRunRecordsExecutorSpans) {
+  if (!obs::compiledIn())
+    GTEST_SKIP() << "DHPF_OBS=OFF: nothing records";
+  AppInstance App = makeJacobi(12, 2);
+  auto Compiled = compileProgram(*App.Prog);
+  ASSERT_TRUE(Compiled);
+  std::vector<EngineKind> Engines = {EngineKind::Bytecode};
+  if (spmd::native::KernelCache::global().compilerAvailable())
+    Engines.push_back(EngineKind::Native);
+  obs::TraceBuffer &GB = obs::TraceBuffer::global();
+  obs::Counter *Dispatched = obs::MetricsRegistry::global().counter(
+      "spmd.bytecode.dispatch.compute");
+  for (EngineKind Engine : Engines) {
+    RunConfig RC;
+    RC.ProcExtents = {{App.ProcArrayName, {2, 2}}};
+    RC.Engine = Engine;
+    RC.ExecThreads = 4;
+    Interpreter I(Compiled->Program, RC);
+    App.Setup(I);
+    uint64_t Before = Dispatched->value();
+    GB.clear();
+    GB.start();
+    I.run();
+    GB.stop();
+    unsigned Run = 0, Compute = 0, Finish = 0;
+    for (const obs::TraceEvent &E : GB.snapshot()) {
+      Run += E.Name == "rank:run";
+      Compute += E.Name.rfind("compute:", 0) == 0;
+      Finish += E.Name == "rank:finish";
+    }
+    EXPECT_EQ(Run, 1u);
+    EXPECT_GT(Compute, 0u);
+    EXPECT_EQ(Compute, Dispatched->value() - Before);
+    EXPECT_EQ(Finish, 1u);
+    GB.clear();
+  }
+}
 
 } // namespace

@@ -6,14 +6,17 @@
 // kernels over the same plans) must be observationally identical to the
 // tree-walking interpreter: bit-identical array state, identical message
 // traffic and simulated times, identical accumulators — for every Figure 7
-// application, and independent of the number of execution threads. The
-// native legs are skipped (with a note) when no C compiler answers the
-// kernel cache's probe.
+// application, and independent of the number of execution threads. Each
+// application runs with its own semantics at its canonical size, and again
+// the way `dist-fig7` and `dhpfc run` run it: at a non-canonical size with
+// rt::Session's generic semantics, at P=8. The native legs are skipped
+// (with a note) when no C compiler answers the kernel cache's probe.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
 #include "core/Compiler.h"
+#include "rt/Session.h"
 #include "spmd/KernelCache.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <vector>
 
 using namespace dhpf;
@@ -44,19 +48,11 @@ struct Observed {
   unsigned InPlaceRuntimeUpgrades = 0;
 };
 
-Observed runOnce(const CompileOutput &Compiled, const AppInstance &App,
-                 const std::vector<int64_t> &ProcShape, EngineKind Engine,
-                 unsigned Threads) {
-  RunConfig RC;
-  RC.ProcExtents = {{App.ProcArrayName, ProcShape}};
-  RC.Engine = Engine;
-  RC.ExecThreads = Threads;
-  Interpreter I(Compiled.Program, RC);
-  App.Setup(I);
+/// Runs \p I and records everything it can observe.
+Observed observe(Interpreter &I, const hpf::Program &Source) {
   RunResult RR = I.run();
-
   Observed O;
-  for (const auto &[Name, Decl] : App.Prog->arrays())
+  for (const auto &[Name, Decl] : Source.arrays())
     O.ArrayValues[Name] = I.array(Name).values();
   O.SimSeconds = RR.SimSeconds;
   O.Messages = RR.Messages;
@@ -67,6 +63,18 @@ Observed runOnce(const CompileOutput &Compiled, const AppInstance &App,
   O.FinalAccums = RR.FinalAccums;
   O.InPlaceRuntimeUpgrades = RR.InPlaceRuntimeUpgrades;
   return O;
+}
+
+Observed runOnce(const CompileOutput &Compiled, const AppInstance &App,
+                 const std::vector<int64_t> &ProcShape, EngineKind Engine,
+                 unsigned Threads) {
+  RunConfig RC;
+  RC.ProcExtents = {{App.ProcArrayName, ProcShape}};
+  RC.Engine = Engine;
+  RC.ExecThreads = Threads;
+  Interpreter I(Compiled.Program, RC);
+  App.Setup(I);
+  return observe(I, *App.Prog);
 }
 
 /// Bitwise comparison of doubles: engines must agree exactly, not just
@@ -161,6 +169,46 @@ void diffApp(AppInstance App, const std::vector<int64_t> &ProcShape) {
   }
 }
 
+/// Runs \p App, at a non-canonical size, the way `dist-fig7` and `dhpfc
+/// run` do: resolved through rt::Session at P=8, seeded and given the
+/// generic semantics by Session::setup. Bytecode and native at 1, 3 and 4
+/// execution threads must match the tree oracle exactly.
+void diffSession(AppInstance App) {
+  auto Compiled = compileProgram(*App.Prog);
+  ASSERT_TRUE(Compiled) << App.Name;
+  rt::SessionOptions SO;
+  SO.NumProcs = 8;
+  std::string Err;
+  std::optional<rt::Session> S =
+      rt::resolveSession(Compiled->Program, SO, Err);
+  ASSERT_TRUE(S) << App.Name << ": " << Err;
+  ASSERT_FALSE(S->Canonical) << App.Name;
+  auto Run = [&](EngineKind Engine, unsigned Threads) {
+    RunConfig RC = S->Config;
+    RC.Engine = Engine;
+    RC.ExecThreads = Threads;
+    Interpreter I(Compiled->Program, RC);
+    S->setup(Compiled->Program, I);
+    return observe(I, *App.Prog);
+  };
+
+  Observed Tree = Run(EngineKind::Tree, 1);
+  EXPECT_TRUE(Tree.Valid) << App.Name;
+  std::vector<std::pair<EngineKind, const char *>> Engines = {
+      {EngineKind::Bytecode, "bytecode"}};
+  if (spmd::native::KernelCache::global().compilerAvailable())
+    Engines.push_back({EngineKind::Native, "native"});
+  else
+    std::cout << "[   NOTE   ] no usable C compiler; native-engine legs "
+                 "skipped for "
+              << App.Name << "\n";
+  for (const auto &[Engine, Label] : Engines)
+    for (unsigned Threads : {1u, 3u, 4u})
+      expectSame(Tree, Run(Engine, Threads),
+                 App.Name + " generic P=8 " + Label + "/" +
+                     std::to_string(Threads) + "-thread");
+}
+
 TEST(SpmdExecDiff, Jacobi) { diffApp(makeJacobi(16, 3), {2, 2}); }
 
 TEST(SpmdExecDiff, Tomcatv) { diffApp(makeTomcatv(18, 3), {4}); }
@@ -174,5 +222,17 @@ TEST(SpmdExecDiff, JacobiOneProc) { diffApp(makeJacobi(12, 2), {1, 1}); }
 
 // An odd processor count exercises ragged block boundaries.
 TEST(SpmdExecDiff, GaussRagged) { diffApp(makeGauss(12), {2, 3}); }
+
+// The Figure 7 programs as `dist-fig7` runs them, shrunk: generic
+// semantics, non-canonical sizes, eight ranks.
+TEST(SpmdExecDiff, JacobiGenericP8) { diffSession(makeJacobi(20, 2)); }
+
+TEST(SpmdExecDiff, TomcatvGenericP8) { diffSession(makeTomcatv(22, 2)); }
+
+TEST(SpmdExecDiff, ErlebacherGenericP8) {
+  diffSession(makeErlebacher(16, 2));
+}
+
+TEST(SpmdExecDiff, GaussGenericP8) { diffSession(makeGauss(16)); }
 
 } // namespace

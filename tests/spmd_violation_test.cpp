@@ -62,8 +62,8 @@ RunResult runBroken(const SpmdProgram &SP, EngineKind Engine) {
   RC.Engine = Engine;
   RC.ExecThreads = 1; // broken programs are only deterministic sequentially
   Interpreter I(SP, RC);
-  I.setSemantics(0, [](const std::vector<double> &R,
-                       const std::vector<int64_t> &, AccumMap &) {
+  I.setSemantics(0, [](std::span<const double> R,
+                       std::span<const int64_t>, AccumMap &) {
     return R[0] + R[1];
   });
   I.initArray("B", [](const std::vector<int64_t> &Idx) {
