@@ -13,12 +13,21 @@
 /// hands out indices from an atomic counter so callers keep results in
 /// deterministic index order regardless of scheduling.
 ///
+/// The SPMD plan executor forks every few tens of microseconds (one
+/// parallelFor per compute nest and event phase). Waking a sleeping thread
+/// costs a futex call and, on a virtual machine, an inter-processor
+/// interrupt and a host reschedule, whose latency grows with the host's
+/// load. So an idle worker, and the caller waiting for its helpers, first
+/// spin for SpinBudget before blocking: back-to-back forks then hand work
+/// over without sleeping, and a pool that goes quiet still sleeps.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_SUPPORT_THREADPOOL_H
 #define DHPF_SUPPORT_THREADPOOL_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -42,7 +51,7 @@ public:
   ~ThreadPool() {
     {
       std::lock_guard<std::mutex> Lock(M);
-      Stopping = true;
+      Stopping.store(true, std::memory_order_release);
     }
     CV.notify_all();
     for (std::thread &W : Workers)
@@ -80,11 +89,16 @@ public:
           }
         });
       State->Active.store(Helpers, std::memory_order_relaxed);
+      Queued.store(Tasks.size(), std::memory_order_release);
     }
     CV.notify_all();
     // The calling thread participates too (and does all the work when the
     // pool is size zero or fully busy).
     Work();
+    if (spinUntil([&] {
+          return State->Active.load(std::memory_order_acquire) == 0;
+        }))
+      return;
     std::unique_lock<std::mutex> DoneLock(State->DoneM);
     State->DoneCV.wait(DoneLock, [&] {
       return State->Active.load(std::memory_order_acquire) == 0;
@@ -106,8 +120,34 @@ private:
     std::condition_variable DoneCV;
   };
 
+  /// How long an idle thread polls before it blocks.
+  static constexpr std::chrono::microseconds SpinBudget{100};
+
+  /// Polls \p Ready for up to SpinBudget, pausing between polls and
+  /// yielding the core to any other runnable thread; true once it holds.
+  template <typename Pred> static bool spinUntil(Pred Ready) {
+    auto Until = std::chrono::steady_clock::now() + SpinBudget;
+    do {
+      for (unsigned I = 0; I != 64; ++I) {
+        if (Ready())
+          return true;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield" ::: "memory");
+#endif
+      }
+      std::this_thread::yield();
+    } while (std::chrono::steady_clock::now() < Until);
+    return Ready();
+  }
+
   void workerLoop() {
     for (;;) {
+      spinUntil([&] {
+        return Queued.load(std::memory_order_acquire) != 0 ||
+               Stopping.load(std::memory_order_acquire);
+      });
       std::function<void()> Task;
       {
         std::unique_lock<std::mutex> Lock(M);
@@ -116,6 +156,7 @@ private:
           return;
         Task = std::move(Tasks.front());
         Tasks.pop();
+        Queued.store(Tasks.size(), std::memory_order_relaxed);
       }
       Task();
     }
@@ -123,9 +164,11 @@ private:
 
   std::vector<std::thread> Workers;
   std::queue<std::function<void()>> Tasks;
+  /// Tasks.size(), readable without M by spinning workers.
+  std::atomic<size_t> Queued{0};
   std::mutex M;
   std::condition_variable CV;
-  bool Stopping = false;
+  std::atomic<bool> Stopping{false};
 };
 
 } // namespace dhpf
