@@ -51,7 +51,6 @@ int main() {
 
   CommEventInput E;
   E.Array = "A";
-  E.LoopVars = {"i", "j"};
   E.Refs.push_back({CP.CPMap, false, MB.refMap(Nest, S.Reads[0]), false});
   CommSets CS = computeCommSets(MB, E);
   auto Clean = [](const Relation &R) {

@@ -20,12 +20,10 @@ namespace {
 
 /// Builds { [i0..ik] : i_j = J_j for j < Level } over the loop space: the
 /// range restriction realizing equation (1) of Figure 3 (vectorization).
-Relation placementSet(const Relation &LoopSpaceTemplate, unsigned Level,
-                      const std::vector<std::string> &LoopVars) {
+Relation placementSet(const Relation &LoopSpaceTemplate, unsigned Level) {
   Relation S = Relation::universe(
       Space::set(LoopSpaceTemplate.space().outNames(),
                  LoopSpaceTemplate.space().params()));
-  (void)LoopVars;
   for (unsigned L = 0; L != Level; ++L)
     S = S.equateOutDimToParam(L, placementParam(L));
   return S;
@@ -37,15 +35,6 @@ Relation crossMap(const Relation &P, const Relation &D) {
   // Build via relations: P as (0 -> p), inverted to (p -> 0), composed with
   // D as (0 -> a): (p -> 0) ; (0 -> a) = (p -> a).
   return P.inverse().composeWith(D);
-}
-
-/// The singleton { [p..] : p_d = mv_d } over \p DomSpace dims.
-Relation selfSet(const Relation &Dom) {
-  Relation S = Relation::universe(
-      Space::set(Dom.space().outNames(), Dom.space().params()));
-  for (unsigned D = 0; D != Dom.numOut(); ++D)
-    S = S.equateOutDimToParam(D, myDimParam(D));
-  return S.intersect(Dom);
 }
 
 /// Binds a map's domain to the mv* parameters.
@@ -87,8 +76,6 @@ CommSets core::computeCommSets(const MapBuilder &MB,
       UnionIf(Acc.DataAccessedWrite, S.DataAccessedWrite);
       UnionIf(Acc.NLDataAccessedRead, S.NLDataAccessedRead);
       UnionIf(Acc.NLDataAccessedWrite, S.NLDataAccessedWrite);
-      UnionIf(Acc.NLReadData, S.NLReadData);
-      UnionIf(Acc.NLWriteData, S.NLWriteData);
       UnionIf(Acc.BusyVPSet, S.BusyVPSet);
       UnionIf(Acc.ActiveSendVPSet, S.ActiveSendVPSet);
       UnionIf(Acc.ActiveRecvVPSet, S.ActiveRecvVPSet);
@@ -112,13 +99,11 @@ CommSets core::computeCommSets(const MapBuilder &MB,
       // Every owner-domain processor executes the reference.
       Relation LoopDom = R.RefMap.domain();
       Relation Restricted =
-          placementSet(LoopDom, Event.PlacementLevel, Event.LoopVars)
-              .intersect(LoopDom);
+          placementSet(LoopDom, Event.PlacementLevel).intersect(LoopDom);
       CPv = crossMap(OwnerDom, Restricted);
     } else {
       Relation LoopDom = R.CPMap.range();
-      CPv = R.CPMap.restrictRange(
-          placementSet(LoopDom, Event.PlacementLevel, Event.LoopVars));
+      CPv = R.CPMap.restrictRange(placementSet(LoopDom, Event.PlacementLevel));
     }
     Relation Acc = CPv.composeWith(R.RefMap).simplify();
     Relation &Slot = R.IsWrite ? Out.DataAccessedWrite : Out.DataAccessedRead;
@@ -132,44 +117,28 @@ CommSets core::computeCommSets(const MapBuilder &MB,
   }
   Out.BusyVPSet = BusyVP.simplify().coalesce();
 
+  // Step 3, one subtraction per direction: NLDataAccessed_t =
+  // DataAccessed_t - Layout, which Figure 5 needs as it is. Steps 4-5 are
+  // restrictions of it: m's non-local data nlDataSet_t(m) is the map bound
+  // to mv*, NLComm_t is the layout restricted to that data, and
+  // LocalComm_t is the map restricted to m's own data. LocalComm_t thus
+  // tests "a not in Layout(p)" in place of step 5's "p != m": that
+  // excludes m itself, and with single ownership (footnote 2) keeps every
+  // other real processor (DESIGN §5).
   Relation MyLayoutData = bindToMy(Layout);
-  Relation Self = selfSet(OwnerDom);
-  Relation Others = OwnerDom.subtract(Self).simplify();
-
-  // Step 3 (the Section 5 formulation: bind to m before subtracting). The
-  // read and write forms are equivalent when no array element is owned by
-  // more than one processor (the paper's footnote 2); our distributed
-  // layouts are single-owner, so the cheaper read form serves both.
-  Relation NLRead, NLWrite; // sets of data, parameterized by mv*
-  if (AnyRead)
-    NLRead = bindToMy(Out.DataAccessedRead).subtract(MyLayoutData).simplify();
-  if (AnyWrite)
-    NLWrite =
-        bindToMy(Out.DataAccessedWrite).subtract(MyLayoutData).simplify();
-  Out.NLReadData = NLRead;
-  Out.NLWriteData = NLWrite;
-
-  // Unbound NLDataAccessed maps for the Figure 5 equations.
-  if (AnyRead)
-    Out.NLDataAccessedRead = Out.DataAccessedRead.subtract(Layout).simplify();
-  if (AnyWrite)
-    Out.NLDataAccessedWrite =
-        Out.DataAccessedWrite.subtract(Layout).simplify();
-
-  // Steps 4-5. The NLComm maps need no explicit self-exclusion: the
-  // non-local data is by construction not owned by m. The LocalComm maps
-  // restrict the accessing-processor domain to the other processors.
   Relation NLCommRead, NLCommWrite, LocalCommRead, LocalCommWrite;
-  if (AnyRead) {
-    NLCommRead = Layout.restrictRange(NLRead);
-    LocalCommRead = Out.DataAccessedRead.restrictRange(MyLayoutData)
-                        .restrictDomain(Others);
-  }
-  if (AnyWrite) {
-    NLCommWrite = Layout.restrictRange(NLWrite);
-    LocalCommWrite = Out.DataAccessedWrite.restrictRange(MyLayoutData)
-                         .restrictDomain(Others);
-  }
+  auto Derive = [&](const Relation &DataAccessed, Relation &NLDataAccessed,
+                    Relation &NLComm, Relation &LocalComm) {
+    NLDataAccessed = DataAccessed.subtract(Layout).simplify();
+    NLComm = Layout.restrictRange(bindToMy(NLDataAccessed));
+    LocalComm = NLDataAccessed.restrictRange(MyLayoutData);
+  };
+  if (AnyRead)
+    Derive(Out.DataAccessedRead, Out.NLDataAccessedRead, NLCommRead,
+           LocalCommRead);
+  if (AnyWrite)
+    Derive(Out.DataAccessedWrite, Out.NLDataAccessedWrite, NLCommWrite,
+           LocalCommWrite);
 
   // Steps 6-7.
   auto UnionOpt = [](bool HasA, const Relation &A, bool HasB,

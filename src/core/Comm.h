@@ -12,6 +12,12 @@
 /// active virtual-processor sets of Figure 5 used to restrict VP loops
 /// under symbolic distribution parameters.
 ///
+/// Send and receive maps are duals: m sends q exactly what q receives from
+/// m. So each direction subtracts the layout once, NLDataAccessed =
+/// DataAccessed - Layout, and both maps are restrictions of that one map:
+/// to the data m owns (what others need from m) or to the owners of the
+/// data m needs (DESIGN.md §5).
+///
 /// Message vectorization is expressed by the placement level: loops outside
 /// the placement stay as parameters (J0, J1, ...) while communication for
 /// all deeper iterations is aggregated into one event. Message coalescing
@@ -49,25 +55,26 @@ struct CommEventInput {
   /// out of all deeper loops). Outer loop variables become parameters
   /// J0..J{PlacementLevel-1} in the resulting sets.
   unsigned PlacementLevel = 0;
-  /// Names of the enclosing loop variables (for the J parameters).
-  std::vector<std::string> LoopVars;
 };
 
 /// The outputs of Figure 3 (bound to the representative processor, whose
 /// per-dimension index is the mv* parameter) and Figure 5.
 struct CommSets {
-  /// partner -> array elements m must send to that partner.
+  /// partner -> array elements m must send to that partner: the partners
+  /// that read m's data non-locally, plus the owners of data m writes
+  /// non-locally.
   Relation SendCommMap;
-  /// partner -> array elements m must receive from that partner.
+  /// partner -> array elements m must receive from that partner: the
+  /// owners of data m reads non-locally, plus the partners that write m's
+  /// data non-locally.
   Relation RecvCommMap;
   /// All data accessed by each processor via the event's reads/writes.
   Relation DataAccessedRead, DataAccessedWrite;
-  /// The representative processor's non-local data (step 3, bound to mv*).
-  /// Used to decide whether the event communicates at all: under the VP
-  /// model the partner maps can be spuriously non-empty (fictitious VPs
-  /// "access" data), but the non-local data sets are exact.
-  Relation NLReadData, NLWriteData;
-  /// Off-processor data referenced by each processor (maps, unbound).
+  /// Off-processor data referenced by each processor (maps, unbound):
+  /// DataAccessed - Layout, the one subtraction per direction every other
+  /// map derives from. Also decides whether the event communicates at
+  /// all: under the VP model the partner maps can be spuriously non-empty
+  /// (fictitious VPs "access" data), but these maps are exact.
   Relation NLDataAccessedRead, NLDataAccessedWrite;
   /// Figure 5: active virtual processors.
   Relation BusyVPSet, ActiveSendVPSet, ActiveRecvVPSet;

@@ -116,8 +116,6 @@ public:
             EventPlan EP;
             EP.In.Array = Array;
             EP.In.PlacementLevel = V;
-            for (const Loop &L : Nest.Loops)
-              EP.In.LoopVars.push_back(L.Var);
             EP.IsWrite = IsWrite;
             if (Ctx.Opts.Coalescing)
               Index[Key] = NA.Plans.size();
@@ -165,12 +163,12 @@ public:
       // "access" overlapping intervals.)
       {
         PhaseTimers::Scope S(NA.Timers, phase::CommGeneration);
+        auto Empty = [](const Relation &R) {
+          return std::as_const(R).conjuncts().empty() || R.isEmpty();
+        };
         for (EventPlan &EP : NA.Plans)
-          EP.Communicates =
-              !((std::as_const(EP.CS.NLReadData).conjuncts().empty() ||
-                 EP.CS.NLReadData.isEmpty()) &&
-                (std::as_const(EP.CS.NLWriteData).conjuncts().empty() ||
-                 EP.CS.NLWriteData.isEmpty()));
+          EP.Communicates = !(Empty(EP.CS.NLDataAccessedRead) &&
+                              Empty(EP.CS.NLDataAccessedWrite));
       }
     });
   }

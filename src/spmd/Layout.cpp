@@ -164,7 +164,6 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
         // Owner coordinates along each distributed template dimension.
         int64_t Rank = 0, Mult = 1;
         unsigned PDim = 0;
-        bool Known = true;
         for (unsigned TD = 0; TD != T.rank(); ++TD) {
           const DistSpec &Spec = D.Specs[TD];
           if (Spec.K == DistSpec::Kind::Star)
@@ -194,8 +193,7 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
           Mult *= PN;
           ++PDim;
         }
-        if (Known)
-          Store.Owner[Store.flatten(Idx)] = static_cast<int32_t>(Rank);
+        Store.Owner[Store.flatten(Idx)] = static_cast<int32_t>(Rank);
         unsigned DD = 0;
         while (DD < Decl.rank() && ++Idx[DD] >= Lo[DD] + Extent[DD]) {
           Idx[DD] = Lo[DD];

@@ -4,11 +4,14 @@
 //
 // Compiles each benchmark application and executes it on several processor
 // configurations, validating the numerical results against the serial
-// references and the interpreter's communication checks.
+// references and the interpreter's communication checks. Also checks the
+// shape of the compiled communication: send loop nests never outnumber
+// receive loop nests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+#include "apps/Registry.h"
 #include "core/Compiler.h"
 
 #include <gtest/gtest.h>
@@ -78,6 +81,44 @@ TEST(Apps, SpLikeFixedCompiles) {
   auto Compiled = compileProgram(*App.Prog);
   EXPECT_GT(Compiled->NumCommEvents, 0u);
   EXPECT_GT(Compiled->Timers.seconds(phase::Total), 0.0);
+}
+
+/// Counts the leaves labelled \p Label under \p N. Communication sets get
+/// one loop nest per conjunct, so this is the number of nests.
+unsigned countLeaves(const cg::AstNode *N, const std::string &Label) {
+  if (!N)
+    return 0;
+  if (N->K == cg::AstNode::Kind::Leaf)
+    return N->Label == Label;
+  unsigned C = 0;
+  for (const cg::AstPtr &Child : N->Children)
+    C += countLeaves(Child.get(), Label);
+  return C;
+}
+
+TEST(Apps, SendNestsNoMoreThanRecvNests) {
+  // Figure 3's send and receive maps are duals (m sends q exactly what q
+  // receives from m), so a send map derived from the receive side never
+  // needs more loop nests than the receive map.
+  std::vector<AppInstance> Subjects;
+  for (const RegistryEntry &E : appRegistry())
+    Subjects.push_back(E.MakeCanonical());
+  // Both Table 1 SP subjects. Four procedures cover every nest kind that
+  // communicates (the fifth kind is a local sweep).
+  Subjects.push_back(makeSpLike(4, /*SymbolicProcs=*/true, /*N=*/8));
+  Subjects.push_back(makeSpLike(4, /*SymbolicProcs=*/false, /*N=*/8));
+  for (const AppInstance &App : Subjects) {
+    auto Compiled = compileProgram(*App.Prog);
+    const std::vector<CommEvent> &Events = Compiled->Program.Events;
+    EXPECT_FALSE(Events.empty()) << App.Name;
+    for (const CommEvent &Ev : Events) {
+      unsigned Send = countLeaves(Ev.SendLoops.get(), "pack");
+      unsigned Recv = countLeaves(Ev.RecvLoops.get(), "unpack");
+      EXPECT_GT(Recv, 0u) << App.Name << " event " << Ev.Id;
+      EXPECT_LE(Send, Recv) << App.Name << " event " << Ev.Id << " ("
+                            << Ev.Array << ")";
+    }
+  }
 }
 
 } // namespace

@@ -10,7 +10,9 @@
 //   do i = 2, 15 : A(i) = B(i-1) + B(i+1)   (owner-computes)
 //
 // Processor p owns [4p+1, 4p+4]; it must send its boundary elements to its
-// neighbors and receive theirs.
+// neighbors and receive theirs. The send/receive duality is also checked
+// on the same stencil under CYCLIC(2), on a (BLOCK, BLOCK) five-point
+// stencil and on a non-owner (ON_HOME) write.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +33,14 @@ struct Stencil1D {
   ComputeNest Nest;
   MapBuilder MB{P};
 
-  Stencil1D() {
+  explicit Stencil1D(DistSpec Dist = distBlock()) {
     P.addProcs("P", {Program::procDim(4)});
     P.addTemplate("T", {range(1, 16)});
     P.addArray("A", {range(1, 16)});
     P.addArray("B", {range(1, 16)});
     P.addAlign({"A", "T", {alignDim(0)}});
     P.addAlign({"B", "T", {alignDim(0)}});
-    P.addDistribute({"T", "P", {distBlock(), }});
+    P.addDistribute({"T", "P", {Dist}});
     Nest.Name = "stencil";
     Nest.Loops = {loop("i", 2, 15)};
     Statement S;
@@ -49,17 +51,97 @@ struct Stencil1D {
   }
 };
 
-/// Evaluates membership of a parameterized set/map where the only
-/// parameters are mv0 = M (plus none others).
-bool containsWithM(const Relation &R, int64_t M, std::vector<int64_t> Out,
-                   std::vector<int64_t> In = {}) {
+/// The five-point stencil A(i,j) = B(i,j) + B(i+-1,j) + B(i,j+-1) on a
+/// fixed 2x2 grid, (BLOCK, BLOCK): processor (p,q) owns the 4x4 tile
+/// [4p+1, 4p+4] x [4q+1, 4q+4].
+struct Stencil2D {
+  Program P{"stencil2d"};
+  ComputeNest Nest;
+  MapBuilder MB{P};
+
+  Stencil2D() {
+    P.addProcs("P", {Program::procDim(2), Program::procDim(2)});
+    P.addTemplate("T", {range(1, 8), range(1, 8)});
+    P.addArray("A", {range(1, 8), range(1, 8)});
+    P.addArray("B", {range(1, 8), range(1, 8)});
+    P.addAlign({"A", "T", {alignDim(0), alignDim(1)}});
+    P.addAlign({"B", "T", {alignDim(0), alignDim(1)}});
+    P.addDistribute({"T", "P", {distBlock(), distBlock()}});
+    Nest.Name = "stencil";
+    Nest.Loops = {loop("i", 2, 7), loop("j", 2, 7)};
+    Statement S;
+    S.Write = ref("A", {"i", "j"});
+    S.Reads = {ref("B", {"i", "j"}), ref("B", {AffineExpr("i") - 1, "j"}),
+               ref("B", {AffineExpr("i") + 1, "j"}),
+               ref("B", {"i", AffineExpr("j") - 1}),
+               ref("B", {"i", AffineExpr("j") + 1})};
+    Nest.Stmts = {S};
+  }
+};
+
+using Points = std::vector<std::vector<int64_t>>;
+
+/// Every integer point of the box [Lo, Hi] (inclusive per dimension).
+Points box(const std::vector<int64_t> &Lo, const std::vector<int64_t> &Hi) {
+  Points Out = {{}};
+  for (size_t D = 0; D != Lo.size(); ++D) {
+    Points Next;
+    for (const std::vector<int64_t> &Prefix : Out)
+      for (int64_t V = Lo[D]; V <= Hi[D]; ++V) {
+        Next.push_back(Prefix);
+        Next.back().push_back(V);
+      }
+    Out = std::move(Next);
+  }
+  return Out;
+}
+
+std::string str(const std::vector<int64_t> &V) {
+  std::string S = "(";
+  for (size_t I = 0; I != V.size(); ++I)
+    S += (I ? "," : "") + std::to_string(V[I]);
+  return S + ")";
+}
+
+/// Evaluates membership of a parameterized set/map whose only parameters
+/// are the representative processor's coordinates mv* = M.
+bool containsAt(const Relation &R, const std::vector<int64_t> &M,
+                const std::vector<int64_t> &Out,
+                const std::vector<int64_t> &In = {}) {
   std::vector<int64_t> Params;
   for (const std::string &P : R.space().params()) {
-    assert(P == myDimParam(0) && "unexpected parameter");
-    (void)P;
-    Params.push_back(M);
+    size_t D = 0;
+    while (D != M.size() && P != myDimParam(D))
+      ++D;
+    if (D == M.size()) {
+      ADD_FAILURE() << "unexpected parameter " << P;
+      return false;
+    }
+    Params.push_back(M[D]);
   }
   return R.contains(Out, Params, In);
+}
+
+bool containsWithM(const Relation &R, int64_t M, std::vector<int64_t> Out,
+                   std::vector<int64_t> In = {}) {
+  return containsAt(R, {M}, Out, In);
+}
+
+/// Checks pointwise that m sends q element a exactly when q receives a
+/// from m, over every (m, q) in \p Procs and a in \p Elems. Returns the
+/// number of (m, q, a) messages found.
+unsigned expectDuals(const CommSets &CS, const Points &Procs,
+                     const Points &Elems) {
+  unsigned Sent = 0;
+  for (const std::vector<int64_t> &M : Procs)
+    for (const std::vector<int64_t> &Q : Procs)
+      for (const std::vector<int64_t> &A : Elems) {
+        bool Send = containsAt(CS.SendCommMap, M, A, Q);
+        EXPECT_EQ(Send, containsAt(CS.RecvCommMap, Q, A, M))
+            << "m=" << str(M) << " q=" << str(Q) << " a=" << str(A);
+        Sent += Send;
+      }
+  return Sent;
 }
 
 TEST(Partition, OwnerComputesCPMap) {
@@ -100,10 +182,10 @@ TEST(Partition, GroupStatements) {
   EXPECT_NE(G[1], G[2]);
 }
 
-CommEventInput stencilEvent(Stencil1D &T, const CPInfo &CP) {
+template <class Fixture>
+CommEventInput stencilEvent(Fixture &T, const CPInfo &CP) {
   CommEventInput E;
   E.Array = "B";
-  E.LoopVars = {"i"};
   E.PlacementLevel = 0; // fully vectorized out of the i loop
   for (const Reference &R : T.Nest.Stmts[0].Reads) {
     CommRef CR;
@@ -139,18 +221,59 @@ TEST(CommAnalysis, StencilSendRecvSets) {
   EXPECT_TRUE(containsWithM(CS.SendCommMap, 3, {13}, {2}));
 }
 
+/// The write event of a non-owner CP: ON_HOME B(i-1) runs iteration i on
+/// the owner of B(i-1), so the write A(i) is non-local at block boundaries.
+CommEventInput onHomeWriteEvent(Stencil1D &T) {
+  Statement &S = T.Nest.Stmts[0];
+  S.OnHome = {ref("B", {AffineExpr("i") - 1})};
+  CPInfo CP = computeCP(T.MB, T.Nest, S);
+  CommEventInput E;
+  E.Array = "A";
+  CommRef CR;
+  CR.CPMap = CP.CPMap;
+  CR.RefMap = T.MB.refMap(T.Nest, S.Write);
+  CR.IsWrite = true;
+  E.Refs.push_back(CR);
+  return E;
+}
+
 TEST(CommAnalysis, SendRecvAreDuals) {
   // Send(m -> q, a) must equal Recv(q <- m, a): swap roles via parameter
   // renaming is awkward, so check pointwise over all pairs.
-  Stencil1D T;
-  CPInfo CP = computeCP(T.MB, T.Nest, T.Nest.Stmts[0]);
-  CommSets CS = computeCommSets(T.MB, stencilEvent(T, CP));
-  for (int64_t M = 0; M < 4; ++M)
-    for (int64_t Q = 0; Q < 4; ++Q)
-      for (int64_t A = 1; A <= 16; ++A)
-        EXPECT_EQ(containsWithM(CS.SendCommMap, M, {A}, {Q}),
-                  containsWithM(CS.RecvCommMap, Q, {A}, {M}))
-            << "m=" << M << " q=" << Q << " a=" << A;
+  Points Procs4 = box({0}, {3}), Elems16 = box({1}, {16});
+  {
+    SCOPED_TRACE("1-D BLOCK stencil");
+    Stencil1D T;
+    CPInfo CP = computeCP(T.MB, T.Nest, T.Nest.Stmts[0]);
+    CommSets CS = computeCommSets(T.MB, stencilEvent(T, CP));
+    EXPECT_EQ(expectDuals(CS, Procs4, Elems16), 6u);
+  }
+  {
+    // Processor p owns {2p+1, 2p+2, 2p+9, 2p+10}: the eight blocks of two
+    // alternate owners, so each of the 7 block boundaries carries one
+    // element each way.
+    SCOPED_TRACE("1-D CYCLIC(2) stencil");
+    Stencil1D T(distCyclicK(2));
+    CPInfo CP = computeCP(T.MB, T.Nest, T.Nest.Stmts[0]);
+    CommSets CS = computeCommSets(T.MB, stencilEvent(T, CP));
+    EXPECT_EQ(expectDuals(CS, Procs4, Elems16), 14u);
+  }
+  {
+    SCOPED_TRACE("(BLOCK, BLOCK) five-point stencil on 2x2");
+    Stencil2D T;
+    CPInfo CP = computeCP(T.MB, T.Nest, T.Nest.Stmts[0]);
+    CommSets CS = computeCommSets(T.MB, stencilEvent(T, CP));
+    // Each of the four tile edges carries 3 elements each way (the loop
+    // range 2..7 clipped to a tile); the stencil reads no corners.
+    EXPECT_EQ(expectDuals(CS, box({0, 0}, {1, 1}), box({1, 1}, {8, 8})),
+              24u);
+  }
+  {
+    SCOPED_TRACE("ON_HOME write");
+    Stencil1D T;
+    CommSets CS = computeCommSets(T.MB, onHomeWriteEvent(T));
+    EXPECT_EQ(expectDuals(CS, Procs4, Elems16), 3u);
+  }
 }
 
 TEST(CommAnalysis, VectorizationPlacement) {
@@ -180,18 +303,7 @@ TEST(CommAnalysis, WriteCommunication) {
   // Non-owner-computes: ON_HOME B(i-1) makes the write A(i) non-local at
   // block boundaries; the writer must send the value to A's owner.
   Stencil1D T;
-  Statement &S = T.Nest.Stmts[0];
-  S.OnHome = {ref("B", {AffineExpr("i") - 1})};
-  CPInfo CP = computeCP(T.MB, T.Nest, S);
-  CommEventInput E;
-  E.Array = "A";
-  E.LoopVars = {"i"};
-  CommRef CR;
-  CR.CPMap = CP.CPMap;
-  CR.RefMap = T.MB.refMap(T.Nest, S.Write);
-  CR.IsWrite = true;
-  E.Refs.push_back(CR);
-  CommSets CS = computeCommSets(T.MB, E);
+  CommSets CS = computeCommSets(T.MB, onHomeWriteEvent(T));
   // With ON_HOME B(i-1), iteration i runs on the owner of B(i-1); i = 4p+5
   // (the first iteration of p+1's block... actually i-1 = 4p+4 boundary):
   // p executes i = 4p+5 whose write A(4p+5) is owned by p+1.

@@ -87,7 +87,6 @@ TEST(Figure5, ActiveVPSets) {
   CPInfo CP = computeCP(G.MB, G.Nest, G.Nest.Stmts[0]);
   CommEventInput E;
   E.Array = "A";
-  E.LoopVars = {"i", "j"};
   CommRef CR;
   CR.CPMap = CP.CPMap;
   CR.RefMap = G.MB.refMap(G.Nest, G.Nest.Stmts[0].Reads[0]);
@@ -127,7 +126,6 @@ TEST(Figure5, NLDataAccessed) {
   CPInfo CP = computeCP(G.MB, G.Nest, G.Nest.Stmts[0]);
   CommEventInput E;
   E.Array = "A";
-  E.LoopVars = {"i", "j"};
   E.Refs.push_back({CP.CPMap, false,
                     G.MB.refMap(G.Nest, G.Nest.Stmts[0].Reads[0]), false});
   CommSets CS = computeCommSets(G.MB, E);
