@@ -145,24 +145,15 @@ inline void writeTable1Json(const char *Path,
     std::fprintf(F,
                  "      \"cache\": {\"hits\": %llu, \"misses\": %llu, "
                  "\"evictions\": %llu, \"hit_rate\": %.4f, "
-                 "\"fast_empty_bbox\": %llu, \"fast_disjoint_bbox\": %llu, "
                  "\"fast_subset_fp\": %llu, \"dup_rows_removed\": %llu, "
-                 "\"fast_implied_atom\": %llu, \"intern_lookups\": %llu, "
-                 "\"intern_hits\": %llu, \"intern_entries\": %llu, "
-                 "\"intern_rows\": %llu},\n",
+                 "\"fast_implied_atom\": %llu},\n",
                  static_cast<unsigned long long>(CS.Hits),
                  static_cast<unsigned long long>(CS.Misses),
                  static_cast<unsigned long long>(CS.Evictions),
                  CS.hitRate(),
-                 static_cast<unsigned long long>(CS.FastEmptyBBox),
-                 static_cast<unsigned long long>(CS.FastDisjointBBox),
                  static_cast<unsigned long long>(CS.FastSubsetFP),
                  static_cast<unsigned long long>(CS.DupRowsRemoved),
-                 static_cast<unsigned long long>(CS.FastImpliedAtom),
-                 static_cast<unsigned long long>(CS.InternLookups),
-                 static_cast<unsigned long long>(CS.InternHits),
-                 static_cast<unsigned long long>(CS.InternEntries),
-                 static_cast<unsigned long long>(CS.InternRows));
+                 static_cast<unsigned long long>(CS.FastImpliedAtom));
     std::fprintf(F, "      \"phases_s\": {");
     for (size_t P = 0; P != sizeof(Phases) / sizeof(Phases[0]); ++P)
       std::fprintf(F, "%s\"%s\": %.6f", P ? ", " : "", Phases[P],

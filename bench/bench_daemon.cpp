@@ -3,8 +3,8 @@
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
 // Measures the payoff of the service-oriented toolchain: a long-lived
-// daemon whose Presburger operation cache, intern table, and artifact
-// cache stay warm across requests, versus the batch compiler paying
+// daemon whose Presburger operation cache and artifact cache stay warm
+// across requests, versus the batch compiler paying
 // cold-start on every invocation.
 //
 // Three measurements:

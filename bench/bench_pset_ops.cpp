@@ -196,20 +196,6 @@ void BM_IsEmptyStridesCached(benchmark::State &State) {
 }
 BENCHMARK(BM_IsEmptyStridesCached);
 
-void BM_DisjointSubtractFastPath(benchmark::State &State) {
-  // Bounding boxes prove the operands disjoint, so the cheap reject skips
-  // the Omega-test work entirely (cache cleared per iteration to measure
-  // the fast path, not the memoized replay).
-  CacheScope On(true);
-  Relation A = parseRelation("{ [i,j] : 0 <= i <= 40 && 0 <= j <= 40 }");
-  Relation B = parseRelation("{ [i,j] : 50 <= i <= 90 && 0 <= j <= 40 }");
-  for (auto _ : State) {
-    pset::OpCache::global().clear();
-    benchmark::DoNotOptimize(A.subtract(B));
-  }
-}
-BENCHMARK(BM_DisjointSubtractFastPath);
-
 } // namespace
 
 BENCHMARK_MAIN();

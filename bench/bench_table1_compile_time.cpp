@@ -133,10 +133,11 @@ int main(int argc, char **argv) {
                 RSym);
   }
 
-  // Performance layer on: fingerprinted operation cache + interned
-  // conjuncts + bounding-box cheap rejects + parallel per-nest analysis.
+  // Performance layer on: fingerprinted operation cache + memoized
+  // relation fingerprints + set-engine fast paths + parallel per-nest
+  // analysis.
   if (Check) {
-    // Discarded warm-up: heats the allocator and intern table so the
+    // Discarded warm-up: heats the allocator and the code paths so the
     // measured runs below are not penalized for process cold-start.
     auto Warm = compileWith(SpSym, true);
   }
@@ -171,9 +172,7 @@ int main(int argc, char **argv) {
     const pset::CacheStats &CS = R.Opt->Cache;
     std::printf("%-8s %12.2f %12.2f %8.2fx %9.1f%% %10llu\n", R.Name, B, O,
                 O > 0 ? B / O : 0.0, 100.0 * CS.hitRate(),
-                static_cast<unsigned long long>(
-                    CS.FastEmptyBBox + CS.FastDisjointBBox +
-                    CS.FastSubsetFP));
+                static_cast<unsigned long long>(CS.FastSubsetFP));
   }
 
   if (Out) {

@@ -39,22 +39,12 @@ struct StmtInstance {
   Relation Iters; // a set whose rank equals the loop-variable count
 };
 
-struct CodeGenOptions {
-  /// Generate strided loops for single-stride dimensions instead of
-  /// mod-guards (Section 4's cyclic distributions rely on this).
-  bool StrideLoops = true;
-  /// Number of levels guards may be hoisted out of (paper Section 5 limits
-  /// this to avoid code replication; we record it for the same purpose).
-  unsigned GuardLiftLevels = 1;
-};
-
 /// Generates loop nests from integer sets. The VarTable assigns environment
 /// slots shared with the interpreter: parameters and loop variables are
 /// registered by name.
 class CodeGen {
 public:
-  CodeGen(VarTable &Vars, CodeGenOptions Opts = {})
-      : Vars(Vars), Opts(Opts) {}
+  explicit CodeGen(VarTable &Vars) : Vars(Vars) {}
 
   /// The paper's Codegen(S1..Sv | Known): emits a loop nest over
   /// \p LoopVars enumerating every statement's set in lexicographic order.
@@ -85,7 +75,6 @@ public:
 
 private:
   VarTable &Vars;
-  CodeGenOptions Opts;
 };
 
 } // namespace cg

@@ -26,13 +26,11 @@
 #ifndef DHPF_CORE_COMPILER_H
 #define DHPF_CORE_COMPILER_H
 
-#include "cg/CodeGen.h"
 #include "hpf/Maps.h"
 #include "pset/OpCache.h"
 #include "spmd/SpmdProgram.h"
 #include "support/Timer.h"
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -56,12 +54,10 @@ struct CompilerOptions {
   /// hardware concurrency. Emission stays sequential, so the compiled
   /// program is identical for any thread count.
   unsigned AnalysisThreads = 0;
-  /// Comma-separated pass names (or "all") whose state is dumped right
-  /// after they run; empty disables dumping. See CompilerDriver.
+  /// Comma-separated pass names (or "all") whose state is dumped to
+  /// stderr right after they run; empty disables dumping. See
+  /// CompilerDriver.
   std::string DumpAfter;
-  /// Destination for -dump-after output; null means stderr.
-  std::ostream *DumpStream = nullptr;
-  cg::CodeGenOptions CG;
 };
 
 /// Phase names used in the timing report (Table 1 rows).

@@ -231,10 +231,8 @@ std::unique_ptr<CompileOutput> CompilerDriver::run() {
           ->inc();
       if (!Ctx.Opts.DumpAfter.empty() &&
           wantDump(Ctx.Opts.DumpAfter, P->name())) {
-        std::ostream &OS =
-            Ctx.Opts.DumpStream ? *Ctx.Opts.DumpStream : std::cerr;
-        OS << "*** IR dump after " << P->name() << " ***\n";
-        P->dump(Ctx, OS);
+        std::cerr << "*** IR dump after " << P->name() << " ***\n";
+        P->dump(Ctx, std::cerr);
       }
     }
   }

@@ -16,8 +16,8 @@
 ///
 /// Per-pass IR dumps: set CompilerOptions::DumpAfter to a comma-separated
 /// list of pass names (or "all") and each named pass renders its state —
-/// relations in the set syntax, the SPMD program after emit — to
-/// CompilerOptions::DumpStream (stderr when null) right after it runs.
+/// relations in the set syntax, the SPMD program after emit — to stderr
+/// right after it runs.
 ///
 /// compileProgram (core/Compiler.h) remains as a thin wrapper over this
 /// driver for trusted builder-API input.

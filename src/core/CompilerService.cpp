@@ -9,7 +9,6 @@
 #include "core/CompilerDriver.h"
 #include "hpf/HpfParser.h"
 #include "obs/Metrics.h"
-#include "pset/Intern.h"
 #include "spmd/KernelCache.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
@@ -57,10 +56,6 @@ CompileSession CompilerService::openSession(std::string ClientName) {
 
 pset::OpCache &CompilerService::opCache() { return pset::OpCache::global(); }
 
-pset::InternTable &CompilerService::internTable() {
-  return pset::InternTable::global();
-}
-
 spmd::native::KernelCache &CompilerService::kernelCache() {
   return spmd::native::KernelCache::global();
 }
@@ -77,10 +72,9 @@ uint64_t CompilerService::fingerprintRequest(const std::string &Source,
   };
   Mix(Source.data(), Source.size());
   // Every option that changes the compiled program is part of the request
-  // identity. DumpAfter/DumpStream only add side-channel output; thread
-  // counts do not change the emitted program (emission is sequential) but
-  // are folded in anyway so a request is served with the configuration it
-  // asked for.
+  // identity. DumpAfter only adds side-channel output; thread counts do
+  // not change the emitted program (emission is sequential) but are folded
+  // in anyway so a request is served with the configuration it asked for.
   unsigned char Flags[4] = {Opts.LoopSplitting, Opts.Coalescing,
                             Opts.InPlaceAnalysis, Opts.CombinedFormulation};
   Mix(Flags, sizeof(Flags));

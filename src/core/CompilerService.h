@@ -8,9 +8,9 @@
 /// The service layer of the compiler: one long-lived CompilerService owns
 /// every piece of cross-compilation state that previously lived as
 /// unrelated process globals — the Presburger operation cache
-/// (pset::OpCache), the conjunct intern table (pset::InternTable), the
-/// native kernel cache (spmd::native::KernelCache), and the metrics
-/// registry — and exposes compilation as a request/artifact API:
+/// (pset::OpCache), the native kernel cache (spmd::native::KernelCache),
+/// and the metrics registry — and exposes compilation as a
+/// request/artifact API:
 ///
 ///   CompileRequest  (source text + options)
 ///     -> fingerprint
@@ -50,9 +50,6 @@
 
 namespace dhpf {
 
-namespace pset {
-class InternTable;
-}
 namespace spmd {
 namespace native {
 class KernelCache;
@@ -178,7 +175,6 @@ public:
   // the process globals of the underlying layers; the service is their
   // single named owner and callers go through it.
   pset::OpCache &opCache();
-  pset::InternTable &internTable();
   spmd::native::KernelCache &kernelCache();
 
   /// Saves / restores the set-operation cache so a cold process starts

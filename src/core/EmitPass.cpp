@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cg/CodeGen.h"
 #include "core/CompileContext.h"
 #include "core/InPlace.h"
 #include "obs/Trace.h"
@@ -105,7 +106,7 @@ private:
     double Secs;
     {
       auto Start = std::chrono::steady_clock::now();
-      cg::CodeGen CG(SP->Vars, Ctx->Opts.CG);
+      cg::CodeGen CG(SP->Vars);
       Ast = CG.codegen(Stmts, LoopVars, Known);
       Secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            Start)
@@ -129,7 +130,7 @@ private:
     double Secs;
     {
       auto Start = std::chrono::steady_clock::now();
-      cg::CodeGen CG(SP->Vars, Ctx->Opts.CG);
+      cg::CodeGen CG(SP->Vars);
       Ast = CG.codegenSetPerConjunct(S, Vars, 0, Label);
       Secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            Start)
@@ -146,7 +147,7 @@ private:
 
   /// Extracts hull bounds of a 1-D set by generating a scan loop for it.
   std::pair<cg::Expr, cg::Expr> bounds1D(const Relation &S) {
-    cg::CodeGen CG(SP->Vars, Ctx->Opts.CG);
+    cg::CodeGen CG(SP->Vars);
     cg::AstPtr Ast = CG.codegenSet(S, {"__bnd"});
     const cg::AstNode *N = Ast.get();
     while (N && N->K != cg::AstNode::Kind::Loop)

@@ -1,4 +1,4 @@
-//===- pset/Fingerprint.cpp - Structural hashing and interval bounds -----===//
+//===- pset/Fingerprint.cpp - Structural hashing -------------------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
@@ -9,6 +9,7 @@
 #include "pset/Relation.h"
 
 #include <algorithm>
+#include <vector>
 
 using namespace dhpf;
 using namespace dhpf::pset;
@@ -87,7 +88,8 @@ uint64_t pset::fingerprint(const Conjunct &C) {
   return H;
 }
 
-uint64_t pset::fingerprintSpace(const Space &S) {
+uint64_t pset::fingerprint(const Relation &R) {
+  const Space &S = R.space();
   uint64_t H = 0x6a09e667f3bcc908ULL;
   for (const std::string &P : S.params())
     H = combine(H, hashString(P));
@@ -97,97 +99,8 @@ uint64_t pset::fingerprintSpace(const Space &S) {
   H = combine(H, 0xa54ff53a5f1d36f1ULL);
   for (const std::string &N : S.outNames())
     H = combine(H, hashString(N));
-  return H;
-}
-
-uint64_t pset::fingerprintCombine(uint64_t Seed, uint64_t V) {
-  return combine(Seed, V);
-}
-
-uint64_t pset::fingerprint(const Relation &R) {
-  uint64_t H = fingerprintSpace(R.space());
   H = combine(H, R.conjuncts().size());
   for (const Conjunct &C : R.conjuncts())
     H = combine(H, fingerprint(C));
   return H;
-}
-
-BBox pset::bboxOf(const Conjunct &C) {
-  unsigned NumVis = C.numParams() + C.numIn() + C.numOut();
-  BBox B;
-  B.Lo.assign(NumVis, 0);
-  B.Hi.assign(NumVis, 0);
-  B.HasLo.assign(NumVis, 0);
-  B.HasHi.assign(NumVis, 0);
-  auto Lower = [&](unsigned Col, int64_t V) {
-    if (!B.HasLo[Col] || V > B.Lo[Col]) {
-      B.Lo[Col] = V;
-      B.HasLo[Col] = 1;
-    }
-  };
-  auto Upper = [&](unsigned Col, int64_t V) {
-    if (!B.HasHi[Col] || V < B.Hi[Col]) {
-      B.Hi[Col] = V;
-      B.HasHi[Col] = 1;
-    }
-  };
-  for (const Row &R : C.rows()) {
-    // Only rows over exactly one visible column and no existential.
-    bool UsesExist = false;
-    for (unsigned E = 0; E != C.numExists(); ++E)
-      if (R.Coef[C.existCol(E)] != 0) {
-        UsesExist = true;
-        break;
-      }
-    if (UsesExist)
-      continue;
-    int Col = -1;
-    bool Single = true;
-    for (unsigned I = 0; I != NumVis; ++I)
-      if (R.Coef[I] != 0) {
-        if (Col >= 0) {
-          Single = false;
-          break;
-        }
-        Col = static_cast<int>(I);
-      }
-    if (!Single || Col < 0)
-      continue;
-    int64_t A = R.Coef[Col], K = R.constant();
-    if (R.IsEq) {
-      // A*x + K = 0: integral solution required.
-      if (K % A != 0) {
-        B.ProvenEmpty = true;
-        return B;
-      }
-      int64_t V = -K / A;
-      Lower(Col, V);
-      Upper(Col, V);
-    } else if (A > 0) {
-      // A*x >= -K  =>  x >= ceil(-K / A).
-      Lower(Col, ceilDiv(-K, A));
-    } else {
-      // A*x >= -K with A < 0  =>  x <= floor(K / -A).
-      Upper(Col, floorDiv(K, -A));
-    }
-  }
-  for (unsigned I = 0; I != NumVis; ++I)
-    if (B.HasLo[I] && B.HasHi[I] && B.Lo[I] > B.Hi[I]) {
-      B.ProvenEmpty = true;
-      return B;
-    }
-  return B;
-}
-
-bool pset::bboxDisjoint(const BBox &A, const BBox &B) {
-  if (A.ProvenEmpty || B.ProvenEmpty)
-    return true;
-  unsigned N = std::min(A.Lo.size(), B.Lo.size());
-  for (unsigned I = 0; I != N; ++I) {
-    if (A.HasHi[I] && B.HasLo[I] && A.Hi[I] < B.Lo[I])
-      return true;
-    if (B.HasHi[I] && A.HasLo[I] && B.Hi[I] < A.Lo[I])
-      return true;
-  }
-  return false;
 }

@@ -1,27 +1,20 @@
-//===- pset/Fingerprint.h - Structural hashing and interval bounds -------===//
+//===- pset/Fingerprint.h - Structural hashing ---------------------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cheap pre-analysis layer under the set engine's operation cache:
-///
-///  * fingerprint(): a canonical 64-bit structural hash of a Conjunct or
-///    Relation. Rows are GCD-normalized and hashed order-insensitively, so
-///    two conjuncts that differ only in row order or a common row factor
-///    collide on purpose; conjunct order and every Space name (parameters
-///    and tuple dimensions) are part of the hash, because operations align
-///    parameters by name and propagate dimension names into results.
-///    Equal fingerprints are treated as "structurally identical" by the
-///    operation cache and by the isSubsetOf/isEqualTo short-circuits.
-///
-///  * BBox: per-column integer interval bounds extracted from the
-///    single-variable constraints of a conjunct. A bounding box can prove
-///    a conjunct empty (lo > hi, or a unit equality with a non-dividing
-///    modulus) or two conjuncts disjoint without running Fourier-Motzkin
-///    elimination — the cheap-reject fast paths of intersect/subtract/
-///    isEmpty.
+/// fingerprint(): a canonical 64-bit structural hash of a Conjunct or
+/// Relation, the key of the set engine's operation cache. Rows are
+/// GCD-normalized and hashed order-insensitively, so two conjuncts that
+/// differ only in row order or a common row factor collide on purpose;
+/// conjunct order and every Space name (parameters and tuple dimensions)
+/// are part of the hash, because operations align parameters by name and
+/// propagate dimension names into results. Equal fingerprints are treated
+/// as "structurally identical" by the operation cache and by the
+/// isSubsetOf/isEqualTo short-circuits. Relation::fingerprint() memoizes
+/// the relation hash on the object.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +24,10 @@
 #include "pset/Conjunct.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace dhpf {
 
 class Relation;
-class Space;
 
 namespace pset {
 
@@ -47,33 +38,6 @@ uint64_t fingerprint(const Conjunct &C);
 /// Canonical structural hash of a relation: the Space (all names) plus the
 /// conjunct fingerprints in order.
 uint64_t fingerprint(const Relation &R);
-
-/// The Space-name prefix of the relation fingerprint. Exposed so
-/// Relation::fingerprint() (the memoized, intern-table-backed path) can
-/// reproduce fingerprint(Relation) exactly without a structural walk.
-uint64_t fingerprintSpace(const Space &S);
-
-/// The mixing step used to fold sizes and conjunct hashes into a relation
-/// fingerprint.
-uint64_t fingerprintCombine(uint64_t Seed, uint64_t V);
-
-/// Inclusive per-column integer bounds over the visible columns
-/// (parameters, input dims, output dims) of a conjunct, derived from rows
-/// that constrain exactly one visible column and no existential.
-struct BBox {
-  std::vector<int64_t> Lo, Hi;
-  std::vector<uint8_t> HasLo, HasHi;
-  /// The interval analysis alone proved the conjunct unsatisfiable.
-  bool ProvenEmpty = false;
-};
-
-/// Computes the bounding box of \p C over its visible columns.
-BBox bboxOf(const Conjunct &C);
-
-/// True if the boxes provably share no point (some column's intervals are
-/// disjoint, or either conjunct is proven empty). Both boxes must be over
-/// the same column layout (operands are parameter-aligned first).
-bool bboxDisjoint(const BBox &A, const BBox &B);
 
 } // namespace pset
 } // namespace dhpf

@@ -7,7 +7,6 @@
 #include "pset/OpCache.h"
 
 #include "obs/Metrics.h"
-#include "pset/Intern.h"
 #include "support/Diag.h"
 
 #include <cstdlib>
@@ -229,19 +228,12 @@ void OpCache::publishMetrics() {
   R.gauge("pset.cache.hits")->set(static_cast<int64_t>(T.Hits));
   R.gauge("pset.cache.misses")->set(static_cast<int64_t>(T.Misses));
   R.gauge("pset.cache.evictions")->set(static_cast<int64_t>(T.Evictions));
-  R.gauge("pset.cache.fast_empty_bbox")
-      ->set(static_cast<int64_t>(T.FastEmptyBBox));
-  R.gauge("pset.cache.fast_disjoint_bbox")
-      ->set(static_cast<int64_t>(T.FastDisjointBBox));
   R.gauge("pset.cache.fast_subset_fp")
       ->set(static_cast<int64_t>(T.FastSubsetFP));
   R.gauge("pset.cache.dup_rows_removed")
       ->set(static_cast<int64_t>(T.DupRowsRemoved));
   R.gauge("pset.cache.fast_implied_atom")
       ->set(static_cast<int64_t>(T.FastImpliedAtom));
-  // The intern table publishes its own pset.intern.* family (global and
-  // per-shard) next to the cache's.
-  InternTable::global().publishMetrics();
   std::vector<ShardStats> PS = perShardStats();
   for (size_t I = 0; I != PS.size(); ++I) {
     std::string P = "pset.cache.shard." + std::to_string(I);
@@ -257,15 +249,8 @@ CacheStats OpCache::stats() const {
   S.Hits = NHits.load(std::memory_order_relaxed);
   S.Misses = NMisses.load(std::memory_order_relaxed);
   S.Evictions = NEvictions.load(std::memory_order_relaxed);
-  S.FastEmptyBBox = NFastEmpty.load(std::memory_order_relaxed);
-  S.FastDisjointBBox = NFastDisjoint.load(std::memory_order_relaxed);
   S.FastSubsetFP = NFastSubset.load(std::memory_order_relaxed);
   S.DupRowsRemoved = NDupRows.load(std::memory_order_relaxed);
   S.FastImpliedAtom = NImpliedAtom.load(std::memory_order_relaxed);
-  InternStats IS = InternTable::global().stats();
-  S.InternLookups = IS.Lookups;
-  S.InternHits = IS.Hits;
-  S.InternEntries = IS.Entries;
-  S.InternRows = IS.Rows;
   return S;
 }

@@ -18,8 +18,10 @@
 /// concurrent analysis threads do not serialize on one lock. Each shard
 /// evicts in LRU order at a fixed capacity. `setEnabled(false)` (or the
 /// environment variable DHPF_PSET_CACHE=0) turns the whole performance
-/// layer off — the cache *and* the cheap-reject fast paths — restoring the
-/// seed engine's exact behavior for debugging.
+/// layer off — the cache *and* the fast paths of Relation.cpp (implied-atom
+/// pruning, row dedup, the universe shortcut, ordered subtraction and the
+/// fingerprint-equality subset test) — restoring the seed engine's exact
+/// behavior for debugging.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,12 +57,6 @@ struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;
-  /// Conjuncts proven unsatisfiable by interval (bounding-box) analysis
-  /// alone, skipping the Omega test (isEmpty / simplify fast path).
-  uint64_t FastEmptyBBox = 0;
-  /// Conjunct pairs skipped in intersect/subtract because their bounding
-  /// boxes are disjoint.
-  uint64_t FastDisjointBBox = 0;
   /// isSubsetOf/isEqualTo calls short-circuited by fingerprint equality.
   uint64_t FastSubsetFP = 0;
   /// Syntactically duplicate constraint rows dropped after intersection.
@@ -68,13 +64,10 @@ struct CacheStats {
   /// Subtract branches skipped because the minuend conjunct syntactically
   /// implied the atom being negated (the branch is provably empty).
   uint64_t FastImpliedAtom = 0;
-  // Intern-table (pset/Intern.h) traffic, mirrored here so driver
-  // snapshots and bench tables report the hash-consing layer alongside the
-  // cache. Lookups/Hits are cumulative; Entries/Rows are current levels.
+  // Always zero. Kept only because perfbench/src/CompileLayers.cpp reads
+  // them, and that file changes only together with the benchmark.
   uint64_t InternLookups = 0;
   uint64_t InternHits = 0;
-  uint64_t InternEntries = 0;
-  uint64_t InternRows = 0;
 
   double hitRate() const {
     uint64_t T = Hits + Misses;
@@ -85,15 +78,9 @@ struct CacheStats {
     R.Hits = Hits - O.Hits;
     R.Misses = Misses - O.Misses;
     R.Evictions = Evictions - O.Evictions;
-    R.FastEmptyBBox = FastEmptyBBox - O.FastEmptyBBox;
-    R.FastDisjointBBox = FastDisjointBBox - O.FastDisjointBBox;
     R.FastSubsetFP = FastSubsetFP - O.FastSubsetFP;
     R.DupRowsRemoved = DupRowsRemoved - O.DupRowsRemoved;
     R.FastImpliedAtom = FastImpliedAtom - O.FastImpliedAtom;
-    R.InternLookups = InternLookups - O.InternLookups;
-    R.InternHits = InternHits - O.InternHits;
-    R.InternEntries = InternEntries; // levels, not deltas
-    R.InternRows = InternRows;
     return R;
   }
 };
@@ -158,10 +145,6 @@ public:
   void publishMetrics();
 
   // Fast-path accounting (the fast paths live in Relation.cpp).
-  void noteFastEmpty() { NFastEmpty.fetch_add(1, std::memory_order_relaxed); }
-  void noteFastDisjoint() {
-    NFastDisjoint.fetch_add(1, std::memory_order_relaxed);
-  }
   void noteFastSubset() {
     NFastSubset.fetch_add(1, std::memory_order_relaxed);
   }
@@ -218,8 +201,7 @@ private:
   size_t PerShardCapacity;
   std::atomic<bool> Enabled{true};
   std::atomic<uint64_t> NHits{0}, NMisses{0}, NEvictions{0};
-  std::atomic<uint64_t> NFastEmpty{0}, NFastDisjoint{0}, NFastSubset{0},
-      NDupRows{0}, NImpliedAtom{0};
+  std::atomic<uint64_t> NFastSubset{0}, NDupRows{0}, NImpliedAtom{0};
 };
 
 } // namespace pset

@@ -7,7 +7,6 @@
 #include "pset/Relation.h"
 
 #include "pset/Fingerprint.h"
-#include "pset/Intern.h"
 #include "pset/OmegaTest.h"
 #include "pset/OpCache.h"
 
@@ -28,7 +27,7 @@ Relation cachedBinaryOp(pset::Op O, const Relation &A, const Relation &B,
   pset::OpCache &C = pset::OpCache::global();
   if (!C.enabled())
     return Compute();
-  // Memoized, intern-table-backed keys: O(1) after each operand's first use.
+  // Memoized keys: O(1) after each operand's first use.
   uint64_t FA = A.fingerprint(), FB = B.fingerprint();
   Relation R;
   if (C.lookup(O, FA, FB, R))
@@ -56,9 +55,9 @@ Relation cachedUnaryOp(pset::Op O, const Relation &A, Fn Compute) {
   return R;
 }
 
-/// True when the performance layer's cheap-reject fast paths are active
-/// (tied to the cache's global switch so DHPF_PSET_CACHE=0 restores the
-/// seed engine exactly).
+/// True when the performance layer's fast paths are active (tied to the
+/// cache's global switch so DHPF_PSET_CACHE=0 restores the seed engine
+/// exactly).
 bool fastPathsOn() { return pset::OpCache::global().enabled(); }
 
 /// Drops rows that are exact syntactic duplicates (same kind, same
@@ -100,14 +99,7 @@ uint64_t Relation::fingerprint() const {
   uint64_t H = FPCache.load(std::memory_order_relaxed);
   if (H != 0)
     return H;
-  // Same formula as pset::fingerprint(*this): the interned entry's FP is
-  // the conjunct's structural fingerprint (interning canonicalizes with the
-  // exact row normalization the structural hash applies).
-  H = pset::fingerprintSpace(Sp);
-  H = pset::fingerprintCombine(H, Conjs.size());
-  pset::InternTable &T = pset::InternTable::global();
-  for (const Conjunct &C : Conjs)
-    H = pset::fingerprintCombine(H, T.intern(C)->FP);
+  H = pset::fingerprint(*this);
   if (H == 0)
     H = 0x9e3779b97f4a7c15ULL; // 0 is reserved as the "invalid" sentinel
   FPCache.store(H, std::memory_order_relaxed);
@@ -179,26 +171,11 @@ Relation Relation::intersectImpl(const Relation &O) const {
   const Relation &A = *PA, &B = *PB;
   assert(A.Sp.sameDims(B.Sp) && "intersect requires matching dimensions");
   bool Fast = fastPathsOn();
-  // Cheap-reject: conjunct pairs with disjoint bounding boxes conjoin to
-  // an unsatisfiable conjunct; skip them without running the Omega test.
-  std::vector<pset::BBox> BoxA, BoxB;
-  if (Fast) {
-    BoxA.reserve(A.Conjs.size());
-    for (const Conjunct &CA : A.Conjs)
-      BoxA.push_back(pset::bboxOf(CA));
-    BoxB.reserve(B.Conjs.size());
-    for (const Conjunct &CB : B.Conjs)
-      BoxB.push_back(pset::bboxOf(CB));
-  }
   Relation R(A.Sp);
   R.Conjs.reserve(A.Conjs.size() * B.Conjs.size());
   unsigned Dups = 0;
   for (unsigned I = 0; I != A.Conjs.size(); ++I)
     for (unsigned J = 0; J != B.Conjs.size(); ++J) {
-      if (Fast && pset::bboxDisjoint(BoxA[I], BoxB[J])) {
-        pset::OpCache::global().noteFastDisjoint();
-        continue;
-      }
       // §5 guard factoring: conjoining with an unconstrained conjunct (a
       // loop-invariant guard that imposes nothing) reproduces the other
       // operand exactly — skip the per-row renumbering walk.
@@ -332,16 +309,12 @@ Relation Relation::subtractImpl(const Relation &O) const {
 
   // Pre-expand each conjunct of B into atom lists: ordinary inequalities
   // (equalities become two) plus divisibility constraints from the
-  // normalized existential witnesses. Each list keeps the bounding box of
-  // its source conjunct for the disjointness cheap-reject below.
+  // normalized existential witnesses.
   std::vector<std::vector<NegAtom>> NegForms;
-  std::vector<pset::BBox> NegBoxes;
   for (const Conjunct &CB : B.Conjs) {
     for (Conjunct &Flat : omega::normalizeExists(CB)) {
       if (!Flat.normalize())
         continue; // unsatisfiable: subtracting nothing
-      if (Fast)
-        NegBoxes.push_back(pset::bboxOf(Flat));
       unsigned Base = Flat.numParams() + Flat.numIn() + Flat.numOut();
       std::vector<NegAtom> Atoms;
       for (const Row &R : Flat.rows()) {
@@ -389,39 +362,17 @@ Relation Relation::subtractImpl(const Relation &O) const {
   // branch count, so putting the narrow forms first keeps every
   // intermediate list (and the Omega tests run on it) as small as possible;
   // atom-free forms (subtracting the universe) empty the list immediately.
-  if (Fast) {
-    std::vector<size_t> Order(NegForms.size());
-    for (size_t I = 0; I != Order.size(); ++I)
-      Order[I] = I;
-    std::stable_sort(Order.begin(), Order.end(), [&](size_t X, size_t Y) {
-      return NegForms[X].size() < NegForms[Y].size();
-    });
-    std::vector<std::vector<NegAtom>> SortedForms;
-    std::vector<pset::BBox> SortedBoxes;
-    SortedForms.reserve(NegForms.size());
-    SortedBoxes.reserve(NegBoxes.size());
-    for (size_t I : Order) {
-      SortedForms.push_back(std::move(NegForms[I]));
-      SortedBoxes.push_back(std::move(NegBoxes[I]));
-    }
-    NegForms = std::move(SortedForms);
-    NegBoxes = std::move(SortedBoxes);
-  }
+  if (Fast)
+    std::stable_sort(NegForms.begin(), NegForms.end(),
+                     [](const std::vector<NegAtom> &X,
+                        const std::vector<NegAtom> &Y) {
+                       return X.size() < Y.size();
+                     });
 
   Relation Res(A.Sp);
   for (const Conjunct &CA : A.Conjs) {
     std::vector<Conjunct> List = {CA};
-    pset::BBox BoxA;
-    if (Fast)
-      BoxA = pset::bboxOf(CA);
-    for (unsigned FormIdx = 0; FormIdx != NegForms.size(); ++FormIdx) {
-      const std::vector<NegAtom> &Atoms = NegForms[FormIdx];
-      // Every element of List is a subset of CA; when CA's bounding box is
-      // disjoint from this subtrahend conjunct, X - CB = X for all of them.
-      if (Fast && pset::bboxDisjoint(BoxA, NegBoxes[FormIdx])) {
-        pset::OpCache::global().noteFastDisjoint();
-        continue;
-      }
+    for (const std::vector<NegAtom> &Atoms : NegForms) {
       std::vector<Conjunct> Next;
       for (const Conjunct &C : List) {
         // C - conj(atoms) = union over j of (C && a_0..a_{j-1} && !a_j),
@@ -730,17 +681,9 @@ bool Relation::isEmpty() const {
 }
 
 bool Relation::isEmptyImpl() const {
-  bool Fast = fastPathsOn();
-  for (const Conjunct &C : Conjs) {
-    // Cheap-reject: a conjunct whose interval bounds contradict is
-    // unsatisfiable without the Omega test.
-    if (Fast && pset::bboxOf(C).ProvenEmpty) {
-      pset::OpCache::global().noteFastEmpty();
-      continue;
-    }
+  for (const Conjunct &C : Conjs)
     if (omega::isSatisfiable(C))
       return false;
-  }
   return true;
 }
 
@@ -1018,15 +961,10 @@ Relation Relation::simplify() const {
 }
 
 Relation Relation::simplifyImpl() const {
-  bool Fast = fastPathsOn();
   Relation R(Sp);
   for (Conjunct C : Conjs) {
     if (!C.normalize())
       continue;
-    if (Fast && pset::bboxOf(C).ProvenEmpty) {
-      pset::OpCache::global().noteFastEmpty();
-      continue;
-    }
     if (!omega::isSatisfiable(C))
       continue;
     omega::removeRedundantRows(C);

@@ -129,13 +129,12 @@ public:
   // Queries
   //===--------------------------------------------------------------------===
 
-  /// Structural fingerprint of this relation, numerically identical to
-  /// pset::fingerprint(*this) but memoized on the object: the first call
-  /// interns every conjunct into the global hash-consing arena
-  /// (pset/Intern.h) and folds the interned entries' cached hashes;
-  /// subsequent calls are a single atomic load. Copies inherit the memo;
-  /// every mutation path invalidates it. Only valid while no outstanding
-  /// mutable conjuncts()/addConjunct() reference is being used to mutate.
+  /// Structural fingerprint of this relation: pset::fingerprint(*this)
+  /// (pset/Fingerprint.h), memoized on the object. The first call walks the
+  /// conjuncts; later calls are a single atomic load. Copies inherit the
+  /// memo; every mutation path invalidates it. Only valid while no
+  /// outstanding mutable conjuncts()/addConjunct() reference is being used
+  /// to mutate.
   uint64_t fingerprint() const;
 
   bool isEmpty() const;

@@ -8,7 +8,6 @@
 
 #include "core/InPlace.h"
 #include "obs/Metrics.h"
-#include "pset/Intern.h"
 #include "spmd/Layout.h"
 #include "spmd/Serialize.h"
 

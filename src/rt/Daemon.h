@@ -8,8 +8,8 @@
 /// The long-lived compiler daemon: a net::MsgServer on a Unix socket whose
 /// handlers are thin adapters from wire payloads to the CompilerService
 /// API. Every compile request flows through the same service instance, so
-/// N concurrent clients share one warm OpCache / intern table / kernel
-/// cache and identical in-flight requests collapse to one compile. The
+/// N concurrent clients share one warm OpCache / kernel cache and
+/// identical in-flight requests collapse to one compile. The
 /// daemon is the "millions of users" deployment shape of the toolchain;
 /// `dhpfc --server=PATH` is its client, and a batch `dhpfc` is the same
 /// code driving the same service in-process.

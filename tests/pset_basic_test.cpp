@@ -108,11 +108,14 @@ TEST(PsetEmptiness, GcdInfeasible) {
   // 2i = 2j + 1 has no integer solution.
   Relation S = parseRelation("{ [i,j] : 2i = 2j + 1 }");
   EXPECT_TRUE(S.isEmpty());
+  // One variable whose coefficient does not divide the constant.
+  EXPECT_TRUE(parseRelation("{ [i] : 2*i = 5 }").isEmpty());
 }
 
 TEST(PsetEmptiness, Contradiction) {
   Relation S = parseRelation("{ [i] : i >= 5 && i <= 4 }");
   EXPECT_TRUE(S.isEmpty());
+  EXPECT_TRUE(parseRelation("{ [i] : 4 <= i and i <= 2 }").isEmpty());
 }
 
 TEST(PsetEmptiness, TightIntegerGap) {

@@ -2,9 +2,9 @@
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
-// The performance layer (fingerprinted operation cache, bounding-box
-// cheap rejects, fingerprint short-circuits) must be invisible except for
-// speed. Two families of evidence:
+// The performance layer (fingerprinted operation cache, memoized relation
+// fingerprints, set-engine fast paths, fingerprint short-circuits) must be
+// invisible except for speed. Two families of evidence:
 //
 //   1. Differential set algebra: random relations pushed through every
 //      cached operation with the cache+fast paths enabled and disabled;
@@ -25,12 +25,21 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 using namespace dhpf;
 using namespace dhpf::apps;
 using namespace dhpf::core;
 
 namespace {
+
+/// Fingerprint of the first conjunct of a parsed set.
+uint64_t conjunctFP(const std::string &Text) {
+  Relation R = parseRelation(Text);
+  const std::vector<Conjunct> &Cs = std::as_const(R).conjuncts();
+  EXPECT_FALSE(Cs.empty()) << Text;
+  return Cs.empty() ? 0 : pset::fingerprint(Cs.front());
+}
 
 /// RAII guard: forces the global cache on or off, restores on exit, and
 /// clears stored entries on both edges so tests are order-independent.
@@ -120,6 +129,13 @@ TEST(Fingerprint, RowOrderInsensitive) {
   C.addConstraint({{C.outCol(0), -1}}, 9, false);                   // i <= 9
   C.addConstraint({{C.outCol(0), 1}}, 0, false);                    // i >= 0
   EXPECT_EQ(pset::fingerprint(A), pset::fingerprint(B));
+
+  // Parsed spellings: row order and equality orientation collapse too.
+  const uint64_t F =
+      pset::fingerprint(parseRelation("{ [i,j] : 1 <= i <= 5 && i = j }"));
+  for (const char *T : {"{ [i,j] : i = j && 1 <= i <= 5 }",
+                        "{ [i,j] : j = i && 1 <= i <= 5 }"})
+    EXPECT_EQ(pset::fingerprint(parseRelation(T)), F) << T;
 }
 
 TEST(Fingerprint, ScaledConstraintsCollide) {
@@ -127,12 +143,23 @@ TEST(Fingerprint, ScaledConstraintsCollide) {
   Relation A = parseRelation("{ [i] : 0 <= i and 2*i <= 10 }");
   Relation B = parseRelation("{ [i] : 0 <= i and i <= 5 }");
   EXPECT_EQ(pset::fingerprint(A), pset::fingerprint(B));
+  // Common factors on both an inequality pair and an equality.
+  EXPECT_EQ(
+      pset::fingerprint(parseRelation("{ [i,j] : 2 <= 2i <= 10 && 3i = 3j }")),
+      pset::fingerprint(parseRelation("{ [i,j] : 1 <= i <= 5 && i = j }")));
 }
 
 TEST(Fingerprint, DistinguishesConstants) {
   Relation A = parseRelation("{ [i] : 0 <= i <= 5 }");
   Relation B = parseRelation("{ [i] : 0 <= i <= 6 }");
   EXPECT_NE(pset::fingerprint(A), pset::fingerprint(B));
+  // Distinct structures over one space: bounds and a stride all differ.
+  const uint64_t F1 = conjunctFP("{ [i] : 1 <= i <= 5 }");
+  const uint64_t F2 = conjunctFP("{ [i] : 1 <= i <= 6 }");
+  const uint64_t F3 = conjunctFP("{ [i] : exists(a : i = 2a) }");
+  EXPECT_NE(F1, F2);
+  EXPECT_NE(F1, F3);
+  EXPECT_NE(F2, F3);
 }
 
 TEST(Fingerprint, DistinguishesSpaceNames) {
@@ -141,27 +168,45 @@ TEST(Fingerprint, DistinguishesSpaceNames) {
   Relation A = parseRelation("{ [i] : 0 <= i <= 5 }");
   Relation B = parseRelation("{ [j] : 0 <= j <= 5 }");
   EXPECT_NE(pset::fingerprint(A), pset::fingerprint(B));
+  // The names live in the Space, not the conjunct: the conjunct hashes of
+  // sets that differ only in the names they picked (parser-generated
+  // existentials included) agree.
+  EXPECT_EQ(conjunctFP("{ [i] : 1 <= i <= 5 }"),
+            conjunctFP("{ [x] : 1 <= x <= 5 }"));
+  EXPECT_EQ(conjunctFP("{ [i] : 0 <= i <= 10 && exists(a : i = 2a) }"),
+            conjunctFP("{ [j] : 0 <= j <= 10 && exists(q : j = 2q) }"));
 }
 
-TEST(Fingerprint, BBoxProvesEmptiness) {
-  Relation A = parseRelation("{ [i] : 4 <= i and i <= 2 }");
-  ASSERT_EQ(A.conjuncts().size(), 1u);
-  EXPECT_TRUE(pset::bboxOf(A.conjuncts()[0]).ProvenEmpty);
-  Relation B = parseRelation("{ [i] : 2*i = 5 }");
-  ASSERT_EQ(B.conjuncts().size(), 1u);
-  EXPECT_TRUE(pset::bboxOf(B.conjuncts()[0]).ProvenEmpty);
-}
+// Relation::fingerprint() memoizes pset::fingerprint(Relation): it must
+// equal the free function for parsed relations and operation results,
+// copies and moves must carry a correct value, and mutation through the
+// non-const accessor or addConjunct must drop the memo.
+TEST(Fingerprint, RelationFingerprintMatchesFreeFunction) {
+  Relation A = parseRelation("{ [i] : 1 <= i <= 9 or 20 <= i <= 30 }");
+  Relation B = parseRelation("{ [i] : exists(a : i = 2a) }");
+  EXPECT_EQ(A.fingerprint(), pset::fingerprint(A));
+  EXPECT_EQ(B.fingerprint(), pset::fingerprint(B));
 
-TEST(Fingerprint, BBoxDisjointness) {
-  Relation A = parseRelation("{ [i] : 0 <= i <= 3 }");
-  Relation B = parseRelation("{ [i] : 5 <= i <= 9 }");
-  Relation C = parseRelation("{ [i] : 2 <= i <= 7 }");
-  pset::BBox BA = pset::bboxOf(A.conjuncts()[0]);
-  pset::BBox BB = pset::bboxOf(B.conjuncts()[0]);
-  pset::BBox BC = pset::bboxOf(C.conjuncts()[0]);
-  EXPECT_TRUE(pset::bboxDisjoint(BA, BB));
-  EXPECT_FALSE(pset::bboxDisjoint(BA, BC));
-  EXPECT_FALSE(pset::bboxDisjoint(BB, BC));
+  Relation I = A.intersect(B);
+  Relation S = A.subtract(B).simplify();
+  Relation U = A.unionWith(B);
+  EXPECT_EQ(I.fingerprint(), pset::fingerprint(I));
+  EXPECT_EQ(S.fingerprint(), pset::fingerprint(S));
+  EXPECT_EQ(U.fingerprint(), pset::fingerprint(U));
+
+  Relation Copy = I;
+  EXPECT_EQ(Copy.fingerprint(), pset::fingerprint(I));
+  Relation Moved = std::move(Copy);
+  EXPECT_EQ(Moved.fingerprint(), pset::fingerprint(I));
+
+  uint64_t Before = A.fingerprint();
+  A.conjuncts().pop_back();
+  EXPECT_EQ(A.fingerprint(), pset::fingerprint(A));
+  EXPECT_NE(A.fingerprint(), Before);
+  Before = A.fingerprint();
+  A.addConjunct();
+  EXPECT_EQ(A.fingerprint(), pset::fingerprint(A));
+  EXPECT_NE(A.fingerprint(), Before);
 }
 
 //===----------------------------------------------------------------------===

@@ -8,8 +8,10 @@
 /// `dhpfd` runs one rt::Daemon in a process: a long-lived compile/run
 /// server on a Unix socket. It exists so many short-lived `dhpfc
 /// --server=` clients share one warm CompilerService — a warm Presburger
-/// operation cache, intern table, kernel cache, and artifact cache —
-/// instead of each paying the cold-start cost.
+/// operation cache, kernel cache, and artifact cache — instead of each
+/// paying the cold-start cost. The operation cache and the artifact cache
+/// evict in LRU order, so a daemon that keeps compiling new programs levels
+/// off in memory once they fill.
 ///
 ///   dhpfd --socket=/tmp/dhpfd.sock [--cache=ops.cache] [--metrics=m.txt]
 ///
