@@ -6,7 +6,6 @@
 
 #include "core/CompilerDriver.h"
 
-#include "core/InPlace.h"
 #include "obs/Trace.h"
 
 #include <functional>
@@ -54,6 +53,17 @@ bool core::validateProgram(const Program &P, DiagnosticEngine &Diags) {
           A.TemplateName + "' has rank " +
           std::to_string(It->second.rank()));
   }
+
+  // A template dimension with constant bounds must hold a cell; bounds
+  // over parameters are checked per run (spmd::admitFootprint).
+  for (const auto &[Name, T] : P.templates())
+    for (unsigned D = 0; D != T.rank(); ++D) {
+      const DimRange &R = T.Dims[D];
+      if (R.Lo.Terms.empty() && R.Hi.Terms.empty() && R.Hi.K < R.Lo.K)
+        Err("template '" + Name + "' dimension " + std::to_string(D + 1) +
+            " (" + std::to_string(R.Lo.K) + ":" + std::to_string(R.Hi.K) +
+            ") holds no cell");
+    }
 
   for (const auto &[Name, D] : P.distributes()) {
     auto TIt = P.templates().find(Name);
@@ -120,9 +130,6 @@ CompilerDriver::CompilerDriver(const Program &P, CompilerOptions Opts,
   Ctx.SP = &Out->Program;
   Ctx.T = &Out->Timers;
   Ctx.SP->Source = &P;
-  // Hand the interpreter the synthesized Section 3.3 runtime check (the
-  // spmd library cannot link this analysis code directly).
-  Ctx.SP->InPlaceRuntimeCheck = &checkInPlaceAtRuntime;
 }
 
 std::vector<std::string> CompilerDriver::passNames() {

@@ -312,9 +312,9 @@ private:
           CS.RecvCommMap.bindDomainToParams(QP).simplify().coalesce();
       {
         PhaseTimers::Scope S(*T, phase::ContigCheck);
-        Ev.InPlace = analyzeInPlaceSections(PerPartner,
-                                            Ctx->MB.dataSet(Plan.In.Array));
-        Ev.InPlaceProven = Ev.InPlace.Verdict == InPlaceVerdict::Contiguous;
+        Ev.InPlaceProven =
+            analyzeInPlaceSections(PerPartner, Ctx->MB.dataSet(Plan.In.Array))
+                .Verdict == InPlaceVerdict::Contiguous;
         if (Ev.InPlaceProven)
           ++Ctx->Out->NumContiguousProven;
       }

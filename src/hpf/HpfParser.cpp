@@ -247,10 +247,14 @@ private:
       L.expect('(');
       std::vector<ProcArray::Dim> Dims;
       do {
-        if (L.tryConsume('*'))
+        if (L.tryConsume('*')) {
           Dims.push_back(Program::procDimSym(L.ident()));
-        else
-          Dims.push_back(Program::procDim(L.number()));
+        } else {
+          int64_t Extent = L.number();
+          if (Extent < 1)
+            L.fail("a processor extent must be at least 1");
+          Dims.push_back(Program::procDim(Extent));
+        }
       } while (L.tryConsume(','));
       L.expect(')');
       Prog->addProcs(Name, Dims);
@@ -322,7 +326,10 @@ private:
           D.Specs.push_back(distBlock());
         } else if (L.tryKeyword("cyclic")) {
           if (L.tryConsume('(')) {
-            D.Specs.push_back(distCyclicK(L.number()));
+            int64_t K = L.number();
+            if (K < 1)
+              L.fail("cyclic(k) needs k >= 1");
+            D.Specs.push_back(distCyclicK(K));
             L.expect(')');
           } else {
             D.Specs.push_back(distCyclic());

@@ -6,7 +6,6 @@
 
 #include "rt/Daemon.h"
 
-#include "core/InPlace.h"
 #include "obs/Metrics.h"
 #include "spmd/Layout.h"
 #include "spmd/Serialize.h"
@@ -150,7 +149,6 @@ std::string rt::runSummary(const spmd::RunResult &RR,
      << "stmt_instances " << RR.StmtInstances << "\n"
      << "span_copies " << RR.SpanCopies << "\n"
      << "packed_copies " << RR.PackedCopies << "\n"
-     << "inplace_upgrades " << RR.InPlaceRuntimeUpgrades << "\n"
      << "valid " << (RR.Valid ? 1 : 0) << "\n";
   for (const std::string &V : RR.Violations)
     OS << "violation " << V << "\n";
@@ -385,7 +383,6 @@ std::string Daemon::handleRun(const std::string &Payload) {
     W.blob("error", Diags.str());
     return W.str();
   }
-  SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
   SessionOptions SO;
   SO.NumProcs = static_cast<int64_t>(In.getU("procs", 4));
   SO.CheckValidity = In.getU("validity", 1) != 0;

@@ -7,6 +7,7 @@
 #include "rt/Launch.h"
 
 #include "net/Tcp.h"
+#include "obs/Trace.h"
 #include "spmd/Layout.h"
 
 #include <cerrno>
@@ -16,6 +17,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <fstream>
+#include <optional>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -164,6 +166,10 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   if (!S.Config.CheckValidity)
     Common.push_back("--no-validity");
 
+  // The launcher's phases trace in the driver's lane, next to the ranks'.
+  obs::TraceBuffer *TB = &obs::TraceBuffer::global();
+  std::optional<obs::TraceSpan> Phase;
+  Phase.emplace(TB, "launch:spawn", "rt");
   std::vector<pid_t> Pids(NP, -1);
   for (unsigned R = 0; R != NP; ++R) {
     std::vector<std::string> Args = Common;
@@ -206,6 +212,7 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
 
   // Supervise: reap under the deadline; kill stragglers past it so a hung
   // or deadlocked mesh becomes a diagnostic, not a hung launcher.
+  Phase.emplace(TB, "launch:wait", "rt");
   int64_t Deadline = nowMs() + Opts.TimeoutMs;
   std::vector<int> Status(NP, -1);
   unsigned Live = NP;
@@ -274,6 +281,7 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
     return LR;
   }
 
+  Phase.emplace(TB, "launch:merge", "rt");
   std::vector<RankDump> Dumps;
   for (unsigned R = 0; R != NP; ++R) {
     std::string Path = Dir + "/rank" + std::to_string(R) + ".result";

@@ -20,7 +20,7 @@ using namespace dhpf::spmd;
 namespace {
 
 constexpr char Magic[8] = {'d', 'h', 'p', 'f', 'r', 'a', 'n', 'k'};
-constexpr uint32_t Version = 1;
+constexpr uint32_t Version = 2;
 constexpr uint32_t ByteOrderProbe = 0x01020304;
 /// Magic, version, byte-order probe and the leading total: the prefix that
 /// identifies a result file.
@@ -136,8 +136,8 @@ std::string rt::serializeRankDump(const RankDump &D) {
   for (uint64_t W :
        {uint64_t(D.Rank), uint64_t(D.NP), D.R.Messages, D.R.Bytes,
         D.R.SpanCopies, D.R.PackedCopies, D.R.StmtInstances,
-        uint64_t(D.R.InPlaceRuntimeUpgrades), D.R.CollMessages,
-        D.R.CollBytes, D.OverlapNum, D.OverlapDen, uint64_t(D.R.Valid)})
+        D.R.CollMessages, D.R.CollBytes, D.OverlapNum, D.OverlapDen,
+        uint64_t(D.R.Valid)})
     putWord(B, W);
   putWord(B, D.R.Violations.size());
   for (const std::string &V : D.R.Violations)
@@ -202,7 +202,7 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
     return In.fail("length words disagree with the file size");
   In.End = Size - TrailerBytes;
 
-  uint64_t W[13] = {}; // rank, NP, the ten counters, validity
+  uint64_t W[12] = {}; // rank, NP, the nine counters, validity
   if (In.left() < sizeof(W))
     return In.fail("no room for the header");
   std::memcpy(W, B.data() + In.Pos, sizeof(W));
@@ -217,12 +217,11 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
   Out.R.SpanCopies = W[4];
   Out.R.PackedCopies = W[5];
   Out.R.StmtInstances = W[6];
-  Out.R.InPlaceRuntimeUpgrades = static_cast<unsigned>(W[7]);
-  Out.R.CollMessages = W[8];
-  Out.R.CollBytes = W[9];
-  Out.OverlapNum = W[10];
-  Out.OverlapDen = W[11];
-  Out.R.Valid = W[12] != 0;
+  Out.R.CollMessages = W[7];
+  Out.R.CollBytes = W[8];
+  Out.OverlapNum = W[9];
+  Out.OverlapDen = W[10];
+  Out.R.Valid = W[11] != 0;
 
   uint64_t N = 0;
   if (!In.count(N, 8, "violation count"))
@@ -315,11 +314,6 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
       if (Out.R.Violations.size() < 40)
         Out.R.Violations.push_back("rank " + std::to_string(P) + ": " + V);
     // Broadcast values must agree bitwise across ranks.
-    if (D.R.InPlaceRuntimeUpgrades != D0.R.InPlaceRuntimeUpgrades) {
-      Err = "rank " + std::to_string(P) +
-            " disagrees on in-place runtime upgrades";
-      return false;
-    }
     for (const auto &[Name, V] : D.R.FinalAccums) {
       auto It = D0.R.FinalAccums.find(Name);
       if (It == D0.R.FinalAccums.end() || bitsOf(It->second) != bitsOf(V)) {
@@ -364,7 +358,6 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
         return false;
       }
   }
-  Out.R.InPlaceRuntimeUpgrades = D0.R.InPlaceRuntimeUpgrades;
   Out.R.FinalAccums = D0.R.FinalAccums;
   Out.R.OverlapRatio = ODen ? double(ONum) / double(ODen) : 0.0;
   return true;

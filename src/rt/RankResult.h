@@ -22,10 +22,10 @@
 /// 32-bit identification words every integer is a 64-bit word, and every
 /// double is its raw 8 bytes:
 ///
-///   magic "dhpfrank" | u32 version | u32 byte-order probe 0x01020304
+///   magic "dhpfrank" | u32 version (2) | u32 byte-order probe 0x01020304
 ///   total file bytes | rank | NP
 ///   Messages Bytes SpanCopies PackedCopies StmtInstances
-///   InPlaceRuntimeUpgrades CollMessages CollBytes OverlapNum OverlapDen
+///   CollMessages CollBytes OverlapNum OverlapDen
 ///   valid | #violations, each (length, bytes)
 ///   #accumulators, each (name length, name, value bits)
 ///   #arrays in name order, each (name length, name, #values, values)

@@ -341,15 +341,14 @@ void PlanLowering::run() {
     Plan.Stmts.push_back(std::move(SP));
   }
 
-  for (unsigned EI = 0; EI != Prog.Events.size(); ++EI) {
-    const CommEvent &Ev = Prog.Events[EI];
+  for (const CommEvent &Ev : Prog.Events) {
     EventPlan EP;
     EP.Id = Ev.Id;
     EP.Array = B.ArrayIds.at(Ev.Array);
     EP.PartnerSlots = Ev.PartnerSlots;
     EP.ElemSlots = Ev.ElemSlots;
     EP.ElemBytes = B.Stores[EP.Array]->elemBytes();
-    EP.InPlace = (*In.EventInPlace)[EI] != 0;
+    EP.InPlace = Ev.InPlaceProven;
     if (Ev.SendLoops)
       lowerInto(EP.Send, *Ev.SendLoops, Fixed);
     if (Ev.RecvLoops)
@@ -417,7 +416,7 @@ PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
       Hi(CIn.First + CIn.Local) {
   {
     PlanBuild B = buildExecPlan(
-        Prog, {&I.Arrays, &I.AllBindings, &I.ProcShape, &I.EventInPlace});
+        Prog, {&I.Arrays, &I.AllBindings, &I.ProcShape});
     Plan = std::move(B.Plan);
     ArrayIds = std::move(B.ArrayIds);
     Stores = std::move(B.Stores);

@@ -109,7 +109,7 @@ struct EventPlan {
   /// True when neither loop nest reads a sequential-loop variable, so the
   /// enumerated (partner, element) lists are identical every execution.
   bool Cacheable = false;
-  /// Effective in-place flag (compile-proven or runtime-upgraded).
+  /// CommEvent::InPlaceProven: the simulated machine charges no pack.
   bool InPlace = false;
   unsigned ElemBytes = 8;
 };
@@ -167,7 +167,6 @@ struct PlanBuildInputs {
   std::map<std::string, ArrayStore> *Arrays = nullptr;
   const std::map<std::string, int64_t> *AllBindings = nullptr;
   const std::vector<int64_t> *ProcShape = nullptr;
-  const std::vector<char> *EventInPlace = nullptr;
 };
 
 /// A built plan plus the array-name resolution used to build it.

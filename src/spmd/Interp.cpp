@@ -133,7 +133,6 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
   Mach = sim::Machine(NumProcs, Config.Machine);
   setupArrays();
   setupEnvs();
-  setupInPlace();
   Overlay.resize(NumProcs);
   Pending.resize(NumProcs);
   Accums.resize(NumProcs);
@@ -168,12 +167,6 @@ EngineKind Interpreter::resolveEngine(EngineKind E) {
   if (S && std::strcmp(S, "native") == 0)
     return EngineKind::Native;
   return EngineKind::Bytecode;
-}
-
-void Interpreter::setupInPlace() {
-  EventInPlace =
-      resolveEventInPlace(Prog, {ProcShape, NumProcs, AllBindings},
-                          Result.InPlaceRuntimeUpgrades);
 }
 
 void Interpreter::setSemantics(int Id, StmtFn Fn) {
@@ -289,7 +282,6 @@ void Interpreter::execCompute(const SpmdNode &N) {
 void Interpreter::execSend(const SpmdNode &N) {
   const CommEvent &Ev = Prog.Events[N.EventId];
   ArrayStore &A = Arrays.at(Ev.Array);
-  bool InPlace = EventInPlace[N.EventId] != 0;
   for (unsigned P = 0; P != NumProcs; ++P) {
     auto &Pd = Pending[P][Ev.Array];
     // Ordered per-partner element lists (deduplicated: union conjuncts in
@@ -349,7 +341,7 @@ void Interpreter::execSend(const SpmdNode &N) {
       else
         ++Result.PackedCopies;
       uint64_t Bytes = Items.size() * A.elemBytes();
-      uint64_t PackBytes = InPlace ? 0 : Bytes;
+      uint64_t PackBytes = Ev.InPlaceProven ? 0 : Bytes;
       Mach.send(P, Q, static_cast<uint64_t>(Ev.Id), Bytes, PackBytes);
       Payloads[{P, Q, Ev.Id}].push(std::move(Items));
     }
@@ -359,7 +351,6 @@ void Interpreter::execSend(const SpmdNode &N) {
 void Interpreter::execRecv(const SpmdNode &N) {
   const CommEvent &Ev = Prog.Events[N.EventId];
   ArrayStore &A = Arrays.at(Ev.Array);
-  bool InPlace = EventInPlace[N.EventId] != 0;
   for (unsigned P = 0; P != NumProcs; ++P) {
     auto &Ov = Overlay[P][Ev.Array];
     std::vector<unsigned> PartnerOrder;
@@ -399,7 +390,7 @@ void Interpreter::execRecv(const SpmdNode &N) {
       if (PIt->second.empty())
         Payloads.erase(PIt);
       Mach.recv(Q, P, static_cast<uint64_t>(Ev.Id),
-                InPlace ? 0 : Items.size() * A.elemBytes());
+                Ev.InPlaceProven ? 0 : Items.size() * A.elemBytes());
       std::unordered_map<int64_t, double> Got(Items.begin(), Items.end());
       if (Got.size() != Flats.size())
         violation("message size mismatch for event " + std::to_string(Ev.Id) +

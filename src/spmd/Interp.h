@@ -97,6 +97,8 @@ struct RunResult {
   uint64_t StmtInstances = 0;
   /// Messages whose (deduplicated) element set was a contiguous flat span
   /// gathered straight from locally-owned storage — the Section 3.3 shape.
+  /// This exact per-message test is Section 3.3's run-time check; the
+  /// simulated pack cost follows CommEvent::InPlaceProven alone.
   /// Engine-independent: every engine classifies the same logical message
   /// identically, so these counters compare bit-for-bit across engines and
   /// against the distributed runtime.
@@ -117,8 +119,8 @@ struct RunResult {
   bool Valid = true;
   std::vector<std::string> Violations; ///< first few validity failures
   AccumMap FinalAccums;                ///< post-reduction accumulator values
-  /// Events whose undecided compile-time contiguity verdict the Section 3.3
-  /// runtime check upgraded to in-place under this run's bindings.
+  /// Always 0: no run upgrades a compile-time contiguity verdict. It stays
+  /// only because perfbench still compares it (ROADMAP item 6 deletes it).
   unsigned InPlaceRuntimeUpgrades = 0;
 
   /// Marks the run invalid, keeping the first 20 messages.
@@ -236,11 +238,6 @@ private:
            std::queue<std::vector<std::pair<int64_t, double>>>>
       Payloads;
 
-  /// Effective per-event in-place flags: the compile-time verdict plus any
-  /// runtime upgrades under this run's bindings. Shared by both engines so
-  /// simulated pack costs agree bit-for-bit.
-  std::vector<char> EventInPlace;
-
   std::unique_ptr<Comm> OwnComm;      // in-process runs of the plan executor
   std::unique_ptr<PlanExecutor> Exec; // plan executor, when selected
 
@@ -252,7 +249,6 @@ private:
 
   void setupArrays();
   void setupEnvs();
-  void setupInPlace();
   /// Maps a partner tuple from a comm loop (physical or VP indices per
   /// dimension) to a physical rank.
   unsigned partnerRank(const std::vector<int64_t> &Partner) const;

@@ -42,12 +42,36 @@ uint64_t physicalMemoryBytes() {
 
 struct ArrayShape {
   std::vector<int64_t> Lo, Extent;
+  /// An aligned array's template bounds, per template dimension.
+  std::vector<int64_t> TLo, TExt;
 };
+
+/// Evaluates \p Dims under \p Bind into lower bounds and extents, with
+/// overflow checks that stay in every build. \p What names the object in
+/// any FootprintError and gains its evaluated bounds, "(lo:hi, ...)".
+void evalDims(const std::vector<DimRange> &Dims,
+              const std::map<std::string, int64_t> &Bind, std::string &What,
+              std::vector<int64_t> &Lo, std::vector<int64_t> &Extent) {
+  std::string Text;
+  for (const DimRange &R : Dims) {
+    int64_t L = evalBound(R.Lo, Bind, What);
+    int64_t H = evalBound(R.Hi, Bind, What), E = 0;
+    if (__builtin_sub_overflow(H, L, &E) || __builtin_add_overflow(E, 1, &E))
+      throw FootprintError(What + ": an extent overflows 64 bits");
+    Text += (Text.empty() ? "" : ", ") + std::to_string(L) + ":" +
+            std::to_string(H);
+    Lo.push_back(L);
+    Extent.push_back(E);
+  }
+  What += "(" + Text + ")";
+}
 
 /// Every array's bounds, admitted before anything is allocated: element
 /// counts and bytes (a double per element, plus an int32 owner for
 /// aligned arrays) are computed with overflow checks that stay in every
-/// build, and their total must fit in physical memory.
+/// build, and their total must fit in physical memory. The template of
+/// every aligned array must hold a cell in each dimension, since
+/// ownership divides by its extents.
 std::map<std::string, ArrayShape> admitShapes(const SpmdProgram &Prog,
                                               const ProgramLayout &L) {
   static const uint64_t Phys = physicalMemoryBytes();
@@ -57,19 +81,7 @@ std::map<std::string, ArrayShape> admitShapes(const SpmdProgram &Prog,
   for (const auto &[Name, Decl] : P.arrays()) {
     ArrayShape &S = Shapes[Name];
     std::string What = "array '" + Name + "'";
-    std::string Dims;
-    for (const DimRange &R : Decl.Dims) {
-      int64_t Lo = evalBound(R.Lo, L.AllBindings, What);
-      int64_t Hi = evalBound(R.Hi, L.AllBindings, What), E = 0;
-      if (__builtin_sub_overflow(Hi, Lo, &E) ||
-          __builtin_add_overflow(E, 1, &E))
-        throw FootprintError(What + ": an extent overflows 64 bits");
-      Dims += (Dims.empty() ? "" : ", ") + std::to_string(Lo) + ":" +
-              std::to_string(Hi);
-      S.Lo.push_back(Lo);
-      S.Extent.push_back(E);
-    }
-    What += "(" + Dims + ")";
+    evalDims(Decl.Dims, L.AllBindings, What, S.Lo, S.Extent);
     int64_t N = 1;
     for (int64_t E : S.Extent) {
       if (E < 0)
@@ -78,9 +90,18 @@ std::map<std::string, ArrayShape> admitShapes(const SpmdProgram &Prog,
         throw FootprintError(What +
                              " has more elements than 64 bits can count");
     }
+    const Align *Al = P.alignOf(Name);
+    if (Al) {
+      std::string TWhat = "template '" + Al->TemplateName + "'";
+      evalDims(P.templateDecl(Al->TemplateName).Dims, L.AllBindings, TWhat,
+               S.TLo, S.TExt);
+      for (int64_t E : S.TExt)
+        if (E < 1)
+          throw FootprintError(TWhat + ", which array '" + Name +
+                               "' aligns to, holds no cell");
+    }
     uint64_t Bytes = 0;
-    if (__builtin_mul_overflow(uint64_t(N), P.alignOf(Name) ? 12u : 8u,
-                               &Bytes) ||
+    if (__builtin_mul_overflow(uint64_t(N), Al ? 12u : 8u, &Bytes) ||
         __builtin_add_overflow(Total, Bytes, &Total) ||
         (Phys && Total > Phys))
       throw FootprintError(What + " takes the program's arrays past the " +
@@ -128,13 +149,13 @@ std::map<std::string, ArrayStore>
 spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
                        const ProgramLayout &L) {
   const Program &P = *Prog.Source;
-  const std::map<std::string, int64_t> &All = L.AllBindings;
   std::map<std::string, ArrayShape> Shapes = admitShapes(Prog, L);
   std::map<std::string, ArrayStore> Arrays;
 
   for (const auto &[Name, Decl] : P.arrays()) {
-    const std::vector<int64_t> &Lo = Shapes[Name].Lo;
-    const std::vector<int64_t> &Extent = Shapes[Name].Extent;
+    const ArrayShape &S = Shapes[Name];
+    const std::vector<int64_t> &Lo = S.Lo;
+    const std::vector<int64_t> &Extent = S.Extent;
     ArrayStore Store(Lo, Extent, Decl.ElemBytes);
 
     // Ownership, computed independently of the set framework (direct
@@ -149,13 +170,7 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
       for (unsigned I = 0; I != PA.rank(); ++I)
         PExt.push_back(PA.Dims[I].isSymbolic() ? ExtIt->second[I]
                                                : PA.Dims[I].Fixed);
-      // Template bounds per dimension, evaluated once.
-      std::vector<int64_t> TLo, TExt;
-      for (const DimRange &R : T.Dims) {
-        std::string What = "template '" + Al->TemplateName + "'";
-        TLo.push_back(evalBound(R.Lo, All, What));
-        TExt.push_back(evalBound(R.Hi, All, What) - TLo.back() + 1);
-      }
+      const std::vector<int64_t> &TLo = S.TLo, &TExt = S.TExt;
       Store.Owner.assign(Store.size(), -1);
       std::vector<int64_t> Idx(Decl.rank());
       for (unsigned DD = 0; DD != Decl.rank(); ++DD)
@@ -319,25 +334,4 @@ bool spmd::vpIsReal(const SpmdProgram &Prog,
     }
   }
   return true;
-}
-
-std::vector<char> spmd::resolveEventInPlace(const SpmdProgram &Prog,
-                                            const ProgramLayout &L,
-                                            unsigned &Upgrades) {
-  std::vector<char> Flags(Prog.Events.size(), 0);
-  for (unsigned EI = 0; EI != Prog.Events.size(); ++EI) {
-    const CommEvent &Ev = Prog.Events[EI];
-    bool InPlace = Ev.InPlaceProven;
-    // The synthesized Section 3.3 runtime check: an undecided compile-time
-    // verdict may become contiguous under this run's concrete bindings.
-    // Every engine consults the same flags, so pack costs agree.
-    if (!InPlace && Prog.InPlaceRuntimeCheck &&
-        Ev.InPlace.Verdict == core::InPlaceVerdict::RuntimeCheck &&
-        Prog.InPlaceRuntimeCheck(Ev.InPlace, L.AllBindings)) {
-      InPlace = true;
-      ++Upgrades;
-    }
-    Flags[EI] = InPlace ? 1 : 0;
-  }
-  return Flags;
 }

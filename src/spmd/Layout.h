@@ -8,9 +8,10 @@
 /// The setup every executor of a compiled SPMD program performs before the
 /// first statement runs: resolving the processor shape and the full binding
 /// environment, building dense array stores with per-element ownership,
-/// seeding per-processor variable environments, mapping virtual-processor
-/// partner tuples to physical ranks, and deciding the effective per-event
-/// in-place flags (compile verdicts plus Section 3.3 runtime upgrades).
+/// seeding per-processor variable environments, and mapping
+/// virtual-processor partner tuples to physical ranks. None of it runs
+/// the set engine: everything a run needs from the sets was compiled into
+/// the program.
 ///
 /// Every Interpreter — in-process or one rank of a launch — runs this
 /// setup, and the launcher (src/rt) resolves the same layout to size the
@@ -91,13 +92,6 @@ unsigned vpPartnerRank(const SpmdProgram &Prog,
 bool vpIsReal(const SpmdProgram &Prog, const std::vector<int64_t> &ProcShape,
               const std::map<std::string, int64_t> &AllBindings,
               const std::vector<int64_t> &Partner);
-
-/// Effective per-event in-place flags: the compile-time verdict plus any
-/// Section 3.3 runtime upgrades under this run's bindings. \p Upgrades is
-/// incremented once per upgraded event.
-std::vector<char> resolveEventInPlace(const SpmdProgram &Prog,
-                                      const ProgramLayout &L,
-                                      unsigned &Upgrades);
 
 } // namespace spmd
 } // namespace dhpf

@@ -6,10 +6,10 @@
 //
 // Canonical textual form: one s-expression. Atoms are integers, %.17g
 // doubles (bit-exact round trip), symbols, and quoted strings (\\ \" \n \t
-// \r escapes). Relations are embedded in the set-parser syntax; the source
-// program is embedded as mini-HPF text. The reader reports malformed input
-// into a DiagnosticEngine with line:col locations and never relies on
-// assert() — it behaves identically in Debug and Release builds.
+// \r escapes). The source program is embedded as mini-HPF text. The
+// reader reports malformed input into a DiagnosticEngine with line:col
+// locations and never relies on assert() — it behaves identically in Debug
+// and Release builds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -200,18 +200,6 @@ void writeAst(std::ostream &OS, const cg::AstNode *N) {
   }
 }
 
-bool isDefaultRelation(const Relation &R) {
-  return R.conjuncts().empty() && R.numParams() == 0 && R.numIn() == 0 &&
-         R.numOut() == 0;
-}
-
-void writeRelation(std::ostream &OS, const Relation &R) {
-  if (isDefaultRelation(R))
-    OS << "nil";
-  else
-    OS << quoted(R.toString());
-}
-
 const char *vpKindName(hpf::DistSpec::Kind K) {
   switch (K) {
   case hpf::DistSpec::Kind::Star:
@@ -275,7 +263,7 @@ void writeNode(std::ostream &OS, const SpmdNode *N) {
 
 std::string spmd::serializeSpmdProgram(const SpmdProgram &P) {
   std::ostringstream OS;
-  OS << "(spmd 1\n";
+  OS << "(spmd 2\n";
 
   OS << " (vars";
   for (unsigned I = 0; I != P.Vars.size(); ++I)
@@ -333,23 +321,7 @@ std::string spmd::serializeSpmdProgram(const SpmdProgram &P) {
     OS << ") (";
     for (unsigned I = 0; I != E.ElemSlots.size(); ++I)
       OS << (I ? " " : "") << E.ElemSlots[I];
-    OS << ") " << (E.InPlaceProven ? 1 : 0) << "\n   (inplace ";
-    switch (E.InPlace.Verdict) {
-    case core::InPlaceVerdict::Contiguous:
-      OS << "contig";
-      break;
-    case core::InPlaceVerdict::NotContiguous:
-      OS << "notcontig";
-      break;
-    case core::InPlaceVerdict::RuntimeCheck:
-      OS << "runtime";
-      break;
-    }
-    OS << " " << E.InPlace.SplitDim << " ";
-    writeRelation(OS, E.InPlace.CommSet);
-    OS << " ";
-    writeRelation(OS, E.InPlace.ArraySet);
-    OS << ")\n   ";
+    OS << ") " << (E.InPlaceProven ? 1 : 0) << "\n   ";
     writeAst(OS, E.SendLoops.get());
     OS << "\n   ";
     writeAst(OS, E.RecvLoops.get());
@@ -569,7 +541,7 @@ public:
         !isSym(Top.Items[0], "spmd"))
       fail(Top.Loc, "expected (spmd <version> ...)");
     if (Top.Items.size() < 2 || Top.Items[1].K != SExpr::Kind::Int ||
-        Top.Items[1].I != 1)
+        Top.Items[1].I != 2)
       fail(Top.Loc, "unsupported spmd serialization version");
 
     // Index the sections, then decode in dependency order (vars first:
@@ -734,7 +706,9 @@ private:
 
   void decodeEvents(const SExpr &S) {
     for (size_t I = 1; I != S.Items.size(); ++I) {
-      const SExpr &E = asList(S.Items[I], "event", 9);
+      const SExpr &E = asList(S.Items[I], "event", 8);
+      if (E.Items.size() != 8)
+        fail(E.Loc, "too many items in (event ...)");
       CommEvent Ev;
       Ev.Id = static_cast<int>(asInt(E.Items[1]));
       if (Ev.Id != static_cast<int>(I - 1))
@@ -749,38 +723,12 @@ private:
       for (const SExpr &P : E.Items[4].Items)
         Ev.ElemSlots.push_back(asSlot(P));
       Ev.InPlaceProven = asInt(E.Items[5]) != 0;
-      decodeInPlace(E.Items[6], Ev.InPlace);
-      Ev.SendLoops = decodeAst(E.Items[7]);
-      Ev.RecvLoops = decodeAst(E.Items[8]);
+      Ev.SendLoops = decodeAst(E.Items[6]);
+      Ev.RecvLoops = decodeAst(E.Items[7]);
       if (!Ev.SendLoops || !Ev.RecvLoops)
         fail(E.Loc, "event send/recv loops must be present");
       Prog->Events.push_back(std::move(Ev));
     }
-  }
-
-  void decodeInPlace(const SExpr &S, core::InPlaceResult &R) {
-    const SExpr &L = asList(S, "inplace", 5);
-    if (isSym(L.Items[1], "contig"))
-      R.Verdict = core::InPlaceVerdict::Contiguous;
-    else if (isSym(L.Items[1], "notcontig"))
-      R.Verdict = core::InPlaceVerdict::NotContiguous;
-    else if (isSym(L.Items[1], "runtime"))
-      R.Verdict = core::InPlaceVerdict::RuntimeCheck;
-    else
-      fail(L.Items[1].Loc, "unknown in-place verdict");
-    R.SplitDim = static_cast<int>(asInt(L.Items[2]));
-    R.CommSet = decodeRelation(L.Items[3]);
-    R.ArraySet = decodeRelation(L.Items[4]);
-  }
-
-  Relation decodeRelation(const SExpr &S) {
-    if (isSym(S, "nil"))
-      return Relation();
-    const std::string &Text = asStr(S);
-    Expected<Relation> R = parseRelation(Text, Diags, File + ":relation");
-    if (!R)
-      fail(S.Loc, "malformed embedded relation");
-    return R.take();
   }
 
   //===------------------------ expressions / ASTs -----------------------===//

@@ -8,17 +8,13 @@
 /// A canonical textual form for compiled SPMD programs, so compilation and
 /// execution can run in separate processes (dhpfc compile -> .spmd file ->
 /// dhpfc run). serializeSpmdProgram renders every component — the variable
-/// table, compiled statements, communication events (loop ASTs, in-place
-/// analysis relations in the set syntax), and the node tree — as a single
+/// table, compiled statements, communication events (loop ASTs and the
+/// compile-time in-place verdict), and the node tree — as a single
 /// s-expression, and embeds the mini-HPF source text (via printHpfProgram)
-/// because the interpreter rebuilds layouts and array extents from it.
-/// parseSpmdProgram reads the form back; the reparsed program executes
-/// bit-identically to the in-memory original.
-///
-/// The parsed program owns its reconstructed hpf::Program (OwnedSource) and
-/// has a null InPlaceRuntimeCheck: this library cannot link the core
-/// analysis, so callers that want runtime contiguity checks wire
-/// core::checkInPlaceAtRuntime themselves (dhpfc does).
+/// because the interpreter rebuilds layouts and array extents from it. No
+/// relation is serialized: a run needs none. parseSpmdProgram reads the
+/// form back; the reparsed program executes bit-identically to the
+/// in-memory original.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +37,7 @@ std::string serializeSpmdProgram(const SpmdProgram &P);
 /// Parses a serialized program, reporting malformed input into \p Diags
 /// with line:col locations (works identically in Debug and Release
 /// builds). Returns null on failure. On success the result owns its
-/// source program and its InPlaceRuntimeCheck is null (see file comment).
+/// source program.
 std::unique_ptr<SpmdProgram>
 parseSpmdProgram(const std::string &Text, DiagnosticEngine &Diags,
                  const std::string &FileName = "<spmd>");

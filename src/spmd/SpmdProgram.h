@@ -21,7 +21,6 @@
 
 #include "cg/Ast.h"
 #include "cg/Expr.h"
-#include "core/InPlace.h"
 #include "hpf/Maps.h"
 
 #include <map>
@@ -30,6 +29,9 @@
 #include <vector>
 
 namespace dhpf {
+namespace core {
+struct InPlaceResult;
+} // namespace core
 namespace spmd {
 
 /// One compiled statement: subscripts resolved to expressions over the
@@ -59,8 +61,9 @@ struct CommEvent {
   cg::AstPtr RecvLoops; // what each partner owns that I need
   std::vector<unsigned> PartnerSlots;
   std::vector<unsigned> ElemSlots;
-  /// Compile-time in-place analysis of the (per-partner) message section.
-  core::InPlaceResult InPlace;
+  /// The compiler proved every per-partner message section contiguous
+  /// (Section 3.3), so the simulated machine charges no pack for it. The
+  /// executors decide the real zero-copy send per message, exactly.
   bool InPlaceProven = false;
 };
 
@@ -118,11 +121,9 @@ struct SpmdProgram {
   /// dimension (used by VP loop bounds, Figure 6).
   std::vector<unsigned> CoordSlots;
 
-  /// The Section 3.3 runtime contiguity check, injected by the compiler
-  /// driver (this library cannot link the analysis code directly). Given an
-  /// event's retained in-place analysis and the run's concrete bindings,
-  /// returns true when the transfer is contiguous; null when the producer
-  /// supplies no check, in which case undecided verdicts stay packed.
+  /// Unread. It stays only because perfbench still assigns it (ROADMAP
+  /// item 6 deletes it); the run-time side of Section 3.3 is the
+  /// executors' exact per-message contiguity test.
   bool (*InPlaceRuntimeCheck)(const core::InPlaceResult &,
                               const std::map<std::string, int64_t> &) =
       nullptr;

@@ -11,7 +11,8 @@
 //     to ONE compile (CompilesStarted +1, Requests +N);
 //   - a daemon-side run renders the same wall-clock-free summary as a
 //     local run of the same program;
-//   - a malformed request, or a run whose arrays cannot be allocated,
+//   - a malformed request, a degenerate layout (cyclic(0), a template
+//     that holds no cell), or a run whose arrays cannot be allocated,
 //     draws an error reply and leaves both the connection and the daemon
 //     serving;
 //   - a malformed DHPF_NET_TIMEOUT_MS stops start() with a named error
@@ -206,6 +207,49 @@ TEST(DaemonFault, OversizedArraysDrawAnErrorReply) {
   ASSERT_TRUE(Small.Ok) << Small.DiagText;
   DaemonRunResult Ok = daemonRun(*S, Small.Spmd, SessionOptions(), true);
   EXPECT_TRUE(Ok.Ok) << Ok.Error;
+}
+
+/// Degenerate layouts are refused with a reply naming what is wrong: a
+/// cyclic(0) distribution at compile time, and a template bound to hold
+/// no cell at run time. The daemon then still compiles and runs jacobi.
+TEST(DaemonFault, DegenerateLayoutsDrawErrorReplies) {
+  ScopedDaemon SD;
+  std::string Jacobi = appSource(apps::makeJacobi, 16, 1);
+  auto Edited = [&](const std::string &From, const std::string &To) {
+    std::string Source = Jacobi;
+    size_t P = Source.find(From);
+    EXPECT_NE(P, std::string::npos) << From;
+    if (P != std::string::npos)
+      Source.replace(P, From.size(), To);
+    return Source;
+  };
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+
+  DaemonCompileResult Cyc0 =
+      daemonCompile(*S, "<cyclic0>",
+                    Edited("T(block, block)", "T(cyclic(0), block)"),
+                    CompilerOptions());
+  EXPECT_FALSE(Cyc0.Ok);
+  EXPECT_NE(Cyc0.DiagText.find("cyclic(k) needs k >= 1"), std::string::npos)
+      << Cyc0.DiagText;
+
+  std::string ParamN = Edited("template T(1:16,", "param N\ntemplate T(1:N,");
+  DaemonCompileResult C = daemonCompile(*S, "<paramN>", ParamN,
+                                        CompilerOptions());
+  ASSERT_TRUE(C.Ok) << C.DiagText;
+  SessionOptions SO;
+  SO.Params["N"] = 0;
+  DaemonRunResult R = daemonRun(*S, C.Spmd, SO, /*Check=*/true);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("template 'T'(1:0, 1:16)"), std::string::npos)
+      << R.Error;
+
+  DaemonCompileResult Ok =
+      daemonCompile(*S, "<jacobi>", Jacobi, CompilerOptions());
+  ASSERT_TRUE(Ok.Ok) << Ok.DiagText;
+  DaemonRunResult Run = daemonRun(*S, Ok.Spmd, SessionOptions(), true);
+  EXPECT_TRUE(Run.Ok) << Run.Error;
+  EXPECT_NE(Run.Summary.find("valid 1\n"), std::string::npos) << Run.Summary;
 }
 
 TEST(DaemonFault, MalformedWatchdogFailsStart) {

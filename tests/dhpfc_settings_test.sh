@@ -118,6 +118,51 @@ footprint-run | footprint-launch | footprint-rank)
   echo "$out" | grep -q "array 'U'" || fail "array U not named: $out"
   [ -z "$(ls -A "$TMPDIR")" ] || fail "left behind: $(ls -A "$TMPDIR")"
   ;;
+footprint-template-run | footprint-template-launch | footprint-template-rank)
+  # A template that holds no cell under this run's parameters (N = 0):
+  # refused with a message naming the template, never a division by zero.
+  sed -e 's/^program jacobi$/&\nparam N/' -e 's/template T(1:16,/template T(1:N,/' \
+    "$PROG" >"$W/empty.hpf"
+  "$DHPFC" compile "$W/empty.hpf" -o "$W/empty.spmd" >/dev/null ||
+    fail "compile failed"
+  case $CASE in
+  footprint-template-run)
+    out=$("$DHPFC" run "$W/empty.spmd" --param=N=0 2>&1)
+    ;;
+  footprint-template-launch)
+    out=$("$DHPFC" launch "$W/empty.spmd" -p 4 --param=N=0 2>&1)
+    ;;
+  footprint-template-rank)
+    mkdir "$W/mesh"
+    out=$(timeout 4 "$RT" "$W/empty.spmd" --rank=0 --param=N=0 \
+      --mesh "$W/mesh" --result "$W/r" 2>&1)
+    ;;
+  esac
+  st=$?
+  [ "$st" -eq 1 ] || fail "exit $st, want 1: $out"
+  echo "$out" | grep -q "template 'T'(1:0, 1:16)" ||
+    fail "template T not named: $out"
+  [ -z "$(ls -A "$TMPDIR")" ] || fail "left behind: $(ls -A "$TMPDIR")"
+  ;;
+trace-launch)
+  # Every rank's set-up phases and the launcher's own phases have spans in
+  # the merged trace: once per rank, once for the launcher.
+  if [ "$OBS" = OFF ]; then
+    echo "skipped ($CASE): observability compiled out"
+    exit 0
+  fi
+  "$DHPFC" launch "$PROG" -p 4 --trace="$W/t.json" >/dev/null ||
+    fail "exit $?"
+  for span in rank:parse rank:mesh rank:setup rank:seed rank:dump \
+    launch:spawn launch:wait launch:merge; do
+    n=$(grep -o "\"name\": \"$span\"" "$W/t.json" | wc -l)
+    case $span in
+    rank:*) want=4 ;;
+    *) want=1 ;;
+    esac
+    [ "$n" -eq "$want" ] || fail "$n '$span' spans, want $want"
+  done
+  ;;
 *)
   echo "unknown case '$CASE'"
   exit 2

@@ -82,6 +82,11 @@ TEST(MalformedInput, HpfParseErrors) {
       {"endnest without nest",
        "program p\nprocedure main\nendnest\n", 3},
       {"missing program line", "array A(1:8)\n", 0},
+      {"cyclic(0)",
+       "program p\nprocessors P(4)\ntemplate T(1:8)\n"
+       "distribute T(cyclic(0)) onto P\n",
+       4},
+      {"zero processor extent", "program p\nprocessors P(0, 2)\n", 2},
   };
   for (const BadCase &C : Cases) {
     DiagnosticEngine Diags;
@@ -114,6 +119,9 @@ TEST(MalformedInput, HpfValidationErrors) {
       // distribution arity mismatch
       "program p\nprocessors P(4)\ntemplate T(1:8)\n"
       "distribute T(block, block) onto P\n",
+      // a template dimension that holds no cell
+      "program p\nprocessors P(4)\ntemplate T(5:4)\n"
+      "array A(1:8) align (i) with T(i)\ndistribute T(block) onto P\n",
   };
   for (const char *Text : Cases) {
     DiagnosticEngine Diags;
@@ -145,7 +153,7 @@ TEST(MalformedInput, SetText) {
 
 /// A minimal well-formed .spmd skeleton the structural cases perturb.
 std::string spmdSkeleton(const std::string &Events, const std::string &Root) {
-  return "(spmd 1\n"                                       // line 1
+  return "(spmd 2\n"                                       // line 1
          " (vars \"i\")\n"                                 // line 2
          " (proc \"P\" (vpdim block 0 4 \"\" 2 \"\" 0 1 0))\n" // line 3
          " (myslots 0)\n"                                  // line 4
@@ -159,13 +167,14 @@ std::string spmdSkeleton(const std::string &Events, const std::string &Root) {
 TEST(MalformedInput, SpmdPrograms) {
   const std::vector<BadCase> Cases = {
       {"empty input", "", 0},
-      {"truncated list", "(spmd 1 (vars", 1},
+      {"truncated list", "(spmd 2 (vars", 1},
       {"wrong magic", "(program 1)", 1},
-      {"unsupported version", "(spmd 2)", 1},
-      {"missing sections", "(spmd 1 (vars))", 1},
+      {"version 1", "(spmd 1)", 1},
+      {"unsupported version", "(spmd 3)", 1},
+      {"missing sections", "(spmd 2 (vars))", 1},
       {"trailing garbage", spmdSkeleton("", "(seq)") + ")", 10},
       {"duplicate section",
-       "(spmd 1 (vars) (vars) (proc \"P\") (myslots) (coordslots) (stmts) "
+       "(spmd 2 (vars) (vars) (proc \"P\") (myslots) (coordslots) (stmts) "
        "(events) (root (seq)) (source nil))",
        1},
       {"slot out of range", spmdSkeleton("", "(compute \"n\" (loop \"i\" 7 "
@@ -182,17 +191,17 @@ TEST(MalformedInput, SpmdPrograms) {
       {"zero divisor", spmdSkeleton("", "(timeloop \"i\" 0 (fdiv 0 (c 4)) "
                                         "(c 3) (seq))"),
        8},
-      {"bad embedded relation",
-       spmdSkeleton(" (event 0 \"A\" (0) (0) 0 (inplace runtime -1 \"{ [i] "
-                    ": oops\" nil) (block) (block))",
+      {"v2 event with a v1 (inplace ...) item",
+       spmdSkeleton(" (event 0 \"A\" (0) (0) 0 (inplace runtime -1 nil "
+                    "nil) (block) (block))",
                     "(seq)"),
-       0},
+       7},
       {"bad embedded source",
-       "(spmd 1\n (vars)\n (proc \"P\")\n (myslots)\n (coordslots)\n"
+       "(spmd 2\n (vars)\n (proc \"P\")\n (myslots)\n (coordslots)\n"
        " (stmts)\n (events)\n (root (seq))\n (source \"program\"))\n",
        0},
-      {"unterminated string", "(spmd 1 (vars \"i))", 1},
-      {"non-integer slot", "(spmd 1 (vars \"i\") (proc \"P\") (myslots 1.5) "
+      {"unterminated string", "(spmd 2 (vars \"i))", 1},
+      {"non-integer slot", "(spmd 2 (vars \"i\") (proc \"P\") (myslots 1.5) "
                            "(coordslots) (stmts) (events) (root (seq)) "
                            "(source nil))",
        1},

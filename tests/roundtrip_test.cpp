@@ -21,7 +21,6 @@
 
 #include "apps/Registry.h"
 #include "core/Compiler.h"
-#include "core/InPlace.h"
 #include "hpf/HpfParser.h"
 #include "hpf/HpfPrinter.h"
 #include "pset/Relation.h"
@@ -147,9 +146,6 @@ TEST(RoundTrip, ParsedProgramRunsBitIdentically) {
     auto Parsed = spmd::parseSpmdProgram(
         spmd::serializeSpmdProgram(Out->Program), Diags, S.App.Name);
     ASSERT_TRUE(Parsed) << Diags.str();
-    // The serialized form cannot carry the analysis-library function
-    // pointer; the file consumer (dhpfc) wires it back the same way.
-    Parsed->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
 
     for (spmd::EngineKind E :
          {spmd::EngineKind::Tree, spmd::EngineKind::Bytecode}) {

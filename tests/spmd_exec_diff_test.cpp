@@ -45,7 +45,6 @@ struct Observed {
   bool Valid = true;
   std::vector<std::string> Violations;
   AccumMap FinalAccums;
-  unsigned InPlaceRuntimeUpgrades = 0;
 };
 
 /// Runs \p I and records everything it can observe.
@@ -61,7 +60,6 @@ Observed observe(Interpreter &I, const hpf::Program &Source) {
   O.Valid = RR.Valid;
   O.Violations = RR.Violations;
   O.FinalAccums = RR.FinalAccums;
-  O.InPlaceRuntimeUpgrades = RR.InPlaceRuntimeUpgrades;
   return O;
 }
 
@@ -111,8 +109,6 @@ void expectSame(const Observed &Tree, const Observed &Byte,
   EXPECT_EQ(Tree.StmtInstances, Byte.StmtInstances) << Config;
   EXPECT_EQ(Tree.Valid, Byte.Valid) << Config;
   EXPECT_EQ(Tree.Violations, Byte.Violations) << Config;
-  EXPECT_EQ(Tree.InPlaceRuntimeUpgrades, Byte.InPlaceRuntimeUpgrades)
-      << Config;
   ASSERT_EQ(Tree.FinalAccums.size(), Byte.FinalAccums.size()) << Config;
   for (const auto &[Name, V] : Tree.FinalAccums) {
     auto It = Byte.FinalAccums.find(Name);

@@ -22,7 +22,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/InPlace.h"
 #include "net/Socket.h"
 #include "net/Tcp.h"
 #include "obs/Trace.h"
@@ -36,6 +35,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,45 +115,48 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, O))
     return usage();
 
-  std::ifstream In(O.SpmdPath, std::ios::binary);
-  if (!In) {
-    std::cerr << "dhpf_rt rank " << O.Rank << ": cannot read "
-              << O.SpmdPath << "\n";
-    return 1;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-
-  DiagnosticEngine Diags;
-  std::unique_ptr<spmd::SpmdProgram> SP =
-      spmd::parseSpmdProgram(SS.str(), Diags, O.SpmdPath);
-  if (!Diags.empty())
-    std::cerr << Diags.str();
-  if (!SP)
-    return 1;
-  // Rewire the runtime contiguity check the serialized form cannot carry.
-  SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
-
-  std::string Err;
-  std::optional<rt::Session> S = rt::resolveSession(*SP, O.Session, Err);
-  if (!S) {
-    std::cerr << "dhpf_rt rank " << O.Rank << ": " << Err << "\n";
-    return 1;
-  }
-
   // DHPF_TRACE (set per rank by the launcher, or by hand) turns on this
   // process's trace buffer; the rank traces in lane rank+1 (lane 0 is the
-  // driver), so merged timelines show every process side by side.
-  std::string TracePath = obs::startTraceFromEnv(
-      static_cast<uint32_t>(O.Rank) + 1, "rank " + std::to_string(O.Rank));
-  // Written on failure paths too — the trace of a dying rank is the one
-  // worth reading.
-  auto WriteTrace = [&TracePath] {
-    if (TracePath.empty())
-      return;
-    std::ofstream TF(TracePath, std::ios::binary | std::ios::trunc);
-    TF << obs::TraceBuffer::global().chromeJson();
-  };
+  // driver), so merged timelines show every process side by side. The
+  // trace is written on every exit path: the trace of a dying rank is the
+  // one worth reading.
+  struct TraceFile {
+    std::string Path;
+    ~TraceFile() {
+      if (Path.empty())
+        return;
+      std::ofstream TF(Path, std::ios::binary | std::ios::trunc);
+      TF << obs::TraceBuffer::global().chromeJson();
+    }
+  } Trace{obs::startTraceFromEnv(static_cast<uint32_t>(O.Rank) + 1,
+                                 "rank " + std::to_string(O.Rank))};
+  obs::TraceBuffer *TB = &obs::TraceBuffer::global();
+
+  std::unique_ptr<spmd::SpmdProgram> SP;
+  std::optional<rt::Session> S;
+  {
+    obs::TraceSpan Span(TB, "rank:parse", "rt");
+    std::ifstream In(O.SpmdPath, std::ios::binary);
+    if (!In) {
+      std::cerr << "dhpf_rt rank " << O.Rank << ": cannot read "
+                << O.SpmdPath << "\n";
+      return 1;
+    }
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    DiagnosticEngine Diags;
+    SP = spmd::parseSpmdProgram(SS.str(), Diags, O.SpmdPath);
+    if (!Diags.empty())
+      std::cerr << Diags.str();
+    if (!SP)
+      return 1;
+    std::string Err;
+    S = rt::resolveSession(*SP, O.Session, Err);
+    if (!S) {
+      std::cerr << "dhpf_rt rank " << O.Rank << ": " << Err << "\n";
+      return 1;
+    }
+  }
 
   try {
     spmd::ProgramLayout L = spmd::resolveLayout(*SP, S->Config);
@@ -165,50 +168,57 @@ int main(int Argc, char **Argv) {
     // Refuse arrays that cannot be allocated before joining the mesh.
     spmd::admitFootprint(*SP, L);
     std::unique_ptr<net::Transport> T;
-    if (!O.HostsPath.empty()) {
-      net::TcpOptions TcpOpts;
-      TcpOpts.HostsPath = O.HostsPath;
-      T = net::connectTcpMesh(static_cast<unsigned>(O.Rank), L.NumProcs,
-                              TcpOpts);
-    } else {
-      net::SocketOptions SockOpts;
-      SockOpts.MeshDir = O.MeshDir;
-      T = net::connectSocketMesh(static_cast<unsigned>(O.Rank), L.NumProcs,
-                                 SockOpts);
+    {
+      obs::TraceSpan Span(TB, "rank:mesh", "rt");
+      if (!O.HostsPath.empty()) {
+        net::TcpOptions TcpOpts;
+        TcpOpts.HostsPath = O.HostsPath;
+        T = net::connectTcpMesh(static_cast<unsigned>(O.Rank), L.NumProcs,
+                                TcpOpts);
+      } else {
+        net::SocketOptions SockOpts;
+        SockOpts.MeshDir = O.MeshDir;
+        T = net::connectSocketMesh(static_cast<unsigned>(O.Rank),
+                                   L.NumProcs, SockOpts);
+      }
     }
 
     rt::TransportComm C(*T);
-    spmd::Interpreter I(*SP, S->Config, C);
-    S->setup(*SP, I);
-    spmd::RunResult R = I.run();
+    std::optional<spmd::Interpreter> I;
+    {
+      obs::TraceSpan Span(TB, "rank:setup", "rt");
+      I.emplace(*SP, S->Config, C);
+    }
+    {
+      obs::TraceSpan Span(TB, "rank:seed", "rt");
+      S->setup(*SP, *I);
+    }
+    spmd::RunResult R = I->run();
 
-    rt::RankDump D = rt::dumpRank(I, *T, R);
-    std::ofstream Out(O.ResultPath, std::ios::binary | std::ios::trunc);
-    if (!Out) {
-      std::cerr << "dhpf_rt rank " << O.Rank << ": cannot write "
-                << O.ResultPath << "\n";
-      return 1;
+    {
+      obs::TraceSpan Span(TB, "rank:dump", "rt");
+      rt::RankDump D = rt::dumpRank(*I, *T, R);
+      std::ofstream Out(O.ResultPath, std::ios::binary | std::ios::trunc);
+      if (!Out) {
+        std::cerr << "dhpf_rt rank " << O.Rank << ": cannot write "
+                  << O.ResultPath << "\n";
+        return 1;
+      }
+      Out << rt::serializeRankDump(D);
+      Out.close();
+      if (!Out) {
+        std::cerr << "dhpf_rt rank " << O.Rank << ": short write to "
+                  << O.ResultPath << "\n";
+        return 1;
+      }
     }
-    Out << rt::serializeRankDump(D);
-    Out.close();
-    if (!Out) {
-      std::cerr << "dhpf_rt rank " << O.Rank << ": short write to "
-                << O.ResultPath << "\n";
-      return 1;
-    }
-    WriteTrace();
     std::string MetricsPath = obs::metricsPathFromEnv();
     if (!MetricsPath.empty()) {
       std::ofstream MF(MetricsPath, std::ios::binary | std::ios::trunc);
       MF << obs::MetricsRegistry::global().reportText();
     }
-  } catch (const net::TransportError &E) {
-    std::cerr << "dhpf_rt rank " << O.Rank << ": " << E.what() << "\n";
-    WriteTrace();
-    return 1;
   } catch (const std::exception &E) {
     std::cerr << "dhpf_rt rank " << O.Rank << ": " << E.what() << "\n";
-    WriteTrace();
     return 1;
   }
   return 0;

@@ -25,7 +25,6 @@
 #include "apps/Registry.h"
 #include "core/Compiler.h"
 #include "core/CompilerService.h"
-#include "core/InPlace.h"
 #include "hpf/HpfPrinter.h"
 #include "net/Server.h"
 #include "obs/Trace.h"
@@ -412,16 +411,13 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
   return true;
 }
 
-/// Reparses a serialized program for in-process execution, wiring the
-/// runtime contiguity check the serialized form cannot carry.
+/// Reparses a serialized program for in-process execution.
 std::unique_ptr<spmd::SpmdProgram> reparseSpmd(const std::string &Text,
                                                const std::string &Name) {
   DiagnosticEngine Diags;
   std::unique_ptr<spmd::SpmdProgram> SP =
       spmd::parseSpmdProgram(Text, Diags, Name);
   flushDiags(Diags);
-  if (SP)
-    SP->InPlaceRuntimeCheck = &core::checkInPlaceAtRuntime;
   return SP;
 }
 
@@ -488,9 +484,7 @@ void printRunStats(const spmd::RunResult &RR, const char *TimeLabel,
                    double Seconds) {
   std::cout << "  " << TimeLabel << ": " << Seconds
             << " s, messages: " << RR.Messages << ", bytes: " << RR.Bytes
-            << ", stmt instances: " << RR.StmtInstances
-            << ", in-place upgrades: " << RR.InPlaceRuntimeUpgrades
-            << "\n";
+            << ", stmt instances: " << RR.StmtInstances << "\n";
   std::cout << "  span copies: " << RR.SpanCopies
             << ", packed copies: " << RR.PackedCopies
             << ", compute/comm overlap: " << RR.OverlapRatio << "\n";
@@ -575,9 +569,6 @@ std::string compareRuns(const rt::MergedRun &Dist, const spmd::RunResult &Ref,
     return Num("packed copies", Dist.R.PackedCopies, Ref.PackedCopies);
   if (Dist.R.StmtInstances != Ref.StmtInstances)
     return Num("stmt instances", Dist.R.StmtInstances, Ref.StmtInstances);
-  if (Dist.R.InPlaceRuntimeUpgrades != Ref.InPlaceRuntimeUpgrades)
-    return Num("in-place upgrades", Dist.R.InPlaceRuntimeUpgrades,
-               Ref.InPlaceRuntimeUpgrades);
   if (Dist.R.Valid != Ref.Valid)
     return "validity verdicts differ";
   if (Dist.R.FinalAccums.size() != Ref.FinalAccums.size())
