@@ -15,9 +15,8 @@
 // Speedups are relative to the 1-processor simulated run, as in the paper
 // for the small sizes. Absolute times are simulator artifacts; only the
 // curve shapes are meaningful. Alongside each speedup the table reports
-// the measured message and byte counters — the communication volumes the
-// placement cost model prices — and --out= writes the whole figure as
-// JSON for the committed reference.
+// the simulated run's message and byte counters, and --out= writes the
+// whole figure as JSON for the committed reference.
 //
 //===----------------------------------------------------------------------===//
 

@@ -6,8 +6,11 @@
 
 #include "core/CompilerDriver.h"
 
+#include "hpf/HpfPrinter.h"
+#include "hpf/Maps.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <set>
@@ -114,6 +117,58 @@ bool core::validateProgram(const Program &P, DiagnosticEngine &Diags) {
       Err("template '" + A.TemplateName + "' is aligned to but never "
           "distributed");
   }
+  if (Diags.errorCount() != Before)
+    return false;
+
+  // Every subscript stays inside its array's declared bounds, for every
+  // parameter value: RefMap_R(loop_N) must be a subset of data(R.Array).
+  // The enclosing timeloops become outer loops 1..SeqCount of the nest,
+  // so references through their variables are bounded too. The sets need
+  // the well-formed program the checks above admit.
+  MapBuilder MB(P);
+  std::vector<Loop> Outer;
+  std::function<void(const Phase &)> CheckBounds = [&](const Phase &Ph) {
+    if (Ph.K == Phase::Kind::SeqLoop) {
+      Outer.push_back(loop(Ph.SeqVar, 1, Ph.SeqCount));
+      for (const Phase &Sub : Ph.Body)
+        CheckBounds(Sub);
+      Outer.pop_back();
+      return;
+    }
+    if (Ph.K != Phase::Kind::Nest)
+      return;
+    // Inner loops shadow outer ones of the same name.
+    ComputeNest N;
+    N.Loops = Ph.Nest.Loops;
+    for (auto It = Outer.rbegin(); It != Outer.rend(); ++It)
+      if (std::none_of(N.Loops.begin(), N.Loops.end(),
+                       [&](const Loop &L) { return L.Var == It->Var; }))
+        N.Loops.insert(N.Loops.begin(), *It);
+    Relation Iters = MB.loopSet(N);
+    for (const Statement &St : Ph.Nest.Stmts) {
+      auto Check = [&](const Reference &R, const char *How) {
+        if (MB.refMap(N, R).apply(Iters).isSubsetOf(MB.dataSet(R.Array)))
+          return;
+        std::string Subs, Bounds;
+        for (const AffineExpr &E : R.Subs)
+          Subs.append(Subs.empty() ? "" : ",").append(printAffine(E));
+        for (const DimRange &D : P.array(R.Array).Dims)
+          Bounds += (Bounds.empty() ? "" : ", ") + printAffine(D.Lo) + ":" +
+                    printAffine(D.Hi);
+        Err("nest '" + Ph.Nest.Name + "' statement S" +
+            std::to_string(St.Id) + " " + How + " " + R.Array + "(" + Subs +
+            ") outside array '" + R.Array + "'(" + Bounds + ")");
+      };
+      Check(St.Write, "writes");
+      for (const Reference &R : St.Reads)
+        Check(R, "reads");
+      for (const Reference &R : St.OnHome)
+        Check(R, "computes on the home of");
+    }
+  };
+  for (const Procedure &Proc : P.procedures())
+    for (const Phase &Ph : Proc.Phases)
+      CheckBounds(Ph);
 
   return Diags.errorCount() == Before;
 }

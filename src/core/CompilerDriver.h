@@ -56,8 +56,10 @@ private:
 
 /// Structural validation of a program (builder- or parser-produced):
 /// every referenced array is declared with matching rank, alignments and
-/// distributions are well-formed, statement ids are consistent. Reports
-/// into \p Diags; returns true when no new errors were added.
+/// distributions are well-formed, statement ids are consistent, and every
+/// write, read and ON_HOME subscript stays inside its array's declared
+/// bounds over the whole iteration space (checked with the set engine).
+/// Reports into \p Diags; returns true when no new errors were added.
 bool validateProgram(const hpf::Program &P, DiagnosticEngine &Diags);
 
 } // namespace core

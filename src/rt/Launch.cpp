@@ -112,17 +112,19 @@ std::string rt::findRtBinary(const std::string &Explicit, const char *Argv0) {
 LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
                              const LaunchOptions &Opts) {
   LaunchResult LR;
-  spmd::ProgramLayout L = resolveLayout(SP, S.Config);
-  unsigned NP = L.NumProcs;
-  LR.NumRanks = NP;
-  // Every rank and the merge allocate the full arrays: refuse a program
-  // whose arrays do not fit before spawning anything.
+  // One process per processor, and every rank and the merge allocate the
+  // full arrays: refuse a shape or arrays that do not fit before spawning
+  // anything.
+  unsigned NP = 0;
   try {
+    spmd::ProgramLayout L = resolveLayout(SP, S.Config);
     spmd::admitFootprint(SP, L);
+    NP = L.NumProcs;
   } catch (const spmd::FootprintError &E) {
     LR.Error = E.what();
     return LR;
   }
+  LR.NumRanks = NP;
 
   const char *Tmp = std::getenv("TMPDIR");
   std::string Templ =

@@ -7,7 +7,6 @@
 #include "rt/Session.h"
 
 #include "hpf/HpfPrinter.h"
-#include "placement/Placement.h"
 
 #include <cerrno>
 #include <cmath>
@@ -126,17 +125,6 @@ std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
   for (const hpf::VPDimInfo &D : SP.ProcDims)
     AnySymbolic |= !D.ProcSym.empty();
   S.Shape = Opts.ProcShape;
-  if (S.Shape.empty() && AnySymbolic && Opts.UsePlacement) {
-    // Cost-model placement: price every factorization of the requested
-    // processor count by its comm-set traffic and take the cheapest.
-    S.Shape = placement::bestShape(SP, Opts.NumProcs, Opts.Params);
-    if (S.Shape.empty()) {
-      Err = "placement found no shape laying " +
-            std::to_string(Opts.NumProcs) + " processors onto the '" +
-            S.ProgName + "' grid";
-      return std::nullopt;
-    }
-  }
   if (S.Shape.empty() && AnySymbolic) {
     if (S.Reg) {
       S.Shape = S.Reg->ProcShape(Opts.NumProcs);

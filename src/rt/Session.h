@@ -36,10 +36,6 @@ struct SessionOptions {
   std::vector<int64_t> ProcShape; ///< --procs: explicit extents (wins)
   std::map<std::string, int64_t> Params;
   bool CheckValidity = true;
-  /// --place: pick the processor shape with the placement cost model
-  /// (comm-set traffic pricing) instead of the registry's hand-picked
-  /// shape. An explicit ProcShape still wins.
-  bool UsePlacement = false;
 };
 
 /// A program ready to execute: resolved processor shape, run

@@ -200,18 +200,84 @@ void Interpreter::setupArrays() {
 }
 
 unsigned Interpreter::partnerRank(const std::vector<int64_t> &Partner) const {
-  return vpPartnerRank(Prog, ProcShape, AllBindings, Partner);
+  int64_t R = 0, M = 1;
+  for (unsigned D = 0; D != Partner.size(); ++D) {
+    const VPDimInfo &Info = Prog.ProcDims[D];
+    int64_t Off = Partner[D] - Info.TmplLo, C = 0;
+    if (!Info.Virtualized)
+      C = Partner[D];
+    else if (Info.Kind == DistSpec::Kind::Block)
+      C = Off / AllBindings.at(Info.BlockParam);
+    else if (Info.Kind == DistSpec::Kind::Cyclic)
+      C = floorMod(Off, ProcShape[D]);
+    else if (Info.Kind == DistSpec::Kind::CyclicK)
+      C = floorMod(Off / Info.CyclicK, ProcShape[D]);
+    assert(C >= 0 && C < ProcShape[D]);
+    R += C * M;
+    M *= ProcShape[D];
+  }
+  return static_cast<unsigned>(R);
 }
 
 bool Interpreter::isRealVP(const std::vector<int64_t> &Partner) const {
-  return vpIsReal(Prog, ProcShape, AllBindings, Partner);
+  for (unsigned D = 0; D != Partner.size(); ++D) {
+    const VPDimInfo &Info = Prog.ProcDims[D];
+    if (!Info.Virtualized)
+      continue;
+    // Every cyclic template cell is a real VP.
+    int64_t Off = Partner[D] - Info.TmplLo;
+    if (Info.Kind == DistSpec::Kind::Block) {
+      int64_t B = AllBindings.at(Info.BlockParam);
+      if (floorMod(Off, B) != 0 || Off / B >= ProcShape[D])
+        return false; // fictitious: not a block start, or past the array
+    } else if (Info.Kind == DistSpec::Kind::CyclicK &&
+               floorMod(Off, Info.CyclicK) != 0) {
+      return false; // not a block start
+    }
+  }
+  return true;
 }
 
 void Interpreter::setupEnvs() {
-  Env.resize(NumProcs);
-  ProgramLayout L{ProcShape, NumProcs, AllBindings};
-  for (unsigned P = 0; P != NumProcs; ++P)
-    Env[P] = initialEnv(Prog, L, P);
+  // Every processor starts from the parameters by name, then binds its
+  // representative-processor slots (mv*) and physical coordinates (mc*).
+  std::vector<int64_t> Params(Prog.Vars.size(), 0);
+  for (unsigned S = 0; S != Prog.Vars.size(); ++S) {
+    auto It = AllBindings.find(Prog.Vars.name(S));
+    if (It != AllBindings.end())
+      Params[S] = It->second;
+  }
+  Env.assign(NumProcs, Params);
+  std::vector<int64_t> Coords(ProcShape.size());
+  for (unsigned P = 0; P != NumProcs; ++P) {
+    unsigned R = P;
+    for (unsigned D = 0; D != ProcShape.size(); ++D) {
+      Coords[D] = R % ProcShape[D];
+      R /= ProcShape[D];
+    }
+    for (unsigned D = 0; D != Prog.MySlots.size(); ++D) {
+      const VPDimInfo &Info = Prog.ProcDims[D];
+      int64_t V = Coords[D];
+      if (Info.Virtualized) {
+        switch (Info.Kind) {
+        case DistSpec::Kind::Block:
+          V = AllBindings.at(Info.BlockParam) * Coords[D] + Info.TmplLo;
+          break;
+        case DistSpec::Kind::Cyclic:
+          V = Info.TmplLo + Coords[D]; // initial VP; VP loops re-bind
+          break;
+        case DistSpec::Kind::CyclicK:
+          V = Info.TmplLo + Info.CyclicK * Coords[D];
+          break;
+        case DistSpec::Kind::Star:
+          break;
+        }
+      }
+      Env[P][Prog.MySlots[D]] = V;
+    }
+    for (unsigned D = 0; D != Prog.CoordSlots.size(); ++D)
+      Env[P][Prog.CoordSlots[D]] = Coords[D];
+  }
 }
 
 //===----------------------------------------------------------------------===//

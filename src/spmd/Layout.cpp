@@ -40,6 +40,14 @@ uint64_t physicalMemoryBytes() {
   return Pages > 0 && Page > 0 ? uint64_t(Pages) * uint64_t(Page) : 0;
 }
 
+/// "(e0, e1, ...)".
+std::string shapeText(const std::vector<int64_t> &Shape) {
+  std::string Text;
+  for (int64_t E : Shape)
+    Text += (Text.empty() ? "" : ", ") + std::to_string(E);
+  return "(" + Text + ")";
+}
+
 struct ArrayShape {
   std::vector<int64_t> Lo, Extent;
   /// An aligned array's template bounds, per template dimension.
@@ -124,22 +132,37 @@ ProgramLayout spmd::resolveLayout(const SpmdProgram &Prog,
   if (!Prog.ProcName.empty()) {
     const ProcArray &PA = Prog.Source->procArray(Prog.ProcName);
     auto It = Config.ProcExtents.find(Prog.ProcName);
+    bool Given = It != Config.ProcExtents.end();
+    // A symbolic extent takes the run's value; a fixed one admits only
+    // itself.
+    bool Fits = !Given || It->second.size() == PA.rank();
+    std::string Declared;
     for (unsigned D = 0; D != PA.rank(); ++D) {
-      if (PA.Dims[D].isSymbolic()) {
-        assert(It != Config.ProcExtents.end() &&
-               "symbolic processor array needs extents at run time");
-        L.ProcShape.push_back(It->second[D]);
-      } else {
-        L.ProcShape.push_back(PA.Dims[D].Fixed);
-        if (It != Config.ProcExtents.end())
-          assert(It->second[D] == PA.Dims[D].Fixed &&
-                 "fixed extent overridden inconsistently");
-      }
+      const ProcArray::Dim &PD = PA.Dims[D];
+      Declared += (D ? ", " : "") + (PD.isSymbolic()
+                                         ? "*" + PD.Symbol
+                                         : std::to_string(PD.Fixed));
+      Fits = Fits && (Given ? PD.isSymbolic() || It->second[D] == PD.Fixed
+                            : !PD.isSymbolic());
+      L.ProcShape.push_back(PD.Fixed);
     }
+    std::string What = "processor array '" + PA.Name + "'";
+    if (!Fits)
+      throw FootprintError(What + " is declared (" + Declared + "); the run " +
+                           (Given ? "asked for " + shapeText(It->second)
+                                  : std::string("gave no extents")));
+    if (Given)
+      L.ProcShape = It->second;
+    // Owner maps store int32 ranks and a kernel's DhpfCtx::Me is an
+    // int32, so the count must fit one.
+    int64_t N = 1;
+    for (int64_t E : L.ProcShape)
+      if (E < 1 || __builtin_mul_overflow(N, E, &N) || N > INT32_MAX)
+        throw FootprintError(What + shapeText(L.ProcShape) +
+                             " needs extents >= 1 and at most " +
+                             std::to_string(INT32_MAX) + " processors");
+    L.NumProcs = static_cast<unsigned>(N);
   }
-  L.NumProcs = 1;
-  for (int64_t E : L.ProcShape)
-    L.NumProcs *= E;
   L.AllBindings = MapBuilder(*Prog.Source)
                       .layoutBindings(Config.Params, Config.ProcExtents);
   return L;
@@ -221,117 +244,4 @@ spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
     Arrays.emplace(Name, std::move(Store));
   }
   return Arrays;
-}
-
-std::vector<int64_t> spmd::initialEnv(const SpmdProgram &Prog,
-                                      const ProgramLayout &L, unsigned P) {
-  const std::map<std::string, int64_t> &All = L.AllBindings;
-  std::vector<int64_t> Env(Prog.Vars.size(), 0);
-  // Parameters by name.
-  for (unsigned S = 0; S != Prog.Vars.size(); ++S) {
-    auto It = All.find(Prog.Vars.name(S));
-    if (It != All.end())
-      Env[S] = It->second;
-  }
-  // Representative-processor slots (mv*).
-  std::vector<int64_t> Coords(L.ProcShape.size());
-  unsigned R = P;
-  for (unsigned D = 0; D != L.ProcShape.size(); ++D) {
-    Coords[D] = R % L.ProcShape[D];
-    R /= L.ProcShape[D];
-  }
-  for (unsigned D = 0; D != Prog.MySlots.size(); ++D) {
-    const VPDimInfo &Info = Prog.ProcDims[D];
-    int64_t V = Coords[D];
-    if (Info.Virtualized) {
-      switch (Info.Kind) {
-      case DistSpec::Kind::Block:
-        V = All.at(Info.BlockParam) * Coords[D] + Info.TmplLo;
-        break;
-      case DistSpec::Kind::Cyclic:
-        V = Info.TmplLo + Coords[D]; // initial VP; VP loops re-bind
-        break;
-      case DistSpec::Kind::CyclicK:
-        V = Info.TmplLo + Info.CyclicK * Coords[D];
-        break;
-      case DistSpec::Kind::Star:
-        break;
-      }
-    }
-    Env[Prog.MySlots[D]] = V;
-  }
-  for (unsigned D = 0; D != Prog.CoordSlots.size(); ++D)
-    Env[Prog.CoordSlots[D]] = Coords[D];
-  return Env;
-}
-
-unsigned spmd::linearRank(const std::vector<int64_t> &ProcShape,
-                          const std::vector<int64_t> &Coords) {
-  int64_t R = 0, M = 1;
-  for (unsigned D = 0; D != Coords.size(); ++D) {
-    assert(Coords[D] >= 0 && Coords[D] < ProcShape[D]);
-    R += Coords[D] * M;
-    M *= ProcShape[D];
-  }
-  return static_cast<unsigned>(R);
-}
-
-unsigned spmd::vpPartnerRank(const SpmdProgram &Prog,
-                             const std::vector<int64_t> &ProcShape,
-                             const std::map<std::string, int64_t> &AllBindings,
-                             const std::vector<int64_t> &Partner) {
-  std::vector<int64_t> Coords(Partner.size());
-  for (unsigned D = 0; D != Partner.size(); ++D) {
-    const VPDimInfo &Info = Prog.ProcDims[D];
-    if (!Info.Virtualized) {
-      Coords[D] = Partner[D];
-      continue;
-    }
-    switch (Info.Kind) {
-    case DistSpec::Kind::Block: {
-      int64_t B = AllBindings.at(Info.BlockParam);
-      Coords[D] = (Partner[D] - Info.TmplLo) / B;
-      break;
-    }
-    case DistSpec::Kind::Cyclic:
-      Coords[D] = floorMod(Partner[D] - Info.TmplLo, ProcShape[D]);
-      break;
-    case DistSpec::Kind::CyclicK:
-      Coords[D] =
-          floorMod((Partner[D] - Info.TmplLo) / Info.CyclicK, ProcShape[D]);
-      break;
-    case DistSpec::Kind::Star:
-      break;
-    }
-  }
-  return linearRank(ProcShape, Coords);
-}
-
-bool spmd::vpIsReal(const SpmdProgram &Prog,
-                    const std::vector<int64_t> &ProcShape,
-                    const std::map<std::string, int64_t> &AllBindings,
-                    const std::vector<int64_t> &Partner) {
-  for (unsigned D = 0; D != Partner.size(); ++D) {
-    const VPDimInfo &Info = Prog.ProcDims[D];
-    if (!Info.Virtualized)
-      continue;
-    int64_t Off = Partner[D] - Info.TmplLo;
-    switch (Info.Kind) {
-    case DistSpec::Kind::Block: {
-      int64_t B = AllBindings.at(Info.BlockParam);
-      if (floorMod(Off, B) != 0 || Off / B >= ProcShape[D])
-        return false; // fictitious: not a block start, or past the array
-      break;
-    }
-    case DistSpec::Kind::Cyclic:
-      break; // every template cell is a real VP
-    case DistSpec::Kind::CyclicK:
-      if (floorMod(Off, Info.CyclicK) != 0)
-        return false; // not a block start
-      break;
-    case DistSpec::Kind::Star:
-      break;
-    }
-  }
-  return true;
 }

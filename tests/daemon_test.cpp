@@ -252,6 +252,28 @@ TEST(DaemonFault, DegenerateLayoutsDrawErrorReplies) {
   EXPECT_NE(Run.Summary.find("valid 1\n"), std::string::npos) << Run.Summary;
 }
 
+/// 2^32 processors lay jacobi out as 2 x 2^31: the run request draws an
+/// error reply naming the processor array and the shape, and the same
+/// daemon then runs jacobi on 4 processors.
+TEST(DaemonFault, HugeProcessorCountDrawsAnErrorReply) {
+  ScopedDaemon SD;
+  std::unique_ptr<net::MsgStream> S = SD.connect();
+  DaemonCompileResult C = daemonCompile(
+      *S, "<jacobi>", appSource(apps::makeJacobi, 16, 1), CompilerOptions());
+  ASSERT_TRUE(C.Ok) << C.DiagText;
+  SessionOptions Huge;
+  Huge.NumProcs = int64_t(1) << 32;
+  DaemonRunResult R = daemonRun(*S, C.Spmd, Huge, /*Check=*/true);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("processor array 'PR'(2, 2147483648)"),
+            std::string::npos)
+      << R.Error;
+
+  DaemonRunResult Run = daemonRun(*S, C.Spmd, SessionOptions(), true);
+  EXPECT_TRUE(Run.Ok) << Run.Error;
+  EXPECT_NE(Run.Summary.find("valid 1\n"), std::string::npos) << Run.Summary;
+}
+
 TEST(DaemonFault, MalformedWatchdogFailsStart) {
   DaemonOptions Opts;
   Opts.SocketPath = tempPath("dhpf_daemon_watchdog.sock");

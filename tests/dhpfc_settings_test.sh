@@ -16,6 +16,7 @@ EX=$2
 CASE=$3
 OBS=${4:-ON}
 PROG=$EX/jacobi.hpf
+REGRESS=$(dirname "$0")/../examples/regress
 RT=$(dirname "$DHPFC")/../dhpf_rt/dhpf_rt
 
 W=$(mktemp -d "${TMPDIR:-/tmp}/dhpfc_settings.XXXXXX") || exit 1
@@ -143,6 +144,65 @@ footprint-template-run | footprint-template-launch | footprint-template-rank)
   echo "$out" | grep -q "template 'T'(1:0, 1:16)" ||
     fail "template T not named: $out"
   [ -z "$(ls -A "$TMPDIR")" ] || fail "left behind: $(ls -A "$TMPDIR")"
+  ;;
+shape-wrap-p | shape-wrap-procs)
+  # 2^32 processors, from -p through the registry's 2 x (P/2) shape or
+  # from explicit extents: refused naming the processor array and the
+  # shape, never a count wrapped to 0. Only `run`: were the check lost, a
+  # launch could start a process per processor.
+  "$DHPFC" compile "$PROG" -o "$W/p.spmd" >/dev/null || fail "compile failed"
+  case $CASE in
+  shape-wrap-p) args="-p 4294967296" shape="(2, 2147483648)" ;;
+  shape-wrap-procs) args="--procs=65536,65536" shape="(65536, 65536)" ;;
+  esac
+  # shellcheck disable=SC2086
+  out=$("$DHPFC" run "$W/p.spmd" $args 2>&1)
+  st=$?
+  [ "$st" -eq 1 ] || fail "exit $st, want 1: $out"
+  echo "$out" | grep -qF "processor array 'PR'$shape" ||
+    fail "array PR$shape not named: $out"
+  ;;
+shape-fixed-run | shape-fixed-launch)
+  # --procs=1,2 against the fixed PR(2, 2): refused naming both shapes,
+  # before any rank process starts.
+  "$DHPFC" compile "$REGRESS/blockcyclic.hpf" -o "$W/b.spmd" >/dev/null ||
+    fail "compile failed"
+  case $CASE in
+  shape-fixed-run) out=$("$DHPFC" run "$W/b.spmd" --procs=1,2 2>&1) ;;
+  shape-fixed-launch) out=$("$DHPFC" launch "$W/b.spmd" --procs=1,2 2>&1) ;;
+  esac
+  st=$?
+  [ "$st" -eq 1 ] || fail "exit $st, want 1: $out"
+  echo "$out" |
+    grep -qF "processor array 'PR' is declared (2, 2); the run asked for (1, 2)" ||
+    fail "shapes not named: $out"
+  [ -z "$(ls -A "$TMPDIR")" ] || fail "left behind: $(ls -A "$TMPDIR")"
+  ;;
+subscript-bounds)
+  # B(i+1) over i = 1..16 reads B(17): a compile error naming the nest,
+  # the statement, the reference and B's bounds; no program is written.
+  cat >"$W/oob.hpf" <<'EOF'
+program oob
+processors P(4)
+template T(1:16)
+array A(1:16) align (i) with T(i)
+array B(1:16) align (i) with T(i)
+distribute T(block) onto P
+
+procedure main
+  nest copy
+    do i = 1, 16
+    A(i) = B(i+1) sem 0
+  endnest
+endprocedure
+EOF
+  out=$("$DHPFC" compile "$W/oob.hpf" -o "$W/oob.spmd" 2>&1)
+  st=$?
+  [ "$st" -eq 1 ] || fail "exit $st, want 1: $out"
+  echo "$out" |
+    grep -qF "nest 'copy' statement S0 reads B(i+1) outside array 'B'(1:16)" ||
+    fail "reference not named: $out"
+  [ ! -e "$W/oob.spmd" ] || fail "a program was written"
   ;;
 trace-launch)
   # Every rank's set-up phases and the launcher's own phases have spans in

@@ -122,6 +122,11 @@ TEST(MalformedInput, HpfValidationErrors) {
       // a template dimension that holds no cell
       "program p\nprocessors P(4)\ntemplate T(5:4)\n"
       "array A(1:8) align (i) with T(i)\ndistribute T(block) onto P\n",
+      // a read past the array: B(i+1) reaches B(17)
+      "program p\nprocessors P(4)\ntemplate T(1:16)\n"
+      "array A(1:16) align (i) with T(i)\narray B(1:16) align (i) with T(i)\n"
+      "distribute T(block) onto P\nprocedure main\nnest copy\n"
+      "do i = 1, 16\nA(i) = B(i+1)\nendnest\nendprocedure\n",
   };
   for (const char *Text : Cases) {
     DiagnosticEngine Diags;

@@ -28,7 +28,6 @@
 #include "hpf/HpfPrinter.h"
 #include "net/Server.h"
 #include "obs/Trace.h"
-#include "placement/Placement.h"
 #include "pset/OpCache.h"
 #include "rt/Daemon.h"
 #include "rt/Launch.h"
@@ -40,15 +39,12 @@
 #include "support/Diag.h"
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,8 +66,6 @@ int usage(const char *Argv0) {
          "program\n"
       << "  launch <prog.spmd> [-p N]            execute across N rank "
          "processes over sockets\n"
-      << "  place <prog> [-p N]                  price every processor "
-         "shape by comm-set traffic\n"
       << "  pipeline <prog.hpf> [-p N]           compile + serialization "
          "round trip + run\n"
       << "  export [-d <dir>]                    write the benchmark "
@@ -106,8 +100,6 @@ int usage(const char *Argv0) {
       << "  --engine=<e>         tree | bytecode | native | auto (default "
          "auto)\n"
       << "  --param=<name=val>   bind a program parameter\n"
-      << "  --place              pick the processor shape with the "
-         "placement cost model\n"
       << "  --no-check           skip the serial reference check\n"
       << "  --no-validity        skip ownership/communication validation\n"
       << "  --stats              print message/byte/statement counts\n"
@@ -218,7 +210,6 @@ struct CliOptions {
   std::string Server;  ///< --server= daemon socket (empty = in-process)
   std::string RtBin;   ///< --rt-bin override for launch
   std::string Hosts;   ///< --hosts= TCP rank spec ('auto' = loopback)
-  bool Place = false;  ///< --place: cost-model processor shape
   int TimeoutMs = 0;   ///< --timeout-ms launch deadline (0 = default)
   bool KeepMesh = false;
   std::string TracePath;   ///< --trace= (or DHPF_TRACE)
@@ -301,8 +292,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.MetricsPath = V;
     } else if (A == "--keep-mesh") {
       O.KeepMesh = true;
-    } else if (A == "--place") {
-      O.Place = true;
     } else if (A == "--no-split") {
       O.NoSplit = true;
     } else if (A == "--no-coalesce") {
@@ -460,7 +449,6 @@ rt::SessionOptions sessionOptions(const CliOptions &O) {
   SO.ProcShape = O.ProcShape;
   SO.Params = O.Params;
   SO.CheckValidity = !O.NoValidity;
-  SO.UsePlacement = O.Place;
   return SO;
 }
 
@@ -720,72 +708,6 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
   return 0;
 }
 
-/// Loads the input program for analysis commands: an .hpf source is
-/// compiled through the service, anything else is parsed as serialized
-/// SPMD. Null (with diagnostics printed) on failure.
-std::unique_ptr<spmd::SpmdProgram> loadProgram(const CliOptions &O) {
-  if (O.Input.size() > 4 &&
-      O.Input.compare(O.Input.size() - 4, 4, ".hpf") == 0) {
-    CompiledUnit CU;
-    if (!compileViaService(O.Input, O, CU))
-      return nullptr;
-    return reparseSpmd(CU.Spmd, O.Input + ":spmd");
-  }
-  std::string Text, Err;
-  if (!readFile(O.Input, Text, Err)) {
-    std::cerr << "dhpfc: " << Err << "\n";
-    return nullptr;
-  }
-  return reparseSpmd(Text, O.Input);
-}
-
-/// `dhpfc place`: enumerate every processor shape laying -p processors on
-/// the program's grid, price each by its comm-set traffic, and print the
-/// ranked table. The registry's hand-picked shape (when the program is a
-/// canonical benchmark) is flagged for comparison.
-int cmdPlace(const CliOptions &O) {
-  std::unique_ptr<spmd::SpmdProgram> SP = loadProgram(O);
-  if (!SP)
-    return 1;
-  std::string ProgName = SP->Source ? SP->Source->name() : "<unknown>";
-  std::vector<placement::Candidate> Cands = placement::searchShapes(
-      *SP, O.NumProcs, O.Params, placement::MachineCost());
-  if (Cands.empty()) {
-    std::cerr << "dhpfc: no shape lays " << O.NumProcs
-              << " processors onto the '" << SP->ProcName << "' grid\n";
-    return 1;
-  }
-  std::vector<int64_t> RegShape;
-  if (const apps::RegistryEntry *Reg = apps::findApp(ProgName))
-    RegShape = Reg->ProcShape(O.NumProcs);
-  auto ShapeStr = [](const std::vector<int64_t> &Sh) {
-    std::string S;
-    for (size_t D = 0; D != Sh.size(); ++D)
-      S += (D ? "x" : "") + std::to_string(Sh[D]);
-    return S;
-  };
-  std::cout << "placement for '" << ProgName << "' on " << O.NumProcs
-            << " procs (" << Cands.size() << " candidate shape"
-            << (Cands.size() == 1 ? "" : "s") << "):\n";
-  std::printf("  %-10s %10s %12s %14s %12s\n", "shape", "msgs", "bytes",
-              "max-rank B", "est cost");
-  for (size_t I = 0; I != Cands.size(); ++I) {
-    const placement::Candidate &C = Cands[I];
-    std::string Tags;
-    if (I == 0)
-      Tags += "  <- placed";
-    if (!RegShape.empty() && C.Shape == RegShape)
-      Tags += "  (registry)";
-    std::printf("  %-10s %10llu %12llu %14llu %12.3e%s\n",
-                ShapeStr(C.Shape).c_str(),
-                static_cast<unsigned long long>(C.Traffic.totalMessages()),
-                static_cast<unsigned long long>(C.Traffic.totalBytes()),
-                static_cast<unsigned long long>(C.Traffic.maxRankBytes()),
-                C.Cost, Tags.c_str());
-  }
-  return 0;
-}
-
 std::string defaultOutputPath(const std::string &Input) {
   size_t Dot = Input.find_last_of('.');
   size_t Slash = Input.find_last_of('/');
@@ -963,8 +885,6 @@ int dispatch(const std::string &Cmd, const CliOptions &O, const char *Argv0) {
     return cmdRun(O);
   if (Cmd == "launch")
     return cmdLaunch(O, Argv0);
-  if (Cmd == "place")
-    return cmdPlace(O);
   if (Cmd == "pipeline")
     return cmdPipeline(O);
   std::cerr << "dhpfc: unknown command '" << Cmd << "'\n";
