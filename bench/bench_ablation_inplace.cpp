@@ -35,7 +35,6 @@ void runCase(const char *Name, AppInstance App,
 
   auto Elapsed = [&](const spmd::SpmdProgram &SP) {
     RunConfig RC;
-    RC.CheckValidity = false;
     RC.Machine.PackPerByte = 20e-9; // make copy cost visible
     RC.ProcExtents = {{App.ProcArrayName, Shape}};
     Interpreter I(SP, RC);

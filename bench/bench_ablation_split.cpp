@@ -28,7 +28,6 @@ double timedRun(const AppInstance &App, bool Splitting,
   Opts.LoopSplitting = Splitting;
   auto Compiled = compileProgram(*App.Prog, Opts);
   RunConfig RC;
-  RC.CheckValidity = false;
   // Exaggerate latency slightly so the overlap effect is visible at these
   // problem sizes (documented: shapes, not absolute values, matter).
   RC.Machine.Alpha = 200e-6;

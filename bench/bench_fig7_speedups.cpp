@@ -58,7 +58,6 @@ Series runSeries(AppInstance App, const std::string &Label,
   double T1 = 0;
   for (int NP : Procs) {
     RunConfig RC;
-    RC.CheckValidity = false;
     // SP-2-like constants: ~66MHz nodes running real stencil bodies (each
     // Cost unit models ~10 flops -> 150ns), 80us message latency, ~40MB/s.
     RC.Machine.SecPerWork = 150e-9;

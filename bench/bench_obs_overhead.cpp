@@ -3,15 +3,11 @@
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
 // Measures the wall-clock price of the tracing/metrics probes on the full
-// compile + execute pipeline for the Figure 7 codes, three ways per app:
+// compile + execute pipeline for the Figure 7 codes, two ways per app:
 //
 //   off     — probes present but the trace buffer idle (the default state
 //             of every production run; each probe is one relaxed load)
 //   traced  — the global trace buffer recording, as under --trace
-//
-// In a DHPF_OBS=OFF build both modes are the uninstrumented program and
-// the overhead is zero by construction; the JSON records `compiled_in`
-// so the harness can tell the two cases apart.
 //
 //   bench_obs_overhead [--quick] [--check] [--out=FILE]
 //
@@ -118,8 +114,6 @@ void writeJson(const char *Path, const std::vector<Measurement> &Ms) {
   }
   std::fprintf(F, "{\n  \"bench\": \"obs_overhead\",\n");
   bench::writeMachineStamp(F);
-  std::fprintf(F, "  \"compiled_in\": %s,\n",
-               obs::compiledIn() ? "true" : "false");
   std::fprintf(F, "  \"apps\": [\n");
   for (size_t I = 0; I != Ms.size(); ++I) {
     const Measurement &M = Ms[I];
@@ -160,9 +154,7 @@ int main(int argc, char **argv) {
   }
   int Reps = Quick ? 3 : 5;
 
-  std::printf("== Observability overhead: idle probes vs active tracing "
-              "(DHPF_OBS=%s) ==\n",
-              obs::compiledIn() ? "ON" : "OFF");
+  std::printf("== Observability overhead: idle probes vs active tracing ==\n");
   std::vector<Measurement> Ms;
   if (Quick) {
     Ms.push_back(benchApp("jacobi", quickJacobi, {2, 2}, Reps));
@@ -185,7 +177,7 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(M.TraceEvents));
     if (!M.Valid)
       Ok = false;
-    if (Check && obs::compiledIn() && M.TraceEvents == 0) {
+    if (Check && M.TraceEvents == 0) {
       std::fprintf(stderr, "CHECK FAILURE: %s traced run recorded no "
                            "events\n",
                    M.Name.c_str());

@@ -84,7 +84,6 @@ int main() {
   for (auto Shape : {std::vector<int64_t>{1, 1}, {2, 1}, {2, 2}, {2, 4},
                      {4, 4}}) {
     RunConfig RC;
-    RC.CheckValidity = false;
     RC.ProcExtents = {{G.ProcArrayName, Shape}};
     Interpreter I(C->Program, RC);
     G.Setup(I);

@@ -9,7 +9,7 @@
 #include "core/CompilerDriver.h"
 #include "hpf/HpfParser.h"
 #include "obs/Metrics.h"
-#include "spmd/KernelCache.h"
+#include "pset/OpCache.h"
 #include "spmd/Serialize.h"
 #include "support/Diag.h"
 
@@ -49,16 +49,6 @@ CompilerService &CompilerService::global() {
 
 CompilerService::CompilerService(size_t ArtifactCapacity)
     : ArtifactCapacity(ArtifactCapacity ? ArtifactCapacity : 1) {}
-
-CompileSession CompilerService::openSession(std::string ClientName) {
-  return CompileSession(*this, std::move(ClientName));
-}
-
-pset::OpCache &CompilerService::opCache() { return pset::OpCache::global(); }
-
-spmd::native::KernelCache &CompilerService::kernelCache() {
-  return spmd::native::KernelCache::global();
-}
 
 uint64_t CompilerService::fingerprintRequest(const std::string &Source,
                                              const CompilerOptions &Opts) {
@@ -187,7 +177,7 @@ bool CompilerService::saveOpCache(const std::string &Path, std::string &Err) {
     Err = "cannot open '" + Path + "' for writing";
     return false;
   }
-  opCache().serialize(Out);
+  pset::OpCache::global().serialize(Out);
   Out.flush();
   if (!Out) {
     Err = "error writing '" + Path + "'";
@@ -202,7 +192,7 @@ bool CompilerService::loadOpCache(const std::string &Path, std::string &Err) {
     Err = "cannot open '" + Path + "' for reading";
     return false;
   }
-  return opCache().deserialize(In, &Err);
+  return pset::OpCache::global().deserialize(In, &Err);
 }
 
 ServiceStats CompilerService::stats() const {
@@ -222,8 +212,6 @@ void CompilerService::clearArtifacts() {
 }
 
 void CompilerService::publishMetrics() {
-  if (!obs::compiledIn())
-    return;
   ServiceStats S = stats();
   obs::MetricsRegistry &R = obs::MetricsRegistry::global();
   R.gauge("svc.requests")->set(static_cast<int64_t>(S.Requests));
@@ -232,32 +220,5 @@ void CompilerService::publishMetrics() {
   R.gauge("svc.artifact_hits")->set(static_cast<int64_t>(S.ArtifactHits));
   R.gauge("svc.errors")->set(static_cast<int64_t>(S.Errors));
   R.gauge("svc.artifacts_resident")->set(static_cast<int64_t>(artifactCount()));
-  opCache().publishMetrics();
-}
-
-//===----------------------------------------------------------------------===//
-// CompileSession
-//===----------------------------------------------------------------------===//
-
-std::shared_ptr<const CompileArtifact>
-CompileSession::compile(const CompileRequest &R, Served *HowOut) {
-  Served How = Served::Fresh;
-  std::shared_ptr<const CompileArtifact> A = Svc->compile(R, &How);
-  ++NumRequests;
-  if (How != Served::Fresh)
-    ++NumHits;
-  if (HowOut)
-    *HowOut = How;
-  return A;
-}
-
-void CompileSession::publishMetrics() const {
-  if (!obs::compiledIn())
-    return;
-  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
-  std::string P = "svc.client." + Client;
-  R.gauge(P + ".requests")->set(static_cast<int64_t>(NumRequests));
-  R.gauge(P + ".hits")->set(static_cast<int64_t>(NumHits));
-  R.gauge(P + ".hit_rate_pct")
-      ->set(static_cast<int64_t>(hitRate() * 100.0 + 0.5));
+  pset::OpCache::global().publishMetrics();
 }

@@ -5,23 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The service layer of the compiler: one long-lived CompilerService owns
-/// every piece of cross-compilation state that previously lived as
-/// unrelated process globals — the Presburger operation cache
-/// (pset::OpCache), the native kernel cache (spmd::native::KernelCache),
-/// and the metrics registry — and exposes compilation as a
-/// request/artifact API:
+/// The service layer of the compiler: one long-lived CompilerService
+/// keeps the artifact cache and the table of compiles in flight, and
+/// exposes compilation as a request/artifact API:
 ///
 ///   CompileRequest  (source text + options)
 ///     -> fingerprint
 ///     -> artifact cache hit | join an in-flight compile | fresh compile
 ///     -> shared CompileArtifact (serialized .spmd, diagnostics, stats)
 ///
-/// Callers never touch the globals directly; they open a CompileSession —
-/// a cheap per-client executor handle that tracks that client's request
-/// and hit counts — and compile through it. `dhpfc` is one client of this
-/// API; the `dhpfd` daemon is another, serving many concurrent sessions
-/// over sockets against the same warm service.
+/// The set-operation cache (pset::OpCache::global()) and the native
+/// kernel cache (spmd::native::KernelCache::global()) are process globals
+/// every compile shares; the service saves and restores the former.
+/// compile() is safe to call from many threads at once. `dhpfc` is one
+/// caller of this API; the `dhpfd` daemon is another, serving many
+/// concurrent connections over sockets against the same warm service. It
+/// keeps nothing per caller.
 ///
 /// Three properties the daemon depends on:
 ///  - identical requests (same source bytes, same options) have the same
@@ -49,13 +48,6 @@
 #include <string>
 
 namespace dhpf {
-
-namespace spmd {
-namespace native {
-class KernelCache;
-}
-} // namespace spmd
-
 namespace core {
 
 /// One compilation request. Identical (Source, Opts) pairs are one unit
@@ -108,56 +100,16 @@ struct ServiceStats {
   uint64_t Errors = 0;
 };
 
-class CompilerService;
-
-/// A per-client executor handle: the only way callers compile. Cheap to
-/// create, move-only, not thread-safe (one session per client thread —
-/// the daemon opens one per connection). Counts this client's traffic and
-/// can publish it as svc.client.<name>.* gauges.
-class CompileSession {
-public:
-  CompileSession(CompileSession &&) = default;
-  CompileSession &operator=(CompileSession &&) = default;
-
-  std::shared_ptr<const CompileArtifact> compile(const CompileRequest &R,
-                                                 Served *How = nullptr);
-
-  const std::string &clientName() const { return Client; }
-  uint64_t requests() const { return NumRequests; }
-  /// Requests answered without running the compiler (artifact replay or
-  /// joining an in-flight compile).
-  uint64_t cacheHits() const { return NumHits; }
-  double hitRate() const {
-    return NumRequests ? double(NumHits) / double(NumRequests) : 0.0;
-  }
-  /// Mirrors this client's counters into the metrics registry as
-  /// svc.client.<name>.{requests,hits,hit_rate_pct} gauges.
-  void publishMetrics() const;
-
-private:
-  friend class CompilerService;
-  CompileSession(CompilerService &S, std::string Client)
-      : Svc(&S), Client(std::move(Client)) {}
-
-  CompilerService *Svc;
-  std::string Client;
-  uint64_t NumRequests = 0;
-  uint64_t NumHits = 0;
-};
-
 class CompilerService {
 public:
-  /// The process-global service. All clients in one process — a batch
+  /// The process-global service. All callers in one process — a batch
   /// dhpfc, the daemon's connections, tests — share it, which is exactly
-  /// what makes its caches worth owning.
+  /// what makes its caches worth keeping.
   static CompilerService &global();
 
   explicit CompilerService(size_t ArtifactCapacity = 128);
   CompilerService(const CompilerService &) = delete;
   CompilerService &operator=(const CompilerService &) = delete;
-
-  /// Opens a per-client executor handle.
-  CompileSession openSession(std::string ClientName);
 
   /// The request fingerprint: FNV-1a over the source bytes and every
   /// semantics-affecting compiler option. This is the dedup key for the
@@ -170,12 +122,6 @@ public:
   /// DiagText. \p How, when non-null, reports how the request was served.
   std::shared_ptr<const CompileArtifact> compile(const CompileRequest &R,
                                                  Served *How = nullptr);
-
-  // Explicit handles to the long-lived state the service owns. These are
-  // the process globals of the underlying layers; the service is their
-  // single named owner and callers go through it.
-  pset::OpCache &opCache();
-  spmd::native::KernelCache &kernelCache();
 
   /// Saves / restores the set-operation cache so a cold process starts
   /// warm. Both return false with \p Err set on I/O or format errors.

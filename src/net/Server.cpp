@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -167,13 +168,12 @@ bool MsgStream::recv(uint64_t &Tag, std::string &Payload) {
 
 MsgServer::~MsgServer() { stop(); }
 
-void MsgServer::start(const std::string &SocketPath, Handler H, Closer C) {
+void MsgServer::start(const std::string &SocketPath, Handler H) {
   if (Running.load())
     throw TransportError("server already running on " + Path);
   Watchdog = envMs("DHPF_NET_TIMEOUT_MS", 10000);
   Path = SocketPath;
   Handle = std::move(H);
-  Close = std::move(C);
   ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (ListenFd < 0)
     throw TransportError("server socket(): " + errnoStr());
@@ -208,8 +208,13 @@ void MsgServer::acceptLoop() {
     unsigned Id =
         static_cast<unsigned>(Accepted.fetch_add(1, std::memory_order_relaxed)) + 1;
     Active.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> L(WorkersM);
-    Workers.emplace_back([this, Fd, Id] { serveOne(Fd, Id); });
+    try {
+      std::thread([this, Fd, Id] { serveOne(Fd, Id); }).detach();
+    } catch (const std::system_error &) {
+      // No thread to serve it: the client sees the connection close.
+      ::close(Fd);
+      Active.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -235,9 +240,9 @@ void MsgServer::serveOne(int Fd, unsigned ClientId) {
     // A torn frame or a handler failure kills this connection only; the
     // client sees the closed socket and diagnoses it on its side.
   }
-  Active.fetch_sub(1, std::memory_order_relaxed);
-  if (Close)
-    Close(ClientId);
+  // The last access to the server: stop() may return, and the server be
+  // destroyed, as soon as this lands.
+  Active.fetch_sub(1, std::memory_order_release);
 }
 
 void MsgServer::stop() {
@@ -249,14 +254,10 @@ void MsgServer::stop() {
     ::close(ListenFd);
     ListenFd = -1;
   }
-  std::vector<std::thread> Ws;
-  {
-    std::lock_guard<std::mutex> L(WorkersM);
-    Ws.swap(Workers);
-  }
-  for (std::thread &W : Ws)
-    if (W.joinable())
-      W.join();
+  // Connection threads are detached; each sees Running cleared within one
+  // 100 ms poll of its socket (or once its current request is served).
+  while (Active.load(std::memory_order_acquire) != 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   if (!Path.empty())
     ::unlink(Path.c_str());
 }

@@ -21,8 +21,9 @@
 /// validated (tag, payload) pair or reports clean EOF. MsgServer owns a
 /// listening Unix-domain socket and runs one service thread per accepted
 /// connection, invoking a caller-provided handler per request message —
-/// concurrency, backpressure, and per-client accounting live in the
-/// handler's layer (core/CompilerService), not here. Bytes only.
+/// concurrency and backpressure live in the handler's layer
+/// (core/CompilerService), not here. Bytes only; nothing outlives its
+/// connection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +35,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 namespace dhpf {
 namespace net {
@@ -76,10 +75,10 @@ private:
 };
 
 /// A Unix-domain socket server: accept loop on its own thread, one
-/// detachable service thread per connection. The handler is invoked once
-/// per received message and replies through the same stream; a handler
-/// exception closes that connection (after a best-effort error frame) but
-/// never the server.
+/// detached service thread per connection that ends with the connection.
+/// The handler is invoked once per received message and replies through
+/// the same stream; a handler exception closes that connection (after a
+/// best-effort error frame) but never the server.
 class MsgServer {
 public:
   /// Called per request message. \p ClientId is the server-assigned
@@ -88,9 +87,6 @@ public:
   using Handler = std::function<bool(unsigned ClientId, uint64_t Tag,
                                      const std::string &Payload,
                                      MsgStream &Stream)>;
-  /// Called when a connection closes (EOF, error, or handler-requested);
-  /// pairs with the first message's ClientId for per-client teardown.
-  using Closer = std::function<void(unsigned ClientId)>;
 
   MsgServer() = default;
   ~MsgServer();
@@ -101,10 +97,11 @@ public:
   /// binds \p SocketPath (unlinking any stale socket), starts the accept
   /// loop, and returns. Throws TransportError on a malformed watchdog or a
   /// bind/listen failure, before accepting any connection.
-  void start(const std::string &SocketPath, Handler H, Closer C = nullptr);
+  void start(const std::string &SocketPath, Handler H);
 
-  /// Stops accepting, closes the listening socket, wakes every service
-  /// thread, and joins them. Idempotent.
+  /// Stops accepting, closes the listening socket, and returns once every
+  /// connection thread has stopped touching the server (each notices
+  /// within 100 ms of its current request). Idempotent.
   void stop();
 
   bool running() const { return Running.load(std::memory_order_relaxed); }
@@ -123,11 +120,10 @@ private:
   int ListenFd = -1;
   int Watchdog = 0; ///< per-message timeout of every served stream
   Handler Handle;
-  Closer Close;
   std::thread Acceptor;
-  std::mutex WorkersM;
-  std::vector<std::thread> Workers;
   std::atomic<bool> Running{false};
+  /// Connection threads still using the server. A thread's last access
+  /// to the server is its decrement of this count; stop() waits for 0.
   std::atomic<unsigned> Active{0};
   std::atomic<uint64_t> Accepted{0};
 

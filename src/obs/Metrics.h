@@ -12,24 +12,14 @@
 /// hot-path operations — Counter::inc, Gauge::set — are single relaxed
 /// atomics with no locking.
 ///
-/// The whole subsystem is compiled behind DHPF_OBS_ENABLED (the DHPF_OBS
-/// CMake option). When OFF, every hot-path operation is an empty inline
-/// function the optimizer deletes, so an instrumented build with
-/// observability disabled is bit-for-bit the uninstrumented program —
-/// the "zero overhead when disabled" guarantee the bench verifies.
-///
 /// Reports come in two shapes: a flat text table (one `name value` line
 /// per metric, sorted by name) and a JSON object, both stable across runs
 /// of the same workload so they diff cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DHPF_OBS_METRICS_H
-#define DHPF_OBS_METRICS_H
-
-#ifndef DHPF_OBS_ENABLED
-#define DHPF_OBS_ENABLED 1
-#endif
+#ifndef DHPF_METRICS_H
+#define DHPF_METRICS_H
 
 #include <atomic>
 #include <cstdint>
@@ -41,21 +31,11 @@
 namespace dhpf {
 namespace obs {
 
-/// True when the observability layer is compiled in (DHPF_OBS=ON). A
-/// constexpr so `if (compiledIn())` bodies are dead-code-eliminated in
-/// OFF builds.
-constexpr bool compiledIn() { return DHPF_OBS_ENABLED != 0; }
-
 /// A monotonically increasing counter.
 class Counter {
 public:
-  void inc(uint64_t N = 1) {
-    if (compiledIn())
-      V.fetch_add(N, std::memory_order_relaxed);
-  }
-  uint64_t value() const {
-    return compiledIn() ? V.load(std::memory_order_relaxed) : 0;
-  }
+  void inc(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
+  uint64_t value() const { return V.load(std::memory_order_relaxed); }
   void reset() { V.store(0, std::memory_order_relaxed); }
 
 private:
@@ -65,13 +45,8 @@ private:
 /// A last-value-wins signed gauge.
 class Gauge {
 public:
-  void set(int64_t X) {
-    if (compiledIn())
-      V.store(X, std::memory_order_relaxed);
-  }
-  int64_t value() const {
-    return compiledIn() ? V.load(std::memory_order_relaxed) : 0;
-  }
+  void set(int64_t X) { V.store(X, std::memory_order_relaxed); }
+  int64_t value() const { return V.load(std::memory_order_relaxed); }
   void reset() { V.store(0, std::memory_order_relaxed); }
 
 private:
@@ -116,4 +91,4 @@ private:
 } // namespace obs
 } // namespace dhpf
 
-#endif // DHPF_OBS_METRICS_H
+#endif // DHPF_METRICS_H

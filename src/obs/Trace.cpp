@@ -46,8 +46,6 @@ TraceBuffer &TraceBuffer::global() {
 }
 
 void TraceBuffer::start() {
-  if (!compiledIn())
-    return;
   std::lock_guard<std::mutex> Lock(M);
   Epoch = std::chrono::steady_clock::now();
   Active.store(true, std::memory_order_relaxed);

@@ -14,8 +14,7 @@
 ///   obs::TraceSpan S(&obs::TraceBuffer::global(), "pass:comm", "compile");
 ///
 /// A span records *nothing* unless the buffer is active (started), so an
-/// idle process pays one relaxed atomic load per probe; with DHPF_OBS=OFF
-/// the probe compiles away entirely.
+/// idle process pays one relaxed atomic load per probe.
 ///
 /// Lanes: every buffer carries a Chrome `pid` (the lane) plus a process
 /// name. The driver traces in lane 0; rank R of a distributed run traces
@@ -32,8 +31,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DHPF_OBS_TRACE_H
-#define DHPF_OBS_TRACE_H
+#ifndef DHPF_TRACE_H
+#define DHPF_TRACE_H
 
 #include "obs/Metrics.h"
 
@@ -74,9 +73,7 @@ public:
   /// Starts (or restarts) recording; resets the clock epoch.
   void start();
   void stop() { Active.store(false, std::memory_order_relaxed); }
-  bool active() const {
-    return compiledIn() && Active.load(std::memory_order_relaxed);
-  }
+  bool active() const { return Active.load(std::memory_order_relaxed); }
 
   /// Chrome `pid` for every event of this buffer, plus the process name
   /// shown in the timeline ("driver", "rank 2").
@@ -92,8 +89,8 @@ public:
 
   /// The whole buffer as one Chrome trace JSON object:
   /// {"displayTimeUnit":"ms","traceEvents":[...]} with a process_name
-  /// metadata event for the lane. Valid JSON even when empty or when
-  /// DHPF_OBS=OFF (it is then just the metadata).
+  /// metadata event for the lane. Valid JSON even when empty (it is then
+  /// just the metadata).
   std::string chromeJson() const;
 
   std::vector<TraceEvent> snapshot() const;
@@ -115,7 +112,7 @@ class TraceSpan {
 public:
   TraceSpan(TraceBuffer *Buf, std::string Name, std::string Cat,
             std::string Args = "") {
-    if (compiledIn() && Buf && Buf->active()) {
+    if (Buf && Buf->active()) {
       B = Buf;
       N = std::move(Name);
       C = std::move(Cat);
@@ -157,4 +154,4 @@ std::string metricsPathFromEnv();
 } // namespace obs
 } // namespace dhpf
 
-#endif // DHPF_OBS_TRACE_H
+#endif // DHPF_TRACE_H

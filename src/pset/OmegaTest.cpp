@@ -7,6 +7,8 @@
 #include "pset/OmegaTest.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 using namespace dhpf;
@@ -273,7 +275,12 @@ std::vector<Conjunct> omega::normalizeExists(const Conjunct &C) {
   while (!Work.empty()) {
     Conjunct W = std::move(Work.back());
     Work.pop_back();
-    assert(++Fuel < 100000 && "existential normalization diverged");
+    // A bound in every build, not an assert: an NDEBUG build would
+    // otherwise loop without end.
+    if (++Fuel >= 100000) {
+      std::fputs("pset: existential normalization diverged\n", stderr);
+      std::abort();
+    }
     if (!W.normalize())
       continue;
 

@@ -221,8 +221,6 @@ std::vector<OpCache::ShardStats> OpCache::perShardStats() {
 
 void OpCache::publishMetrics() {
   using obs::MetricsRegistry;
-  if (!obs::compiledIn())
-    return;
   MetricsRegistry &R = MetricsRegistry::global();
   CacheStats T = stats();
   R.gauge("pset.cache.hits")->set(static_cast<int64_t>(T.Hits));

@@ -6,7 +6,7 @@
 
 #include "rt/Daemon.h"
 
-#include "obs/Metrics.h"
+#include "pset/OpCache.h"
 #include "spmd/Layout.h"
 #include "spmd/Serialize.h"
 
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -204,7 +205,7 @@ void Daemon::start() {
     if (service().loadOpCache(Opts.CacheFile, Err)) {
       if (!Opts.Quiet)
         std::cerr << "dhpfd: warm-started "
-                  << service().opCache().entryCount()
+                  << pset::OpCache::global().entryCount()
                   << " set-operation cache entries from " << Opts.CacheFile
                   << "\n";
     } else if (!Opts.Quiet) {
@@ -212,22 +213,11 @@ void Daemon::start() {
       std::cerr << "dhpfd: cold start (" << Err << ")\n";
     }
   }
-  Server.start(
-      Opts.SocketPath,
-      [this](unsigned Id, uint64_t Tag, const std::string &Payload,
-             net::MsgStream &Stream) {
-        return handle(Id, Tag, Payload, Stream);
-      },
-      [this](unsigned Id) {
-        std::lock_guard<std::mutex> Lock(SessionsM);
-        auto It = Sessions.find(Id);
-        if (It != Sessions.end()) {
-          It->second.publishMetrics();
-          Sessions.erase(It);
-        }
-      });
-  if (!Opts.Quiet)
-    std::cerr << "dhpfd: serving on " << Opts.SocketPath << "\n";
+  Server.start(Opts.SocketPath,
+               [this](unsigned Id, uint64_t Tag, const std::string &Payload,
+                      net::MsgStream &Stream) {
+                 return handle(Id, Tag, Payload, Stream);
+               });
 }
 
 void Daemon::stop() {
@@ -242,7 +232,7 @@ void Daemon::stop() {
     std::string Err;
     if (service().saveOpCache(Opts.CacheFile, Err)) {
       if (!Opts.Quiet)
-        std::cerr << "dhpfd: saved " << service().opCache().entryCount()
+        std::cerr << "dhpfd: saved " << pset::OpCache::global().entryCount()
                   << " set-operation cache entries to " << Opts.CacheFile
                   << "\n";
     } else {
@@ -252,22 +242,12 @@ void Daemon::stop() {
 }
 
 void Daemon::wait() {
-  // stop() joins the service threads, so it must not run on one of them;
-  // the shutdown handler only sets a flag and this (main) thread acts.
+  // stop() waits for the connection threads, so it must not run on one of
+  // them; the shutdown handler only sets a flag and this (main) thread
+  // acts.
   while (Server.running() && !ShutdownRequested.load())
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   stop();
-}
-
-void Daemon::publishServerMetrics() {
-  if (!obs::compiledIn())
-    return;
-  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
-  R.gauge("svc.server.queue_depth")->set(static_cast<int64_t>(queueDepth()));
-  R.gauge("svc.server.connections_active")
-      ->set(static_cast<int64_t>(Server.activeConnections()));
-  R.gauge("svc.server.connections_total")
-      ->set(static_cast<int64_t>(Server.totalConnections()));
 }
 
 bool Daemon::handle(unsigned ClientId, uint64_t Tag,
@@ -278,7 +258,6 @@ bool Daemon::handle(unsigned ClientId, uint64_t Tag,
   };
   Queue.fetch_add(1, std::memory_order_relaxed);
   QueueScope QS{Queue};
-  publishServerMetrics();
   try {
     switch (Tag) {
     case MsgCompileReq:
@@ -318,7 +297,6 @@ bool Daemon::handle(unsigned ClientId, uint64_t Tag,
     W.blob("error", std::string("internal error: ") + E.what());
     Stream.send(MsgErrResp, W.str());
   }
-  publishServerMetrics();
   return true;
 }
 
@@ -339,19 +317,8 @@ std::string Daemon::handleCompile(unsigned ClientId,
   R.Opts.AnalysisThreads = static_cast<unsigned>(In.getU("threads", 0));
   R.BypassArtifactCache = In.getU("fresh", 0) != 0;
 
-  core::CompileSession *Sess;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsM);
-    auto It = Sessions.find(ClientId);
-    if (It == Sessions.end())
-      It = Sessions
-               .emplace(ClientId, service().openSession(
-                                      "c" + std::to_string(ClientId)))
-               .first;
-    Sess = &It->second;
-  }
   core::Served How = core::Served::Fresh;
-  std::shared_ptr<const core::CompileArtifact> A = Sess->compile(R, &How);
+  std::shared_ptr<const core::CompileArtifact> A = service().compile(R, &How);
   if (!Opts.Quiet)
     std::cerr << "dhpfd: [" << ClientId << "] compile '" << R.Name << "' -> "
               << (A->Ok ? "ok" : "error") << " (" << servedName(How) << ")\n";
@@ -385,7 +352,6 @@ std::string Daemon::handleRun(const std::string &Payload) {
   }
   SessionOptions SO;
   SO.NumProcs = static_cast<int64_t>(In.getU("procs", 4));
-  SO.CheckValidity = In.getU("validity", 1) != 0;
   for (const auto &KV : In.fields())
     if (KV.first.rfind("param.", 0) == 0)
       SO.Params[KV.first.substr(6)] =
@@ -410,11 +376,10 @@ std::string Daemon::handleStats() {
      << "artifact_hits " << S.ArtifactHits << "\n"
      << "errors " << S.Errors << "\n"
      << "artifacts_resident " << service().artifactCount() << "\n"
-     << "opcache_entries " << service().opCache().entryCount() << "\n"
+     << "opcache_entries " << pset::OpCache::global().entryCount() << "\n"
      << "connections_active " << Server.activeConnections() << "\n"
      << "connections_total " << Server.totalConnections() << "\n"
      << "queue_depth " << queueDepth() << "\n";
-  service().publishMetrics();
   WireWriter W;
   W.blob("stats", OS.str());
   return W.str();
@@ -478,7 +443,6 @@ DaemonRunResult rt::daemonRun(net::MsgStream &S, const std::string &Spmd,
                               const SessionOptions &SO, bool Check) {
   WireWriter W;
   W.kvU("procs", static_cast<uint64_t>(SO.NumProcs));
-  W.kvU("validity", SO.CheckValidity ? 1 : 0);
   W.kvU("check", Check ? 1 : 0);
   for (const auto &P : SO.Params)
     W.kv("param." + P.first, std::to_string(P.second));

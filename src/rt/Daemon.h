@@ -40,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 
@@ -91,17 +90,17 @@ public:
     return ShutdownRequested.load(std::memory_order_relaxed);
   }
   const std::string &socketPath() const { return Opts.SocketPath; }
-  /// Requests currently being processed (the obs queue-depth gauge).
+  /// Requests currently being processed (the stats reply's queue_depth).
   unsigned queueDepth() const {
     return Queue.load(std::memory_order_relaxed);
   }
+  /// Connections whose threads are still running.
+  unsigned activeConnections() const { return Server.activeConnections(); }
   core::CompilerService &service() { return core::CompilerService::global(); }
 
 private:
   DaemonOptions Opts;
   net::MsgServer Server;
-  std::mutex SessionsM;
-  std::map<unsigned, core::CompileSession> Sessions;
   std::atomic<unsigned> Queue{0};
   std::atomic<bool> ShutdownRequested{false};
   std::mutex StopM; ///< serializes stop() against itself
@@ -112,7 +111,6 @@ private:
   std::string handleCompile(unsigned ClientId, const std::string &Payload);
   std::string handleRun(const std::string &Payload);
   std::string handleStats();
-  void publishServerMetrics();
 };
 
 /// Engine-independent, wall-clock-free rendering of a run result, plus

@@ -165,8 +165,6 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   }
   for (const auto &[K, V] : S.Config.Params)
     Common.push_back("--param=" + K + "=" + std::to_string(V));
-  if (!S.Config.CheckValidity)
-    Common.push_back("--no-validity");
 
   // The launcher's phases trace in the driver's lane, next to the ranks'.
   obs::TraceBuffer *TB = &obs::TraceBuffer::global();
@@ -220,21 +218,8 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   unsigned Live = NP;
   bool TimedOut = false;
   while (Live != 0) {
-    bool Reaped = false;
-    for (unsigned R = 0; R != NP; ++R) {
-      if (Pids[R] < 0)
-        continue;
-      int St = 0;
-      pid_t W = ::waitpid(Pids[R], &St, WNOHANG);
-      if (W == Pids[R]) {
-        Status[R] = St;
-        Pids[R] = -1;
-        --Live;
-        Reaped = true;
-      }
-    }
-    if (Live == 0)
-      break;
+    // Checked before reaping: ranks found finished only after the deadline
+    // has passed (the last poll slept through it) still fail the launch.
     if (nowMs() >= Deadline) {
       TimedOut = true;
       for (unsigned R = 0; R != NP; ++R)
@@ -251,7 +236,20 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
       }
       break;
     }
-    if (!Reaped)
+    bool Reaped = false;
+    for (unsigned R = 0; R != NP; ++R) {
+      if (Pids[R] < 0)
+        continue;
+      int St = 0;
+      pid_t W = ::waitpid(Pids[R], &St, WNOHANG);
+      if (W == Pids[R]) {
+        Status[R] = St;
+        Pids[R] = -1;
+        --Live;
+        Reaped = true;
+      }
+    }
+    if (Live != 0 && !Reaped)
       ::usleep(5000);
   }
 

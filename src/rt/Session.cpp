@@ -110,7 +110,6 @@ std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
   Session S;
   S.ProgName = SP.Source ? SP.Source->name() : "<unknown>";
   S.Config.Params = Opts.Params;
-  S.Config.CheckValidity = Opts.CheckValidity;
   S.Reg = apps::findApp(S.ProgName);
   if (S.Reg) {
     apps::AppInstance App = S.Reg->MakeCanonical();
@@ -120,28 +119,28 @@ std::optional<Session> rt::resolveSession(const spmd::SpmdProgram &SP,
 
   // Processor-array extents: an explicit --procs wins; otherwise map -p
   // onto the benchmark's grid, or put all processors on the first
-  // symbolic dimension.
+  // symbolic dimension. Fixed extents are the declared ones, so a program
+  // whose extents are all fixed runs, and is reported, on its declared
+  // shape whatever -p says.
   bool AnySymbolic = false;
   for (const hpf::VPDimInfo &D : SP.ProcDims)
     AnySymbolic |= !D.ProcSym.empty();
   S.Shape = Opts.ProcShape;
-  if (S.Shape.empty() && AnySymbolic) {
-    if (S.Reg) {
-      S.Shape = S.Reg->ProcShape(Opts.NumProcs);
-      if (S.Shape.empty()) {
-        Err = "cannot map " + std::to_string(Opts.NumProcs) +
-              " processors onto the '" + S.ProgName + "' grid";
-        return std::nullopt;
-      }
-    } else {
-      bool First = true;
-      for (const hpf::VPDimInfo &D : SP.ProcDims) {
-        if (D.ProcSym.empty())
-          S.Shape.push_back(D.ProcFixed);
-        else {
-          S.Shape.push_back(First ? Opts.NumProcs : 1);
-          First = false;
-        }
+  if (S.Shape.empty() && S.Reg && AnySymbolic) {
+    S.Shape = S.Reg->ProcShape(Opts.NumProcs);
+    if (S.Shape.empty()) {
+      Err = "cannot map " + std::to_string(Opts.NumProcs) +
+            " processors onto the '" + S.ProgName + "' grid";
+      return std::nullopt;
+    }
+  } else if (S.Shape.empty()) {
+    bool First = true;
+    for (const hpf::VPDimInfo &D : SP.ProcDims) {
+      if (D.ProcSym.empty())
+        S.Shape.push_back(D.ProcFixed);
+      else {
+        S.Shape.push_back(First ? Opts.NumProcs : 1);
+        First = false;
       }
     }
   }

@@ -35,15 +35,14 @@ struct SessionOptions {
   int64_t NumProcs = 4;           ///< -p: total processors
   std::vector<int64_t> ProcShape; ///< --procs: explicit extents (wins)
   std::map<std::string, int64_t> Params;
-  bool CheckValidity = true;
 };
 
 /// A program ready to execute: resolved processor shape, run
 /// configuration, and the semantics source.
 struct Session {
   std::string ProgName;
-  spmd::RunConfig Config;        ///< ProcExtents/Params/CheckValidity set
-  std::vector<int64_t> Shape;    ///< resolved extents (empty: all fixed)
+  spmd::RunConfig Config;        ///< ProcExtents and Params set
+  std::vector<int64_t> Shape;    ///< resolved extents (empty: no PROCESSORS)
   const apps::RegistryEntry *Reg = nullptr; ///< null if not a benchmark
   bool Canonical = false; ///< program matches the canonical export
 

@@ -211,13 +211,11 @@ void TransportComm::finish(RunResult &R) {
       St.WireBytesSent
           ? double(St.BytesFlushedDuringCompute) / double(St.WireBytesSent)
           : 0.0;
-  if (obs::compiledIn()) {
-    obs::MetricsRegistry &M = obs::MetricsRegistry::global();
-    M.counter("rt.comm.messages")->inc(R.Messages);
-    M.counter("rt.comm.bytes")->inc(R.Bytes);
-    M.counter("rt.comm.span_copies")->inc(R.SpanCopies);
-    M.counter("rt.comm.packed_copies")->inc(R.PackedCopies);
-    M.counter("rt.comm.progress_calls")->inc(ProgressCalls);
-    M.counter("rt.exec.stmt_instances")->inc(R.StmtInstances);
-  }
+  obs::MetricsRegistry &M = obs::MetricsRegistry::global();
+  M.counter("rt.comm.messages")->inc(R.Messages);
+  M.counter("rt.comm.bytes")->inc(R.Bytes);
+  M.counter("rt.comm.span_copies")->inc(R.SpanCopies);
+  M.counter("rt.comm.packed_copies")->inc(R.PackedCopies);
+  M.counter("rt.comm.progress_calls")->inc(ProgressCalls);
+  M.counter("rt.exec.stmt_instances")->inc(R.StmtInstances);
 }

@@ -662,7 +662,7 @@ double PlanExecutor::readFast(unsigned P, uint32_t AId, int64_t Flat,
   auto It2 = Pd.find(Flat);
   if (It2 != Pd.end())
     return It2->second;
-  if (I.Config.CheckValidity && S.Viol.size() < 20)
+  if (S.Viol.size() < 20)
     S.Viol.push_back("proc " + std::to_string(P) + " read unreceived element " +
                      std::to_string(Flat) + " of " + Plan.ArrayNames[AId]);
   return A.at(Flat);
@@ -1025,16 +1025,14 @@ RunResult PlanExecutor::run() {
     obs::TraceSpan Span(Com.Trace, "rank:finish", "rt");
     Com.finish(I.Result);
   }
-  if (obs::compiledIn()) {
-    // Flushed once per run — the dispatch loop itself stays probe-free.
-    static const char *KindNames[6] = {"seq",  "time_loop", "compute",
-                                       "send", "recv",      "reduce"};
-    obs::MetricsRegistry &R = obs::MetricsRegistry::global();
-    for (size_t K = 0; K != 6; ++K)
-      if (Dispatch[K])
-        R.counter(std::string("spmd.bytecode.dispatch.") + KindNames[K])
-            ->inc(Dispatch[K]);
-  }
+  // Flushed once per run — the dispatch loop itself stays probe-free.
+  static const char *KindNames[6] = {"seq",  "time_loop", "compute",
+                                     "send", "recv",      "reduce"};
+  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
+  for (size_t K = 0; K != 6; ++K)
+    if (Dispatch[K])
+      R.counter(std::string("spmd.bytecode.dispatch.") + KindNames[K])
+          ->inc(Dispatch[K]);
   return I.Result;
 }
 

@@ -297,9 +297,8 @@ double Interpreter::readElem(unsigned P, ArrayStore &A,
   auto It2 = Pd.find(Flat);
   if (It2 != Pd.end())
     return It2->second;
-  if (Config.CheckValidity)
-    violation("proc " + std::to_string(P) + " read unreceived element " +
-              std::to_string(Flat) + " of " + Array);
+  violation("proc " + std::to_string(P) + " read unreceived element " +
+            std::to_string(Flat) + " of " + Array);
   return A.at(Flat);
 }
 
@@ -537,16 +536,14 @@ RunResult Interpreter::run() {
   Result.SimSeconds = Mach.elapsed();
   Result.Messages = Mach.totalMessages();
   Result.Bytes = Mach.totalBytes();
-  if (obs::compiledIn()) {
-    // Flushed once per run — the dispatch loop itself stays probe-free.
-    static const char *KindNames[6] = {"seq",  "time_loop", "compute",
-                                       "send", "recv",      "reduce"};
-    obs::MetricsRegistry &R = obs::MetricsRegistry::global();
-    for (size_t K = 0; K != 6; ++K)
-      if (Dispatch[K])
-        R.counter(std::string("spmd.tree.dispatch.") + KindNames[K])
-            ->inc(Dispatch[K]);
-  }
+  // Flushed once per run — the dispatch loop itself stays probe-free.
+  static const char *KindNames[6] = {"seq",  "time_loop", "compute",
+                                     "send", "recv",      "reduce"};
+  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
+  for (size_t K = 0; K != 6; ++K)
+    if (Dispatch[K])
+      R.counter(std::string("spmd.tree.dispatch.") + KindNames[K])
+          ->inc(Dispatch[K]);
   return Result;
 }
 

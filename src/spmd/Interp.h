@@ -78,8 +78,6 @@ struct RunConfig {
   std::map<std::string, int64_t> Params; ///< program parameter values
   std::map<std::string, std::vector<int64_t>> ProcExtents;
   sim::MachineParams Machine;
-  /// Verify reads/receives against ownership and overlays (slower).
-  bool CheckValidity = true;
   EngineKind Engine = EngineKind::Auto;
   /// Worker threads the plan executor (bytecode and native engines) runs
   /// in-process ranks on: 1 runs fully sequential, 0 selects the hardware

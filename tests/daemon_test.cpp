@@ -17,6 +17,8 @@
 //     serving;
 //   - a malformed DHPF_NET_TIMEOUT_MS stops start() with a named error
 //     before the daemon serves anyone;
+//   - a finished connection leaves nothing behind: no thread, no mapped
+//     stack, no metric;
 //   - stop() persists the OpCache and a new daemon starts warm from it;
 //   - KernelCache::sweepStale reclaims tmp files of dead writers only.
 //
@@ -25,6 +27,7 @@
 #include "apps/Apps.h"
 #include "core/CompilerService.h"
 #include "hpf/HpfPrinter.h"
+#include "obs/Metrics.h"
 #include "pset/OpCache.h"
 #include "rt/Daemon.h"
 #include "spmd/KernelCache.h"
@@ -33,7 +36,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <iterator>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -293,6 +299,60 @@ TEST(DaemonFault, MalformedWatchdogFailsStart) {
       << "start() under a malformed watchdog: '" << Err << "'";
   EXPECT_NE(::access(Opts.SocketPath.c_str(), F_OK), 0)
       << "the daemon bound " << Opts.SocketPath;
+}
+
+size_t lineCount(const std::string &Text) {
+  return static_cast<size_t>(std::count(Text.begin(), Text.end(), '\n'));
+}
+
+/// Memory mappings of this process; every thread stack still mapped adds
+/// two (the stack and its guard page).
+size_t mappingCount() {
+  std::ifstream In("/proc/self/maps");
+  std::string All((std::istreambuf_iterator<char>(In)),
+                  std::istreambuf_iterator<char>());
+  return lineCount(All);
+}
+
+/// A connection's thread ends with the connection and leaves no state:
+/// over 200 sequential connections, each compiling the same program, no
+/// stack stays mapped, the metrics report does not grow, and afterwards
+/// no connection is still counted.
+TEST(DaemonServe, ConnectionsLeaveNoState) {
+  ScopedDaemon SD;
+  std::string Source = appSource(apps::makeJacobi, 11, 1);
+  auto Serve = [&] {
+    std::unique_ptr<net::MsgStream> S = SD.connect();
+    DaemonCompileResult R =
+        daemonCompile(*S, "<state>", Source, CompilerOptions());
+    EXPECT_TRUE(R.Ok) << R.DiagText;
+  };
+  // A connection's thread notices the client's close within one 100 ms
+  // poll of its socket.
+  auto Drain = [&] {
+    for (int I = 0; I != 500 && SD.daemon().activeConnections() != 0; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  obs::MetricsRegistry &Reg = obs::MetricsRegistry::global();
+
+  Serve();
+  Drain();
+  size_t ReportLines = lineCount(Reg.reportText());
+  // Sanitizer runtimes keep the last dozen or so finished threads'
+  // contexts mapped, so mappings are counted from after a warm-up.
+  for (int I = 0; I != 31; ++I)
+    Serve();
+  Drain();
+  size_t Mappings = mappingCount();
+  for (int I = 0; I != 200; ++I)
+    Serve();
+  Drain();
+
+  EXPECT_LT(mappingCount(), Mappings + 50);
+  std::string Report = Reg.reportText();
+  EXPECT_EQ(Report.find("svc.client."), std::string::npos) << Report;
+  EXPECT_LE(lineCount(Report), ReportLines) << Report;
+  EXPECT_EQ(SD.daemon().activeConnections(), 0u);
 }
 
 TEST(DaemonPersist, ColdDaemonStartsWarmFromSavedCache) {

@@ -2,19 +2,16 @@
 # Drives one dhpfc or dhpf_rt setting, or one input they must refuse, end
 # to end and checks what it promises.
 #
-#   dhpfc_settings_test.sh <dhpfc> <examples-dir> <case> [ON|OFF]
+#   dhpfc_settings_test.sh <dhpfc> <examples-dir> <case>
 #
-# The optional last argument is the build's DHPF_OBS value; metric-value
-# checks are skipped when observability is compiled out. dhpf_rt is found
-# where dhpfc launch finds it. Every case works in a private scratch
-# directory, which is also the TMPDIR the launcher creates its mesh
-# directories in, and removes it on exit.
+# dhpf_rt is found where dhpfc launch finds it. Every case works in a
+# private scratch directory, which is also the TMPDIR the launcher creates
+# its mesh directories in, and removes it on exit.
 
 set -u
 DHPFC=$1
 EX=$2
 CASE=$3
-OBS=${4:-ON}
 PROG=$EX/jacobi.hpf
 REGRESS=$(dirname "$0")/../examples/regress
 RT=$(dirname "$DHPFC")/../dhpf_rt/dhpf_rt
@@ -32,7 +29,7 @@ fail() {
 
 case $CASE in
 ablations)
-  out=$("$DHPFC" pipeline "$PROG" --no-split --no-coalesce --no-inplace) ||
+  out=$("$DHPFC" run "$PROG" --no-split --no-coalesce --no-inplace) ||
     fail "exit $?"
   echo "$out" | grep -qx 'reference check: OK' || fail "no check: $out"
   ;;
@@ -42,12 +39,12 @@ dump-after)
   [ "$n" -eq 5 ] || fail "$n 'IR dump after' banners, want 5"
   ;;
 no-check)
-  out=$("$DHPFC" pipeline "$PROG" --no-check --no-validity) || fail "exit $?"
+  out=$("$DHPFC" run "$PROG" --no-check) || fail "exit $?"
   echo "$out" | grep -q "^ran 'jacobi'" || fail "did not run: $out"
   ! echo "$out" | grep -q 'reference check' || fail "still checked: $out"
   ;;
 threads)
-  out=$("$DHPFC" pipeline "$PROG" --threads=1) || fail "exit $?"
+  out=$("$DHPFC" run "$PROG" --threads=1) || fail "exit $?"
   echo "$out" | grep -qx 'reference check: OK' || fail "no check: $out"
   ;;
 keep-mesh)
@@ -74,7 +71,7 @@ pset-cache-off)
   DHPF_PSET_CACHE=0 "$DHPFC" compile "$PROG" -o "$W/off.spmd" \
     --metrics="$W/m.txt" || fail "uncached compile failed"
   cmp "$W/on.spmd" "$W/off.spmd" || fail "the programs differ"
-  [ "$OBS" = OFF ] || grep -qx 'pset.cache.hits 0' "$W/m.txt" ||
+  grep -qx 'pset.cache.hits 0' "$W/m.txt" ||
     fail "the disabled cache scored hits"
   ;;
 metrics-env)
@@ -207,10 +204,6 @@ EOF
 trace-launch)
   # Every rank's set-up phases and the launcher's own phases have spans in
   # the merged trace: once per rank, once for the launcher.
-  if [ "$OBS" = OFF ]; then
-    echo "skipped ($CASE): observability compiled out"
-    exit 0
-  fi
   "$DHPFC" launch "$PROG" -p 4 --trace="$W/t.json" >/dev/null ||
     fail "exit $?"
   for span in rank:parse rank:mesh rank:setup rank:seed rank:dump \
@@ -222,6 +215,13 @@ trace-launch)
     esac
     [ "$n" -eq "$want" ] || fail "$n '$span' spans, want $want"
   done
+  ;;
+run-hpf)
+  # run compiles an .hpf source and runs the serialized result; -p 8
+  # cannot reshape the fixed PR(2, 2), and the header names what ran.
+  out=$("$DHPFC" run "$REGRESS/blockcyclic.hpf" -p 8) || fail "exit $?"
+  echo "$out" | grep -q "^ran 'blockcyclic' on 4 procs (2x2), " ||
+    fail "shape not named: $out"
   ;;
 *)
   echo "unknown case '$CASE'"

@@ -9,10 +9,6 @@
 // same message/byte/statement counters and simulated time — under the
 // tree engine and under the bytecode engine at 1 and 4 execution threads.
 //
-// In a DHPF_OBS=OFF build start() is inert and both runs are untraced;
-// the diff then documents that an *attempt* to enable tracing changes
-// nothing, which is exactly the zero-overhead contract.
-//
 // A traced in-process run must also show the plan executor's own spans,
 // as every launched rank's trace does.
 //
@@ -88,9 +84,10 @@ Observed runOnce(AppInstance (*Make)(), const std::vector<int64_t> &Shape,
   O.Valid = RR.Valid;
   O.FinalAccums = RR.FinalAccums;
 
-  if (Tracing && obs::compiledIn())
+  if (Tracing) {
     EXPECT_GT(GB.eventCount(), 0u)
         << App.Name << ": traced run recorded no events";
+  }
   GB.stop();
   GB.clear();
   return O;
@@ -159,8 +156,6 @@ TEST(ObsDiff, Gauss) { diffApp(makeGaussApp, {2, 2}); }
 // compute:<nest> span per compute node the executor dispatches, and
 // rank:finish.
 TEST(ObsDiff, InProcessRunRecordsExecutorSpans) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "DHPF_OBS=OFF: nothing records";
   AppInstance App = makeJacobi(12, 2);
   auto Compiled = compileProgram(*App.Prog);
   ASSERT_TRUE(Compiled);

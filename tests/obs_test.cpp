@@ -12,9 +12,6 @@
 //     ('X') or instant ('i') or metadata ('M') record, and the merged
 //     multi-lane document keeps the lanes apart.
 //
-// In the DHPF_OBS=OFF build the same tests assert the probes are no-ops —
-// which is itself the zero-overhead-when-disabled contract.
-//
 //===----------------------------------------------------------------------===//
 
 #include "obs/Metrics.h"
@@ -84,10 +81,7 @@ TEST(Metrics, CounterConcurrentIncrementsSumExactly) {
     for (uint64_t I = 0; I != PerTask; ++I)
       C->inc();
   });
-  if (compiledIn())
-    EXPECT_EQ(C->value(), Threads * 4 * PerTask);
-  else
-    EXPECT_EQ(C->value(), 0u); // probes compiled out
+  EXPECT_EQ(C->value(), Threads * 4 * PerTask);
 }
 
 TEST(Metrics, RegistryReturnsStablePointers) {
@@ -100,10 +94,8 @@ TEST(Metrics, RegistryReturnsStablePointers) {
   EXPECT_EQ(R.gauge("g"), G);
   A->inc(3);
   G->set(-7);
-  if (compiledIn()) {
-    EXPECT_EQ(R.counter("a")->value(), 3u);
-    EXPECT_EQ(R.gauge("g")->value(), -7);
-  }
+  EXPECT_EQ(R.counter("a")->value(), 3u);
+  EXPECT_EQ(R.gauge("g")->value(), -7);
 }
 
 TEST(Metrics, ReportsAreValidAndSorted) {
@@ -120,10 +112,8 @@ TEST(Metrics, ReportsAreValidAndSorted) {
   ASSERT_NE(PA, std::string::npos);
   ASSERT_NE(PZ, std::string::npos);
   EXPECT_LT(PA, PZ);
-  if (compiledIn()) {
-    EXPECT_NE(Text.find("a.first 1"), std::string::npos) << Text;
-    EXPECT_NE(Text.find("m.gauge -3"), std::string::npos) << Text;
-  }
+  EXPECT_NE(Text.find("a.first 1"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("m.gauge -3"), std::string::npos) << Text;
 }
 
 TEST(Metrics, ResetAllZeroes) {
@@ -155,10 +145,6 @@ TEST(Trace, NestedSpansAreContained) {
       TraceSpan Inner(&B, "inner", "test");
     }
   }
-  if (!compiledIn()) {
-    EXPECT_EQ(B.eventCount(), 0u);
-    return;
-  }
   std::vector<TraceEvent> Evs = B.snapshot();
   ASSERT_EQ(Evs.size(), 2u);
   // Spans close inner-first (RAII order).
@@ -181,11 +167,9 @@ TEST(Trace, InstantAndArgsSurviveJsonRoundTrip) {
   }
   std::string Doc = B.chromeJson();
   EXPECT_TRUE(structurallyValidJson(Doc)) << Doc;
-  if (compiledIn()) {
-    EXPECT_NE(Doc.find("\"ph\": \"i\""), std::string::npos);
-    EXPECT_NE(Doc.find("\"rank\": 2"), std::string::npos);
-    EXPECT_NE(Doc.find("\"pid\": 3"), std::string::npos);
-  }
+  EXPECT_NE(Doc.find("\"ph\": \"i\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"rank\": 2"), std::string::npos);
+  EXPECT_NE(Doc.find("\"pid\": 3"), std::string::npos);
 }
 
 TEST(Trace, ChromeJsonEventsBalancedAndTyped) {
@@ -214,19 +198,14 @@ TEST(Trace, ChromeJsonEventsBalancedAndTyped) {
     ++Pos;
   }
   EXPECT_EQ(NM, 1u); // the lane metadata record
-  if (compiledIn()) {
-    EXPECT_EQ(NX, 10u);
-    EXPECT_EQ(NI, 1u);
-    // Every complete event carries a duration field.
-    size_t NDur = 0;
-    for (Pos = 0; (Pos = Doc.find("\"dur\": ", Pos)) != std::string::npos;
-         ++Pos)
-      ++NDur;
-    EXPECT_EQ(NDur, NX);
-  } else {
-    EXPECT_EQ(NX, 0u);
-    EXPECT_EQ(NI, 0u);
-  }
+  EXPECT_EQ(NX, 10u);
+  EXPECT_EQ(NI, 1u);
+  // Every complete event carries a duration field.
+  size_t NDur = 0;
+  for (Pos = 0; (Pos = Doc.find("\"dur\": ", Pos)) != std::string::npos;
+       ++Pos)
+    ++NDur;
+  EXPECT_EQ(NDur, NX);
 }
 
 TEST(Trace, StopFreezesBuffer) {
@@ -236,7 +215,7 @@ TEST(Trace, StopFreezesBuffer) {
   B.stop();
   { TraceSpan S(&B, "after", "test"); }
   B.instant("after-instant", "test");
-  EXPECT_EQ(B.eventCount(), compiledIn() ? 1u : 0u);
+  EXPECT_EQ(B.eventCount(), 1u);
 }
 
 TEST(Trace, ThreadIdsAreStablePerThread) {
@@ -270,14 +249,12 @@ TEST(Trace, MergePreservesLanesAndEvents) {
   EXPECT_NE(Merged.find("\"pid\": 0"), std::string::npos);
   EXPECT_NE(Merged.find("\"pid\": 1"), std::string::npos);
   EXPECT_NE(Merged.find("\"pid\": 2"), std::string::npos);
-  if (compiledIn()) {
-    size_t NSend = 0;
-    for (size_t Pos = 0;
-         (Pos = Merged.find("\"name\": \"send\"", Pos)) != std::string::npos;
-         ++Pos)
-      ++NSend;
-    EXPECT_EQ(NSend, 2u);
-  }
+  size_t NSend = 0;
+  for (size_t Pos = 0;
+       (Pos = Merged.find("\"name\": \"send\"", Pos)) != std::string::npos;
+       ++Pos)
+    ++NSend;
+  EXPECT_EQ(NSend, 2u);
 }
 
 TEST(Trace, MergeSkipsEmptyAndMalformedDocs) {
@@ -295,25 +272,6 @@ TEST(Trace, MergeOfNothingIsValidEmptyDoc) {
   std::string Merged = mergeChromeTraces({});
   EXPECT_TRUE(structurallyValidJson(Merged)) << Merged;
   EXPECT_NE(Merged.find("\"traceEvents\""), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// The compile-time switch
-//===----------------------------------------------------------------------===//
-
-TEST(ObsSwitch, CompiledInMatchesBuildDefinition) {
-#if DHPF_OBS_ENABLED
-  EXPECT_TRUE(compiledIn());
-#else
-  EXPECT_FALSE(compiledIn());
-  // The OFF build's probes must be free: no events, no counts.
-  MetricsRegistry R;
-  R.counter("x")->inc(100);
-  EXPECT_EQ(R.counter("x")->value(), 0u);
-  TraceBuffer B;
-  B.start();
-  EXPECT_FALSE(B.active());
-#endif
 }
 
 } // namespace

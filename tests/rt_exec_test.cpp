@@ -340,8 +340,6 @@ TEST(CollSchedule, NaiveBottlenecksRankZero) {
 /// each rank pumps floor(its instances / 256) times, the counter carrying
 /// over from one compute node to the next.
 TEST(RtExec, ComputePumpsProgressEvery256Statements) {
-  if (!obs::compiledIn())
-    GTEST_SKIP() << "metrics compiled out";
   apps::AppInstance App = apps::makeJacobi(32, 2);
   auto Compiled = core::compileProgram(*App.Prog);
   ASSERT_TRUE(Compiled);
@@ -533,8 +531,7 @@ TEST(RtDump, MergeRejectsCountsTheOwnerMapDisagreesWith) {
 /// "send" complete event at exactly the sites that bump
 /// RunResult::Messages, so per-rank send-span counts equal the per-rank
 /// message counters, the merged timeline's total equals the summed
-/// counter, and all four rank lanes survive the merge. With DHPF_OBS=OFF
-/// the same run records nothing at all.
+/// counter, and all four rank lanes survive the merge.
 TEST(RtExec, TraceSendEventsMatchMessageCounters) {
   Subject S = std::move(subjects()[0]); // jacobi on a 2x2 mesh
   auto Compiled = core::compileProgram(*S.App.Prog);
@@ -566,12 +563,6 @@ TEST(RtExec, TraceSendEventsMatchMessageCounters) {
     T.join();
   for (unsigned R = 0; R != 4; ++R)
     ASSERT_EQ(Errs[R], "") << "rank " << R;
-
-  if (!obs::compiledIn()) {
-    for (const obs::TraceBuffer &B : Bufs)
-      EXPECT_EQ(B.eventCount(), 0u);
-    return;
-  }
 
   uint64_t TotalSends = 0, TotalRecvs = 0, TotalMsgs = 0;
   for (unsigned R = 0; R != 4; ++R) {
@@ -656,20 +647,18 @@ TEST(RtExec, FaultInjectionDiagnosesNeverHangs) {
     AnyNamed |= E.find("rank") != std::string::npos;
   EXPECT_TRUE(AnyNamed) << "no rank reported a named-peer diagnostic";
 
-  if (obs::compiledIn()) {
-    // The transport recorded the injection itself: an instant "fault"
-    // event whose args name the offending rank and the action taken.
-    bool FaultSeen = false;
-    for (const obs::TraceEvent &E : GB.snapshot()) {
-      if (E.Name != "fault" || E.Ph != 'i')
-        continue;
-      FaultSeen = true;
-      EXPECT_NE(E.Args.find("\"rank\": "), std::string::npos) << E.Args;
-      EXPECT_NE(E.Args.find("\"action\": \"corrupt\""), std::string::npos)
-          << E.Args;
-    }
-    EXPECT_TRUE(FaultSeen) << "no fault instant event in the trace";
+  // The transport recorded the injection itself: an instant "fault" event
+  // whose args name the offending rank and the action taken.
+  bool FaultSeen = false;
+  for (const obs::TraceEvent &E : GB.snapshot()) {
+    if (E.Name != "fault" || E.Ph != 'i')
+      continue;
+    FaultSeen = true;
+    EXPECT_NE(E.Args.find("\"rank\": "), std::string::npos) << E.Args;
+    EXPECT_NE(E.Args.find("\"action\": \"corrupt\""), std::string::npos)
+        << E.Args;
   }
+  EXPECT_TRUE(FaultSeen) << "no fault instant event in the trace";
   GB.clear();
 }
 

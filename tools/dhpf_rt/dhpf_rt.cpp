@@ -12,7 +12,7 @@
 /// binary result file (rt/RankResult.h) for the launcher to merge.
 ///
 ///   dhpf_rt <prog.spmd> --rank=R --mesh <dir> --result=<file>
-///           [--procs=a,b,...] [--param=k=v]... [--no-validity]
+///           [--procs=a,b,...] [--param=k=v]...
 ///
 /// Exit 0 on success (even with validity violations — those travel in the
 /// dump for the merged report), 1 on any transport/runtime failure
@@ -56,7 +56,7 @@ struct RtOptions {
 int usage() {
   std::cerr << "usage: dhpf_rt <prog.spmd> --rank=R --mesh <dir> "
                "--result=<file> [--hosts=<spec>] [--procs=a,b] "
-               "[--param=k=v] [--no-validity]\n";
+               "[--param=k=v]\n";
   return 2;
 }
 
@@ -92,8 +92,6 @@ bool parseArgs(int Argc, char **Argv, RtOptions &O) {
       rt::parseProcsArg(V, O.Session.ProcShape, Err);
     } else if (takeValue(Arg, "--param", Argc, Argv, I, V)) {
       rt::parseParamArg(V, O.Session.Params, Err);
-    } else if (Arg == "--no-validity") {
-      O.Session.CheckValidity = false;
     } else if (!Arg.empty() && Arg[0] != '-' && O.SpmdPath.empty()) {
       O.SpmdPath = Arg;
     } else {

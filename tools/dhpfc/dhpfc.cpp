@@ -9,9 +9,10 @@
 /// files so compilation and execution can run in separate processes:
 ///
 ///   dhpfc compile prog.hpf -o prog.spmd   parse + analyze + emit + serialize
-///   dhpfc run prog.spmd -p 4              parse .spmd + simulate + verify
-///   dhpfc pipeline prog.hpf -p 4          compile, round-trip through the
-///                                         serialized form, run, check
+///   dhpfc run prog.spmd -p 4              parse .spmd + simulate + verify;
+///                                         an .hpf is compiled first and
+///                                         run from its serialized form
+///   dhpfc launch prog.spmd -p 4           the same across rank processes
 ///   dhpfc export [-d DIR]                 write the Figure 7 benchmarks
 ///                                         as .hpf text
 ///   dhpfc list                            show the registered benchmarks
@@ -62,12 +63,10 @@ int usage(const char *Argv0) {
       << "commands:\n"
       << "  compile <prog.hpf> [-o <out.spmd>]   compile to a serialized "
          "SPMD program\n"
-      << "  run <prog.spmd> [-p N]               execute a serialized "
-         "program\n"
-      << "  launch <prog.spmd> [-p N]            execute across N rank "
+      << "  run <prog.spmd|.hpf> [-p N]          execute a program (an .hpf "
+         "is compiled first)\n"
+      << "  launch <prog.spmd|.hpf> [-p N]       execute across N rank "
          "processes over sockets\n"
-      << "  pipeline <prog.hpf> [-p N]           compile + serialization "
-         "round trip + run\n"
       << "  export [-d <dir>]                    write the benchmark "
          "programs as .hpf\n"
       << "  list                                 list registered "
@@ -76,7 +75,8 @@ int usage(const char *Argv0) {
          "statistics\n"
       << "  shutdown --server=<sock>             stop a running daemon\n"
       << "\n"
-      << "client options (compile, run, pipeline):\n"
+      << "client options (compile, run, and launch's compile of an "
+         ".hpf):\n"
       << "  --server=<sock>      send the request to the dhpfd daemon on "
          "this socket\n"
       << "                       instead of compiling/running in-process\n"
@@ -101,7 +101,6 @@ int usage(const char *Argv0) {
          "auto)\n"
       << "  --param=<name=val>   bind a program parameter\n"
       << "  --no-check           skip the serial reference check\n"
-      << "  --no-validity        skip ownership/communication validation\n"
       << "  --stats              print message/byte/statement counts\n"
       << "\n"
       << "launch options (plus the run options above):\n"
@@ -206,7 +205,6 @@ struct CliOptions {
   unsigned Threads = 0; ///< --threads: analysis and execution workers
   bool Stats = false;
   bool NoCheck = false;
-  bool NoValidity = false;
   std::string Server;  ///< --server= daemon socket (empty = in-process)
   std::string RtBin;   ///< --rt-bin override for launch
   std::string Hosts;   ///< --hosts= TCP rank spec ('auto' = loopback)
@@ -302,8 +300,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &O) {
       O.Stats = true;
     } else if (A == "--no-check") {
       O.NoCheck = true;
-    } else if (A == "--no-validity") {
-      O.NoValidity = true;
     } else if (!A.empty() && A[0] == '-') {
       std::cerr << "dhpfc: unknown option '" << A << "'\n";
       return false;
@@ -327,12 +323,6 @@ core::CompilerOptions compilerOptions(const CliOptions &O) {
   return CO;
 }
 
-/// What a compile produced, wherever it ran.
-struct CompiledUnit {
-  std::string ProgName;
-  std::string Spmd; ///< serialized program text
-};
-
 /// Connects to --server's daemon; prints and rethrows nothing — a
 /// connection failure is reported and null returned.
 std::unique_ptr<net::MsgStream> connectServer(const CliOptions &O) {
@@ -346,10 +336,10 @@ std::unique_ptr<net::MsgStream> connectServer(const CliOptions &O) {
 
 /// Compiles one .hpf file through the compiler service — in-process via
 /// CompilerService::global() by default, or on the dhpfd daemon with
-/// --server=. Both paths produce byte-identical serialized programs.
-/// Returns false with diagnostics already printed on any error.
+/// --server=. Both paths produce byte-identical serialized programs, in
+/// \p Spmd. Returns false with diagnostics already printed on any error.
 bool compileViaService(const std::string &Path, const CliOptions &O,
-                       CompiledUnit &Out) {
+                       std::string &Spmd) {
   std::string Text, Err;
   if (!readFile(Path, Text, Err)) {
     std::cerr << "dhpfc: " << Err << "\n";
@@ -372,8 +362,7 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
                   << "\n"
                   << R.StatsText;
       }
-      Out.ProgName = R.ProgName;
-      Out.Spmd = std::move(R.Spmd);
+      Spmd = std::move(R.Spmd);
       return true;
     } catch (const net::TransportError &E) {
       std::cerr << "dhpfc: " << E.what() << "\n";
@@ -384,9 +373,8 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
   R.Name = Path;
   R.Source = std::move(Text);
   R.Opts = compilerOptions(O);
-  core::CompileSession Sess =
-      core::CompilerService::global().openSession("dhpfc");
-  std::shared_ptr<const core::CompileArtifact> A = Sess.compile(R);
+  std::shared_ptr<const core::CompileArtifact> A =
+      core::CompilerService::global().compile(R);
   if (!A->DiagText.empty())
     std::cerr << A->DiagText;
   if (!A->Ok)
@@ -395,9 +383,25 @@ bool compileViaService(const std::string &Path, const CliOptions &O,
     std::cout << "compiled '" << A->ProgName << "' (" << Path << ")\n"
               << A->StatsText;
   }
-  Out.ProgName = A->ProgName;
-  Out.Spmd = A->Spmd;
+  Spmd = A->Spmd;
   return true;
+}
+
+bool isHpf(const std::string &Path) {
+  return Path.size() > 4 && Path.compare(Path.size() - 4, 4, ".hpf") == 0;
+}
+
+/// The serialized program `run` and `launch` execute: the input .spmd
+/// file, or an .hpf input compiled through the service. Returns false
+/// with diagnostics already printed on any error.
+bool loadSpmd(const CliOptions &O, std::string &Spmd) {
+  if (isHpf(O.Input))
+    return compileViaService(O.Input, O, Spmd);
+  std::string Err;
+  if (readFile(O.Input, Spmd, Err))
+    return true;
+  std::cerr << "dhpfc: " << Err << "\n";
+  return false;
 }
 
 /// Reparses a serialized program for in-process execution.
@@ -448,7 +452,6 @@ rt::SessionOptions sessionOptions(const CliOptions &O) {
   SO.NumProcs = O.NumProcs;
   SO.ProcShape = O.ProcShape;
   SO.Params = O.Params;
-  SO.CheckValidity = !O.NoValidity;
   return SO;
 }
 
@@ -491,8 +494,8 @@ int reportInvalid(const spmd::RunResult &RR) {
   return 1;
 }
 
-/// Executes an SPMD program (from `run` or `pipeline`). Returns the
-/// process exit code.
+/// Executes an SPMD program in-process (`run`). Returns the process exit
+/// code.
 int runProgram(const spmd::SpmdProgram &SP, const CliOptions &O) {
   std::string Err;
   std::optional<rt::Session> S = rt::resolveSession(SP, sessionOptions(O), Err);
@@ -596,13 +599,10 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
   // Before any fork: the rank processes must resolve the same engine as
   // the in-process oracle below.
   applyEngineEnv(O);
-  std::string Text, Err;
-  if (!readFile(O.Input, Text, Err)) {
-    std::cerr << "dhpfc: " << Err << "\n";
+  std::string Spmd, Err;
+  if (!loadSpmd(O, Spmd))
     return 1;
-  }
-  // Accept either a serialized .spmd or an .hpf source; the latter is
-  // compiled here and serialized to a temp file the rank processes load.
+  // A compiled .hpf is serialized to a temp file the rank processes load.
   // The guard is armed the moment the temp file exists, so every return
   // below — parse failure, session failure, launch failure — removes it.
   struct TempFileGuard {
@@ -613,27 +613,20 @@ int cmdLaunch(const CliOptions &O, const char *Argv0) {
     }
   } Guard;
   std::string SpmdPath = O.Input;
-  std::unique_ptr<spmd::SpmdProgram> SP;
-  if (O.Input.size() > 4 &&
-      O.Input.compare(O.Input.size() - 4, 4, ".hpf") == 0) {
-    CompiledUnit CU;
-    if (!compileViaService(O.Input, O, CU))
-      return 1;
+  if (isHpf(O.Input)) {
     const char *Tmp = std::getenv("TMPDIR");
     std::string TempSpmd = std::string(Tmp && *Tmp ? Tmp : "/tmp") +
                            "/dhpfc_launch_" +
                            std::to_string(static_cast<long>(getpid())) +
                            ".spmd";
-    if (!writeFile(TempSpmd, CU.Spmd, Err)) {
+    if (!writeFile(TempSpmd, Spmd, Err)) {
       std::cerr << "dhpfc: " << Err << "\n";
       return 1;
     }
     Guard.Path = TempSpmd;
     SpmdPath = TempSpmd;
-    SP = reparseSpmd(CU.Spmd, SpmdPath);
-  } else {
-    SP = reparseSpmd(Text, O.Input);
   }
+  std::unique_ptr<spmd::SpmdProgram> SP = reparseSpmd(Spmd, SpmdPath);
   if (!SP)
     return 1;
 
@@ -718,12 +711,12 @@ std::string defaultOutputPath(const std::string &Input) {
 }
 
 int cmdCompile(const CliOptions &O) {
-  CompiledUnit CU;
-  if (!compileViaService(O.Input, O, CU))
+  std::string Spmd;
+  if (!compileViaService(O.Input, O, Spmd))
     return 1;
   std::string Path = O.Output.empty() ? defaultOutputPath(O.Input) : O.Output;
   std::string Err;
-  if (!writeFile(Path, CU.Spmd, Err)) {
+  if (!writeFile(Path, Spmd, Err)) {
     std::cerr << "dhpfc: " << Err << "\n";
     return 1;
   }
@@ -733,20 +726,19 @@ int cmdCompile(const CliOptions &O) {
 }
 
 int cmdRun(const CliOptions &O) {
-  std::string Text, Err;
-  if (!readFile(O.Input, Text, Err)) {
-    std::cerr << "dhpfc: " << Err << "\n";
+  std::string Spmd;
+  if (!loadSpmd(O, Spmd))
     return 1;
-  }
   if (!O.Server.empty()) {
-    // Remote run: the daemon executes and returns the engine-independent
-    // summary; the verdicts inside it drive the exit code.
+    // Remote run: the daemon executes (an .hpf input it has also compiled)
+    // and returns the engine-independent summary; the verdicts inside it
+    // drive the exit code.
     std::unique_ptr<net::MsgStream> Stream = connectServer(O);
     if (!Stream)
       return 1;
     try {
       rt::DaemonRunResult R =
-          rt::daemonRun(*Stream, Text, sessionOptions(O), !O.NoCheck);
+          rt::daemonRun(*Stream, Spmd, sessionOptions(O), !O.NoCheck);
       if (!R.Ok) {
         std::cerr << "dhpfc: daemon run failed: " << R.Error << "\n";
         return 1;
@@ -761,27 +753,9 @@ int cmdRun(const CliOptions &O) {
       return 1;
     }
   }
-  std::unique_ptr<spmd::SpmdProgram> SP = reparseSpmd(Text, O.Input);
+  std::unique_ptr<spmd::SpmdProgram> SP = reparseSpmd(Spmd, O.Input);
   if (!SP)
     return 1;
-  return runProgram(*SP, O);
-}
-
-int cmdPipeline(const CliOptions &O) {
-  CompiledUnit CU;
-  if (!compileViaService(O.Input, O, CU))
-    return 1;
-  // The service hands back the serialized form, so `pipeline` inherently
-  // exercises the same round trip as compile-to-file + run-from-file.
-  std::unique_ptr<spmd::SpmdProgram> SP =
-      reparseSpmd(CU.Spmd, O.Input + ":spmd");
-  if (!SP) {
-    std::cerr << "dhpfc: internal error: serialized program failed to "
-                 "reparse\n";
-    return 1;
-  }
-  std::cout << "pipeline: compiled '" << CU.ProgName << "', round-tripped "
-            << CU.Spmd.size() << " bytes\n";
   return runProgram(*SP, O);
 }
 
@@ -885,8 +859,6 @@ int dispatch(const std::string &Cmd, const CliOptions &O, const char *Argv0) {
     return cmdRun(O);
   if (Cmd == "launch")
     return cmdLaunch(O, Argv0);
-  if (Cmd == "pipeline")
-    return cmdPipeline(O);
   std::cerr << "dhpfc: unknown command '" << Cmd << "'\n";
   return usage(Argv0);
 }

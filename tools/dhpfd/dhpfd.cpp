@@ -54,7 +54,7 @@ void usage(const char *Argv0) {
       << "  --cache=<file>    load the set-operation cache at startup and\n"
       << "                    save it at shutdown (cold daemon starts warm)\n"
       << "  --metrics=<file>  dump the metrics registry to <file> at\n"
-      << "                    shutdown (requires an observability build)\n"
+      << "                    shutdown\n"
       << "  --quiet           suppress the per-request stderr log\n";
 }
 
@@ -69,10 +69,6 @@ bool consume(const char *Arg, const char *Prefix, std::string &Out) {
 void dumpMetrics(const std::string &Path) {
   if (Path.empty())
     return;
-  if (!obs::compiledIn()) {
-    std::cerr << "dhpfd: --metrics ignored (not an observability build)\n";
-    return;
-  }
   std::ofstream Out(Path, std::ios::trunc);
   if (!Out) {
     std::cerr << "dhpfd: cannot write metrics to '" << Path << "'\n";
