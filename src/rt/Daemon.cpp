@@ -173,7 +173,8 @@ bool rt::runForSummary(spmd::SpmdProgram &SP, const SessionOptions &SO,
   if (!S)
     return false;
   try {
-    spmd::admitFootprint(SP, spmd::resolveLayout(SP, S->Config));
+    spmd::admitFootprint(
+        spmd::resolveStorage(SP, spmd::resolveLayout(SP, S->Config)));
   } catch (const spmd::FootprintError &E) {
     Err = E.what();
     return false;

@@ -112,13 +112,13 @@ std::string rt::findRtBinary(const std::string &Explicit, const char *Argv0) {
 LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
                              const LaunchOptions &Opts) {
   LaunchResult LR;
-  // One process per processor, and every rank and the merge allocate the
-  // full arrays: refuse a shape or arrays that do not fit before spawning
-  // anything.
+  // One process per processor, each allocating its storage boxes, and the
+  // merge the full arrays: refuse a shape or storage that does not fit
+  // before spawning anything.
   unsigned NP = 0;
   try {
     spmd::ProgramLayout L = resolveLayout(SP, S.Config);
-    spmd::admitFootprint(SP, L);
+    spmd::admitFootprint(spmd::resolveStorage(SP, L));
     NP = L.NumProcs;
   } catch (const spmd::FootprintError &E) {
     LR.Error = E.what();

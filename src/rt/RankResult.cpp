@@ -20,7 +20,7 @@ using namespace dhpf::spmd;
 namespace {
 
 constexpr char Magic[8] = {'d', 'h', 'p', 'f', 'r', 'a', 'n', 'k'};
-constexpr uint32_t Version = 2;
+constexpr uint32_t Version = 3;
 constexpr uint32_t ByteOrderProbe = 0x01020304;
 /// Magic, version, byte-order probe and the leading total: the prefix that
 /// identifies a result file.
@@ -34,9 +34,19 @@ uint64_t bitsOf(double D) {
   return V;
 }
 
-uint64_t fnv1a(const char *P, size_t N) {
+/// FNV-1a's multiply and xor over 8-byte words, then over the tail bytes:
+/// each step is a bijection of the running hash, so any changed word, and
+/// so any flipped byte, changes the result.
+uint64_t checksum(const char *P, size_t N) {
   uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I != N; ++I) {
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8) {
+    uint64_t W;
+    std::memcpy(&W, P + I, 8);
+    H ^= W;
+    H *= 0x100000001b3ull;
+  }
+  for (; I != N; ++I) {
     H ^= static_cast<unsigned char>(P[I]);
     H *= 0x100000001b3ull;
   }
@@ -56,13 +66,6 @@ void putWord(std::string &B, uint64_t V) {
 void putString(std::string &B, const std::string &S) {
   putWord(B, S.size());
   B += S;
-}
-
-/// The rank that reports element \p F of \p A: its owner, or rank 0 for a
-/// replicated or ownerless element.
-unsigned reporterOf(const ArrayStore &A, size_t F) {
-  int32_t Own = A.Owner.empty() ? -1 : A.Owner[F];
-  return Own < 0 ? 0 : static_cast<unsigned>(Own);
 }
 
 /// Reads words and strings from [Pos, End), checking every length and
@@ -114,12 +117,7 @@ RankDump rt::dumpRank(const Interpreter &I, const net::Transport &T,
   D.R = R;
   D.OverlapNum = T.stats().BytesFlushedDuringCompute;
   D.OverlapDen = T.stats().WireBytesSent;
-  for (const auto &[Name, A] : I.arrays()) {
-    std::vector<double> &Out = D.Owned[Name];
-    for (size_t F = 0; F != A.size(); ++F)
-      if (reporterOf(A, F) == D.Rank)
-        Out.push_back(A.at(F));
-  }
+  D.Owned = I.ownedValues(D.Rank);
   return D;
 }
 
@@ -156,7 +154,7 @@ std::string rt::serializeRankDump(const RankDump &D) {
   uint64_t Total = B.size() + TrailerBytes;
   std::memcpy(&B[IdentBytes - 8], &Total, 8);
   putWord(B, Total);
-  putWord(B, fnv1a(B.data(), B.size()));
+  putWord(B, checksum(B.data(), B.size()));
   return B;
 }
 
@@ -196,7 +194,7 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
   uint64_t Head = wordAt(B, 16), Tail = wordAt(B, Size - TrailerBytes);
   if (Head != Size && Tail != Size)
     return Truncated();
-  if (fnv1a(B.data(), Size - 8) != wordAt(B, Size - 8))
+  if (checksum(B.data(), Size - 8) != wordAt(B, Size - 8))
     return In.fail("checksum mismatch (corrupt result file)");
   if (Head != Size || Tail != Size)
     return In.fail("length words disagree with the file size");
@@ -291,7 +289,10 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
   }
 
   Out.R = RunResult();
-  Out.Arrays = buildArrayStores(SP, Config, L);
+  std::vector<ArrayLayout> Layouts = resolveArrays(SP, L);
+  Out.Arrays.clear();
+  for (const ArrayLayout &A : Layouts)
+    Out.Arrays.emplace(A.Name, ArrayStore(A.Lo, A.Extent, A.ElemBytes));
   uint64_t ONum = 0, ODen = 0;
   const RankDump &D0 = *ByRank[0];
   for (unsigned P = 0; P != NP; ++P) {
@@ -330,33 +331,44 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
       }
   }
 
-  // Place the values by walking the owner map: the k-th value rank P
-  // reported for an array is the k-th element of it that P reports.
+  // Place each rank's values by formula: the k-th value rank P reported
+  // for an array is the k-th element of it that P owns, in flat order.
   static const std::vector<double> None;
-  std::vector<const double *> Src(NP);
-  std::vector<size_t> Have(NP), Next(NP);
-  for (auto &[Name, A] : Out.Arrays) {
+  for (const ArrayLayout &A : Layouts) {
+    ArrayStore &G = Out.Arrays.at(A.Name);
+    std::vector<int64_t> Stride = columnStrides(A.Extent);
     for (unsigned P = 0; P != NP; ++P) {
-      auto It = ByRank[P]->Owned.find(Name);
+      auto It = ByRank[P]->Owned.find(A.Name);
       const std::vector<double> &V =
           It == ByRank[P]->Owned.end() ? None : It->second;
-      Src[P] = V.data();
-      Have[P] = V.size();
-      Next[P] = 0;
-    }
-    for (size_t F = 0; F != A.size(); ++F) {
-      unsigned P = reporterOf(A, F);
-      size_t K = Next[P]++;
-      if (K < Have[P])
-        A.at(F) = Src[P][K];
-    }
-    for (unsigned P = 0; P != NP; ++P)
-      if (Next[P] != Have[P]) {
+      std::vector<std::vector<int64_t>> Own;
+      size_t Owns = 0;
+      if (!A.Replicated || P == 0) {
+        Own = A.owned(rankCoords(L, P));
+        Owns = 1;
+        for (const std::vector<int64_t> &Dim : Own)
+          Owns *= Dim.size();
+      }
+      if (V.size() != Owns) {
         Err = "rank " + std::to_string(P) + " dumped " +
-              std::to_string(Have[P]) + " values of array '" + Name +
-              "' but owns " + std::to_string(Next[P]);
+              std::to_string(V.size()) + " values of array '" + A.Name +
+              "' but owns " + std::to_string(Owns);
         return false;
       }
+      if (Owns == 0)
+        continue;
+      // Per dimension, each owned index's offset into the global array.
+      for (size_t D = 0; D != Own.size(); ++D)
+        for (int64_t &X : Own[D])
+          X = (X - A.Lo[D]) * Stride[D];
+      size_t K = 0;
+      forEachIndex(Own, [&](const std::vector<int64_t> &Off) {
+        int64_t F = 0;
+        for (int64_t X : Off)
+          F += X;
+        G.at(F) = V[K++];
+      });
+    }
   }
   Out.R.FinalAccums = D0.R.FinalAccums;
   Out.R.OverlapRatio = ODen ? double(ONum) / double(ODen) : 0.0;

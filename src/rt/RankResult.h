@@ -9,11 +9,13 @@
 /// that reassembles a RunResult bit-identical to the in-process engines.
 ///
 /// Each rank reports the values of the array elements it owns; rank 0 also
-/// reports the replicated and ownerless elements (which replicated
-/// computation keeps identical on every rank). The values carry no index:
-/// the launcher builds the same block/cyclic owner map the ranks built, so
-/// the k-th value rank P reports for an array is the array's k-th element
-/// in flat order that P owns. Per-rank counters sum to the in-process
+/// reports the replicated arrays (every rank computes its own copy, and
+/// rank 0's is the result). The values carry no index: the launcher
+/// computes each rank's owned block from the same block/cyclic formulas
+/// the ranks used (spmd::ArrayLayout), so the k-th value rank P reports
+/// for an array is the array's k-th element in flat order that P owns, and
+/// places it without any per-element map. Per-rank counters sum to the
+/// in-process
 /// totals; the overlap ratio merges from wire-byte numerators and
 /// denominators. Ranks run on real time, so a merged run has no simulated
 /// time (RunResult::SimSeconds stays 0); callers time the launch itself.
@@ -22,14 +24,15 @@
 /// 32-bit identification words every integer is a 64-bit word, and every
 /// double is its raw 8 bytes:
 ///
-///   magic "dhpfrank" | u32 version (2) | u32 byte-order probe 0x01020304
+///   magic "dhpfrank" | u32 version (3) | u32 byte-order probe 0x01020304
 ///   total file bytes | rank | NP
 ///   Messages Bytes SpanCopies PackedCopies StmtInstances
 ///   CollMessages CollBytes OverlapNum OverlapDen
 ///   valid | #violations, each (length, bytes)
 ///   #accumulators, each (name length, name, value bits)
 ///   #arrays in name order, each (name length, name, #values, values)
-///   total file bytes | FNV-1a 64 of every byte before this word
+///   total file bytes | checksum of every byte before this word: FNV-1a 64's
+///   multiply and xor applied per 8-byte word, then per tail byte
 ///
 /// The reader checks the identification words, then tells a truncated
 /// file (both length words disagree with its size: the rank died
@@ -61,7 +64,7 @@ struct RankDump {
   uint64_t OverlapNum = 0; ///< wire bytes flushed during compute
   uint64_t OverlapDen = 0; ///< wire bytes sent in total
   /// Per array, the values of the elements this rank owns (rank 0: also
-  /// the replicated and ownerless ones), in increasing flat order.
+  /// the replicated arrays), in increasing flat order.
   std::map<std::string, std::vector<double>> Owned;
 };
 
@@ -87,8 +90,9 @@ struct MergedRun {
   uint64_t MaxRankCollBytes = 0;
 };
 
-/// Merges one dump per rank, placing each rank's values by walking the
-/// owner map. False (with \p Err) when dumps are missing or inconsistent,
+/// Merges one dump per rank, placing each rank's values where the
+/// block/cyclic formulas put its owned elements. False (with \p Err) when
+/// dumps are missing or inconsistent,
 /// when a rank reports more or fewer values of an array than it owns, or
 /// when ranks disagree on broadcast values.
 bool mergeRankDumps(const spmd::SpmdProgram &SP,

@@ -31,8 +31,8 @@ void copyBytes(void *Dst, const void *Src, size_t N) {
     std::memcpy(Dst, Src, N);
 }
 
-/// Decodes one comm-event frame into \p Out, checked against the
-/// receiver's \p Size-element copy of the array. False when no correct
+/// Decodes one comm-event frame into \p Out, checked against the event's
+/// \p Size-element array. False when no correct
 /// sender could have produced it: unknown kind, a length that disagrees
 /// with the count, a span reaching outside the array, or packed elements
 /// that are not strictly increasing in-range indices.
@@ -79,7 +79,7 @@ TransportComm::TransportComm(net::Transport &TIn, obs::TraceBuffer *Trace)
     : Comm(TIn.size(), TIn.rank(), 1, Trace), T(TIn) {}
 
 void TransportComm::post(unsigned, unsigned Q, const EventPlan &EP,
-                         const ArrayStore &A, Payload &&Pay) {
+                         Payload &&Pay) {
   uint64_t PayBytes = Pay.N * EP.ElemBytes;
   // Exactly one "send" span per counted message (++Messages below) — the
   // trace/counter cross-check in the tests relies on it.
@@ -101,8 +101,7 @@ void TransportComm::post(unsigned, unsigned Q, const EventPlan &EP,
     Parts[NumParts++] = {Pay.Flats->data(), Pay.N * 8};
   }
   // A span goes out straight from array storage — zero copy.
-  const double *Vals =
-      Pay.Span ? A.values().data() + Pay.Base : Pay.Vals.data();
+  const double *Vals = Pay.Span ? Pay.Span : Pay.Vals.data();
   Parts[NumParts++] = {Vals, Pay.N * 8};
   T.post(Q, static_cast<uint64_t>(EP.Id), Parts, NumParts);
   // Logical counters match the simulated machine: the sender counts the
@@ -112,14 +111,14 @@ void TransportComm::post(unsigned, unsigned Q, const EventPlan &EP,
 }
 
 bool TransportComm::receive(unsigned P, unsigned Q, const EventPlan &EP,
-                            const ArrayStore &A, Payload &Out) {
+                            Payload &Out) {
   obs::TraceSpan Span(Trace, "recv", "rt.comm",
                       "\"src\": " + std::to_string(Q) +
                           ", \"event\": " + std::to_string(EP.Id));
   std::vector<uint8_t> Pay = T.recv(Q, static_cast<uint64_t>(EP.Id));
   // The frame passed its checksum, so a payload that fails to decode is a
   // broken or hostile sender, not line noise.
-  if (!decode(Pay, A.size(), Out))
+  if (!decode(Pay, static_cast<uint64_t>(EP.Elems), Out))
     throw net::TransportError("rank " + std::to_string(P) +
                               ": malformed payload from rank " +
                               std::to_string(Q) + " for event " +

@@ -18,9 +18,10 @@
 ///   kind 0: count i64 flat indices (strictly increasing), then count
 ///           raw doubles
 ///
-/// A span of locally owned storage (the Section 3.3 shape) is posted
-/// zero-copy: the header and the array bytes go out as two scatter parts.
-/// The receiver checks every frame against its own copy of the array
+/// Flat indices are indices into the whole array, whatever part of it a
+/// rank stores. A span of locally owned storage (the Section 3.3 shape) is
+/// posted zero-copy: the header and the array bytes go out as two scatter
+/// parts. The receiver checks every frame against the array's bounds
 /// before using it; a frame that could not have come from a correct sender
 /// is a TransportError naming both ranks and the event.
 ///
@@ -52,9 +53,9 @@ public:
                          obs::TraceBuffer *Trace = &obs::TraceBuffer::global());
 
   void post(unsigned P, unsigned Q, const spmd::EventPlan &EP,
-            const spmd::ArrayStore &A, spmd::Payload &&Pay) override;
+            spmd::Payload &&Pay) override;
   bool receive(unsigned P, unsigned Q, const spmd::EventPlan &EP,
-               const spmd::ArrayStore &A, spmd::Payload &Out) override;
+               spmd::Payload &Out) override;
   double allReduce(const spmd::PlanNode &N,
                    const std::vector<double> &Own) override;
   void progress() override;

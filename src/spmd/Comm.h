@@ -32,13 +32,13 @@ class TraceBuffer;
 } // namespace obs
 namespace spmd {
 
-class ArrayStore;
 struct EventPlan;
 struct PlanNode;
 struct RunResult;
 
 /// One message of a communication event: sorted unique flat indices of the
-/// event's array plus their values.
+/// event's array (indices into the whole array, on every rank) plus their
+/// values.
 struct Payload {
   /// The elements, sorted and unique; null when Contig (the run
   /// [Base, Base + N) is implicit).
@@ -48,10 +48,10 @@ struct Payload {
   int64_t Base = 0;
   size_t N = 0; ///< element count
   bool Contig = false;
-  /// Outgoing only: the elements are a contiguous run of locally owned
-  /// storage (the Section 3.3 shape). The executor does not gather them;
-  /// the comm reads [Base, Base + N) straight from the array at post time.
-  bool Span = false;
+  /// Outgoing only: the values are N consecutive doubles of the sender's
+  /// own storage (the Section 3.3 shape). The executor does not gather
+  /// them; the comm reads them from here at post time.
+  const double *Span = nullptr;
 };
 
 /// Carries one process's share of the messages, reductions and progress of
@@ -68,15 +68,14 @@ public:
   Comm(const Comm &) = delete;
   Comm &operator=(const Comm &) = delete;
 
-  /// Sends rank \p P's payload for rank \p Q under event \p EP, whose
-  /// array is \p A.
+  /// Sends rank \p P's payload for rank \p Q under event \p EP.
   virtual void post(unsigned P, unsigned Q, const EventPlan &EP,
-                    const ArrayStore &A, Payload &&Pay) = 0;
+                    Payload &&Pay) = 0;
 
   /// The next payload rank \p P receives from rank \p Q under event \p EP;
   /// false when \p Q never sent one.
   virtual bool receive(unsigned P, unsigned Q, const EventPlan &EP,
-                       const ArrayStore &A, Payload &Out) = 0;
+                       Payload &Out) = 0;
 
   /// Reduction \p N over every rank of the mesh: \p Own holds the
   /// contributions of this process's ranks in rank order. The result is

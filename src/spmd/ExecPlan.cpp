@@ -35,14 +35,6 @@ void collectLoopSlots(const cg::AstNode &N, std::set<unsigned> &Out) {
     collectLoopSlots(*C, Out);
 }
 
-/// Collects every leaf id of a generated AST.
-void collectLeaves(const cg::AstNode &N, std::vector<int> &Out) {
-  if (N.K == cg::AstNode::Kind::Leaf)
-    Out.push_back(N.LeafId);
-  for (const cg::AstPtr &C : N.Children)
-    collectLeaves(*C, Out);
-}
-
 /// Collects the TimeLoop sequence slots and loop slots of the whole
 /// program (the slots rebound between event executions).
 void collectRebound(const SpmdNode &N, std::set<unsigned> &Time,
@@ -86,25 +78,36 @@ bool atomHolds(int64_t V, cg::GuardAtom::Kind K, int64_t Mod) {
 
 namespace {
 
-/// Lowers one SpmdProgram into a PlanBuild. Stateless beyond the output.
+/// Lowers one SpmdProgram into an ExecPlan. Stateless beyond the output.
 class PlanLowering {
 public:
-  PlanLowering(const SpmdProgram &Prog, const PlanBuildInputs &In,
-               PlanBuild &Out)
-      : Prog(Prog), In(In), B(Out), Plan(Out.Plan) {}
+  PlanLowering(const SpmdProgram &Prog, const StorageLayout &Storage,
+               const std::map<std::string, int64_t> &AllBindings,
+               const std::vector<int64_t> &ProcShape, ExecPlan &Out)
+      : Prog(Prog), Storage(Storage), AllBindings(AllBindings),
+        ProcShape(ProcShape), Plan(Out) {}
 
   void run();
 
 private:
   const SpmdProgram &Prog;
-  const PlanBuildInputs &In;
-  PlanBuild &B;
+  const StorageLayout &Storage;
+  const std::map<std::string, int64_t> &AllBindings;
+  const std::vector<int64_t> &ProcShape;
   ExecPlan &Plan;
+  std::map<std::string, uint32_t> ArrayIds;
   int32_t NextComputeId = 0;
 
   void noteDepth(const bc::Prog &P);
-  bc::Prog flattenExpr(const std::vector<cg::Expr> &Subs, const ArrayStore &A,
+  /// Sum of Subs[d] * Stride[d] + K, compiled.
+  bc::Prog flattenExpr(const std::vector<cg::Expr> &Subs,
+                       const std::vector<int64_t> &Extent, int64_t K,
                        const bc::SlotConsts &Fixed);
+  /// The unbased box flat of array \p A (see StmtPlan).
+  bc::Prog boxFlat(const std::vector<cg::Expr> &Subs, uint32_t A,
+                   const bc::SlotConsts &Fixed) {
+    return flattenExpr(Subs, Storage.BoxExtent[A], 0, Fixed);
+  }
   void lowerInto(PlanAst &Out, const cg::AstNode &N,
                  const bc::SlotConsts &Fixed);
   PlanNode lowerNode(const SpmdNode &N, const bc::SlotConsts &Fixed);
@@ -116,17 +119,15 @@ void PlanLowering::noteDepth(const bc::Prog &P) {
 }
 
 bc::Prog PlanLowering::flattenExpr(const std::vector<cg::Expr> &Subs,
-                                   const ArrayStore &A,
-                                   const bc::SlotConsts &Fixed) {
-  assert(Subs.size() == A.rank() && "subscript arity mismatch");
-  cg::Expr E = cg::Expr::constant(0);
-  int64_t Stride = 1, LoOff = 0;
-  for (unsigned D = 0; D != A.rank(); ++D) {
+                                   const std::vector<int64_t> &Extent,
+                                   int64_t K, const bc::SlotConsts &Fixed) {
+  assert(Subs.size() == Extent.size() && "subscript arity mismatch");
+  cg::Expr E = cg::Expr::constant(K);
+  int64_t Stride = 1;
+  for (unsigned D = 0; D != Extent.size(); ++D) {
     E = cg::Expr::add(E, cg::Expr::mul(Subs[D], Stride));
-    LoOff = addOv(LoOff, mulOv(A.lo(D), Stride));
-    Stride = mulOv(Stride, A.extent(D));
+    Stride = mulOv(Stride, Extent[D]);
   }
-  E = cg::Expr::add(E, cg::Expr::constant(-LoOff));
   bc::Prog P = bc::compileExpr(E, Fixed);
   noteDepth(P);
   return P;
@@ -261,20 +262,6 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
     if (!N.Loops)
       break;
     lowerInto(P.Loops, *N.Loops, Fixed);
-    // Parallel ranks need full per-element ownership on every written
-    // array: unowned or replicated writes land on the same storage from
-    // every rank and must replay the tree engine's sequential order.
-    P.ParallelSafe = true;
-    std::vector<int> Leaves;
-    collectLeaves(*N.Loops, Leaves);
-    for (int L : Leaves) {
-      const ArrayStore &A =
-          *B.Stores[B.ArrayIds.at(Prog.Stmts[L].WriteArray)];
-      if (A.Owner.empty() ||
-          std::any_of(A.Owner.begin(), A.Owner.end(),
-                      [](int32_t O) { return O < 0; }))
-        P.ParallelSafe = false;
-    }
     break;
   }
   case SpmdNode::Kind::Send:
@@ -294,11 +281,10 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
 }
 
 void PlanLowering::run() {
-  // Dense array ids in map order (deterministic).
-  for (auto &[Name, Store] : *In.Arrays) {
-    B.ArrayIds[Name] = static_cast<uint32_t>(Plan.ArrayNames.size());
-    Plan.ArrayNames.push_back(Name);
-    B.Stores.push_back(&Store);
+  // Dense array ids in name order (deterministic).
+  for (const ArrayLayout &A : Storage.Arrays) {
+    ArrayIds[A.Name] = static_cast<uint32_t>(Plan.ArrayNames.size());
+    Plan.ArrayNames.push_back(A.Name);
   }
 
   // Slots whose values are fixed for the whole run: named in AllBindings
@@ -321,19 +307,19 @@ void PlanLowering::run() {
   for (unsigned S = 0; S != Prog.Vars.size(); ++S) {
     if (Rebound.count(S))
       continue;
-    auto It = In.AllBindings->find(Prog.Vars.name(S));
-    if (It != In.AllBindings->end())
+    auto It = AllBindings.find(Prog.Vars.name(S));
+    if (It != AllBindings.end())
       Fixed[S] = It->second;
   }
 
   for (const CompiledStmt &S : Prog.Stmts) {
     StmtPlan SP;
-    SP.WriteArray = B.ArrayIds.at(S.WriteArray);
-    SP.WriteFlat = flattenExpr(S.WriteSubs, *B.Stores[SP.WriteArray], Fixed);
+    SP.WriteArray = ArrayIds.at(S.WriteArray);
+    SP.WriteFlat = boxFlat(S.WriteSubs, SP.WriteArray, Fixed);
     for (const CompiledStmt::Read &Rd : S.Reads) {
       StmtPlan::Read R;
-      R.Array = B.ArrayIds.at(Rd.Array);
-      R.Flat = flattenExpr(Rd.Subs, *B.Stores[R.Array], Fixed);
+      R.Array = ArrayIds.at(Rd.Array);
+      R.Flat = boxFlat(Rd.Subs, R.Array, Fixed);
       SP.Reads.push_back(std::move(R));
     }
     SP.Cost = S.Cost;
@@ -344,10 +330,12 @@ void PlanLowering::run() {
   for (const CommEvent &Ev : Prog.Events) {
     EventPlan EP;
     EP.Id = Ev.Id;
-    EP.Array = B.ArrayIds.at(Ev.Array);
+    EP.Array = ArrayIds.at(Ev.Array);
+    const ArrayLayout &AL = Storage.Arrays[EP.Array];
     EP.PartnerSlots = Ev.PartnerSlots;
     EP.ElemSlots = Ev.ElemSlots;
-    EP.ElemBytes = B.Stores[EP.Array]->elemBytes();
+    EP.ElemBytes = AL.ElemBytes;
+    EP.Elems = AL.elements();
     EP.InPlace = Ev.InPlaceProven;
     if (Ev.SendLoops)
       lowerInto(EP.Send, *Ev.SendLoops, Fixed);
@@ -356,7 +344,13 @@ void PlanLowering::run() {
     std::vector<cg::Expr> ElemSubs;
     for (unsigned S : Ev.ElemSlots)
       ElemSubs.push_back(cg::Expr::var(S, Prog.Vars.name(S)));
-    EP.ElemFlat = flattenExpr(ElemSubs, *B.Stores[EP.Array], Fixed);
+    int64_t LoOff = 0, Stride = 1;
+    for (size_t D = 0; D != AL.Lo.size(); ++D) {
+      LoOff = addOv(LoOff, mulOv(AL.Lo[D], Stride));
+      Stride = mulOv(Stride, AL.Extent[D]);
+    }
+    EP.ElemFlat = flattenExpr(ElemSubs, AL.Extent, -LoOff, Fixed);
+    EP.ElemBox = boxFlat(ElemSubs, EP.Array, Fixed);
 
     // Cacheable iff no free slot of either nest is a TimeLoop variable:
     // then the enumerated lists are identical every execution.
@@ -364,6 +358,7 @@ void PlanLowering::run() {
     addUsedSlots(EP.Send, Used);
     addUsedSlots(EP.Recv, Used);
     addUsedSlots(EP.ElemFlat, Used);
+    addUsedSlots(EP.ElemBox, Used);
     Used.insert(EP.PartnerSlots.begin(), EP.PartnerSlots.end());
     Used.insert(EP.ElemSlots.begin(), EP.ElemSlots.end());
     std::set<unsigned> Bound;
@@ -385,11 +380,10 @@ void PlanLowering::run() {
     DP.Virtualized = Info.Virtualized;
     DP.TmplLo = Info.TmplLo;
     DP.CyclicK = Info.CyclicK;
-    DP.Extent = (*In.ProcShape)[D];
+    DP.Extent = ProcShape[D];
     if (Info.Virtualized && Info.Kind == DistSpec::Kind::Block)
-      DP.Block = Info.BlockParam.empty()
-                     ? Info.BlockFixed
-                     : In.AllBindings->at(Info.BlockParam);
+      DP.Block = Info.BlockParam.empty() ? Info.BlockFixed
+                                         : AllBindings.at(Info.BlockParam);
     Plan.Dims.push_back(DP);
   }
 
@@ -399,28 +393,27 @@ void PlanLowering::run() {
 
 } // namespace
 
-PlanBuild spmd::buildExecPlan(const SpmdProgram &Prog,
-                              const PlanBuildInputs &In) {
-  PlanBuild B;
-  PlanLowering(Prog, In, B).run();
-  return B;
+ExecPlan spmd::buildExecPlan(const SpmdProgram &Prog, const StorageLayout &S,
+                             const std::map<std::string, int64_t> &AllBindings,
+                             const std::vector<int64_t> &ProcShape) {
+  ExecPlan Plan;
+  PlanLowering(Prog, S, AllBindings, ProcShape, Plan).run();
+  return Plan;
 }
 
 /// Compute pumps Comm::progress() every this many statement instances: the
 /// Figure 4 window in which posted sends drain while the rank computes.
 static constexpr uint64_t ProgressEvery = 256;
 
+static_assert(int(ValidOwn) == int(DhpfValidOwn),
+              "kernels test the host's owned bit");
+
 PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
                            Comm &CIn, unsigned Threads, EngineKind Engine)
     : Prog(ProgIn), I(IIn), Com(CIn), NP(IIn.NumProcs), Lo(CIn.First),
-      Hi(CIn.First + CIn.Local) {
-  {
-    PlanBuild B = buildExecPlan(
-        Prog, {&I.Arrays, &I.AllBindings, &I.ProcShape});
-    Plan = std::move(B.Plan);
-    ArrayIds = std::move(B.ArrayIds);
-    Stores = std::move(B.Stores);
-  }
+      Hi(CIn.First + CIn.Local),
+      Plan(buildExecPlan(Prog, *I.Storage, I.AllBindings, I.ProcShape)),
+      Storage(*I.Storage) {
   size_t MaxReads = 1;
   for (const StmtPlan &SP : Plan.Stmts)
     MaxReads = std::max(MaxReads, SP.Reads.size());
@@ -434,17 +427,110 @@ PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
   }
   SendCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
   RecvCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
-  OvV.assign(NP, std::vector<std::unordered_map<int64_t, double>>(
-                     Plan.ArrayNames.size()));
-  PdV.assign(NP, std::vector<std::unordered_map<int64_t, double>>(
-                     Plan.ArrayNames.size()));
   if (Threads > 1 && Hi - Lo > 1)
     Pool = std::make_unique<ThreadPool>(Threads - 1);
+  setupStores();
   if (Engine == EngineKind::Native)
     setupNative();
 }
 
 PlanExecutor::~PlanExecutor() = default;
+
+//===----------------------------------------------------------------------===//
+// Rank-local storage
+//===----------------------------------------------------------------------===//
+
+template <typename Fn>
+void PlanExecutor::forOwned(unsigned P, uint32_t A, Fn &&F) const {
+  const ArrayLayout &AL = Storage.Arrays[A];
+  const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
+  std::vector<std::vector<int64_t>> Own =
+      AL.owned(rankCoords({I.ProcShape, NP, {}}, P));
+  forEachIndex(Own, [&](const std::vector<int64_t> &Idx) {
+    int64_t B = 0;
+    for (size_t D = 0; D != Idx.size(); ++D)
+      B += (Idx[D] - BLo[D]) * BoxStride[A][D];
+    F(Idx, B);
+  });
+}
+
+void PlanExecutor::setupStores() {
+  const size_t NA = Storage.Arrays.size();
+  for (size_t A = 0; A != NA; ++A) {
+    BoxStride.push_back(columnStrides(Storage.BoxExtent[A]));
+    GlobalStride.push_back(columnStrides(Storage.Arrays[A].Extent));
+  }
+  Stores.resize(Hi - Lo);
+  forProcs([&](unsigned P) {
+    Stores[P - Lo].resize(NA);
+    for (size_t A = 0; A != NA; ++A) {
+      const ArrayLayout &AL = Storage.Arrays[A];
+      const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
+      RankStore &R = Stores[P - Lo][A];
+      R.Box = ArrayStore(BLo, Storage.BoxExtent[A], AL.ElemBytes);
+      R.Base = 0;
+      for (size_t D = 0; D != BLo.size(); ++D)
+        R.Base += BLo[D] * BoxStride[A][D];
+      R.Valid.assign(R.Box.size(), 0);
+      forOwned(P, static_cast<uint32_t>(A),
+               [&](const std::vector<int64_t> &, int64_t B) {
+                 R.Valid[B] = ValidOwn;
+               });
+    }
+  });
+}
+
+void PlanExecutor::seed(
+    uint32_t A,
+    const std::function<double(const std::vector<int64_t> &)> &Init) {
+  // Like a compute nest: each rank writes only its own box (its own full
+  // copy of a replicated array).
+  forProcs([&](unsigned P) {
+    RankStore &R = store(P, A);
+    forOwned(P, A, [&](const std::vector<int64_t> &Idx, int64_t B) {
+      R.Box.at(B) = Init(Idx);
+    });
+  });
+}
+
+ArrayStore PlanExecutor::assemble(uint32_t A) const {
+  const ArrayLayout &AL = Storage.Arrays[A];
+  ArrayStore Out(AL.Lo, AL.Extent, AL.ElemBytes);
+  for (unsigned P = Lo; P != Hi; ++P) {
+    if (AL.Replicated && P != Lo)
+      continue;
+    const ArrayStore &Box = store(P, A).Box;
+    forOwned(P, A, [&](const std::vector<int64_t> &Idx, int64_t B) {
+      Out.at(Out.flatten(Idx)) = Box.at(B);
+    });
+  }
+  return Out;
+}
+
+std::vector<double> PlanExecutor::ownedValues(unsigned R, uint32_t A) const {
+  std::vector<double> Out;
+  if (Storage.Arrays[A].Replicated && R != 0)
+    return Out;
+  const ArrayStore &Box = store(R, A).Box;
+  forOwned(R, A, [&](const std::vector<int64_t> &, int64_t B) {
+    Out.push_back(Box.at(B));
+  });
+  return Out;
+}
+
+int64_t PlanExecutor::globalFlat(unsigned P, uint32_t A, int64_t F) const {
+  const ArrayLayout &AL = Storage.Arrays[A];
+  const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
+  const std::vector<int64_t> &BExt = Storage.BoxExtent[A];
+  int64_t G = 0;
+  for (size_t D = 0; D != BLo.size(); ++D) {
+    int64_t Off = floorDiv(F, BoxStride[A][D]);
+    if (D + 1 != BLo.size())
+      Off = floorMod(Off, BExt[D]);
+    G += (BLo[D] + Off - AL.Lo[D]) * GlobalStride[A][D];
+  }
+  return G;
+}
 
 //===----------------------------------------------------------------------===//
 // Native engine state
@@ -458,11 +544,14 @@ struct PlanExecutor::NativeState {
   const native::Kernel *Kern = nullptr;
   const DhpfKernelTable *T = nullptr;
 
-  // Shared per-array tables (pointers into the Interpreter's stores; array
-  // shapes are fixed before the executor is constructed).
-  std::vector<double *> Data;
-  std::vector<const int32_t *> Owner;
-  std::vector<int64_t> Size;
+  /// Per local rank, the array tables its DhpfCtx points at (pointers into
+  /// its stores; box shapes are fixed before the executor is constructed).
+  struct Tables {
+    std::vector<double *> Data;
+    std::vector<uint8_t *> Valid;
+    std::vector<int64_t> Base, Size;
+  };
+  std::vector<Tables> Ranks;
   /// Per-leaf Cost * SecPerWork: the kernel adds this one precomputed
   /// product per statement instance, exactly sim::Machine::addCompute's
   /// arithmetic, so simulated clocks stay bit-identical.
@@ -490,8 +579,10 @@ struct PlanExecutor::NativeState {
     size_t Cap = S.RawQ.empty() ? 256 : S.RawQ.size() * 2;
     S.RawQ.resize(Cap);
     S.RawF.resize(Cap);
+    S.RawL.resize(Cap);
     C->PairQ = S.RawQ.data();
     C->PairF = S.RawF.data();
+    C->PairL = S.RawL.data();
     C->CapPairs = Cap;
   }
 };
@@ -523,24 +614,31 @@ void PlanExecutor::setupNative() {
   auto NS = std::make_unique<NativeState>();
   NS->Kern = K;
   NS->T = K->Table;
-  for (ArrayStore *A : Stores) {
-    NS->Data.push_back(A->data());
-    NS->Owner.push_back(A->Owner.empty() ? nullptr : A->Owner.data());
-    NS->Size.push_back(static_cast<int64_t>(A->size()));
+  NS->Ranks.resize(Hi - Lo);
+  for (unsigned P = Lo; P != Hi; ++P) {
+    NativeState::Tables &Tab = NS->Ranks[P - Lo];
+    for (RankStore &R : Stores[P - Lo]) {
+      Tab.Data.push_back(R.Box.data());
+      Tab.Valid.push_back(R.Valid.data());
+      Tab.Base.push_back(R.Base);
+      Tab.Size.push_back(static_cast<int64_t>(R.Box.size()));
+    }
   }
   const double SPW = I.Config.Machine.SecPerWork;
   for (const StmtPlan &SP : Plan.Stmts)
     NS->LeafCostSec.push_back(SP.Cost * SPW);
-  for (unsigned P = 0; P != NP; ++P) {
+  for (unsigned P = Lo; P != Hi; ++P) {
     Scratch &S = PerProc[P];
     assert(S.Reads.size() >= Src.MaxReads && "read buffer too narrow");
+    NativeState::Tables &Tab = NS->Ranks[P - Lo];
     DhpfCtx &C = S.Ctx;
     C.Host = this;
     C.Me = static_cast<int32_t>(P);
-    C.NumArrays = static_cast<int32_t>(Stores.size());
-    C.Data = NS->Data.data();
-    C.Owner = NS->Owner.data();
-    C.Size = NS->Size.data();
+    C.NumArrays = static_cast<int32_t>(Plan.ArrayNames.size());
+    C.Data = Tab.Data.data();
+    C.Valid = Tab.Valid.data();
+    C.Base = Tab.Base.data();
+    C.Size = Tab.Size.data();
     C.Reads = S.Reads.data();
     C.LeafCostSec = NS->LeafCostSec.data();
     C.Clock = &I.Mach.clockRef(P);
@@ -553,6 +651,7 @@ void PlanExecutor::setupNative() {
     C.Progress = &NativeState::progress;
     C.PairQ = nullptr; // bound per event enumeration
     C.PairF = nullptr;
+    C.PairL = nullptr;
     C.NumPairs = 0;
     C.CapPairs = 0;
     C.GrowPairs = &NativeState::growPairs;
@@ -618,8 +717,8 @@ void PlanExecutor::walkAll(const PlanAst &A, int64_t *Regs, int64_t *Stack,
     walk(A, C, Regs, Stack, F);
 }
 
-template <typename Fn> void PlanExecutor::forProcs(bool Parallel, Fn &&F) {
-  if (Parallel && Pool) {
+template <typename Fn> void PlanExecutor::forProcs(Fn &&F) {
+  if (Pool) {
     Pool->parallelFor(Hi - Lo,
                       [&](size_t K) { F(Lo + static_cast<unsigned>(K)); });
     return;
@@ -648,37 +747,30 @@ void PlanExecutor::mergeScratch() {
 
 double PlanExecutor::readFast(unsigned P, uint32_t AId, int64_t Flat,
                               Scratch &S) {
-  ArrayStore &A = *Stores[AId];
-  assert(Flat >= 0 && Flat < static_cast<int64_t>(A.size()) &&
-         "flat subscript out of bounds");
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0)
-    return A.at(Flat);
-  auto &Ov = OvV[P][AId];
-  auto It = Ov.find(Flat);
-  if (It != Ov.end())
-    return It->second;
-  auto &Pd = PdV[P][AId];
-  auto It2 = Pd.find(Flat);
-  if (It2 != Pd.end())
-    return It2->second;
+  RankStore &R = store(P, AId);
+  int64_t F = Flat - R.Base;
+  bool InBox = F >= 0 && F < static_cast<int64_t>(R.Box.size());
+  assert(InBox && "read outside the rank's storage box");
+  if (InBox && R.Valid[F])
+    return R.Box.at(F);
   if (S.Viol.size() < 20)
     S.Viol.push_back("proc " + std::to_string(P) + " read unreceived element " +
-                     std::to_string(Flat) + " of " + Plan.ArrayNames[AId]);
-  return A.at(Flat);
+                     std::to_string(globalFlat(P, AId, F)) + " of " +
+                     Plan.ArrayNames[AId]);
+  return InBox ? R.Box.at(F) : 0.0;
 }
 
 void PlanExecutor::writeFast(unsigned P, uint32_t AId, int64_t Flat,
                              double V) {
-  ArrayStore &A = *Stores[AId];
-  assert(Flat >= 0 && Flat < static_cast<int64_t>(A.size()) &&
-         "flat subscript out of bounds");
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0) {
-    A.at(Flat) = V;
+  RankStore &R = store(P, AId);
+  int64_t F = Flat - R.Base;
+  assert(F >= 0 && F < static_cast<int64_t>(R.Box.size()) &&
+         "write outside the rank's storage box");
+  if (F < 0 || F >= static_cast<int64_t>(R.Box.size()))
     return;
-  }
-  PdV[P][AId][Flat] = V;
+  R.Box.at(F) = V;
+  if (!(R.Valid[F] & ValidOwn))
+    R.Valid[F] |= ValidPut; // a non-owner write, sent to the owner later
 }
 
 //===----------------------------------------------------------------------===//
@@ -691,14 +783,17 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
   Scratch &S = PerProc[P];
   if (Native && Native->T) {
     // Native enumeration: the kernel folds the realVP check and rank
-    // mapping to constants and fills RawQ/RawF through the pair buffer.
+    // mapping to constants and fills RawQ/RawF/RawL through the pair
+    // buffer.
     size_t EIdx = static_cast<size_t>(&EP - Plan.Events.data());
     if (S.RawQ.empty()) {
       S.RawQ.resize(256);
       S.RawF.resize(256);
+      S.RawL.resize(256);
     }
     S.Ctx.PairQ = S.RawQ.data();
     S.Ctx.PairF = S.RawF.data();
+    S.Ctx.PairL = S.RawL.data();
     S.Ctx.NumPairs = 0;
     S.Ctx.CapPairs = S.RawQ.size();
     DhpfEnumFn Fn =
@@ -708,6 +803,7 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
   } else {
     S.RawQ.clear();
     S.RawF.clear();
+    S.RawL.clear();
     const unsigned ND = static_cast<unsigned>(EP.PartnerSlots.size());
     std::vector<int64_t> PT(ND);
     int64_t *Stack = S.Stack.data();
@@ -722,46 +818,52 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
                 return; // VP neighbours on the same physical processor
               S.RawQ.push_back(Q);
               S.RawF.push_back(EP.ElemFlat.eval(Regs, Stack));
+              S.RawL.push_back(EP.ElemBox.eval(Regs, Stack));
             });
     S.RawLen = S.RawQ.size();
   }
   // Group per partner in first-appearance order (the tree engine's message
   // order), then dedup by sort+unique: union conjuncts in the comm sets may
   // enumerate an element twice.
+  const RankStore &R = store(P, EP.Array);
   Lists.clear();
-  for (size_t R = 0; R != S.RawLen; ++R) {
-    const unsigned Q = S.RawQ[R];
-    const int64_t F = S.RawF[R];
+  for (size_t K = 0; K != S.RawLen; ++K) {
+    const unsigned Q = S.RawQ[K];
     if (S.PartnerPos[Q] < 0) {
       S.PartnerPos[Q] = static_cast<int32_t>(Lists.size());
-      PartnerList PL;
-      PL.Q = Q;
-      PL.Flats = std::make_shared<std::vector<int64_t>>();
-      Lists.push_back(std::move(PL));
+      Lists.emplace_back().Q = Q;
+      if (S.Groups.size() < Lists.size())
+        S.Groups.resize(Lists.size());
+      S.Groups[Lists.size() - 1].clear();
     }
-    Lists[S.PartnerPos[Q]].Flats->push_back(F);
+    S.Groups[S.PartnerPos[Q]].push_back({S.RawF[K], S.RawL[K] - R.Base});
   }
-  const ArrayStore &Arr = *Stores[EP.Array];
-  for (PartnerList &PL : Lists) {
+  for (size_t G = 0; G != Lists.size(); ++G) {
+    PartnerList &PL = Lists[G];
     S.PartnerPos[PL.Q] = -1;
-    std::vector<int64_t> &V = *PL.Flats;
+    std::vector<std::pair<int64_t, int64_t>> &V = S.Groups[G];
     std::sort(V.begin(), V.end());
-    V.erase(std::unique(V.begin(), V.end()), V.end());
-    assert(V.front() >= 0 && V.back() < static_cast<int64_t>(Arr.size()) &&
+    V.erase(std::unique(V.begin(), V.end(),
+                        [](const auto &X, const auto &Y) {
+                          return X.first == Y.first;
+                        }),
+            V.end());
+    assert(V.front().first >= 0 && V.back().first < EP.Elems &&
            "flat subscript out of bounds");
-    PL.Base = V.front();
-    PL.Contig = V.back() - V.front() + 1 == static_cast<int64_t>(V.size());
+    PL.Flats = std::make_shared<std::vector<int64_t>>(V.size());
+    PL.Local.resize(V.size());
     bool AnyLocal = false, AnyRemote = false;
-    for (int64_t F : V) {
-      bool Local =
-          RecvSide ? !Arr.Owner.empty() &&
-                         Arr.Owner[F] == static_cast<int32_t>(P)
-                   : Arr.Owner.empty() || Arr.Owner[F] < 0 ||
-                         Arr.Owner[F] == static_cast<int32_t>(P);
-      (Local ? AnyLocal : AnyRemote) = true;
-      if (AnyLocal && AnyRemote)
-        break;
+    for (size_t K = 0; K != V.size(); ++K) {
+      (*PL.Flats)[K] = V[K].first;
+      int64_t L = PL.Local[K] = V[K].second;
+      assert(L >= 0 && L < static_cast<int64_t>(R.Box.size()) &&
+             "element outside the rank's storage box");
+      (R.Valid[L] & ValidOwn ? AnyLocal : AnyRemote) = true;
     }
+    int64_t N = static_cast<int64_t>(V.size());
+    PL.Base = V.front().first;
+    PL.Contig = V.back().first - V.front().first + 1 == N;
+    PL.LocalContig = PL.Local.back() - PL.Local.front() + 1 == N;
     PL.Own = AnyRemote ? (AnyLocal ? PartnerList::OwnClass::Mixed
                                    : PartnerList::OwnClass::NoneLocal)
                        : PartnerList::OwnClass::AllLocal;
@@ -770,10 +872,10 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
 
 void PlanExecutor::runSend(const PlanNode &N) {
   EventPlan &EP = Plan.Events[N.EventId];
-  ArrayStore &Arr = *Stores[EP.Array];
   const std::string &ArrName = Plan.ArrayNames[EP.Array];
-  forProcs(true, [&](unsigned P) {
+  forProcs([&](unsigned P) {
     Scratch &S = PerProc[P];
+    RankStore &R = store(P, EP.Array);
     std::vector<PartnerList> *L;
     if (EP.Cacheable) {
       SideCache &C = SendCache[N.EventId][P];
@@ -787,48 +889,41 @@ void PlanExecutor::runSend(const PlanNode &N) {
       L = &S.Lists;
     }
     S.Out.clear();
-    S.OutQ.clear();
     for (const PartnerList &PL : *L) {
-      const std::vector<int64_t> &F = *PL.Flats;
-      S.OutQ.push_back(PL.Q);
-      Payload &Pay = S.Out.emplace_back();
+      const std::vector<int64_t> &Loc = PL.Local;
+      Outgoing &O = S.Out.emplace_back();
+      O.Q = PL.Q;
+      // The Section 3.3 shape, a contiguous run of locally owned storage.
+      O.SpanShape = PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig;
+      Payload &Pay = O.Pay;
       Pay.Base = PL.Base;
-      Pay.N = F.size();
+      Pay.N = Loc.size();
       Pay.Contig = PL.Contig;
       if (!PL.Contig)
         Pay.Flats = PL.Flats;
-      // The Section 3.3 shape, a contiguous run of locally owned storage,
-      // is not gathered here: the comm reads it straight from the store.
-      Pay.Span = PL.Own == PartnerList::OwnClass::AllLocal && PL.Contig;
-      if (Pay.Span)
+      // When it is contiguous in the box too it is not gathered here: the
+      // comm reads it straight from the store.
+      if (O.SpanShape && PL.LocalContig) {
+        Pay.Span = R.Box.data() + Loc.front();
         continue;
-      Pay.Vals.resize(F.size());
+      }
+      Pay.Vals.resize(Loc.size());
       if (PL.Own == PartnerList::OwnClass::AllLocal) {
         if (Native && Native->T)
-          Native->T->Gather(Pay.Vals.data(), Arr.data(), F.data(), F.size());
+          Native->T->Gather(Pay.Vals.data(), R.Box.data(), Loc.data(),
+                            Loc.size());
         else
-          for (size_t K = 0; K != F.size(); ++K)
-            Pay.Vals[K] = Arr.at(F[K]);
-      } else {
-        auto &Pd = PdV[P][EP.Array];
-        for (size_t K = 0; K != F.size(); ++K) {
-          int64_t Fl = F[K];
-          if (Arr.Owner.empty() || Arr.Owner[Fl] < 0 ||
-              Arr.Owner[Fl] == static_cast<int32_t>(P)) {
-            Pay.Vals[K] = Arr.at(Fl); // forwarding data I own (read comm)
-            continue;
-          }
-          auto It = Pd.find(Fl);
-          if (It == Pd.end()) {
-            if (S.Viol.size() < 20)
-              S.Viol.push_back("proc " + std::to_string(P) +
-                               " sends unwritten non-local element of " +
-                               ArrName);
-            Pay.Vals[K] = Arr.at(Fl);
-          } else {
-            Pay.Vals[K] = It->second; // transmitting a non-local write
-          }
-        }
+          for (size_t K = 0; K != Loc.size(); ++K)
+            Pay.Vals[K] = R.Box.at(Loc[K]);
+        continue;
+      }
+      for (size_t K = 0; K != Loc.size(); ++K) {
+        // Data I own (read comm), or a non-local write I transmit.
+        uint8_t V = R.Valid[Loc[K]];
+        if (!(V & (ValidOwn | ValidPut)) && S.Viol.size() < 20)
+          S.Viol.push_back("proc " + std::to_string(P) +
+                           " sends unwritten non-local element of " + ArrName);
+        Pay.Vals[K] = R.Box.at(Loc[K]);
       }
     }
   });
@@ -839,23 +934,21 @@ void PlanExecutor::runSend(const PlanNode &N) {
     for (const std::string &M : S.Viol)
       I.violation(M);
     S.Viol.clear();
-    for (size_t K = 0; K != S.Out.size(); ++K) {
-      if (S.Out[K].Span)
+    for (Outgoing &O : S.Out) {
+      if (O.SpanShape)
         ++I.Result.SpanCopies;
       else
         ++I.Result.PackedCopies;
-      Com.post(P, S.OutQ[K], EP, Arr, std::move(S.Out[K]));
+      Com.post(P, O.Q, EP, std::move(O.Pay));
     }
     S.Out.clear();
-    S.OutQ.clear();
   }
 }
 
 void PlanExecutor::runRecv(const PlanNode &N) {
   EventPlan &EP = Plan.Events[N.EventId];
-  ArrayStore &Arr = *Stores[EP.Array];
   // Phase 1 (parallel): enumerate each receiver's expected element lists.
-  forProcs(true, [&](unsigned P) {
+  forProcs([&](unsigned P) {
     if (EP.Cacheable) {
       SideCache &C = RecvCache[N.EventId][P];
       if (!C.Built) {
@@ -866,16 +959,17 @@ void PlanExecutor::runRecv(const PlanNode &N) {
       buildLists(EP.Recv, EP, P, PerProc[P].Lists, /*RecvSide=*/true);
     }
   });
-  // Phase 2 (sequential): receive payloads, validate, apply values.
+  // Phase 2 (sequential): receive payloads, validate, apply values into
+  // the receiver's box by position.
   for (unsigned P = Lo; P != Hi; ++P) {
     std::vector<PartnerList> &L = EP.Cacheable
                                       ? RecvCache[N.EventId][P].Partners
                                       : PerProc[P].Lists;
-    auto &Ov = OvV[P][EP.Array];
+    RankStore &R = store(P, EP.Array);
     for (const PartnerList &PL : L) {
       const std::vector<int64_t> &Exp = *PL.Flats;
       Payload Pay;
-      if (!Com.receive(P, PL.Q, EP, Arr, Pay)) {
+      if (!Com.receive(P, PL.Q, EP, Pay)) {
         I.violation("proc " + std::to_string(P) + " expects a message from " +
                     std::to_string(PL.Q) + " for event " +
                     std::to_string(EP.Id) + " that was never sent");
@@ -885,43 +979,45 @@ void PlanExecutor::runRecv(const PlanNode &N) {
         I.violation("message size mismatch for event " + std::to_string(EP.Id) +
                     " (" + std::to_string(Pay.N) + " sent vs " +
                     std::to_string(Exp.size()) + " expected)");
-      auto Apply = [&](int64_t F, double V) {
-        if (!Arr.Owner.empty() && Arr.Owner[F] == static_cast<int32_t>(P))
-          Arr.at(F) = V; // a remote write reaching its owner
-        else
-          Ov[F] = V;
+      auto Apply = [&](size_t K, double V) {
+        R.Box.at(PL.Local[K]) = V;
+        R.Valid[PL.Local[K]] |= ValidGot;
       };
       auto Missing = [&] {
         I.violation("expected element missing from message (event " +
                     std::to_string(EP.Id) + ")");
       };
-      if (Pay.Contig && PL.Contig && Pay.Base == PL.Base &&
-          Pay.N == Exp.size() && PL.Own == PartnerList::OwnClass::AllLocal) {
-        // Zero-copy span apply: unpack is a single memcpy into the store.
+      if (Pay.Contig && PL.Contig && PL.LocalContig && Pay.Base == PL.Base &&
+          Pay.N == Exp.size()) {
+        // Zero-copy span apply: unpack is a single copy into the box.
+        int64_t B = PL.Local.front();
         if (Native && Native->T)
-          Native->T->CopySpan(Arr.data() + PL.Base, Pay.Vals.data(), Pay.N);
+          Native->T->CopySpan(R.Box.data() + B, Pay.Vals.data(), Pay.N);
         else
-          std::copy_n(Pay.Vals.data(), Pay.N, Arr.data() + PL.Base);
+          std::copy_n(Pay.Vals.data(), Pay.N, R.Box.data() + B);
+        if (PL.Own != PartnerList::OwnClass::AllLocal)
+          for (size_t K = 0; K != Pay.N; ++K)
+            R.Valid[B + K] |= ValidGot;
       } else if (Pay.Contig) {
         int64_t Cnt = static_cast<int64_t>(Pay.N);
-        for (int64_t F : Exp) {
-          int64_t Idx = F - Pay.Base;
+        for (size_t K = 0; K != Exp.size(); ++K) {
+          int64_t Idx = Exp[K] - Pay.Base;
           if (Idx < 0 || Idx >= Cnt)
             Missing();
           else
-            Apply(F, Pay.Vals[Idx]);
+            Apply(K, Pay.Vals[Idx]);
         }
       } else {
         // Merge-join of two sorted lists (expected vs delivered).
         const std::vector<int64_t> &PF = *Pay.Flats;
         size_t J = 0;
-        for (int64_t F : Exp) {
-          while (J != PF.size() && PF[J] < F)
+        for (size_t K = 0; K != Exp.size(); ++K) {
+          while (J != PF.size() && PF[J] < Exp[K])
             ++J;
-          if (J == PF.size() || PF[J] != F)
+          if (J == PF.size() || PF[J] != Exp[K])
             Missing();
           else
-            Apply(F, Pay.Vals[J]);
+            Apply(K, Pay.Vals[J]);
         }
       }
     }
@@ -936,14 +1032,14 @@ void PlanExecutor::runCompute(const PlanNode &N) {
     // pumps; slow paths (non-local elements) come back through the
     // trampolines.
     const DhpfComputeFn Fn = Native->T->Compute[N.NativeComputeId];
-    forProcs(N.ParallelSafe, [&](unsigned P) {
+    forProcs([&](unsigned P) {
       Scratch &S = PerProc[P];
       Fn(&S.Ctx, S.Regs.data());
     });
     mergeScratch();
     return;
   }
-  forProcs(N.ParallelSafe, [&](unsigned P) {
+  forProcs([&](unsigned P) {
     Scratch &S = PerProc[P];
     int64_t *Regs = S.Regs.data();
     int64_t *Stack = S.Stack.data();

@@ -9,8 +9,9 @@
 /// load-time lowering pass that walks a compiled SpmdProgram once and
 /// produces a flat, fully pre-resolved plan, plus the executor that runs it
 /// as bytecode or native kernels. Lowering resolves array names to dense
-/// ids with cached stores and precomputed strides (subscript tuples become
-/// one fused flatten expression), compiles every Expr to postfix bytecode
+/// ids and subscript tuples to one fused flatten expression over the
+/// padded strides of the ranks' storage boxes (Layout.h), compiles every
+/// Expr to postfix bytecode
 /// (Bytecode.h) with run-constant slots folded, drops statically dead
 /// guards and loops, and precomputes the per-dimension virtual-processor
 /// mapping with block sizes bound to constants.
@@ -26,14 +27,18 @@
 ///    sort+unique instead of per-element ordered-set insertion), built once
 ///    and reused across time steps when the event's loop nest does not
 ///    depend on a sequential loop variable;
-///  - packing is zero-copy where the Section 3.3 analysis proved (or the
-///    runtime check upgraded) contiguity: a message is a base + count span
-///    of the array store, read by the comm straight from storage and
-///    applied with one copy;
-///  - independent processor ranks of an event run in parallel on a
-///    ThreadPool, with all shared-state mutation (comm calls, violations)
-///    replayed in processor order afterwards, so the result is identical
-///    for any thread count.
+///  - each rank keeps its own store per array: a box of the global index
+///    space holding its owned block plus its overlap area, and a validity
+///    byte per element (owned, received, written). Received values and
+///    non-owner writes land in the box by position;
+///  - packing is zero-copy for the Section 3.3 shape: a message whose
+///    elements are a contiguous run of owned storage, contiguous in the
+///    box as well, is a base + count span read by the comm straight from
+///    storage and applied with one copy;
+///  - the ranks of a node run in parallel on a ThreadPool (each writes only
+///    its own stores), with all shared-state mutation (comm calls,
+///    violations) replayed in processor order afterwards, so the result is
+///    identical for any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +49,7 @@
 #include "spmd/Comm.h"
 #include "spmd/Interp.h"
 #include "spmd/KernelABI.h"
+#include "spmd/Layout.h"
 #include "spmd/SpmdProgram.h"
 #include "support/CacheLine.h"
 #include "support/ThreadPool.h"
@@ -87,6 +93,9 @@ struct PlanAst {
 };
 
 /// One compiled statement with subscripts fused into flat-index bytecode.
+/// A flat here is unbased: the sum of subscript times stride over the
+/// padded box extents, identical on every rank. A rank subtracts its box's
+/// base (Layout.h) to index its store.
 struct StmtPlan {
   uint32_t WriteArray = 0;
   bc::Prog WriteFlat;
@@ -105,7 +114,13 @@ struct EventPlan {
   uint32_t Array = 0;
   PlanAst Send, Recv;
   std::vector<unsigned> PartnerSlots, ElemSlots;
-  bc::Prog ElemFlat; // flat element index from the leaf environment
+  /// The element's flat index in the whole array: what the wire carries
+  /// and diagnostics name.
+  bc::Prog ElemFlat;
+  /// The element's unbased box flat (see StmtPlan).
+  bc::Prog ElemBox;
+  /// The array's element count: incoming frames are checked against it.
+  int64_t Elems = 0;
   /// True when neither loop nest reads a sequential-loop variable, so the
   /// enumerated (partner, element) lists are identical every execution.
   bool Cacheable = false;
@@ -122,9 +137,6 @@ struct PlanNode {
   bc::Prog SeqLo, SeqHi;
   // Compute
   PlanAst Loops;
-  /// Every written array has full per-element ownership, so distinct ranks
-  /// touch distinct elements and may run concurrently.
-  bool ParallelSafe = false;
   std::string SpanName; ///< "compute:<nest>", the node's trace span
   /// Native compute-kernel index, assigned by buildExecPlan in preorder.
   int32_t NativeComputeId = -1;
@@ -158,27 +170,15 @@ struct ExecPlan {
   unsigned StackDepth = 1; // max bytecode stack depth over the whole plan
 };
 
-/// Everything lowering needs from an execution context. Every Interpreter —
-/// in-process or one rank of a launch — builds its plan from the same
-/// inputs, so a plan, and the native kernel source generated from it, is
+/// Lowers \p Prog once against the storage layout \p S and the run's
+/// bindings. Every Interpreter — in-process or one rank of a launch —
+/// lowers from the same inputs (box extents are padded to the widest
+/// rank), so a plan, and the native kernel source generated from it, is
 /// identical wherever it is built, which is what lets every rank of a
 /// launch share one kernel-cache entry with the driver.
-struct PlanBuildInputs {
-  std::map<std::string, ArrayStore> *Arrays = nullptr;
-  const std::map<std::string, int64_t> *AllBindings = nullptr;
-  const std::vector<int64_t> *ProcShape = nullptr;
-};
-
-/// A built plan plus the array-name resolution used to build it.
-struct PlanBuild {
-  ExecPlan Plan;
-  std::map<std::string, uint32_t> ArrayIds;
-  std::vector<ArrayStore *> Stores; // by array id
-};
-
-/// Lowers \p Prog once against \p In (see PlanBuildInputs). Deterministic:
-/// identical inputs produce an identical plan.
-PlanBuild buildExecPlan(const SpmdProgram &Prog, const PlanBuildInputs &In);
+ExecPlan buildExecPlan(const SpmdProgram &Prog, const StorageLayout &S,
+                       const std::map<std::string, int64_t> &AllBindings,
+                       const std::vector<int64_t> &ProcShape);
 
 /// Runs one lowered plan against an Interpreter's state (arrays,
 /// environments, simulated machine) for the ranks \p C assigns to this
@@ -197,15 +197,40 @@ public:
 
   RunResult run();
 
+  /// Seeds the elements of array \p A each local rank owns.
+  void seed(uint32_t A,
+            const std::function<double(const std::vector<int64_t> &)> &Init);
+  /// Array \p A as a whole, placed from the local ranks' owned blocks.
+  ArrayStore assemble(uint32_t A) const;
+  /// See Interpreter::ownedValues.
+  std::vector<double> ownedValues(unsigned R, uint32_t A) const;
+
 private:
+  /// One rank's storage of one array (Layout.h): its box, a validity byte
+  /// per element (ValidOwn/ValidGot/ValidPut) and the base that turns an
+  /// unbased flat into an index into the box.
+  struct RankStore {
+    ArrayStore Box;
+    std::vector<uint8_t> Valid;
+    int64_t Base = 0;
+  };
+
   /// One partner's cached element list for one (event, proc) side.
   struct PartnerList {
     unsigned Q = 0;
-    std::shared_ptr<std::vector<int64_t>> Flats; // sorted, unique
+    std::shared_ptr<std::vector<int64_t>> Flats; // global, sorted, unique
+    std::vector<int64_t> Local; // the same elements' indices into the box
     int64_t Base = 0;
-    bool Contig = false;
+    bool Contig = false;      ///< Flats is one run: the Section 3.3 shape
+    bool LocalContig = false; ///< Local is one run too
     enum class OwnClass : uint8_t { AllLocal, NoneLocal, Mixed } Own =
         OwnClass::AllLocal;
+  };
+  /// One message a rank posts, buffered for the in-order merge.
+  struct Outgoing {
+    unsigned Q = 0;
+    bool SpanShape = false; ///< counted as a span copy (RunResult)
+    Payload Pay;
   };
   struct SideCache {
     bool Built = false;
@@ -228,17 +253,19 @@ private:
     LineVector<double> Reads;
     /// The native kernels' view of this rank (unused under bytecode).
     DhpfCtx Ctx = {};
-    /// Raw (partner, flat) enumeration, split into parallel arrays so the
-    /// native event kernels can fill them directly through the DhpfCtx
-    /// pair buffer. In native mode the vectors are capacity storage and
-    /// RawLen is the element count; in bytecode mode RawLen == size().
+    /// Raw (partner, flat, box flat) enumeration, split into parallel
+    /// arrays so the native event kernels can fill them directly through
+    /// the DhpfCtx pair buffer. In native mode the vectors are capacity
+    /// storage and RawLen is the element count; in bytecode mode RawLen ==
+    /// size().
     std::vector<uint32_t> RawQ;
-    std::vector<int64_t> RawF;
+    std::vector<int64_t> RawF, RawL;
     size_t RawLen = 0;
     std::vector<int32_t> PartnerPos;
+    /// Per partner list being built: its (flat, box flat) pairs.
+    std::vector<std::vector<std::pair<int64_t, int64_t>>> Groups;
     std::vector<PartnerList> Lists; // rebuilt lists (uncacheable events)
-    std::vector<Payload> Out;
-    std::vector<unsigned> OutQ;
+    std::vector<Outgoing> Out;
     std::vector<std::string> Viol;
     uint64_t Stmts = 0;
     uint64_t SinceProgress = 0; ///< statement instances since progress()
@@ -256,15 +283,26 @@ private:
   /// ("spmd.bytecode.dispatch.*") once at the end of run().
   uint64_t Dispatch[6] = {};
   ExecPlan Plan;
+  const StorageLayout &Storage;
   std::unique_ptr<ThreadPool> Pool;
-  std::map<std::string, uint32_t> ArrayIds;
-  std::vector<ArrayStore *> Stores;   // by array id
   std::vector<const StmtFn *> Sems;   // by stmt id, resolved at run()
   std::vector<Scratch> PerProc;
   std::vector<std::vector<SideCache>> SendCache, RecvCache; // [event][proc]
-  /// Engine-private overlay/pending stores indexed [proc][array id]
-  /// (the tree engine's string-keyed maps stay untouched).
-  std::vector<std::vector<std::unordered_map<int64_t, double>>> OvV, PdV;
+  /// The local ranks' stores, [rank - Lo][array id].
+  std::vector<std::vector<RankStore>> Stores;
+  /// Per array, the strides of the padded box and of the whole array.
+  std::vector<std::vector<int64_t>> BoxStride, GlobalStride;
+
+  RankStore &store(unsigned P, uint32_t A) { return Stores[P - Lo][A]; }
+  const RankStore &store(unsigned P, uint32_t A) const {
+    return Stores[P - Lo][A];
+  }
+  void setupStores();
+  /// The flat index in the whole array of rank \p P's box index \p F.
+  int64_t globalFlat(unsigned P, uint32_t A, int64_t F) const;
+  /// Calls \p Fn(Idx, BoxIndex) for each element of array \p A rank \p P
+  /// owns (every element of a replicated array), in increasing flat order.
+  template <typename Fn> void forOwned(unsigned P, uint32_t A, Fn &&F) const;
 
   /// Native-engine state: the loaded kernel table and the array tables
   /// every rank's Scratch::Ctx points at (defined in ExecPlan.cpp; null
@@ -282,7 +320,9 @@ private:
   void runSend(const PlanNode &N);
   void runRecv(const PlanNode &N);
   void runReduce(const PlanNode &N);
-  template <typename Fn> void forProcs(bool Parallel, Fn &&F);
+  /// Runs \p F for every local rank, on the pool when there is one: each
+  /// rank writes only its own stores and Scratch record.
+  template <typename Fn> void forProcs(Fn &&F);
   void mergeScratch();
 
   template <typename LeafFn>

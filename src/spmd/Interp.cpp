@@ -35,13 +35,13 @@ public:
       : Comm(M.numProcs(), 0, M.numProcs(), &obs::TraceBuffer::global()),
         Mach(M) {}
 
-  void post(unsigned P, unsigned Q, const EventPlan &EP, const ArrayStore &A,
+  void post(unsigned P, unsigned Q, const EventPlan &EP,
             Payload &&Pay) override {
     // The receiver applies the values later, after the sender may have
     // overwritten them: snapshot a span now.
     if (Pay.Span) {
-      const double *Src = A.values().data() + Pay.Base;
-      Pay.Vals.assign(Src, Src + Pay.N);
+      Pay.Vals.assign(Pay.Span, Pay.Span + Pay.N);
+      Pay.Span = nullptr;
     }
     uint64_t Bytes = Pay.N * EP.ElemBytes;
     Mach.send(P, Q, static_cast<uint64_t>(EP.Id), Bytes,
@@ -50,7 +50,7 @@ public:
   }
 
   bool receive(unsigned P, unsigned Q, const EventPlan &EP,
-               const ArrayStore &, Payload &Out) override {
+               Payload &Out) override {
     auto It = Payloads.find({Q, P, EP.Id});
     if (It == Payloads.end())
       return false;
@@ -127,14 +127,15 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
     : Prog(ProgIn), Config(std::move(ConfigIn)),
       Mach(1, Config.Machine) /* resized below */ {
   ProgramLayout L = resolveLayout(Prog, Config);
+  Storage = std::make_unique<StorageLayout>(resolveStorage(Prog, L));
+  admitFootprint(*Storage, C ? static_cast<int>(C->First) : -1);
+  for (const ArrayLayout &A : Storage->Arrays)
+    ArrayIds.emplace(A.Name, static_cast<uint32_t>(ArrayIds.size()));
   ProcShape = L.ProcShape;
   NumProcs = L.NumProcs;
   AllBindings = std::move(L.AllBindings);
   Mach = sim::Machine(NumProcs, Config.Machine);
-  setupArrays();
   setupEnvs();
-  Overlay.resize(NumProcs);
-  Pending.resize(NumProcs);
   Accums.resize(NumProcs);
   EngineKind E = resolveEngine(Config.Engine);
   if (C) {
@@ -145,8 +146,12 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
     if (E == EngineKind::Tree)
       E = EngineKind::Bytecode;
   }
-  if (E == EngineKind::Tree)
+  if (E == EngineKind::Tree) {
+    setupArrays();
+    Overlay.resize(NumProcs);
+    Pending.resize(NumProcs);
     return;
+  }
   if (!C) {
     OwnComm = std::make_unique<InProcessComm>(Mach);
     C = OwnComm.get();
@@ -176,27 +181,40 @@ void Interpreter::setSemantics(int Id, StmtFn Fn) {
 void Interpreter::initArray(
     const std::string &Name,
     const std::function<double(const std::vector<int64_t> &)> &Init) {
-  ArrayStore &A = Arrays.at(Name);
-  std::vector<int64_t> Idx(A.rank());
-  for (unsigned D = 0; D != A.rank(); ++D)
-    Idx[D] = A.lo(D);
-  if (A.size() == 0)
+  if (Exec) {
+    Exec->seed(ArrayIds.at(Name), Init);
     return;
-  for (;;) {
-    A.at(A.flatten(Idx)) = Init(Idx);
-    unsigned D = 0;
-    while (D < A.rank() && ++Idx[D] >= A.lo(D) + A.extent(D)) {
-      Idx[D] = A.lo(D);
-      ++D;
-    }
-    if (D == A.rank())
-      break;
   }
+  std::vector<ArrayStore> &Copies = Global.at(Name);
+  ArrayStore &A = Copies[0];
+  std::vector<std::vector<int64_t>> All(A.rank());
+  for (unsigned D = 0; D != A.rank(); ++D)
+    for (int64_t I = 0; I != A.extent(D); ++I)
+      All[D].push_back(A.lo(D) + I);
+  int64_t F = 0;
+  if (A.size() != 0)
+    forEachIndex(All, [&](const std::vector<int64_t> &Idx) {
+      A.at(F++) = Init(Idx);
+    });
+  for (size_t P = 1; P != Copies.size(); ++P)
+    Copies[P] = A;
 }
 
 void Interpreter::setupArrays() {
-  Arrays =
-      buildArrayStores(Prog, Config, {ProcShape, NumProcs, AllBindings});
+  for (const ArrayLayout &A : Storage->Arrays)
+    Global[A.Name].assign(A.Replicated ? NumProcs : 1,
+                          ArrayStore(A.Lo, A.Extent, A.ElemBytes));
+}
+
+ArrayStore &Interpreter::store(unsigned P, const std::string &Array) {
+  std::vector<ArrayStore> &Copies = Global.at(Array);
+  return Copies[Copies.size() == 1 ? 0 : P];
+}
+
+bool Interpreter::owns(unsigned P, const std::string &Array,
+                       const std::vector<int64_t> &Idx) const {
+  const ArrayLayout &A = Storage->Arrays[ArrayIds.at(Array)];
+  return A.Replicated || A.ownerOf(Idx, ProcShape) == P;
 }
 
 unsigned Interpreter::partnerRank(const std::vector<int64_t> &Partner) const {
@@ -239,105 +257,65 @@ bool Interpreter::isRealVP(const std::vector<int64_t> &Partner) const {
 }
 
 void Interpreter::setupEnvs() {
-  // Every processor starts from the parameters by name, then binds its
-  // representative-processor slots (mv*) and physical coordinates (mc*).
-  std::vector<int64_t> Params(Prog.Vars.size(), 0);
-  for (unsigned S = 0; S != Prog.Vars.size(); ++S) {
-    auto It = AllBindings.find(Prog.Vars.name(S));
-    if (It != AllBindings.end())
-      Params[S] = It->second;
-  }
-  Env.assign(NumProcs, Params);
-  std::vector<int64_t> Coords(ProcShape.size());
-  for (unsigned P = 0; P != NumProcs; ++P) {
-    unsigned R = P;
-    for (unsigned D = 0; D != ProcShape.size(); ++D) {
-      Coords[D] = R % ProcShape[D];
-      R /= ProcShape[D];
-    }
-    for (unsigned D = 0; D != Prog.MySlots.size(); ++D) {
-      const VPDimInfo &Info = Prog.ProcDims[D];
-      int64_t V = Coords[D];
-      if (Info.Virtualized) {
-        switch (Info.Kind) {
-        case DistSpec::Kind::Block:
-          V = AllBindings.at(Info.BlockParam) * Coords[D] + Info.TmplLo;
-          break;
-        case DistSpec::Kind::Cyclic:
-          V = Info.TmplLo + Coords[D]; // initial VP; VP loops re-bind
-          break;
-        case DistSpec::Kind::CyclicK:
-          V = Info.TmplLo + Info.CyclicK * Coords[D];
-          break;
-        case DistSpec::Kind::Star:
-          break;
-        }
-      }
-      Env[P][Prog.MySlots[D]] = V;
-    }
-    for (unsigned D = 0; D != Prog.CoordSlots.size(); ++D)
-      Env[P][Prog.CoordSlots[D]] = Coords[D];
-  }
+  ProgramLayout L{ProcShape, NumProcs, AllBindings};
+  Env.resize(NumProcs);
+  for (unsigned P = 0; P != NumProcs; ++P)
+    Env[P] = rankEnv(Prog, L, P);
 }
 
 //===----------------------------------------------------------------------===//
 // Execution
 //===----------------------------------------------------------------------===//
 
-double Interpreter::readElem(unsigned P, ArrayStore &A,
-                             const std::string &Array, int64_t Flat) {
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0)
+double Interpreter::readElem(unsigned P, const std::string &Array,
+                             const std::vector<int64_t> &Idx) {
+  ArrayStore &A = store(P, Array);
+  int64_t Flat = A.flatten(Idx);
+  if (owns(P, Array, Idx))
     return A.at(Flat);
   auto &Ov = Overlay[P][Array];
   auto It = Ov.find(Flat);
   if (It != Ov.end())
     return It->second;
-  auto &Pd = Pending[P][Array];
-  auto It2 = Pd.find(Flat);
-  if (It2 != Pd.end())
-    return It2->second;
   violation("proc " + std::to_string(P) + " read unreceived element " +
             std::to_string(Flat) + " of " + Array);
   return A.at(Flat);
 }
 
-void Interpreter::writeElem(unsigned P, ArrayStore &A,
-                            const std::string &Array, int64_t Flat,
-                            double V) {
-  if (A.Owner.empty() || A.Owner[Flat] == static_cast<int32_t>(P) ||
-      A.Owner[Flat] < 0) {
+void Interpreter::writeElem(unsigned P, const std::string &Array,
+                            const std::vector<int64_t> &Idx, double V) {
+  ArrayStore &A = store(P, Array);
+  int64_t Flat = A.flatten(Idx);
+  if (owns(P, Array, Idx)) {
     A.at(Flat) = V;
     return;
   }
-  Pending[P][Array][Flat] = V;
+  Overlay[P][Array][Flat] = V;
+  Pending[P][Array].insert(Flat);
 }
 
 void Interpreter::execCompute(const SpmdNode &N) {
   for (unsigned P = 0; P != NumProcs; ++P) {
-    std::vector<int64_t> WIdx;
+    std::vector<int64_t> Idx;
     std::vector<double> Reads;
     cg::execute(*N.Loops, Env[P],
                 [&](int Leaf, const std::vector<int64_t> &E) {
                   const CompiledStmt &S = Prog.Stmts[Leaf];
                   Reads.clear();
                   for (const CompiledStmt::Read &Rd : S.Reads) {
-                    ArrayStore &RA = Arrays.at(Rd.Array);
-                    std::vector<int64_t> Idx;
+                    Idx.clear();
                     for (const cg::Expr &Sub : Rd.Subs)
                       Idx.push_back(Sub.eval(E));
-                    Reads.push_back(
-                        readElem(P, RA, Rd.Array, RA.flatten(Idx)));
+                    Reads.push_back(readElem(P, Rd.Array, Idx));
                   }
                   auto SemIt = Semantics.find(S.SemanticsId);
                   assert(SemIt != Semantics.end() &&
                          "statement without semantics");
                   double V = SemIt->second(Reads, E, Accums[P]);
-                  WIdx.clear();
+                  Idx.clear();
                   for (const cg::Expr &Sub : S.WriteSubs)
-                    WIdx.push_back(Sub.eval(E));
-                  ArrayStore &WA = Arrays.at(S.WriteArray);
-                  writeElem(P, WA, S.WriteArray, WA.flatten(WIdx), V);
+                    Idx.push_back(Sub.eval(E));
+                  writeElem(P, S.WriteArray, Idx, V);
                   Mach.addCompute(P, S.Cost);
                   ++Result.StmtInstances;
                 });
@@ -346,8 +324,9 @@ void Interpreter::execCompute(const SpmdNode &N) {
 
 void Interpreter::execSend(const SpmdNode &N) {
   const CommEvent &Ev = Prog.Events[N.EventId];
-  ArrayStore &A = Arrays.at(Ev.Array);
   for (unsigned P = 0; P != NumProcs; ++P) {
+    ArrayStore &A = store(P, Ev.Array);
+    auto &Ov = Overlay[P][Ev.Array];
     auto &Pd = Pending[P][Ev.Array];
     // Ordered per-partner element lists (deduplicated: union conjuncts in
     // the comm sets may overlap).
@@ -375,20 +354,17 @@ void Interpreter::execSend(const SpmdNode &N) {
                   if (Msgs.find(Q) == Msgs.end())
                     PartnerOrder.push_back(Q);
                   double V;
-                  if (A.Owner.empty() ||
-                      A.Owner[Flat] == static_cast<int32_t>(P) ||
-                      A.Owner[Flat] < 0) {
+                  if (owns(P, Ev.Array, Idx)) {
                     V = A.at(Flat); // forwarding data I own (read comm)
                   } else {
                     NonLocal[Q] = true;
-                    auto It = Pd.find(Flat);
-                    if (It == Pd.end()) {
+                    if (!Pd.count(Flat)) {
                       violation("proc " + std::to_string(P) +
                                 " sends unwritten non-local element of " +
                                 Ev.Array);
                       V = A.at(Flat);
                     } else {
-                      V = It->second; // transmitting a non-local write
+                      V = Ov.at(Flat); // transmitting a non-local write
                     }
                   }
                   Msgs[Q].push_back({Flat, V});
@@ -415,11 +391,12 @@ void Interpreter::execSend(const SpmdNode &N) {
 
 void Interpreter::execRecv(const SpmdNode &N) {
   const CommEvent &Ev = Prog.Events[N.EventId];
-  ArrayStore &A = Arrays.at(Ev.Array);
   for (unsigned P = 0; P != NumProcs; ++P) {
+    ArrayStore &A = store(P, Ev.Array);
     auto &Ov = Overlay[P][Ev.Array];
     std::vector<unsigned> PartnerOrder;
     std::map<unsigned, std::vector<int64_t>> Expect;
+    std::set<int64_t> Mine; // expected elements P owns
     std::map<unsigned, std::set<int64_t>> Seen;
     cg::execute(*Ev.RecvLoops, Env[P],
                 [&](int, const std::vector<int64_t> &E) {
@@ -439,6 +416,8 @@ void Interpreter::execRecv(const SpmdNode &N) {
                   if (Expect.find(Q) == Expect.end())
                     PartnerOrder.push_back(Q);
                   Expect[Q].push_back(Flat);
+                  if (owns(P, Ev.Array, Idx))
+                    Mine.insert(Flat);
                 });
     for (unsigned Q : PartnerOrder) {
       auto &Flats = Expect[Q];
@@ -468,7 +447,7 @@ void Interpreter::execRecv(const SpmdNode &N) {
                     std::to_string(Ev.Id) + ")");
           continue;
         }
-        if (!A.Owner.empty() && A.Owner[F] == static_cast<int32_t>(P))
+        if (Mine.count(F))
           A.at(F) = It->second; // a remote write reaching its owner
         else
           Ov[F] = It->second;
@@ -548,5 +527,19 @@ RunResult Interpreter::run() {
 }
 
 const ArrayStore &Interpreter::array(const std::string &Name) const {
-  return Arrays.at(Name);
+  if (!Exec)
+    return Global.at(Name)[0];
+  auto It = Assembled.find(Name);
+  if (It == Assembled.end())
+    It = Assembled.emplace(Name, Exec->assemble(ArrayIds.at(Name))).first;
+  return It->second;
+}
+
+std::map<std::string, std::vector<double>>
+Interpreter::ownedValues(unsigned R) const {
+  assert(Exec && "only the plan executor's ranks report owned values");
+  std::map<std::string, std::vector<double>> Out;
+  for (const auto &[Name, AId] : ArrayIds)
+    Out[Name] = Exec->ownedValues(R, AId);
+  return Out;
 }

@@ -9,9 +9,10 @@
 /// array storage. Every processor runs the same tree; the interpreter
 /// advances per-processor clocks, routes messages generated by the
 /// compiler's send/recv loop nests, and *verifies* the communication
-/// analysis at run time: a processor may only read an element it owns or
-/// one delivered by a preceding receive, and every received message must
-/// match the elements the receiver's own sets expect.
+/// analysis at run time: a processor may only read an element it owns, one
+/// delivered by a preceding receive or one it wrote itself, may send a
+/// non-owned element only after writing it, and every received message
+/// must match the elements the receiver's own sets expect.
 ///
 /// Two executors run the same program with identical observable results:
 /// the original tree-walking interpreter (the differential oracle), and
@@ -49,6 +50,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace dhpf {
@@ -118,7 +120,7 @@ struct RunResult {
   std::vector<std::string> Violations; ///< first few validity failures
   AccumMap FinalAccums;                ///< post-reduction accumulator values
   /// Always 0: no run upgrades a compile-time contiguity verdict. It stays
-  /// only because perfbench still compares it (ROADMAP item 6 deletes it).
+  /// only because perfbench still compares it (ROADMAP item 9 deletes it).
   unsigned InPlaceRuntimeUpgrades = 0;
 
   /// Marks the run invalid, keeping the first 20 messages.
@@ -129,7 +131,9 @@ struct RunResult {
   }
 };
 
-/// Dense column-major array storage with per-element ownership.
+/// Dense column-major storage of a box of an array's index space: the
+/// whole array (the tree oracle's arrays, merged and assembled results) or
+/// one rank's box (Layout.h).
 class ArrayStore {
 public:
   ArrayStore() = default;
@@ -159,9 +163,6 @@ public:
   const std::vector<double> &values() const { return Values; }
   double *data() { return Values.data(); }
 
-  /// Owner rank per element (-1 = replicated on all processors).
-  std::vector<int32_t> Owner;
-
 private:
   std::vector<int64_t> Lo, Extent;
   std::vector<double> Values;
@@ -170,6 +171,7 @@ private:
 
 class Comm;
 class PlanExecutor;
+struct StorageLayout;
 
 /// Interprets one compiled program under one configuration.
 class Interpreter {
@@ -186,7 +188,10 @@ public:
   /// Registers statement semantics for a SemanticsId.
   void setSemantics(int Id, StmtFn Fn);
 
-  /// Seeds initial array contents: \p Init(indices) -> value.
+  /// Seeds initial array contents: \p Init(indices) -> value. Each rank of
+  /// the plan executor seeds only the elements it owns, and the ranks seed
+  /// concurrently, so \p Init must be safe to call from several threads,
+  /// as statement semantics are.
   void initArray(const std::string &Name,
                  const std::function<double(const std::vector<int64_t> &)>
                      &Init);
@@ -195,9 +200,16 @@ public:
   /// are rank-local: summed over ranks they equal the in-process totals.
   RunResult run();
 
-  /// Post-run access for result verification.
+  /// Post-run access for result verification: the global array. Under
+  /// the plan executor it is assembled from the owned blocks of the ranks
+  /// in this process on first request (a rank of a launch fills only its
+  /// own elements); a replicated array is the first such rank's copy.
   const ArrayStore &array(const std::string &Name) const;
-  const std::map<std::string, ArrayStore> &arrays() const { return Arrays; }
+
+  /// Per array, the values rank \p R reports: its owned elements in
+  /// increasing flat order; all of a replicated array for rank 0, nothing
+  /// for the others. \p R must run in this process on the plan executor.
+  std::map<std::string, std::vector<double>> ownedValues(unsigned R) const;
 
   /// The engine a RunConfig resolves to (Auto consults DHPF_SPMD_ENGINE).
   static EngineKind resolveEngine(EngineKind E);
@@ -215,8 +227,15 @@ private:
   std::vector<int64_t> ProcShape; ///< extents of the processor array
   /// Program parameters plus processor extents and block sizes, bound once.
   std::map<std::string, int64_t> AllBindings;
+  /// Every array's ownership and every rank's storage box.
+  std::unique_ptr<const StorageLayout> Storage;
+  std::map<std::string, uint32_t> ArrayIds; ///< index into Storage->Arrays
 
-  std::map<std::string, ArrayStore> Arrays;
+  /// The tree oracle's storage: per array one global store, or one copy
+  /// per processor of a replicated array.
+  std::map<std::string, std::vector<ArrayStore>> Global;
+  /// Global arrays assembled by array() from the plan executor's ranks.
+  mutable std::map<std::string, ArrayStore> Assembled;
   std::map<int, StmtFn> Semantics;
 
   // Per-processor state.
@@ -224,12 +243,12 @@ private:
   /// starts its per-rank loop registers from them (ExecPlan.h).
   std::vector<std::vector<int64_t>> Env;
   std::vector<AccumMap> Accums;
-  // Received non-local values: per proc, per array, flat index -> value.
+  /// The tree oracle's copies of non-owned elements, per proc and array:
+  /// received values and non-owner writes, the last one winning.
   std::vector<std::map<std::string, std::unordered_map<int64_t, double>>>
       Overlay;
-  // Pending non-local writes awaiting transmission to the owner.
-  std::vector<std::map<std::string, std::unordered_map<int64_t, double>>>
-      Pending;
+  /// Non-owned elements each proc wrote (and so may send to the owner).
+  std::vector<std::map<std::string, std::unordered_set<int64_t>>> Pending;
 
   // In-flight message payloads keyed by (src, dst, event id).
   std::map<std::tuple<unsigned, unsigned, int>,
@@ -262,10 +281,15 @@ private:
   void execReduce(const SpmdNode &N);
 
   void violation(const std::string &Msg) { Result.addViolation(Msg); }
-  double readElem(unsigned P, ArrayStore &A, const std::string &Array,
-                  int64_t Flat);
-  void writeElem(unsigned P, ArrayStore &A, const std::string &Array,
-                 int64_t Flat, double V);
+  /// Proc \p P's store of \p Array (its own copy of a replicated one).
+  ArrayStore &store(unsigned P, const std::string &Array);
+  /// True when proc \p P owns the element of \p Array at \p Idx.
+  bool owns(unsigned P, const std::string &Array,
+            const std::vector<int64_t> &Idx) const;
+  double readElem(unsigned P, const std::string &Array,
+                  const std::vector<int64_t> &Idx);
+  void writeElem(unsigned P, const std::string &Array,
+                 const std::vector<int64_t> &Idx, double V);
 };
 
 } // namespace spmd

@@ -13,11 +13,13 @@
 /// this header expands it for the C++ host, and NativeGen stringizes the
 /// same macro into the preamble of every generated translation unit.
 ///
-/// Kernels see the world through DhpfCtx: raw array storage with
-/// per-element ownership for the inline fast path, callbacks for the slow
-/// paths (overlay/pending reads, pending writes, validity violations),
-/// the statement-semantics trampoline, a progress hook (the Figure 4
-/// compute/comm overlap window), and a growable (partner, flat) pair
+/// Kernels see the world through DhpfCtx: the executing rank's storage
+/// boxes (Layout.h) with a validity byte per element for the inline fast
+/// path — a kernel's flats are unbased box flats, identical on every rank,
+/// and the rank's Base turns one into an index into its box — callbacks
+/// for the slow paths (non-owner writes, validity violations), the
+/// statement-semantics trampoline, a progress hook (the Figure 4
+/// compute/comm overlap window), and a growable (partner, flat, box flat)
 /// buffer for communication-event enumeration.
 ///
 /// Compatibility is verified at load time, not assumed: the kernel bakes
@@ -34,7 +36,7 @@
 
 #include <stdint.h>
 
-#define DHPF_KERNEL_ABI_VERSION 2
+#define DHPF_KERNEL_ABI_VERSION 3
 
 /// The symbol every kernel exports; resolves to a DhpfEntryFn.
 #define DHPF_KERNEL_ENTRY_SYMBOL "dhpf_kernel_entry"
@@ -46,25 +48,28 @@
   typedef void (*DhpfWriteSlowFn)(DhpfCtx *, int32_t, int64_t, double);       \
   typedef double (*DhpfStmtCbFn)(DhpfCtx *, int32_t, int32_t);                \
   typedef void (*DhpfHookFn)(DhpfCtx *);                                      \
+  enum { DhpfValidOwn = 1 };    /* validity bit: the rank owns it */          \
   struct DhpfCtx {                                                            \
     void *Host;                 /* engine-private trampoline state */         \
     int32_t Me;                 /* executing processor rank */                \
     int32_t NumArrays;                                                        \
-    double **Data;              /* [array id] raw storage base */             \
-    const int32_t *const *Owner; /* [array id] owner map, 0 = unowned */      \
-    const int64_t *Size;        /* [array id] element count */                \
+    double **Data;              /* [array id] the rank's box storage */       \
+    uint8_t *const *Valid;      /* [array id] validity byte per element */    \
+    const int64_t *Base;        /* [array id] unbased flat of box index 0 */  \
+    const int64_t *Size;        /* [array id] box element count */            \
     double *Reads;              /* statement read buffer (>= max arity) */    \
     const double *LeafCostSec;  /* [leaf id] Cost * SecPerWork */             \
     double *Clock;              /* simulated per-proc clock */                \
     uint64_t *Stmts;            /* statement-instance counter */              \
     uint64_t ProgressCtr;       /* instances since the last Progress() */     \
     uint64_t ProgressEvery;     /* pump period; UINT64_MAX disables */        \
-    DhpfReadSlowFn ReadSlow;    /* non-local / out-of-range element read */   \
-    DhpfWriteSlowFn WriteSlow;  /* non-local / out-of-range element write */  \
+    DhpfReadSlowFn ReadSlow;    /* element not yet valid: a violation */      \
+    DhpfWriteSlowFn WriteSlow;  /* non-owner write */                         \
     DhpfStmtCbFn Stmt;          /* statement semantics: (ctx, leaf, n) */     \
     DhpfHookFn Progress;        /* transport progress pump */                 \
     uint32_t *PairQ;            /* event enumeration: partner ranks */        \
     int64_t *PairF;             /* event enumeration: flat elements */        \
+    int64_t *PairL;             /* event enumeration: unbased box flats */    \
     uint64_t NumPairs;                                                        \
     uint64_t CapPairs;                                                        \
     DhpfHookFn GrowPairs;       /* enlarge PairQ/PairF, update CapPairs */    \

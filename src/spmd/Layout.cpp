@@ -9,6 +9,7 @@
 #include "hpf/Maps.h"
 #include "support/MathExtras.h"
 
+#include <algorithm>
 #include <unistd.h>
 
 using namespace dhpf;
@@ -48,12 +49,6 @@ std::string shapeText(const std::vector<int64_t> &Shape) {
   return "(" + Text + ")";
 }
 
-struct ArrayShape {
-  std::vector<int64_t> Lo, Extent;
-  /// An aligned array's template bounds, per template dimension.
-  std::vector<int64_t> TLo, TExt;
-};
-
 /// Evaluates \p Dims under \p Bind into lower bounds and extents, with
 /// overflow checks that stay in every build. \p What names the object in
 /// any FootprintError and gains its evaluated bounds, "(lo:hi, ...)".
@@ -74,55 +69,540 @@ void evalDims(const std::vector<DimRange> &Dims,
   What += "(" + Text + ")";
 }
 
-/// Every array's bounds, admitted before anything is allocated: element
-/// counts and bytes (a double per element, plus an int32 owner for
-/// aligned arrays) are computed with overflow checks that stay in every
-/// build, and their total must fit in physical memory. The template of
-/// every aligned array must hold a cell in each dimension, since
-/// ownership divides by its extents.
-std::map<std::string, ArrayShape> admitShapes(const SpmdProgram &Prog,
-                                              const ProgramLayout &L) {
-  static const uint64_t Phys = physicalMemoryBytes();
-  const Program &P = *Prog.Source;
-  std::map<std::string, ArrayShape> Shapes;
-  uint64_t Total = 0;
-  for (const auto &[Name, Decl] : P.arrays()) {
-    ArrayShape &S = Shapes[Name];
-    std::string What = "array '" + Name + "'";
-    evalDims(Decl.Dims, L.AllBindings, What, S.Lo, S.Extent);
-    int64_t N = 1;
-    for (int64_t E : S.Extent) {
-      if (E < 0)
-        throw FootprintError(What + " has a negative extent");
-      if (__builtin_mul_overflow(N, E, &N))
-        throw FootprintError(What +
-                             " has more elements than 64 bits can count");
+//===----------------------------------------------------------------------===//
+// Interval hull of a rank's accesses
+//===----------------------------------------------------------------------===//
+
+/// A closed integer interval; Lo > Hi is empty. Unbounded when a bound
+/// could not be computed (an overflow, a division by a range that may
+/// hold 0): the hull then falls back to the array's full extent.
+struct Iv {
+  int64_t Lo = 1, Hi = 0;
+  bool Unbounded = false;
+
+  static Iv point(int64_t V) { return {V, V, false}; }
+  static Iv all() { return {0, 0, true}; }
+  bool empty() const { return !Unbounded && Lo > Hi; }
+  void join(const Iv &O) {
+    if (O.empty() || Unbounded)
+      return;
+    if (O.Unbounded || empty()) {
+      *this = O;
+      return;
     }
-    const Align *Al = P.alignOf(Name);
-    if (Al) {
-      std::string TWhat = "template '" + Al->TemplateName + "'";
-      evalDims(P.templateDecl(Al->TemplateName).Dims, L.AllBindings, TWhat,
-               S.TLo, S.TExt);
-      for (int64_t E : S.TExt)
-        if (E < 1)
-          throw FootprintError(TWhat + ", which array '" + Name +
-                               "' aligns to, holds no cell");
-    }
-    uint64_t Bytes = 0;
-    if (__builtin_mul_overflow(uint64_t(N), Al ? 12u : 8u, &Bytes) ||
-        __builtin_add_overflow(Total, Bytes, &Total) ||
-        (Phys && Total > Phys))
-      throw FootprintError(What + " takes the program's arrays past the " +
-                           std::to_string(Phys) +
-                           " bytes of physical memory");
+    Lo = std::min(Lo, O.Lo);
+    Hi = std::max(Hi, O.Hi);
   }
-  return Shapes;
+};
+
+/// [A, B] from 128-bit bounds; unbounded unless both fit 64 bits.
+Iv fromWide(__int128 A, __int128 B) {
+  if (A > B)
+    std::swap(A, B);
+  if (A < INT64_MIN || B > INT64_MAX)
+    return Iv::all();
+  return {static_cast<int64_t>(A), static_cast<int64_t>(B), false};
 }
+
+/// Interval evaluation of a generated expression: a range holding every
+/// value \p E takes while each slot S stays inside Env[S].
+Iv evalIv(const cg::Expr &E, const std::vector<Iv> &Env) {
+  using K = cg::Expr::Kind;
+  const std::vector<cg::Expr> &Ops = E.operands();
+  auto Sub = [&](size_t I) { return evalIv(Ops[I], Env); };
+  switch (E.kind()) {
+  case K::Const:
+    return Iv::point(E.constVal());
+  case K::Var:
+    return Env[E.varSlot()];
+  case K::Add: {
+    __int128 Lo = 0, Hi = 0;
+    for (size_t I = 0; I != Ops.size(); ++I) {
+      Iv V = Sub(I);
+      if (V.Unbounded || V.empty())
+        return V;
+      Lo += V.Lo;
+      Hi += V.Hi;
+    }
+    return fromWide(Lo, Hi);
+  }
+  case K::Mul: {
+    Iv V = Sub(0);
+    if (V.Unbounded || V.empty())
+      return V;
+    __int128 C = E.constVal();
+    return fromWide(C * V.Lo, C * V.Hi);
+  }
+  case K::MulE: {
+    Iv A = Sub(0), B = Sub(1);
+    if (A.Unbounded || B.Unbounded || A.empty() || B.empty())
+      return A.empty() || B.empty() ? Iv() : Iv::all();
+    __int128 P[4] = {__int128(A.Lo) * B.Lo, __int128(A.Lo) * B.Hi,
+                     __int128(A.Hi) * B.Lo, __int128(A.Hi) * B.Hi};
+    return fromWide(*std::min_element(P, P + 4), *std::max_element(P, P + 4));
+  }
+  case K::FloorDiv:
+  case K::CeilDiv: {
+    Iv V = Sub(0);
+    if (V.Unbounded || V.empty())
+      return V;
+    auto Div = E.kind() == K::FloorDiv ? floorDiv : ceilDiv;
+    return {Div(V.Lo, E.constVal()), Div(V.Hi, E.constVal()), false};
+  }
+  case K::Mod: {
+    int64_t M = E.constVal();
+    Iv V = Sub(0);
+    if (V.empty())
+      return V;
+    if (!V.Unbounded && static_cast<__int128>(V.Hi) - V.Lo < M) {
+      int64_t A = floorMod(V.Lo, M), B = floorMod(V.Hi, M);
+      if (A <= B)
+        return {A, B, false};
+    }
+    return {0, M - 1, false};
+  }
+  case K::FloorDivE: {
+    Iv N = Sub(0), D = Sub(1);
+    if (N.empty() || D.empty())
+      return Iv();
+    if (N.Unbounded || D.Unbounded || D.Lo <= 0)
+      return Iv::all();
+    // floor(n / d) over d > 0 is monotone in each argument: the corners
+    // bound it.
+    int64_t C[4] = {floorDiv(N.Lo, D.Lo), floorDiv(N.Lo, D.Hi),
+                    floorDiv(N.Hi, D.Lo), floorDiv(N.Hi, D.Hi)};
+    return {*std::min_element(C, C + 4), *std::max_element(C, C + 4), false};
+  }
+  case K::ModE: {
+    Iv D = Sub(1);
+    if (D.empty())
+      return D;
+    if (D.Unbounded || D.Lo <= 0)
+      return Iv::all();
+    return {0, D.Hi - 1, false};
+  }
+  case K::Min:
+  case K::Max: {
+    bool IsMin = E.kind() == K::Min;
+    Iv R;
+    for (size_t I = 0; I != Ops.size(); ++I) {
+      Iv V = Sub(I);
+      if (V.Unbounded || V.empty())
+        return V;
+      if (I == 0) {
+        R = V;
+        continue;
+      }
+      R.Lo = IsMin ? std::min(R.Lo, V.Lo) : std::max(R.Lo, V.Lo);
+      R.Hi = IsMin ? std::min(R.Hi, V.Hi) : std::max(R.Hi, V.Hi);
+    }
+    return R;
+  }
+  }
+  return Iv::all();
+}
+
+/// Walks every loop nest of the program for one rank, joining the hull of
+/// every subscript into Hull[array][dimension].
+class HullWalk {
+public:
+  HullWalk(const SpmdProgram &Prog, const std::map<std::string, size_t> &Ids,
+           std::vector<Iv> Env, std::vector<std::vector<Iv>> &Hull)
+      : Prog(Prog), Ids(Ids), Env(std::move(Env)), Hull(Hull) {}
+
+  void node(const SpmdNode &N) {
+    switch (N.K) {
+    case SpmdNode::Kind::TimeLoop: {
+      Iv Saved = Env[N.SeqSlot];
+      if (!bind(N.SeqSlot, evalIv(N.SeqLo, Env), evalIv(N.SeqHi, Env)))
+        return;
+      for (const auto &C : N.Children)
+        node(*C);
+      Env[N.SeqSlot] = Saved;
+      return;
+    }
+    case SpmdNode::Kind::Compute:
+      if (N.Loops)
+        ast(*N.Loops, [&](int Leaf) {
+          const CompiledStmt &S = Prog.Stmts[Leaf];
+          note(S.WriteArray, S.WriteSubs);
+          for (const CompiledStmt::Read &R : S.Reads)
+            note(R.Array, R.Subs);
+        });
+      break;
+    case SpmdNode::Kind::Send:
+    case SpmdNode::Kind::Recv: {
+      const CommEvent &Ev = Prog.Events[N.EventId];
+      const cg::AstPtr &Loops =
+          N.K == SpmdNode::Kind::Send ? Ev.SendLoops : Ev.RecvLoops;
+      if (Loops)
+        ast(*Loops, [&](int) {
+          std::vector<Iv> &H = Hull[Ids.at(Ev.Array)];
+          for (size_t D = 0; D != Ev.ElemSlots.size(); ++D)
+            H[D].join(Env[Ev.ElemSlots[D]]);
+        });
+      break;
+    }
+    case SpmdNode::Kind::Seq:
+    case SpmdNode::Kind::Reduce:
+      break;
+    }
+    for (const auto &C : N.Children)
+      node(*C);
+  }
+
+private:
+  const SpmdProgram &Prog;
+  const std::map<std::string, size_t> &Ids;
+  std::vector<Iv> Env;
+  std::vector<std::vector<Iv>> &Hull;
+
+  /// Binds \p Slot to the hull of a loop from \p Lo to \p Hi; false when
+  /// the loop never runs.
+  bool bind(unsigned Slot, const Iv &Lo, const Iv &Hi) {
+    if (Lo.empty() || Hi.empty())
+      return false;
+    if (Lo.Unbounded || Hi.Unbounded) {
+      Env[Slot] = Iv::all();
+      return true;
+    }
+    if (Lo.Lo > Hi.Hi)
+      return false;
+    Env[Slot] = {Lo.Lo, Hi.Hi, false};
+    return true;
+  }
+
+  template <typename LeafFn> void ast(const cg::AstNode &N, LeafFn &&Leaf) {
+    switch (N.K) {
+    case cg::AstNode::Kind::Loop: {
+      Iv Saved = Env[N.VarSlot];
+      if (!bind(N.VarSlot, evalIv(N.LB, Env), evalIv(N.UB, Env)))
+        return;
+      for (const cg::AstPtr &C : N.Children)
+        ast(*C, Leaf);
+      Env[N.VarSlot] = Saved;
+      return;
+    }
+    case cg::AstNode::Kind::Leaf:
+      Leaf(N.LeafId);
+      return;
+    case cg::AstNode::Kind::Block:
+    case cg::AstNode::Kind::If: // guards only narrow: ignoring them is safe
+      for (const cg::AstPtr &C : N.Children)
+        ast(*C, Leaf);
+      return;
+    }
+  }
+
+  void note(const std::string &Array, const std::vector<cg::Expr> &Subs) {
+    std::vector<Iv> &H = Hull[Ids.at(Array)];
+    for (size_t D = 0; D != Subs.size(); ++D)
+      H[D].join(evalIv(Subs[D], Env));
+  }
+};
 
 } // namespace
 
-void spmd::admitFootprint(const SpmdProgram &Prog, const ProgramLayout &L) {
-  admitShapes(Prog, L);
+//===----------------------------------------------------------------------===//
+// Ownership by formula
+//===----------------------------------------------------------------------===//
+
+int64_t ArrayLayout::Term::coordAt(int64_t T) const {
+  switch (Kind) {
+  case DistSpec::Kind::Block:
+    return floorDiv(T - TLo, Block);
+  case DistSpec::Kind::Cyclic:
+    return floorMod(T - TLo, Procs);
+  case DistSpec::Kind::CyclicK:
+    return floorMod(floorDiv(T - TLo, Block), Procs);
+  case DistSpec::Kind::Star:
+    break;
+  }
+  return 0;
+}
+
+int64_t ArrayLayout::elements() const {
+  int64_t N = 1;
+  for (int64_t E : Extent)
+    N *= E; // admitted by resolveArrays
+  return N;
+}
+
+bool ArrayLayout::blockDim(unsigned D) const {
+  bool Any = false;
+  for (const Term &T : Terms)
+    if (T.ArrayDim == static_cast<int>(D)) {
+      if (T.Kind != DistSpec::Kind::Block)
+        return false;
+      Any = true;
+    }
+  return Any;
+}
+
+unsigned ArrayLayout::ownerOf(const std::vector<int64_t> &Idx,
+                              const std::vector<int64_t> &Shape) const {
+  assert(!Replicated && "a replicated array has no single owner");
+  int64_t Rank = 0;
+  for (const Term &T : Terms) {
+    int64_t C = T.ArrayDim < 0
+                    ? T.Coord
+                    : T.coordAt(T.Stride * Idx[T.ArrayDim] + T.Offset);
+    int64_t Mult = 1;
+    for (unsigned D = 0; D != T.PDim; ++D)
+      Mult *= Shape[D];
+    Rank += C * Mult;
+  }
+  return static_cast<unsigned>(Rank);
+}
+
+bool ArrayLayout::blockRange(unsigned D, const std::vector<int64_t> &Coords,
+                             int64_t &First, int64_t &Last) const {
+  First = Lo[D];
+  Last = Lo[D] + Extent[D] - 1;
+  for (const Term &T : Terms) {
+    int64_t C = Coords[T.PDim];
+    if (T.ArrayDim < 0 && T.Coord != C)
+      return false;
+    if (T.ArrayDim != static_cast<int>(D) || T.Kind != DistSpec::Kind::Block)
+      continue;
+    // TLo + C * Block <= Stride * i + Offset <= TLo + C * Block + Block - 1
+    int64_t P0 = T.TLo + C * T.Block - T.Offset, P1 = P0 + T.Block - 1;
+    First = std::max(First, T.Stride > 0 ? ceilDiv(P0, T.Stride)
+                                         : ceilDiv(P1, T.Stride));
+    Last = std::min(Last, T.Stride > 0 ? floorDiv(P1, T.Stride)
+                                       : floorDiv(P0, T.Stride));
+  }
+  return First <= Last;
+}
+
+std::vector<std::vector<int64_t>>
+ArrayLayout::owned(const std::vector<int64_t> &Coords) const {
+  const size_t R = Lo.size();
+  std::vector<std::vector<int64_t>> Lists(R);
+  for (size_t D = 0; D != R; ++D) {
+    int64_t First = 0, Last = -1;
+    if (!blockRange(static_cast<unsigned>(D), Coords, First, Last))
+      return std::vector<std::vector<int64_t>>(R);
+    for (int64_t I = First; I <= Last; ++I) {
+      bool Mine = true;
+      for (const Term &T : Terms)
+        if (T.ArrayDim == static_cast<int>(D) &&
+            T.Kind != DistSpec::Kind::Block &&
+            T.coordAt(T.Stride * I + T.Offset) != Coords[T.PDim])
+          Mine = false;
+      if (Mine)
+        Lists[D].push_back(I);
+    }
+    if (Lists[D].empty())
+      return std::vector<std::vector<int64_t>>(R);
+  }
+  return Lists;
+}
+
+int64_t StorageLayout::boxElements(size_t A) const {
+  int64_t N = 1;
+  for (int64_t E : BoxExtent[A])
+    N *= E; // admitted by resolveStorage
+  return N;
+}
+
+std::vector<ArrayLayout> spmd::resolveArrays(const SpmdProgram &Prog,
+                                             const ProgramLayout &L) {
+  const Program &P = *Prog.Source;
+  std::vector<ArrayLayout> Out;
+  for (const auto &[Name, Decl] : P.arrays()) {
+    ArrayLayout &A = Out.emplace_back();
+    A.Name = Name;
+    A.ElemBytes = Decl.ElemBytes;
+    A.Desc = "array '" + Name + "'";
+    evalDims(Decl.Dims, L.AllBindings, A.Desc, A.Lo, A.Extent);
+    int64_t N = 1;
+    for (int64_t E : A.Extent) {
+      if (E < 0)
+        throw FootprintError(A.Desc + " has a negative extent");
+      if (__builtin_mul_overflow(N, E, &N))
+        throw FootprintError(A.Desc +
+                             " has more elements than 64 bits can count");
+    }
+    const Align *Al = P.alignOf(Name);
+    A.Replicated = !Al;
+    if (!Al)
+      continue;
+    std::string TWhat = "template '" + Al->TemplateName + "'";
+    std::vector<int64_t> TLo, TExt;
+    evalDims(P.templateDecl(Al->TemplateName).Dims, L.AllBindings, TWhat, TLo,
+             TExt);
+    for (int64_t E : TExt)
+      if (E < 1)
+        throw FootprintError(TWhat + ", which array '" + Name +
+                             "' aligns to, holds no cell");
+    const Distribute &D = P.distributeOf(Al->TemplateName);
+    const ProcArray &PA = P.procArray(D.ProcName);
+    unsigned PDim = 0;
+    for (unsigned TD = 0; TD != TExt.size(); ++TD) {
+      const DistSpec &Spec = D.Specs[TD];
+      if (Spec.K == DistSpec::Kind::Star)
+        continue;
+      const AlignTerm &AT = Al->Terms[TD];
+      if (AT.K == AlignTerm::Kind::Replicated)
+        throw FootprintError(A.Desc + " is replicated along distributed "
+                                      "template dimension " +
+                             std::to_string(TD + 1) +
+                             ", which runs do not support");
+      ArrayLayout::Term T;
+      T.PDim = PDim;
+      T.Kind = Spec.K;
+      T.TLo = TLo[TD];
+      const ProcArray::Dim &PD = PA.Dims[PDim];
+      T.Procs = PD.isSymbolic() ? L.AllBindings.at(PD.Symbol) : PD.Fixed;
+      T.Block = Spec.K == DistSpec::Kind::Block ? ceilDiv(TExt[TD], T.Procs)
+                                                : Spec.BlockK;
+      if (AT.K == AlignTerm::Kind::Constant) {
+        T.Coord = T.coordAt(AT.Constant);
+      } else {
+        T.ArrayDim = static_cast<int>(AT.ArrayDim);
+        T.Stride = AT.Stride;
+        T.Offset = AT.Offset;
+      }
+      A.Terms.push_back(T);
+      ++PDim;
+    }
+  }
+  return Out;
+}
+
+std::vector<int64_t> spmd::columnStrides(const std::vector<int64_t> &Extent) {
+  std::vector<int64_t> St;
+  int64_t M = 1;
+  for (int64_t E : Extent) {
+    St.push_back(M);
+    M *= E;
+  }
+  return St;
+}
+
+std::vector<int64_t> spmd::rankCoords(const ProgramLayout &L, unsigned P) {
+  std::vector<int64_t> C(L.ProcShape.size());
+  for (size_t D = 0; D != C.size(); ++D) {
+    C[D] = P % L.ProcShape[D];
+    P /= static_cast<unsigned>(L.ProcShape[D]);
+  }
+  return C;
+}
+
+std::vector<int64_t> spmd::rankEnv(const SpmdProgram &Prog,
+                                   const ProgramLayout &L, unsigned P) {
+  // Every processor starts from the parameters by name, then binds its
+  // representative-processor slots (mv*) and physical coordinates (mc*).
+  std::vector<int64_t> Env(Prog.Vars.size(), 0);
+  for (unsigned S = 0; S != Prog.Vars.size(); ++S) {
+    auto It = L.AllBindings.find(Prog.Vars.name(S));
+    if (It != L.AllBindings.end())
+      Env[S] = It->second;
+  }
+  std::vector<int64_t> Coords = rankCoords(L, P);
+  for (unsigned D = 0; D != Prog.MySlots.size(); ++D) {
+    const VPDimInfo &Info = Prog.ProcDims[D];
+    int64_t V = Coords[D];
+    if (Info.Virtualized) {
+      switch (Info.Kind) {
+      case DistSpec::Kind::Block:
+        V = L.AllBindings.at(Info.BlockParam) * Coords[D] + Info.TmplLo;
+        break;
+      case DistSpec::Kind::Cyclic:
+        V = Info.TmplLo + Coords[D]; // initial VP; VP loops re-bind
+        break;
+      case DistSpec::Kind::CyclicK:
+        V = Info.TmplLo + Info.CyclicK * Coords[D];
+        break;
+      case DistSpec::Kind::Star:
+        break;
+      }
+    }
+    Env[Prog.MySlots[D]] = V;
+  }
+  for (unsigned D = 0; D != Prog.CoordSlots.size(); ++D)
+    Env[Prog.CoordSlots[D]] = Coords[D];
+  return Env;
+}
+
+StorageLayout spmd::resolveStorage(const SpmdProgram &Prog,
+                                   const ProgramLayout &L) {
+  StorageLayout S;
+  S.Arrays = resolveArrays(Prog, L);
+  const size_t NA = S.Arrays.size();
+  std::map<std::string, size_t> Ids;
+  for (size_t A = 0; A != NA; ++A)
+    Ids[S.Arrays[A].Name] = A;
+  S.BoxExtent.resize(NA);
+  for (size_t A = 0; A != NA; ++A)
+    S.BoxExtent[A].assign(S.Arrays[A].Lo.size(), 0);
+  S.BoxLo.resize(L.NumProcs);
+  for (unsigned P = 0; P != L.NumProcs; ++P) {
+    std::vector<std::vector<Iv>> Hull(NA);
+    for (size_t A = 0; A != NA; ++A)
+      Hull[A].resize(S.Arrays[A].Lo.size());
+    std::vector<Iv> Env;
+    for (int64_t V : rankEnv(Prog, L, P))
+      Env.push_back(Iv::point(V));
+    if (Prog.Root)
+      HullWalk(Prog, Ids, std::move(Env), Hull).node(*Prog.Root);
+    std::vector<int64_t> Coords = rankCoords(L, P);
+    S.BoxLo[P].resize(NA);
+    for (size_t A = 0; A != NA; ++A) {
+      const ArrayLayout &AL = S.Arrays[A];
+      std::vector<int64_t> &BLo = S.BoxLo[P][A];
+      for (size_t D = 0; D != AL.Lo.size(); ++D) {
+        Iv Box = Hull[A][D];
+        int64_t First = 0, Last = -1;
+        if (AL.blockDim(D) && !Box.Unbounded) {
+          if (AL.blockRange(static_cast<unsigned>(D), Coords, First, Last))
+            Box.join({First, Last, false});
+        } else {
+          Box = {AL.Lo[D], AL.Lo[D] + AL.Extent[D] - 1, false};
+        }
+        int64_t Ext = 0;
+        if (!Box.empty() &&
+            (__builtin_sub_overflow(Box.Hi, Box.Lo, &Ext) ||
+             __builtin_add_overflow(Ext, 1, &Ext)))
+          throw FootprintError(AL.Desc + ": a storage box overflows 64 bits");
+        BLo.push_back(Box.empty() ? AL.Lo[D] : Box.Lo);
+        S.BoxExtent[A][D] = std::max(S.BoxExtent[A][D], Ext);
+      }
+    }
+  }
+  for (size_t A = 0; A != NA; ++A) {
+    int64_t N = 1;
+    for (int64_t E : S.BoxExtent[A])
+      if (__builtin_mul_overflow(N, E, &N))
+        throw FootprintError(S.Arrays[A].Desc +
+                             ": a storage box has more elements than 64 bits "
+                             "can count");
+  }
+  return S;
+}
+
+void spmd::admitFootprint(const StorageLayout &S, int Rank) {
+  static const uint64_t Phys = physicalMemoryBytes();
+  uint64_t Ranks = Rank < 0 ? S.BoxLo.size() : 1, Total = 0;
+  for (size_t A = 0; A != S.Arrays.size(); ++A) {
+    // A box costs its values and a validity byte per element; a run on
+    // one machine also assembles the merged global array.
+    uint64_t Box = 0, Merged = 0;
+    bool Over =
+        __builtin_mul_overflow(uint64_t(S.boxElements(A)), 9u, &Box) ||
+        __builtin_mul_overflow(Box, Ranks, &Box) ||
+        __builtin_add_overflow(Total, Box, &Total) ||
+        (Rank < 0 &&
+         (__builtin_mul_overflow(uint64_t(S.Arrays[A].elements()), 8u,
+                                 &Merged) ||
+          __builtin_add_overflow(Total, Merged, &Total)));
+    if (Over || (Phys && Total > Phys))
+      throw FootprintError(S.Arrays[A].Desc +
+                           " takes the program's arrays past the " +
+                           std::to_string(Phys) +
+                           " bytes of physical memory");
+  }
 }
 
 ProgramLayout spmd::resolveLayout(const SpmdProgram &Prog,
@@ -153,8 +633,7 @@ ProgramLayout spmd::resolveLayout(const SpmdProgram &Prog,
                                   : std::string("gave no extents")));
     if (Given)
       L.ProcShape = It->second;
-    // Owner maps store int32 ranks and a kernel's DhpfCtx::Me is an
-    // int32, so the count must fit one.
+    // A kernel's DhpfCtx::Me is an int32, so the count must fit one.
     int64_t N = 1;
     for (int64_t E : L.ProcShape)
       if (E < 1 || __builtin_mul_overflow(N, E, &N) || N > INT32_MAX)
@@ -166,82 +645,4 @@ ProgramLayout spmd::resolveLayout(const SpmdProgram &Prog,
   L.AllBindings = MapBuilder(*Prog.Source)
                       .layoutBindings(Config.Params, Config.ProcExtents);
   return L;
-}
-
-std::map<std::string, ArrayStore>
-spmd::buildArrayStores(const SpmdProgram &Prog, const RunConfig &Config,
-                       const ProgramLayout &L) {
-  const Program &P = *Prog.Source;
-  std::map<std::string, ArrayShape> Shapes = admitShapes(Prog, L);
-  std::map<std::string, ArrayStore> Arrays;
-
-  for (const auto &[Name, Decl] : P.arrays()) {
-    const ArrayShape &S = Shapes[Name];
-    const std::vector<int64_t> &Lo = S.Lo;
-    const std::vector<int64_t> &Extent = S.Extent;
-    ArrayStore Store(Lo, Extent, Decl.ElemBytes);
-
-    // Ownership, computed independently of the set framework (direct
-    // block/cyclic formulas) so it cross-checks the compiled sets.
-    const Align *Al = P.alignOf(Name);
-    if (Al && Store.size() != 0) {
-      const TemplateDecl &T = P.templateDecl(Al->TemplateName);
-      const Distribute &D = P.distributeOf(Al->TemplateName);
-      auto ExtIt = Config.ProcExtents.find(D.ProcName);
-      const ProcArray &PA = P.procArray(D.ProcName);
-      std::vector<int64_t> PExt;
-      for (unsigned I = 0; I != PA.rank(); ++I)
-        PExt.push_back(PA.Dims[I].isSymbolic() ? ExtIt->second[I]
-                                               : PA.Dims[I].Fixed);
-      const std::vector<int64_t> &TLo = S.TLo, &TExt = S.TExt;
-      Store.Owner.assign(Store.size(), -1);
-      std::vector<int64_t> Idx(Decl.rank());
-      for (unsigned DD = 0; DD != Decl.rank(); ++DD)
-        Idx[DD] = Lo[DD];
-      for (;;) {
-        // Owner coordinates along each distributed template dimension.
-        int64_t Rank = 0, Mult = 1;
-        unsigned PDim = 0;
-        for (unsigned TD = 0; TD != T.rank(); ++TD) {
-          const DistSpec &Spec = D.Specs[TD];
-          if (Spec.K == DistSpec::Kind::Star)
-            continue;
-          const AlignTerm &AT = Al->Terms[TD];
-          assert(AT.K != AlignTerm::Kind::Replicated &&
-                 "replicated alignment on a distributed dimension");
-          int64_t Tpos = AT.K == AlignTerm::Kind::Constant
-                             ? AT.Constant
-                             : AT.Stride * Idx[AT.ArrayDim] + AT.Offset;
-          int64_t PN = PExt[PDim];
-          int64_t Coord = 0;
-          switch (Spec.K) {
-          case DistSpec::Kind::Block:
-            Coord = (Tpos - TLo[TD]) / ceilDiv(TExt[TD], PN);
-            break;
-          case DistSpec::Kind::Cyclic:
-            Coord = floorMod(Tpos - TLo[TD], PN);
-            break;
-          case DistSpec::Kind::CyclicK:
-            Coord = floorMod((Tpos - TLo[TD]) / Spec.BlockK, PN);
-            break;
-          case DistSpec::Kind::Star:
-            break;
-          }
-          Rank += Coord * Mult;
-          Mult *= PN;
-          ++PDim;
-        }
-        Store.Owner[Store.flatten(Idx)] = static_cast<int32_t>(Rank);
-        unsigned DD = 0;
-        while (DD < Decl.rank() && ++Idx[DD] >= Lo[DD] + Extent[DD]) {
-          Idx[DD] = Lo[DD];
-          ++DD;
-        }
-        if (DD == Decl.rank())
-          break;
-      }
-    }
-    Arrays.emplace(Name, std::move(Store));
-  }
-  return Arrays;
 }

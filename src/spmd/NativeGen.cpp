@@ -363,7 +363,7 @@ void Emitter::emitEventLeaf(const EventPlan &EP, Scope &Sc) {
   line("const int64_t q" + std::to_string(T) + " = " + Rank + ";");
   open("if (q" + std::to_string(T) + " != (int64_t)c->Me) {");
   line("dhpf_pair(c, q" + std::to_string(T) + ", " + exprC(EP.ElemFlat, Sc) +
-       ");");
+       ", " + exprC(EP.ElemBox, Sc) + ");");
   close();
   if (!Cond.empty())
     close();
@@ -433,28 +433,29 @@ PlanSource Emitter::run() {
   S += helperPreamble();
   line("");
   // Context-dependent helpers (fast-path element access, pair buffer).
-  line("static inline double dhpf_load(DhpfCtx *c, int32_t a, int64_t f) {");
-  line("  const int32_t *own = c->Owner[a];");
-  line("  if ((uint64_t)f < (uint64_t)c->Size[a] &&");
-  line("      (!own || own[f] == c->Me || own[f] < 0))");
+  line("static inline double dhpf_load(DhpfCtx *c, int32_t a, int64_t g) {");
+  line("  const int64_t f = g - c->Base[a];");
+  line("  if ((uint64_t)f < (uint64_t)c->Size[a] && c->Valid[a][f])");
   line("    return c->Data[a][f];");
-  line("  return c->ReadSlow(c, a, f);");
+  line("  return c->ReadSlow(c, a, g);");
   line("}");
-  line("static inline void dhpf_store(DhpfCtx *c, int32_t a, int64_t f,");
+  line("static inline void dhpf_store(DhpfCtx *c, int32_t a, int64_t g,");
   line("                              double v) {");
-  line("  const int32_t *own = c->Owner[a];");
+  line("  const int64_t f = g - c->Base[a];");
   line("  if ((uint64_t)f < (uint64_t)c->Size[a] &&");
-  line("      (!own || own[f] == c->Me || own[f] < 0)) {");
+  line("      (c->Valid[a][f] & DhpfValidOwn)) {");
   line("    c->Data[a][f] = v;");
   line("    return;");
   line("  }");
-  line("  c->WriteSlow(c, a, f, v);");
+  line("  c->WriteSlow(c, a, g, v);");
   line("}");
-  line("static inline void dhpf_pair(DhpfCtx *c, int64_t q, int64_t f) {");
+  line("static inline void dhpf_pair(DhpfCtx *c, int64_t q, int64_t f,");
+  line("                             int64_t l) {");
   line("  if (c->NumPairs == c->CapPairs)");
   line("    c->GrowPairs(c);");
   line("  c->PairQ[c->NumPairs] = (uint32_t)q;");
   line("  c->PairF[c->NumPairs] = f;");
+  line("  c->PairL[c->NumPairs] = l;");
   line("  ++c->NumPairs;");
   line("}");
   line("");

@@ -122,7 +122,7 @@ struct SpmdProgram {
   std::vector<unsigned> CoordSlots;
 
   /// Unread. It stays only because perfbench still assigns it (ROADMAP
-  /// item 6 deletes it); the run-time side of Section 3.3 is the
+  /// item 9 deletes it); the run-time side of Section 3.3 is the
   /// executors' exact per-message contiguity test.
   bool (*InPlaceRuntimeCheck)(const core::InPlaceResult &,
                               const std::map<std::string, int64_t> &) =

@@ -12,11 +12,12 @@
 /// goes through the full result pipeline (dump -> serialize -> parse ->
 /// merge), so the binary result file is covered by the same assertions,
 /// and hostile result files (cut short, corrupted, oversized counts,
-/// foreign identification words, value counts the owner map disagrees
-/// with) must be refused. Reductions gather to rank 0 and broadcast back
-/// with the in-process rank-order fold. Fault-injected runs must die with
-/// a named-rank diagnostic under the watchdog, never hang, and hostile
-/// comm-event frames must be diagnosed.
+/// foreign identification words, value counts that disagree with the
+/// block the ownership formulas give a rank) must be refused. Reductions
+/// gather to rank 0 and broadcast back with the in-process rank-order
+/// fold. Fault-injected runs must die with a named-rank diagnostic under
+/// the watchdog, never hang, and hostile comm-event frames must be
+/// diagnosed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -389,11 +390,16 @@ void setWord(std::string &F, size_t Pos, uint64_t V) {
   std::memcpy(&F[Pos], &V, 8);
 }
 
-/// Recomputes the trailing FNV-1a 64 checksum, as a writer that meant
-/// every byte would.
+/// Recomputes the trailing checksum (FNV-1a 64 per 8-byte word, then per
+/// tail byte), as a writer that meant every byte would.
 void reseal(std::string &F) {
   uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I + 8 < F.size(); ++I) {
+  size_t I = 0, N = F.size() - 8;
+  for (; I + 8 <= N; I += 8) {
+    H ^= wordAt(F, I);
+    H *= 0x100000001b3ull;
+  }
+  for (; I != N; ++I) {
     H ^= static_cast<unsigned char>(F[I]);
     H *= 0x100000001b3ull;
   }
@@ -503,8 +509,9 @@ TEST(RtDump, ForeignMagicVersionOrByteOrderIsNamed) {
             std::string::npos);
 }
 
-/// A rank that reports one value more or fewer than the owner map gives
-/// it fails the merge, naming the rank and the array.
+/// A rank that reports one value more or fewer than the block the
+/// ownership formulas give it fails the merge, naming the rank and the
+/// array. (The name predates the formulas: there is no owner map.)
 TEST(RtDump, MergeRejectsCountsTheOwnerMapDisagreesWith) {
   JacobiFiles J;
   const spmd::SpmdProgram &SP = J.Compiled->Program;
@@ -716,16 +723,16 @@ TEST(RtExec, HostileEventFramesAreDiagnosed) {
       {"contiguous run past the array", Contig(2, 15, 2)},
       {"contiguous base negative", Contig(1, -1, 1)},
   };
-  spmd::ArrayStore A({1}, {16}, 8); // the receiver's copy: 16 elements
   spmd::EventPlan EP;
   EP.Id = 7;
+  EP.Elems = 16; // the event's array: 16 elements
   auto Deliver = [&](const std::vector<uint8_t> &Frame, spmd::Payload &Out) {
     net::LoopbackMesh Mesh(2);
     auto T0 = Mesh.transport(0), T1 = Mesh.transport(1);
     net::ByteSpan S{Frame.data(), Frame.size()};
     T1->post(0, static_cast<uint64_t>(EP.Id), &S, 1);
     rt::TransportComm C(*T0);
-    return C.receive(0, 1, EP, A, Out);
+    return C.receive(0, 1, EP, Out);
   };
 
   // The harness itself: a well-formed frame decodes.

@@ -18,6 +18,8 @@
 
 #include "core/Compiler.h"
 #include "spmd/Interp.h"
+#include "spmd/KernelCache.h"
+#include "spmd/Layout.h"
 
 #include <gtest/gtest.h>
 
@@ -159,6 +161,40 @@ TEST(SpmdViolation, MissingRecvBeforeNonLocalRead) {
   EXPECT_TRUE(anyContains(V, "read unreceived element")) << testing::PrintToString(V);
   EXPECT_TRUE(anyContains(V, "unconsumed messages remain"))
       << testing::PrintToString(V);
+}
+
+// A read of an element that lies inside the reader's storage box but was
+// never received: every engine reports it with the same text, naming the
+// element by its flat index in the whole array. Rank 1 owns B(5:8) and
+// reads B(4) (flat 3) and B(9) (flat 8), both in its box.
+TEST(SpmdViolation, UnreceivedElementInsideTheBox) {
+  Program P = stencilProgram();
+  auto Compiled = compileProgram(P);
+  ASSERT_TRUE(Compiled);
+  SpmdProgram &SP = Compiled->Program;
+  stripNodes(*SP.Root, SpmdNode::Kind::Recv);
+  RunConfig RC;
+  RC.ProcExtents = {{"P", {4}}};
+  StorageLayout S = resolveStorage(SP, resolveLayout(SP, RC));
+  ASSERT_EQ(S.Arrays[1].Name, "B");
+  EXPECT_LE(S.BoxLo[1][1][0], 4);
+  EXPECT_GE(S.BoxLo[1][1][0] + S.BoxExtent[1][0] - 1, 9);
+
+  std::vector<EngineKind> Engines = {EngineKind::Tree, EngineKind::Bytecode};
+  if (native::KernelCache::global().compilerAvailable())
+    Engines.push_back(EngineKind::Native);
+  RunResult Tree = runBroken(SP, EngineKind::Tree);
+  for (EngineKind E : Engines) {
+    RunResult R = runBroken(SP, E);
+    EXPECT_FALSE(R.Valid);
+    EXPECT_TRUE(anyContains(R.Violations,
+                            "proc 1 read unreceived element 3 of B"))
+        << testing::PrintToString(R.Violations);
+    EXPECT_TRUE(anyContains(R.Violations,
+                            "proc 1 read unreceived element 8 of B"))
+        << testing::PrintToString(R.Violations);
+    EXPECT_EQ(R.Violations, Tree.Violations);
+  }
 }
 
 // Receives with the matching send removed: every expectation is an

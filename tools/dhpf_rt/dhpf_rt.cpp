@@ -163,8 +163,9 @@ int main(int Argc, char **Argv) {
                 << L.NumProcs << " processors\n";
       return 1;
     }
-    // Refuse arrays that cannot be allocated before joining the mesh.
-    spmd::admitFootprint(*SP, L);
+    // Refuse storage that cannot be allocated before joining the mesh.
+    spmd::admitFootprint(spmd::resolveStorage(*SP, L),
+                         static_cast<int>(O.Rank));
     std::unique_ptr<net::Transport> T;
     {
       obs::TraceSpan Span(TB, "rank:mesh", "rt");
