@@ -172,22 +172,22 @@ bool rt::runForSummary(spmd::SpmdProgram &SP, const SessionOptions &SO,
   std::optional<Session> S = resolveSession(SP, SO, Err);
   if (!S)
     return false;
+  // The interpreter admits the storage its engine allocates.
+  std::optional<spmd::Interpreter> I;
   try {
-    spmd::admitFootprint(
-        spmd::resolveStorage(SP, spmd::resolveLayout(SP, S->Config)));
+    I.emplace(SP, S->Config);
   } catch (const spmd::FootprintError &E) {
     Err = E.what();
     return false;
   }
-  spmd::Interpreter I(SP, S->Config);
-  S->setup(SP, I);
-  spmd::RunResult RR = I.run();
+  S->setup(SP, *I);
+  spmd::RunResult RR = I->run();
   std::string Verdict = "skipped";
   if (Check && S->Reg && S->Canonical) {
     apps::AppInstance App = S->Reg->MakeCanonical();
     if (App.Check) {
       std::string CheckErr;
-      Verdict = App.Check(I, CheckErr) ? "ok" : "failed: " + CheckErr;
+      Verdict = App.Check(*I, CheckErr) ? "ok" : "failed: " + CheckErr;
     }
   }
   SummaryOut = runSummary(RR, Verdict);

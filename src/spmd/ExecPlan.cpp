@@ -99,15 +99,9 @@ private:
   int32_t NextComputeId = 0;
 
   void noteDepth(const bc::Prog &P);
-  /// Sum of Subs[d] * Stride[d] + K, compiled.
-  bc::Prog flattenExpr(const std::vector<cg::Expr> &Subs,
-                       const std::vector<int64_t> &Extent, int64_t K,
-                       const bc::SlotConsts &Fixed);
-  /// The unbased box flat of array \p A (see StmtPlan).
+  /// The unbased box flat of array \p A (see StmtPlan), compiled.
   bc::Prog boxFlat(const std::vector<cg::Expr> &Subs, uint32_t A,
-                   const bc::SlotConsts &Fixed) {
-    return flattenExpr(Subs, Storage.BoxExtent[A], 0, Fixed);
-  }
+                   const bc::SlotConsts &Fixed);
   void lowerInto(PlanAst &Out, const cg::AstNode &N,
                  const bc::SlotConsts &Fixed);
   PlanNode lowerNode(const SpmdNode &N, const bc::SlotConsts &Fixed);
@@ -118,11 +112,11 @@ void PlanLowering::noteDepth(const bc::Prog &P) {
     Plan.StackDepth = P.depth();
 }
 
-bc::Prog PlanLowering::flattenExpr(const std::vector<cg::Expr> &Subs,
-                                   const std::vector<int64_t> &Extent,
-                                   int64_t K, const bc::SlotConsts &Fixed) {
+bc::Prog PlanLowering::boxFlat(const std::vector<cg::Expr> &Subs, uint32_t A,
+                               const bc::SlotConsts &Fixed) {
+  const std::vector<int64_t> &Extent = Storage.BoxExtent[A];
   assert(Subs.size() == Extent.size() && "subscript arity mismatch");
-  cg::Expr E = cg::Expr::constant(K);
+  cg::Expr E = cg::Expr::constant(0);
   int64_t Stride = 1;
   for (unsigned D = 0; D != Extent.size(); ++D) {
     E = cg::Expr::add(E, cg::Expr::mul(Subs[D], Stride));
@@ -344,12 +338,6 @@ void PlanLowering::run() {
     std::vector<cg::Expr> ElemSubs;
     for (unsigned S : Ev.ElemSlots)
       ElemSubs.push_back(cg::Expr::var(S, Prog.Vars.name(S)));
-    int64_t LoOff = 0, Stride = 1;
-    for (size_t D = 0; D != AL.Lo.size(); ++D) {
-      LoOff = addOv(LoOff, mulOv(AL.Lo[D], Stride));
-      Stride = mulOv(Stride, AL.Extent[D]);
-    }
-    EP.ElemFlat = flattenExpr(ElemSubs, AL.Extent, -LoOff, Fixed);
     EP.ElemBox = boxFlat(ElemSubs, EP.Array, Fixed);
 
     // Cacheable iff no free slot of either nest is a TimeLoop variable:
@@ -357,7 +345,6 @@ void PlanLowering::run() {
     std::set<unsigned> Used;
     addUsedSlots(EP.Send, Used);
     addUsedSlots(EP.Recv, Used);
-    addUsedSlots(EP.ElemFlat, Used);
     addUsedSlots(EP.ElemBox, Used);
     Used.insert(EP.PartnerSlots.begin(), EP.PartnerSlots.end());
     Used.insert(EP.ElemSlots.begin(), EP.ElemSlots.end());
@@ -579,10 +566,8 @@ struct PlanExecutor::NativeState {
     size_t Cap = S.RawQ.empty() ? 256 : S.RawQ.size() * 2;
     S.RawQ.resize(Cap);
     S.RawF.resize(Cap);
-    S.RawL.resize(Cap);
     C->PairQ = S.RawQ.data();
     C->PairF = S.RawF.data();
-    C->PairL = S.RawL.data();
     C->CapPairs = Cap;
   }
 };
@@ -651,7 +636,6 @@ void PlanExecutor::setupNative() {
     C.Progress = &NativeState::progress;
     C.PairQ = nullptr; // bound per event enumeration
     C.PairF = nullptr;
-    C.PairL = nullptr;
     C.NumPairs = 0;
     C.CapPairs = 0;
     C.GrowPairs = &NativeState::growPairs;
@@ -783,17 +767,14 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
   Scratch &S = PerProc[P];
   if (Native && Native->T) {
     // Native enumeration: the kernel folds the realVP check and rank
-    // mapping to constants and fills RawQ/RawF/RawL through the pair
-    // buffer.
+    // mapping to constants and fills RawQ/RawF through the pair buffer.
     size_t EIdx = static_cast<size_t>(&EP - Plan.Events.data());
     if (S.RawQ.empty()) {
       S.RawQ.resize(256);
       S.RawF.resize(256);
-      S.RawL.resize(256);
     }
     S.Ctx.PairQ = S.RawQ.data();
     S.Ctx.PairF = S.RawF.data();
-    S.Ctx.PairL = S.RawL.data();
     S.Ctx.NumPairs = 0;
     S.Ctx.CapPairs = S.RawQ.size();
     DhpfEnumFn Fn =
@@ -803,7 +784,6 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
   } else {
     S.RawQ.clear();
     S.RawF.clear();
-    S.RawL.clear();
     const unsigned ND = static_cast<unsigned>(EP.PartnerSlots.size());
     std::vector<int64_t> PT(ND);
     int64_t *Stack = S.Stack.data();
@@ -817,14 +797,14 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
               if (Q == P)
                 return; // VP neighbours on the same physical processor
               S.RawQ.push_back(Q);
-              S.RawF.push_back(EP.ElemFlat.eval(Regs, Stack));
-              S.RawL.push_back(EP.ElemBox.eval(Regs, Stack));
+              S.RawF.push_back(EP.ElemBox.eval(Regs, Stack));
             });
     S.RawLen = S.RawQ.size();
   }
   // Group per partner in first-appearance order (the tree engine's message
   // order), then dedup by sort+unique: union conjuncts in the comm sets may
-  // enumerate an element twice.
+  // enumerate an element twice. Every element lies in the rank's box, where
+  // box order is global flat order.
   const RankStore &R = store(P, EP.Array);
   Lists.clear();
   for (size_t K = 0; K != S.RawLen; ++K) {
@@ -832,38 +812,29 @@ void PlanExecutor::buildLists(const PlanAst &A, const EventPlan &EP,
     if (S.PartnerPos[Q] < 0) {
       S.PartnerPos[Q] = static_cast<int32_t>(Lists.size());
       Lists.emplace_back().Q = Q;
-      if (S.Groups.size() < Lists.size())
-        S.Groups.resize(Lists.size());
-      S.Groups[Lists.size() - 1].clear();
     }
-    S.Groups[S.PartnerPos[Q]].push_back({S.RawF[K], S.RawL[K] - R.Base});
+    Lists[S.PartnerPos[Q]].Local.push_back(S.RawF[K] - R.Base);
   }
-  for (size_t G = 0; G != Lists.size(); ++G) {
-    PartnerList &PL = Lists[G];
+  for (PartnerList &PL : Lists) {
     S.PartnerPos[PL.Q] = -1;
-    std::vector<std::pair<int64_t, int64_t>> &V = S.Groups[G];
-    std::sort(V.begin(), V.end());
-    V.erase(std::unique(V.begin(), V.end(),
-                        [](const auto &X, const auto &Y) {
-                          return X.first == Y.first;
-                        }),
-            V.end());
-    assert(V.front().first >= 0 && V.back().first < EP.Elems &&
-           "flat subscript out of bounds");
-    PL.Flats = std::make_shared<std::vector<int64_t>>(V.size());
-    PL.Local.resize(V.size());
+    std::vector<int64_t> &L = PL.Local;
+    std::sort(L.begin(), L.end());
+    L.erase(std::unique(L.begin(), L.end()), L.end());
+    assert(L.front() >= 0 && L.back() < static_cast<int64_t>(R.Box.size()) &&
+           "element outside the rank's storage box");
+    PL.Flats = std::make_shared<std::vector<int64_t>>(L.size());
     bool AnyLocal = false, AnyRemote = false;
-    for (size_t K = 0; K != V.size(); ++K) {
-      (*PL.Flats)[K] = V[K].first;
-      int64_t L = PL.Local[K] = V[K].second;
-      assert(L >= 0 && L < static_cast<int64_t>(R.Box.size()) &&
-             "element outside the rank's storage box");
-      (R.Valid[L] & ValidOwn ? AnyLocal : AnyRemote) = true;
+    for (size_t K = 0; K != L.size(); ++K) {
+      (*PL.Flats)[K] = globalFlat(P, EP.Array, L[K]);
+      (R.Valid[L[K]] & ValidOwn ? AnyLocal : AnyRemote) = true;
     }
-    int64_t N = static_cast<int64_t>(V.size());
-    PL.Base = V.front().first;
-    PL.Contig = V.back().first - V.front().first + 1 == N;
-    PL.LocalContig = PL.Local.back() - PL.Local.front() + 1 == N;
+    const std::vector<int64_t> &F = *PL.Flats;
+    assert(F.front() >= 0 && F.back() < EP.Elems &&
+           "flat subscript out of bounds");
+    int64_t N = static_cast<int64_t>(L.size());
+    PL.Base = F.front();
+    PL.Contig = F.back() - F.front() + 1 == N;
+    PL.LocalContig = L.back() - L.front() + 1 == N;
     PL.Own = AnyRemote ? (AnyLocal ? PartnerList::OwnClass::Mixed
                                    : PartnerList::OwnClass::NoneLocal)
                        : PartnerList::OwnClass::AllLocal;

@@ -114,10 +114,9 @@ struct EventPlan {
   uint32_t Array = 0;
   PlanAst Send, Recv;
   std::vector<unsigned> PartnerSlots, ElemSlots;
-  /// The element's flat index in the whole array: what the wire carries
-  /// and diagnostics name.
-  bc::Prog ElemFlat;
-  /// The element's unbased box flat (see StmtPlan).
+  /// The element's unbased box flat (see StmtPlan). The enumerating rank
+  /// turns it into the flat index in the whole array, which is what the
+  /// wire carries and diagnostics name.
   bc::Prog ElemBox;
   /// The array's element count: incoming frames are checked against it.
   int64_t Elems = 0;
@@ -253,17 +252,15 @@ private:
     LineVector<double> Reads;
     /// The native kernels' view of this rank (unused under bytecode).
     DhpfCtx Ctx = {};
-    /// Raw (partner, flat, box flat) enumeration, split into parallel
+    /// Raw (partner, unbased box flat) enumeration, split into parallel
     /// arrays so the native event kernels can fill them directly through
     /// the DhpfCtx pair buffer. In native mode the vectors are capacity
     /// storage and RawLen is the element count; in bytecode mode RawLen ==
     /// size().
     std::vector<uint32_t> RawQ;
-    std::vector<int64_t> RawF, RawL;
+    std::vector<int64_t> RawF;
     size_t RawLen = 0;
     std::vector<int32_t> PartnerPos;
-    /// Per partner list being built: its (flat, box flat) pairs.
-    std::vector<std::vector<std::pair<int64_t, int64_t>>> Groups;
     std::vector<PartnerList> Lists; // rebuilt lists (uncacheable events)
     std::vector<Outgoing> Out;
     std::vector<std::string> Viol;

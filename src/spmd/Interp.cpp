@@ -128,7 +128,12 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
       Mach(1, Config.Machine) /* resized below */ {
   ProgramLayout L = resolveLayout(Prog, Config);
   Storage = std::make_unique<StorageLayout>(resolveStorage(Prog, L));
-  admitFootprint(*Storage, C ? static_cast<int>(C->First) : -1);
+  EngineKind E = resolveEngine(Config.Engine);
+  if (C && E == EngineKind::Tree)
+    E = EngineKind::Bytecode;
+  admitFootprint(*Storage, C                       ? Footprint::OneRank
+                           : E == EngineKind::Tree ? Footprint::Global
+                                                   : Footprint::AllRanks);
   for (const ArrayLayout &A : Storage->Arrays)
     ArrayIds.emplace(A.Name, static_cast<uint32_t>(ArrayIds.size()));
   ProcShape = L.ProcShape;
@@ -137,15 +142,10 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
   Mach = sim::Machine(NumProcs, Config.Machine);
   setupEnvs();
   Accums.resize(NumProcs);
-  EngineKind E = resolveEngine(Config.Engine);
-  if (C) {
-    if (C->Size != NumProcs)
-      throw std::runtime_error("comm spans " + std::to_string(C->Size) +
-                               " ranks but the layout needs " +
-                               std::to_string(NumProcs));
-    if (E == EngineKind::Tree)
-      E = EngineKind::Bytecode;
-  }
+  if (C && C->Size != NumProcs)
+    throw std::runtime_error("comm spans " + std::to_string(C->Size) +
+                             " ranks but the layout needs " +
+                             std::to_string(NumProcs));
   if (E == EngineKind::Tree) {
     setupArrays();
     Overlay.resize(NumProcs);
@@ -507,8 +507,15 @@ void Interpreter::execNode(const SpmdNode &N) {
 }
 
 RunResult Interpreter::run() {
-  if (Exec)
-    return Exec->run();
+  if (Exec) {
+    RunResult RR = Exec->run();
+    // An array requested before the run holds its seeded values: refresh
+    // it in place, so references to it stay valid.
+    std::lock_guard<std::mutex> Lock(AssembledMu);
+    for (auto &[Name, A] : Assembled)
+      A = Exec->assemble(ArrayIds.at(Name));
+    return RR;
+  }
   execNode(*Prog.Root);
   if (!Payloads.empty())
     violation("unconsumed messages remain (send/recv sets are not dual)");
@@ -529,9 +536,10 @@ RunResult Interpreter::run() {
 const ArrayStore &Interpreter::array(const std::string &Name) const {
   if (!Exec)
     return Global.at(Name)[0];
-  auto It = Assembled.find(Name);
-  if (It == Assembled.end())
-    It = Assembled.emplace(Name, Exec->assemble(ArrayIds.at(Name))).first;
+  std::lock_guard<std::mutex> Lock(AssembledMu);
+  auto [It, New] = Assembled.try_emplace(Name);
+  if (New)
+    It->second = Exec->assemble(ArrayIds.at(Name));
   return It->second;
 }
 

@@ -45,6 +45,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <queue>
 #include <span>
 #include <string>
@@ -203,7 +204,9 @@ public:
   /// Post-run access for result verification: the global array. Under
   /// the plan executor it is assembled from the owned blocks of the ranks
   /// in this process on first request (a rank of a launch fills only its
-  /// own elements); a replicated array is the first such rank's copy.
+  /// own elements), and run() refreshes one requested before it; a
+  /// replicated array is the first such rank's copy. Safe to call from
+  /// several threads, but not while run() is running.
   const ArrayStore &array(const std::string &Name) const;
 
   /// Per array, the values rank \p R reports: its owned elements in
@@ -236,6 +239,7 @@ private:
   std::map<std::string, std::vector<ArrayStore>> Global;
   /// Global arrays assembled by array() from the plan executor's ranks.
   mutable std::map<std::string, ArrayStore> Assembled;
+  mutable std::mutex AssembledMu; ///< guards Assembled
   std::map<int, StmtFn> Semantics;
 
   // Per-processor state.

@@ -19,7 +19,7 @@
 /// and the rank's Base turns one into an index into its box — callbacks
 /// for the slow paths (non-owner writes, validity violations), the
 /// statement-semantics trampoline, a progress hook (the Figure 4
-/// compute/comm overlap window), and a growable (partner, flat, box flat)
+/// compute/comm overlap window), and a growable (partner, flat) pair
 /// buffer for communication-event enumeration.
 ///
 /// Compatibility is verified at load time, not assumed: the kernel bakes
@@ -68,8 +68,7 @@
     DhpfStmtCbFn Stmt;          /* statement semantics: (ctx, leaf, n) */     \
     DhpfHookFn Progress;        /* transport progress pump */                 \
     uint32_t *PairQ;            /* event enumeration: partner ranks */        \
-    int64_t *PairF;             /* event enumeration: flat elements */        \
-    int64_t *PairL;             /* event enumeration: unbased box flats */    \
+    int64_t *PairF;             /* event enumeration: unbased box flats */    \
     uint64_t NumPairs;                                                        \
     uint64_t CapPairs;                                                        \
     DhpfHookFn GrowPairs;       /* enlarge PairQ/PairF, update CapPairs */    \

@@ -582,24 +582,30 @@ StorageLayout spmd::resolveStorage(const SpmdProgram &Prog,
   return S;
 }
 
-void spmd::admitFootprint(const StorageLayout &S, int Rank) {
+void spmd::admitFootprint(const StorageLayout &S, Footprint F) {
   static const uint64_t Phys = physicalMemoryBytes();
-  uint64_t Ranks = Rank < 0 ? S.BoxLo.size() : 1, Total = 0;
+  const uint64_t NP = S.BoxLo.size();
+  // A box costs a value and a validity byte per element, a whole array
+  // (merged, or the tree's) a value.
+  const uint64_t Boxes = F == Footprint::AllRanks  ? NP
+                         : F == Footprint::OneRank ? 1
+                                                   : 0;
+  uint64_t Total = 0;
   for (size_t A = 0; A != S.Arrays.size(); ++A) {
-    // A box costs its values and a validity byte per element; a run on
-    // one machine also assembles the merged global array.
-    uint64_t Box = 0, Merged = 0;
-    bool Over =
-        __builtin_mul_overflow(uint64_t(S.boxElements(A)), 9u, &Box) ||
-        __builtin_mul_overflow(Box, Ranks, &Box) ||
-        __builtin_add_overflow(Total, Box, &Total) ||
-        (Rank < 0 &&
-         (__builtin_mul_overflow(uint64_t(S.Arrays[A].elements()), 8u,
-                                 &Merged) ||
-          __builtin_add_overflow(Total, Merged, &Total)));
+    const ArrayLayout &AL = S.Arrays[A];
+    const uint64_t Wholes = F == Footprint::AllRanks  ? 1
+                            : F == Footprint::OneRank ? 0
+                            : AL.Replicated           ? NP
+                                                      : 1;
+    uint64_t BoxBytes = 0, WholeBytes = 0;
+    bool Over = __builtin_mul_overflow(uint64_t(S.boxElements(A)),
+                                       9 * Boxes, &BoxBytes) ||
+                __builtin_mul_overflow(uint64_t(AL.elements()), 8 * Wholes,
+                                       &WholeBytes) ||
+                __builtin_add_overflow(Total, BoxBytes, &Total) ||
+                __builtin_add_overflow(Total, WholeBytes, &Total);
     if (Over || (Phys && Total > Phys))
-      throw FootprintError(S.Arrays[A].Desc +
-                           " takes the program's arrays past the " +
+      throw FootprintError(AL.Desc + " takes the program's arrays past the " +
                            std::to_string(Phys) +
                            " bytes of physical memory");
   }

@@ -147,11 +147,23 @@ std::vector<ArrayLayout> resolveArrays(const SpmdProgram &Prog,
 /// resolveArrays plus every rank's box (see the file comment).
 StorageLayout resolveStorage(const SpmdProgram &Prog, const ProgramLayout &L);
 
-/// Throws FootprintError unless storage \p S fits in physical memory: with
-/// \p Rank < 0, every rank's boxes (8 bytes per element and a validity
-/// byte) plus the merged global arrays, which is what an in-process run or
-/// a launch on one machine allocates; otherwise rank \p Rank's boxes alone.
-void admitFootprint(const StorageLayout &S, int Rank = -1);
+/// Which storage of a layout a run allocates.
+enum class Footprint : uint8_t {
+  /// Every rank's boxes (8 bytes per element and a validity byte) plus the
+  /// merged global arrays: an in-process plan-executor run, or a launch on
+  /// one machine and its merge.
+  AllRanks,
+  /// One rank's boxes: a rank process of a launch.
+  OneRank,
+  /// One global array each, a replicated one once per processor: the tree
+  /// oracle.
+  Global,
+};
+
+/// Throws FootprintError unless the storage \p F of \p S fits in physical
+/// memory.
+void admitFootprint(const StorageLayout &S,
+                    Footprint F = Footprint::AllRanks);
 
 /// Column-major strides of a dense store with extents \p Extent.
 std::vector<int64_t> columnStrides(const std::vector<int64_t> &Extent);

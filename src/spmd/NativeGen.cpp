@@ -362,8 +362,8 @@ void Emitter::emitEventLeaf(const EventPlan &EP, Scope &Sc) {
     open("if (" + Cond + ") {");
   line("const int64_t q" + std::to_string(T) + " = " + Rank + ";");
   open("if (q" + std::to_string(T) + " != (int64_t)c->Me) {");
-  line("dhpf_pair(c, q" + std::to_string(T) + ", " + exprC(EP.ElemFlat, Sc) +
-       ", " + exprC(EP.ElemBox, Sc) + ");");
+  line("dhpf_pair(c, q" + std::to_string(T) + ", " + exprC(EP.ElemBox, Sc) +
+       ");");
   close();
   if (!Cond.empty())
     close();
@@ -449,13 +449,11 @@ PlanSource Emitter::run() {
   line("  }");
   line("  c->WriteSlow(c, a, g, v);");
   line("}");
-  line("static inline void dhpf_pair(DhpfCtx *c, int64_t q, int64_t f,");
-  line("                             int64_t l) {");
+  line("static inline void dhpf_pair(DhpfCtx *c, int64_t q, int64_t f) {");
   line("  if (c->NumPairs == c->CapPairs)");
   line("    c->GrowPairs(c);");
   line("  c->PairQ[c->NumPairs] = (uint32_t)q;");
   line("  c->PairF[c->NumPairs] = f;");
-  line("  c->PairL[c->NumPairs] = l;");
   line("  ++c->NumPairs;");
   line("}");
   line("");

@@ -7,8 +7,10 @@
 // sizes on the Figure 7 layouts — a BLOCK dimension shrinks by its
 // processor extent, a CYCLIC one keeps its full extent — check that a
 // replicated (unaligned) array is one copy per processor in every engine,
-// so replicated computation gives the serial answer at any P, and that an
-// array replicated along a distributed dimension is refused by name.
+// so replicated computation gives the serial answer at any P, that an
+// array replicated along a distributed dimension is refused by name, that
+// admission charges what each engine allocates, and that assembled
+// arrays follow the run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +26,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <thread>
+#include <unistd.h>
 
 using namespace dhpf;
 using namespace dhpf::spmd;
@@ -125,6 +130,88 @@ endprocedure
                   "dimension 1"),
               std::string::npos)
         << E.what();
+  }
+}
+
+/// An in-process plan-executor run holds every rank's boxes (a CYCLIC
+/// dimension keeps its full extent in each), a launched rank its own, the
+/// tree oracle one global array: admission charges each what it
+/// allocates. The array is sized against this machine's memory, and
+/// nothing is allocated.
+TEST(RankStorage, AdmissionChargesWhatEachEngineAllocates) {
+  std::unique_ptr<hpf::Program> Prog = hpf::parseHpfProgram(R"(program cyc
+param N
+processors PA(*P1, *P2)
+template T(1:N, 1:N)
+array A(1:N, 1:N) align (a0,a1) with T(a0,a1)
+distribute T(cyclic, cyclic) onto PA
+
+procedure main
+  nest update
+    do i = 2, N
+    do j = 1, N
+    A(i,j) = A(i-1,j) sem 0
+  endnest
+endprocedure
+)");
+  ASSERT_TRUE(Prog);
+  std::unique_ptr<core::CompileOutput> C = core::compileProgram(*Prog);
+  ASSERT_TRUE(C);
+  long Pages = ::sysconf(_SC_PHYS_PAGES), Page = ::sysconf(_SC_PAGESIZE);
+  if (Pages <= 0 || Page <= 0)
+    GTEST_SKIP() << "physical memory size unknown";
+  // A global array of a quarter of physical memory: 64 full boxes of it
+  // are about 18 times physical memory.
+  double Phys = static_cast<double>(Pages) * static_cast<double>(Page);
+  RunConfig RC;
+  RC.Params["N"] = static_cast<int64_t>(std::sqrt(Phys / 32));
+  RC.ProcExtents["PA"] = {8, 8};
+  StorageLayout S =
+      resolveStorage(C->Program, resolveLayout(C->Program, RC));
+  ASSERT_EQ(S.boxElements(0), S.Arrays[0].elements());
+  EXPECT_THROW(admitFootprint(S, Footprint::AllRanks), FootprintError);
+  EXPECT_NO_THROW(admitFootprint(S, Footprint::OneRank));
+  EXPECT_NO_THROW(admitFootprint(S, Footprint::Global));
+}
+
+/// array() under the plan executor assembles the owned blocks on request:
+/// a reference taken before run() sees the run's values after it, and
+/// concurrent requests agree with the tree oracle.
+TEST(RankStorage, AssembledArraysFollowTheRun) {
+  apps::AppInstance App = apps::makeJacobi(16, 3);
+  std::unique_ptr<core::CompileOutput> C = core::compileProgram(*App.Prog);
+  ASSERT_TRUE(C);
+  auto Run = [&](EngineKind E, std::optional<Interpreter> &I) {
+    RunConfig RC;
+    RC.ProcExtents[App.ProcArrayName] = {2, 2};
+    RC.Engine = E;
+    RC.ExecThreads = 1;
+    I.emplace(C->Program, RC);
+    App.Setup(*I);
+  };
+  std::optional<Interpreter> Tree, Plan;
+  Run(EngineKind::Tree, Tree);
+  Run(EngineKind::Bytecode, Plan);
+  const ArrayStore &Early = Plan->array("U");
+  std::vector<double> Seeded = Early.values();
+  ASSERT_TRUE(Tree->run().Valid);
+  ASSERT_TRUE(Plan->run().Valid);
+  const std::vector<double> &Want = Tree->array("U").values();
+  ASSERT_EQ(Early.values().size(), Want.size());
+  EXPECT_NE(Seeded, Want);
+  EXPECT_EQ(0, std::memcmp(Early.values().data(), Want.data(),
+                           Want.size() * sizeof(double)));
+  std::vector<const ArrayStore *> Got(4);
+  std::vector<std::thread> Ts;
+  for (size_t K = 0; K != Got.size(); ++K)
+    Ts.emplace_back([&, K] { Got[K] = &Plan->array(K % 2 ? "V" : "U"); });
+  for (std::thread &T : Ts)
+    T.join();
+  for (size_t K = 0; K != Got.size(); ++K) {
+    const std::vector<double> &W = Tree->array(K % 2 ? "V" : "U").values();
+    ASSERT_EQ(Got[K]->values().size(), W.size());
+    EXPECT_EQ(0, std::memcmp(Got[K]->values().data(), W.data(),
+                             W.size() * sizeof(double)));
   }
 }
 

@@ -165,7 +165,7 @@ int main(int Argc, char **Argv) {
     }
     // Refuse storage that cannot be allocated before joining the mesh.
     spmd::admitFootprint(spmd::resolveStorage(*SP, L),
-                         static_cast<int>(O.Rank));
+                         spmd::Footprint::OneRank);
     std::unique_ptr<net::Transport> T;
     {
       obs::TraceSpan Span(TB, "rank:mesh", "rt");
