@@ -78,7 +78,8 @@ inline void printTable1(const std::vector<CompileColumn> &Cols) {
   std::printf("\n");
   const char *Rows[] = {
       core::phase::Interproc,      core::phase::Partitioning,
-      core::phase::LoopSplitting,  core::phase::BoundsReduction,
+      core::phase::LoopSplitting,  core::phase::Dependences,
+      core::phase::BoundsReduction,
       core::phase::CommGeneration, core::phase::CommEquations,
       core::phase::CommLoops,      core::phase::ContigCheck,
       core::phase::RectCheck,      core::phase::OptGenerated,
@@ -120,7 +121,8 @@ inline void writeTable1Json(const char *Path,
   const char *Phases[] = {
       core::phase::Total,          core::phase::Interproc,
       core::phase::Partitioning,   core::phase::LoopSplitting,
-      core::phase::BoundsReduction, core::phase::CommGeneration,
+      core::phase::Dependences,    core::phase::BoundsReduction,
+      core::phase::CommGeneration,
       core::phase::CommEquations,  core::phase::CommLoops,
       core::phase::ContigCheck,    core::phase::RectCheck,
       core::phase::OptGenerated,   core::phase::MMCodegen,

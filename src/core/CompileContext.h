@@ -8,9 +8,9 @@
 /// The compiler is structured as an explicit pass pipeline over a shared
 /// CompileContext:
 ///
-///   PartitionPass -> CommPass -> SplitPass -> VPPass -> EmitPass
+///   PartitionPass -> CommPass -> SplitPass -> DepPass -> VPPass -> EmitPass
 ///
-/// The four analysis passes fill per-nest NestAnalysis records — each nest
+/// The five analysis passes fill per-nest NestAnalysis records — each nest
 /// independent of the others, so every analysis pass runs its nests on a
 /// thread pool — and EmitPass consumes them strictly in program order, so
 /// the compiled SPMD program is independent of the analysis schedule. The
@@ -29,6 +29,7 @@
 #include "support/Diag.h"
 #include "support/ThreadPool.h"
 
+#include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -56,9 +57,21 @@ struct NestAnalysis {
   std::vector<Relation> GroupIters; // per group, bound to mv*
   // CommPass
   std::vector<EventPlan> Plans;
-  // SplitPass
+  // SplitPass (DepPass may refuse the split)
   bool DoSplit = false;
   SplitSets SS;
+  // DepPass
+  /// The order EmitPass scans the loops in: source indices, outermost
+  /// first.
+  std::vector<unsigned> LoopOrder;
+  /// Per split section in schedule order (nlwo, local, nonlocal), the
+  /// disjoint pieces scanned instead of the section's hull; empty: the
+  /// hull.
+  std::array<std::vector<Relation>, 3> SplitPieces;
+  bool HasDep = false; ///< Dep was computed
+  Relation Dep;        ///< the dependence relation (core/Dependence.h)
+  bool OrderRefused = false;
+  bool SplitRefused = false;
   // VPPass
   Relation BusyVP;
   bool AnyBusy = false;
@@ -109,6 +122,7 @@ public:
 std::unique_ptr<Pass> createPartitionPass();
 std::unique_ptr<Pass> createCommPass();
 std::unique_ptr<Pass> createSplitPass();
+std::unique_ptr<Pass> createDepPass();
 std::unique_ptr<Pass> createVPPass();
 std::unique_ptr<Pass> createEmitPass();
 

@@ -49,6 +49,12 @@ struct CompilerOptions {
   /// Use the Section 5 formulation that combines DataAccessed before the
   /// per-reference equations (ablation: the naive per-reference form).
   bool CombinedFormulation = true;
+  /// Scan each compute nest in storage order and a split section that is
+  /// a union as exact disjoint pieces, wherever the nest's dependence
+  /// relation admits it (core/Dependence.h). Off keeps source loop order
+  /// and guarded hulls, for tests and ablations; splits are checked
+  /// against the dependences either way.
+  bool ReorderLoops = true;
   /// Workers for the per-nest analyses (partitioning, communication
   /// equations, loop splitting): 1 runs them sequentially, 0 selects the
   /// hardware concurrency. Emission stays sequential, so the compiled
@@ -66,6 +72,7 @@ inline const char *Total = "total compilation";
 inline const char *Interproc = "interprocedural analysis";
 inline const char *Partitioning = "partitioning computation";
 inline const char *LoopSplitting = "loop splitting";
+inline const char *Dependences = "dependence analysis";
 inline const char *BoundsReduction = "loop bounds reduction";
 inline const char *CommGeneration = "communication generation";
 inline const char *CommEquations = "  comm set equations";
@@ -83,6 +90,16 @@ struct CompileOutput {
   unsigned NumContiguousProven = 0;
   unsigned NumRectSections = 0;
   unsigned NumSplitNests = 0;
+  /// Splits refused because a dependence would run backwards.
+  unsigned NumSplitRefused = 0;
+  /// Nests scanned in a loop order other than the source's, and nests
+  /// whose storage order the dependences refused (they keep a fallback
+  /// or the source order).
+  unsigned NumPermutedNests = 0;
+  unsigned NumOrderRefused = 0;
+  /// Split sections emitted as exact disjoint pieces, and those pieces.
+  unsigned NumExactSections = 0;
+  unsigned NumExactPieces = 0;
   unsigned NodesRemovedByOpt = 0;
   /// Set-operation cache and fast-path activity during this compile
   /// (delta of the process-wide counters over the run).

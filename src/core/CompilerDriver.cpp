@@ -188,7 +188,7 @@ CompilerDriver::CompilerDriver(const Program &P, CompilerOptions Opts,
 }
 
 std::vector<std::string> CompilerDriver::passNames() {
-  return {"partition", "comm", "split", "vp", "emit"};
+  return {"partition", "comm", "split", "dep", "vp", "emit"};
 }
 
 namespace {
@@ -274,7 +274,8 @@ std::unique_ptr<CompileOutput> CompilerDriver::run() {
     // the SPMD program sequentially.
     std::unique_ptr<Pass> Pipeline[] = {createPartitionPass(),
                                         createCommPass(), createSplitPass(),
-                                        createVPPass(), createEmitPass()};
+                                        createDepPass(), createVPPass(),
+                                        createEmitPass()};
     for (std::unique_ptr<Pass> &P : Pipeline) {
       if (P->name() == std::string("emit")) {
         Ctx.Pool.reset(); // analysis is done; emission is sequential

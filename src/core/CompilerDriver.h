@@ -7,7 +7,7 @@
 /// \file
 /// The driver that owns a CompileContext and sequences the pass pipeline
 ///
-///   PartitionPass -> CommPass -> SplitPass -> VPPass -> EmitPass
+///   PartitionPass -> CommPass -> SplitPass -> DepPass -> VPPass -> EmitPass
 ///
 /// over it. Construct with an optional DiagnosticEngine to get structural
 /// validation of the input program (undeclared arrays, rank mismatches)

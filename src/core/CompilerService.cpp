@@ -28,8 +28,12 @@ std::string core::renderCompileStats(const CompileOutput &Out) {
   std::ostringstream OS;
   OS << "  comm events: " << Out.NumCommEvents << " ("
      << Out.NumContiguousProven << " contiguous, " << Out.NumRectSections
-     << " rect sections), split nests: " << Out.NumSplitNests
-     << ", analysis threads: " << Out.ThreadsUsed << "\n";
+     << " rect sections), split nests: " << Out.NumSplitNests << " ("
+     << Out.NumSplitRefused << " refused), permuted nests: "
+     << Out.NumPermutedNests << " (" << Out.NumOrderRefused
+     << " refused), exact sections: " << Out.NumExactSections << " ("
+     << Out.NumExactPieces << " pieces), analysis threads: "
+     << Out.ThreadsUsed << "\n";
   for (const PhaseTimers::Entry &E : Out.Timers.entries()) {
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "%9.3f ms", E.Seconds * 1e3);
@@ -65,8 +69,9 @@ uint64_t CompilerService::fingerprintRequest(const std::string &Source,
   // identity. DumpAfter only adds side-channel output; thread counts do
   // not change the emitted program (emission is sequential) but are folded
   // in anyway so a request is served with the configuration it asked for.
-  unsigned char Flags[4] = {Opts.LoopSplitting, Opts.Coalescing,
-                            Opts.InPlaceAnalysis, Opts.CombinedFormulation};
+  unsigned char Flags[5] = {Opts.LoopSplitting, Opts.Coalescing,
+                            Opts.InPlaceAnalysis, Opts.CombinedFormulation,
+                            Opts.ReorderLoops};
   Mix(Flags, sizeof(Flags));
   uint32_t Threads = Opts.AnalysisThreads;
   Mix(&Threads, sizeof(Threads));

@@ -16,9 +16,11 @@
 
 #include "cg/CodeGen.h"
 #include "core/CompileContext.h"
+#include "core/Dependence.h"
 #include "core/InPlace.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <ostream>
 #include <utility>
 
@@ -382,19 +384,41 @@ private:
       return S;
     };
 
+    // The loops in DepPass's order; every iteration set is permuted to
+    // match before code generation.
     std::vector<std::string> LoopVars;
-    for (const Loop &L : Nest.Loops)
-      LoopVars.push_back(L.Var);
+    for (unsigned K : NA.LoopOrder)
+      LoopVars.push_back(Nest.Loops[K].Var);
+    if (!std::is_sorted(NA.LoopOrder.begin(), NA.LoopOrder.end()))
+      ++Ctx->Out->NumPermutedNests;
+    if (NA.OrderRefused)
+      ++Ctx->Out->NumOrderRefused;
+    if (NA.SplitRefused)
+      ++Ctx->Out->NumSplitRefused;
 
-    auto AddCompute = [&](const std::vector<cg::StmtInstance> &SIs,
+    // One compute node: a single scan (a hull when its sets are unions),
+    // or the disjoint pieces of a split section one after another, each
+    // with exact bounds.
+    using Piece = std::vector<cg::StmtInstance>;
+    auto AddCompute = [&](const std::vector<Piece> &Pieces,
                           const std::string &Tag) {
-      bool AllEmpty = true;
-      for (const cg::StmtInstance &SI : SIs)
-        if (!SI.Iters.conjuncts().empty() && !SI.Iters.isEmpty())
-          AllEmpty = false;
-      if (AllEmpty)
-        return;
-      cg::AstPtr Ast = timedCodegen(phase::BoundsReduction, SIs, LoopVars);
+      cg::AstPtr Ast;
+      if (Pieces.size() == 1) {
+        bool AllEmpty = true;
+        for (const cg::StmtInstance &SI : Pieces[0])
+          if (!SI.Iters.conjuncts().empty() && !SI.Iters.isEmpty())
+            AllEmpty = false;
+        if (AllEmpty)
+          return;
+        Ast = timedCodegen(phase::BoundsReduction, Pieces[0], LoopVars);
+      } else {
+        Ast = cg::AstNode::block();
+        for (const Piece &SIs : Pieces)
+          Ast->Children.push_back(
+              timedCodegen(phase::BoundsReduction, SIs, LoopVars));
+        ++Ctx->Out->NumExactSections;
+        Ctx->Out->NumExactPieces += Pieces.size();
+      }
       if (NA.AnyBusy)
         Ast = wrapVPLoops(std::move(Ast), NA.BusyVP);
       auto N = SpmdNode::make(SpmdNode::Kind::Compute);
@@ -414,22 +438,31 @@ private:
       const SplitSets &SS = NA.SS;
       ++Ctx->Out->NumSplitNests;
       auto SectionStmts = [&](const Relation &Sec) {
-        std::vector<cg::StmtInstance> R;
+        Relation Ordered = permuteDims(Sec, NA.LoopOrder);
+        Piece R;
         for (const Statement &St : Nest.Stmts)
-          R.push_back({St.Id, SP->Stmts[St.Id].Label, Sec});
+          R.push_back({St.Id, SP->Stmts[St.Id].Label, Ordered});
         return R;
+      };
+      auto AddSection = [&](unsigned K, const Relation &Sec,
+                            const std::string &Tag) {
+        std::vector<Piece> Pieces;
+        for (const Relation &P : NA.SplitPieces[K])
+          Pieces.push_back(SectionStmts(P));
+        if (Pieces.empty())
+          Pieces.push_back(SectionStmts(Sec));
+        AddCompute(Pieces, Tag);
       };
       // Figure 4(b) schedule.
       for (EventPlan *EP : Live)
         if (!EP->IsWrite)
           AddComm(SpmdNode::Kind::Send, EP->EventId);
-      AddCompute(SectionStmts(SS.NLWOIters), "/nlwo");
-      AddCompute(SectionStmts(SS.LocalIters), "/local");
+      AddSection(0, SS.NLWOIters, "/nlwo");
+      AddSection(1, SS.LocalIters, "/local");
       for (EventPlan *EP : Live)
         if (!EP->IsWrite)
           AddComm(SpmdNode::Kind::Recv, EP->EventId);
-      AddCompute(SectionStmts(SS.NLROIters.unionWith(SS.NLRWIters)),
-                 "/nonlocal");
+      AddSection(2, SS.NLROIters.unionWith(SS.NLRWIters), "/nonlocal");
       for (EventPlan *EP : Live)
         if (EP->IsWrite)
           AddComm(SpmdNode::Kind::Send, EP->EventId);
@@ -446,13 +479,14 @@ private:
     for (EventPlan *EP : Live)
       if (!EP->IsWrite)
         AddComm(SpmdNode::Kind::Recv, EP->EventId);
-    std::vector<cg::StmtInstance> SIs;
+    Piece SIs;
     for (unsigned I = 0; I != Nest.Stmts.size(); ++I) {
       const Statement &St = Nest.Stmts[I];
-      SIs.push_back({St.Id, SP->Stmts[St.Id].Label,
-                     PlaceRestrict(GroupIters[Groups[I]])});
+      SIs.push_back(
+          {St.Id, SP->Stmts[St.Id].Label,
+           permuteDims(PlaceRestrict(GroupIters[Groups[I]]), NA.LoopOrder)});
     }
-    AddCompute(SIs, "");
+    AddCompute({SIs}, "");
     for (EventPlan *EP : Live)
       if (EP->IsWrite)
         AddComm(SpmdNode::Kind::Send, EP->EventId);

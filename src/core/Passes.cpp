@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The four analysis stages of the pipeline. Each pass iterates the nests
+// The five analysis stages of the pipeline. Each pass iterates the nests
 // through CompileContext::forEachNest — concurrently when a pool is
 // configured — and writes only to its nest's NestAnalysis record (including
 // its private PhaseTimers), so results are identical for any thread count.
@@ -12,10 +12,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CompileContext.h"
+#include "core/Dependence.h"
 
 #include "obs/Trace.h"
 
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -256,6 +258,106 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
+// DepPass: the dependence relation and the loop order it admits
+//===----------------------------------------------------------------------===//
+
+class DepPass : public Pass {
+public:
+  const char *name() const override { return "dep"; }
+
+  void run(CompileContext &Ctx) override {
+    Ctx.forEachNest([&](size_t I) {
+      const ComputeNest &Nest = *Ctx.Nests[I];
+      NestAnalysis &NA = Ctx.NestAnalyses[I];
+      NA.LoopOrder.resize(Nest.Loops.size());
+      std::iota(NA.LoopOrder.begin(), NA.LoopOrder.end(), 0u);
+      bool Reorder = Ctx.Opts.ReorderLoops;
+      std::vector<unsigned> Wanted =
+          storageOrder(Nest, effectiveVectorizeLevel(Nest));
+      bool WantOrder = Reorder && Wanted != NA.LoopOrder;
+      if (!WantOrder && !NA.DoSplit)
+        return;
+      obs::TraceSpan Span(&obs::TraceBuffer::global(), "dep:" + Nest.Name,
+                          "compile.nest");
+      Relation NonLocal;
+      bool Free; // no dependence at all
+      {
+        PhaseTimers::Scope S(NA.Timers, phase::Dependences);
+        NA.Dep = dependenceRelation(Ctx.MB, Nest);
+        NA.HasDep = true;
+        Free = NA.Dep.isEmpty();
+        const Relation &D = NA.Dep;
+        if (NA.DoSplit) {
+          NonLocal = NA.SS.NLROIters.unionWith(NA.SS.NLRWIters);
+          // Figure 4(b) runs nlwo, then local, then nonlocal: no pair may
+          // have its source in a later section than its sink.
+          auto Backward = [&](const Relation &Later, const Relation &Earlier) {
+            return !D.restrictDomain(Later).restrictRange(Earlier).isEmpty();
+          };
+          if (!Free &&
+              (Backward(NA.SS.LocalIters.unionWith(NonLocal),
+                        NA.SS.NLWOIters) ||
+               Backward(NonLocal, NA.SS.LocalIters))) {
+            NA.DoSplit = false;
+            NA.SS = SplitSets();
+            NA.SplitRefused = true;
+          }
+        }
+        if (WantOrder) {
+          if (Free || orderKeepsDependences(D, Wanted)) {
+            NA.LoopOrder = Wanted;
+          } else {
+            NA.OrderRefused = true;
+            std::vector<unsigned> Unit = innermostOnly(Wanted);
+            if (orderKeepsDependences(D, Unit))
+              NA.LoopOrder = Unit;
+          }
+        }
+      }
+      if (!Reorder || !NA.DoSplit)
+        return;
+      // A union section is scanned as exact pieces, one after another,
+      // when no pair of D lies inside it.
+      const Relation *Sections[] = {&NA.SS.NLWOIters, &NA.SS.LocalIters,
+                                    &NonLocal};
+      for (unsigned K = 0; K != NA.SplitPieces.size(); ++K) {
+        const Relation &Sec = *Sections[K];
+        if (std::as_const(Sec).conjuncts().size() < 2)
+          continue;
+        if (!Free) {
+          PhaseTimers::Scope S(NA.Timers, phase::Dependences);
+          if (!NA.Dep.restrictDomain(Sec).restrictRange(Sec).isEmpty())
+            continue;
+        }
+        PhaseTimers::Scope S(NA.Timers, phase::LoopSplitting);
+        NA.SplitPieces[K] = disjointPieces(Sec);
+        if (NA.SplitPieces[K].size() < 2)
+          NA.SplitPieces[K].clear();
+      }
+    });
+  }
+
+  void dump(const CompileContext &Ctx, std::ostream &OS) const override {
+    static const char *const Tags[] = {"nlwo", "local", "nonlocal"};
+    for (size_t I = 0; I != Ctx.Nests.size(); ++I) {
+      const ComputeNest &Nest = *Ctx.Nests[I];
+      const NestAnalysis &NA = Ctx.NestAnalyses[I];
+      OS << "nest " << Nest.Name << ": order (";
+      for (size_t K = 0; K != NA.LoopOrder.size(); ++K)
+        OS << (K ? "," : "") << Nest.Loops[NA.LoopOrder[K]].Var;
+      OS << ")" << (NA.OrderRefused ? ", storage order refused" : "")
+         << (NA.SplitRefused ? ", split refused" : "") << "\n";
+      if (NA.HasDep)
+        OS << "  dep = " << NA.Dep.toString() << "\n";
+      for (size_t K = 0; K != NA.SplitPieces.size(); ++K)
+        if (!NA.SplitPieces[K].empty())
+          OS << "  " << Tags[K] << ": " << NA.SplitPieces[K].size()
+             << " exact pieces\n";
+    }
+  }
+};
+
+//===----------------------------------------------------------------------===//
 // VPPass: the busy virtual-processor union (Figure 6)
 //===----------------------------------------------------------------------===//
 
@@ -299,6 +401,9 @@ std::unique_ptr<Pass> core::createCommPass() {
 }
 std::unique_ptr<Pass> core::createSplitPass() {
   return std::make_unique<SplitPass>();
+}
+std::unique_ptr<Pass> core::createDepPass() {
+  return std::make_unique<DepPass>();
 }
 std::unique_ptr<Pass> core::createVPPass() {
   return std::make_unique<VPPass>();

@@ -315,6 +315,7 @@ std::string Daemon::handleCompile(unsigned ClientId,
   R.Opts.Coalescing = In.getU("coalesce", 1) != 0;
   R.Opts.InPlaceAnalysis = In.getU("inplace", 1) != 0;
   R.Opts.CombinedFormulation = In.getU("combined", 1) != 0;
+  R.Opts.ReorderLoops = In.getU("reorder", 1) != 0;
   R.Opts.AnalysisThreads = static_cast<unsigned>(In.getU("threads", 0));
   R.BypassArtifactCache = In.getU("fresh", 0) != 0;
 
@@ -423,6 +424,7 @@ DaemonCompileResult rt::daemonCompile(net::MsgStream &S,
   W.kvU("coalesce", Opts.Coalescing);
   W.kvU("inplace", Opts.InPlaceAnalysis);
   W.kvU("combined", Opts.CombinedFormulation);
+  W.kvU("reorder", Opts.ReorderLoops);
   W.kvU("threads", Opts.AnalysisThreads);
   W.kvU("fresh", Fresh ? 1 : 0);
   W.blob("source", Source);

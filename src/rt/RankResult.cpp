@@ -357,16 +357,13 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
       }
       if (Owns == 0)
         continue;
-      // Per dimension, each owned index's offset into the global array.
-      for (size_t D = 0; D != Own.size(); ++D)
-        for (int64_t &X : Own[D])
-          X = (X - A.Lo[D]) * Stride[D];
       size_t K = 0;
-      forEachIndex(Own, [&](const std::vector<int64_t> &Off) {
+      forEachRun(Own, [&](const std::vector<int64_t> &Idx, int64_t Len) {
         int64_t F = 0;
-        for (int64_t X : Off)
-          F += X;
-        G.at(F) = V[K++];
+        for (size_t D = 0; D != Idx.size(); ++D)
+          F += (Idx[D] - A.Lo[D]) * Stride[D];
+        std::memcpy(G.data() + F, V.data() + K, Len * sizeof(double));
+        K += Len;
       });
     }
   }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 using namespace dhpf;
@@ -433,11 +434,13 @@ void PlanExecutor::forOwned(unsigned P, uint32_t A, Fn &&F) const {
   const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
   std::vector<std::vector<int64_t>> Own =
       AL.owned(rankCoords({I.ProcShape, NP, {}}, P));
-  forEachIndex(Own, [&](const std::vector<int64_t> &Idx) {
-    int64_t B = 0;
-    for (size_t D = 0; D != Idx.size(); ++D)
+  forEachRun(Own, [&](const std::vector<int64_t> &Idx, int64_t Len) {
+    int64_t B = 0, G = 0;
+    for (size_t D = 0; D != Idx.size(); ++D) {
       B += (Idx[D] - BLo[D]) * BoxStride[A][D];
-    F(Idx, B);
+      G += (Idx[D] - AL.Lo[D]) * GlobalStride[A][D];
+    }
+    F(Idx, B, G, Len);
   });
 }
 
@@ -460,8 +463,9 @@ void PlanExecutor::setupStores() {
         R.Base += BLo[D] * BoxStride[A][D];
       R.Valid.assign(R.Box.size(), 0);
       forOwned(P, static_cast<uint32_t>(A),
-               [&](const std::vector<int64_t> &, int64_t B) {
-                 R.Valid[B] = ValidOwn;
+               [&](const std::vector<int64_t> &, int64_t B, int64_t,
+                   int64_t Len) {
+                 std::fill_n(R.Valid.begin() + B, Len, ValidOwn);
                });
     }
   });
@@ -474,9 +478,14 @@ void PlanExecutor::seed(
   // copy of a replicated array).
   forProcs([&](unsigned P) {
     RankStore &R = store(P, A);
-    forOwned(P, A, [&](const std::vector<int64_t> &Idx, int64_t B) {
-      R.Box.at(B) = Init(Idx);
-    });
+    std::vector<int64_t> At;
+    forOwned(P, A,
+             [&](const std::vector<int64_t> &Idx, int64_t B, int64_t,
+                 int64_t Len) {
+               At = Idx;
+               for (int64_t K = 0; K != Len; ++K, ++At[0])
+                 R.Box.at(B + K) = Init(At);
+             });
   });
 }
 
@@ -487,9 +496,12 @@ ArrayStore PlanExecutor::assemble(uint32_t A) const {
     if (AL.Replicated && P != Lo)
       continue;
     const ArrayStore &Box = store(P, A).Box;
-    forOwned(P, A, [&](const std::vector<int64_t> &Idx, int64_t B) {
-      Out.at(Out.flatten(Idx)) = Box.at(B);
-    });
+    forOwned(P, A,
+             [&](const std::vector<int64_t> &, int64_t B, int64_t G,
+                 int64_t Len) {
+               std::memcpy(Out.data() + G, Box.values().data() + B,
+                           Len * sizeof(double));
+             });
   }
   return Out;
 }
@@ -499,9 +511,17 @@ std::vector<double> PlanExecutor::ownedValues(unsigned R, uint32_t A) const {
   if (Storage.Arrays[A].Replicated && R != 0)
     return Out;
   const ArrayStore &Box = store(R, A).Box;
-  forOwned(R, A, [&](const std::vector<int64_t> &, int64_t B) {
-    Out.push_back(Box.at(B));
-  });
+  int64_t Owns = 1;
+  for (const std::vector<int64_t> &Dim :
+       Storage.Arrays[A].owned(rankCoords({I.ProcShape, NP, {}}, R)))
+    Owns *= static_cast<int64_t>(Dim.size());
+  Out.reserve(Owns);
+  forOwned(R, A,
+           [&](const std::vector<int64_t> &, int64_t B, int64_t,
+               int64_t Len) {
+             const double *V = Box.values().data() + B;
+             Out.insert(Out.end(), V, V + Len);
+           });
   return Out;
 }
 

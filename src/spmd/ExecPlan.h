@@ -297,8 +297,11 @@ private:
   void setupStores();
   /// The flat index in the whole array of rank \p P's box index \p F.
   int64_t globalFlat(unsigned P, uint32_t A, int64_t F) const;
-  /// Calls \p Fn(Idx, BoxIndex) for each element of array \p A rank \p P
-  /// owns (every element of a replicated array), in increasing flat order.
+  /// Calls \p Fn(Idx, BoxIndex, GlobalFlat, Len) for each run of
+  /// consecutive dimension-0 elements of array \p A that rank \p P owns
+  /// (every element of a replicated array), in increasing flat order: the
+  /// run starts at index tuple Idx, box index BoxIndex and flat index
+  /// GlobalFlat in the whole array, and holds Len elements.
   template <typename Fn> void forOwned(unsigned P, uint32_t A, Fn &&F) const;
 
   /// Native-engine state: the loaded kernel table and the array tables

@@ -201,6 +201,35 @@ void forEachIndex(const std::vector<std::vector<int64_t>> &Lists, Fn &&F) {
   }
 }
 
+/// Calls \p F(Idx, Len) for every run of the product of \p Lists whose
+/// dimension-0 indices are consecutive, in column-major order: the run
+/// starts at index tuple Idx and covers Idx[0] .. Idx[0] + Len - 1.
+template <typename Fn>
+void forEachRun(const std::vector<std::vector<int64_t>> &Lists, Fn &&F) {
+  if (Lists.empty() || Lists[0].empty())
+    return;
+  std::vector<int64_t> Starts, Lens;
+  for (int64_t X : Lists[0]) {
+    if (!Starts.empty() && Starts.back() + Lens.back() == X) {
+      ++Lens.back();
+      continue;
+    }
+    Starts.push_back(X);
+    Lens.push_back(1);
+  }
+  // Dimension 0 walks run numbers; each becomes its run's first index.
+  std::vector<std::vector<int64_t>> Heads = Lists;
+  Heads[0].resize(Starts.size());
+  for (size_t R = 0; R != Starts.size(); ++R)
+    Heads[0][R] = static_cast<int64_t>(R);
+  std::vector<int64_t> Idx;
+  forEachIndex(Heads, [&](const std::vector<int64_t> &H) {
+    Idx = H;
+    Idx[0] = Starts[H[0]];
+    F(Idx, Lens[H[0]]);
+  });
+}
+
 } // namespace spmd
 } // namespace dhpf
 

@@ -85,24 +85,32 @@ std::string appSource(apps::AppInstance (*Make)(int64_t, int64_t), int64_t N,
 TEST(DaemonCompile, ByteIdenticalToLocalService) {
   ScopedDaemon SD;
   std::string Source = appSource(apps::makeJacobi, 14, 2);
-  CompilerOptions CO;
+  // Loop reordering changes the program, so the option must reach the
+  // daemon's compile.
+  std::vector<std::string> Programs;
+  for (bool Reorder : {true, false}) {
+    CompilerOptions CO;
+    CO.ReorderLoops = Reorder;
 
-  CompileRequest R;
-  R.Name = "<daemon_test>";
-  R.Source = Source;
-  R.Opts = CO;
-  R.BypassArtifactCache = true;
-  std::shared_ptr<const CompileArtifact> Local =
-      CompilerService::global().compile(R);
-  ASSERT_TRUE(Local->Ok) << Local->DiagText;
+    CompileRequest R;
+    R.Name = "<daemon_test>";
+    R.Source = Source;
+    R.Opts = CO;
+    R.BypassArtifactCache = true;
+    std::shared_ptr<const CompileArtifact> Local =
+        CompilerService::global().compile(R);
+    ASSERT_TRUE(Local->Ok) << Local->DiagText;
 
-  std::unique_ptr<net::MsgStream> S = SD.connect();
-  DaemonCompileResult Remote =
-      daemonCompile(*S, "<daemon_test>", Source, CO, /*Fresh=*/true);
-  ASSERT_TRUE(Remote.Ok) << Remote.DiagText;
-  EXPECT_EQ(Remote.Spmd, Local->Spmd);
-  EXPECT_EQ(Remote.ProgName, Local->ProgName);
-  EXPECT_EQ(Remote.Fingerprint, Local->Fingerprint);
+    std::unique_ptr<net::MsgStream> S = SD.connect();
+    DaemonCompileResult Remote =
+        daemonCompile(*S, "<daemon_test>", Source, CO, /*Fresh=*/true);
+    ASSERT_TRUE(Remote.Ok) << Remote.DiagText;
+    EXPECT_EQ(Remote.Spmd, Local->Spmd);
+    EXPECT_EQ(Remote.ProgName, Local->ProgName);
+    EXPECT_EQ(Remote.Fingerprint, Local->Fingerprint);
+    Programs.push_back(Remote.Spmd);
+  }
+  EXPECT_NE(Programs[0], Programs[1]);
 }
 
 TEST(DaemonCompile, ConcurrentSameFingerprintDedupsToOneCompile) {

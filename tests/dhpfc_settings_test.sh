@@ -36,7 +36,7 @@ ablations)
 dump-after)
   n=$("$DHPFC" compile "$PROG" -o /dev/null -dump-after=all 2>&1 |
     grep -c 'IR dump after')
-  [ "$n" -eq 5 ] || fail "$n 'IR dump after' banners, want 5"
+  [ "$n" -eq 6 ] || fail "$n 'IR dump after' banners, want 6"
   ;;
 no-check)
   out=$("$DHPFC" run "$PROG" --no-check) || fail "exit $?"
