@@ -38,7 +38,7 @@ void runCase(const char *Name, AppInstance App,
     RC.Machine.PackPerByte = 20e-9; // make copy cost visible
     RC.ProcExtents = {{App.ProcArrayName, Shape}};
     Interpreter I(SP, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     if (!RR.Valid)
       std::fprintf(stderr, "VALIDITY FAILURE %s\n", Name);

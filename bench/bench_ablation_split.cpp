@@ -33,7 +33,7 @@ double timedRun(const AppInstance &App, bool Splitting,
   RC.Machine.Alpha = 200e-6;
   RC.ProcExtents = {{App.ProcArrayName, Shape}};
   Interpreter I(Compiled->Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunResult RR = I.run();
   Msgs = RR.Messages;
   if (!RR.Valid)

@@ -65,7 +65,7 @@ Series runSeries(AppInstance App, const std::string &Label,
     RC.Machine.BetaPerByte = 25e-9;
     RC.ProcExtents = {{App.ProcArrayName, Shape(NP)}};
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     if (!RR.Valid) {
       std::fprintf(stderr, "VALIDITY FAILURE %s p=%d: %s\n", Label.c_str(),

@@ -65,7 +65,7 @@ double timedPipeline(AppInstance (*Make)(),
   RC.Engine = EngineKind::Bytecode;
   RC.ExecThreads = 1;
   Interpreter I(Compiled->Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunResult RR = I.run();
   double Secs = now() - T0;
   M.Valid = M.Valid && RR.Valid;

@@ -93,7 +93,7 @@ double timedRun(const CompileOutput &Compiled, const AppInstance &App,
   RC.ExecThreads = Threads;
   double T0 = now();
   Interpreter I(Compiled.Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunResult RR = I.run();
   double Secs = now() - T0;
   M.StmtInstances = RR.StmtInstances;

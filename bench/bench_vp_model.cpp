@@ -12,6 +12,7 @@
 
 #include "apps/Apps.h"
 #include "core/Compiler.h"
+#include "hpf/HpfParser.h"
 
 #include <cstdio>
 
@@ -41,17 +42,9 @@ AppInstance fixedTwin(const char *Which, int64_t N) {
   ComputeNest Nest;
   Nest.Name = "resid";
   Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1)};
-  Statement S;
-  S.Write = ref("RX", {"i", "j"});
-  S.Reads = {ref("X", {AffineExpr("i") - 1, "j"}),
-             ref("X", {AffineExpr("i") + 1, "j"}),
-             ref("X", {"i", AffineExpr("j") - 1}),
-             ref("X", {"i", AffineExpr("j") + 1}),
-             ref("X", {"i", "j"})};
-  S.SemanticsId = 0;
-  Nest.Stmts = {S};
+  Nest.Stmts = {parseStatement("RX(i,j) = X(i-1,j) + X(i+1,j) + X(i,j-1) + "
+                                "X(i,j+1) - 4*X(i,j)")};
   P.addNest(Main, Nest);
-  App.Setup = [](spmd::Interpreter &) {};
   return App;
 }
 
@@ -86,7 +79,7 @@ int main() {
     RunConfig RC;
     RC.ProcExtents = {{G.ProcArrayName, Shape}};
     Interpreter I(C->Program, RC);
-    G.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     if (Shape[0] == 1 && Shape[1] == 1)
       T1 = RR.SimSeconds;

@@ -40,7 +40,7 @@ int main() {
     RunConfig RC;
     RC.ProcExtents = {{App.ProcArrayName, Shape}};
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     std::string Err;
     bool OK = RR.Valid && App.Check(I, Err);

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Mini-HPF encodings of the paper's benchmark codes, each with runnable
-/// semantics and a serial reference check:
+/// Mini-HPF encodings of the paper's benchmark codes, each carrying its
+/// arithmetic and initial values in the program, plus a serial reference
+/// check:
 ///
 ///   - JACOBI: 4-point stencil with a convergence reduction, (BLOCK,BLOCK)
 ///     on a 2 x (P/2) processor grid (Figure 7(c)).
@@ -39,14 +40,11 @@
 namespace dhpf {
 namespace apps {
 
-/// A benchmark program plus its runnable semantics and validation.
+/// A benchmark program plus its validation.
 struct AppInstance {
   std::string Name;
   std::unique_ptr<hpf::Program> Prog;
   std::string ProcArrayName;
-  /// Registers statement semantics and initializes arrays, on an
-  /// in-process Interpreter or on one rank of a distributed run.
-  std::function<void(spmd::Interpreter &)> Setup;
   /// Compares the final state with a serial reference; returns true on
   /// success and fills \p Err otherwise. Null when no check is provided.
   std::function<bool(spmd::Interpreter &, std::string &Err)> Check;

@@ -16,6 +16,8 @@
 
 #include "apps/Apps.h"
 
+#include "hpf/HpfParser.h"
+
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -38,10 +40,12 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
 
   P.addProcs("P", {Program::procDimSym("NP")});
   P.addTemplate("T", {range(1, N), range(1, N), range(1, N)});
-  for (const char *A : {"F", "D"}) {
-    P.addArray(A, {range(1, N), range(1, N), range(1, N)});
+  // F holds the data; D starts at 0.
+  P.addArray("F", {range(1, N), range(1, N), range(1, N)}).Init =
+      parseInit("(i,j,k) sin(0.1*i)*cos(0.1*j) + 0.05*k");
+  P.addArray("D", {range(1, N), range(1, N), range(1, N)});
+  for (const char *A : {"F", "D"})
     P.addAlign({A, "T", {alignDim(0), alignDim(1), alignDim(2)}});
-  }
   P.addDistribute({"T", "P", {distStar(), distStar(), distBlock()}});
 
   Procedure &Main = P.addProcedure("main");
@@ -53,15 +57,9 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
     Nest.Name = "xysweep";
     Nest.Loops = {loop("k", 1, N), loop("i", 2, N - 1),
                   loop("j", 2, N - 1)};
-    Statement S;
-    S.Write = ref("D", {"i", "j", "k"});
-    S.Reads = {ref("F", {AffineExpr("i") - 1, "j", "k"}),
-               ref("F", {AffineExpr("i") + 1, "j", "k"}),
-               ref("F", {"i", AffineExpr("j") - 1, "k"}),
-               ref("F", {"i", AffineExpr("j") + 1, "k"})};
-    S.SemanticsId = 0;
-    S.Cost = 4;
-    Nest.Stmts = {S};
+    Nest.Stmts = {parseStatement(
+        "D(i,j,k) = 0.5*(-F(i-1,j,k) + F(i+1,j,k)) + "
+        "0.5*(-F(i,j-1,k) + F(i,j+1,k)) cost 4")};
     P.addNestIn(Time, Nest);
   }
   // z central difference: nearest-neighbour exchange in the distributed
@@ -72,14 +70,9 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
     // Full (i,j) planes: the exchanged k-boundary is then a whole plane,
     // contiguous in column-major order (the Section 3.3 in-place case).
     Nest.Loops = {loop("k", 2, N - 1), loop("i", 1, N), loop("j", 1, N)};
-    Statement S;
-    S.Write = ref("D", {"i", "j", "k"});
-    S.Reads = {ref("D", {"i", "j", "k"}),
-               ref("F", {"i", "j", AffineExpr("k") - 1}),
-               ref("F", {"i", "j", AffineExpr("k") + 1})};
-    S.SemanticsId = 1;
-    S.Cost = 3;
-    Nest.Stmts = {S};
+    Nest.Stmts = {parseStatement(
+        "D(i,j,k) = D(i,j,k) + 0.5*(-F(i,j,k-1) + F(i,j,k+1)) cost 3 "
+        "accum sum dsum D(i,j,k)")};
     P.addNestIn(Time, Nest);
   }
   // Pipelined z recurrence: the k-carried dependence keeps communication
@@ -89,13 +82,8 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
     Nest.Name = "ztri";
     Nest.Loops = {loop("k", 2, N), loop("i", 1, N), loop("j", 1, N)};
     Nest.VectorizeLevel = 1;
-    Statement S;
-    S.Write = ref("D", {"i", "j", "k"});
-    S.Reads = {ref("D", {"i", "j", "k"}),
-               ref("D", {"i", "j", AffineExpr("k") - 1})};
-    S.SemanticsId = 2;
-    S.Cost = 2;
-    Nest.Stmts = {S};
+    Nest.Stmts = {
+        parseStatement("D(i,j,k) = D(i,j,k) - 0.4*D(i,j,k-1) cost 2")};
     P.addNestIn(Time, Nest);
   }
   Reduction R;
@@ -106,25 +94,6 @@ AppInstance apps::makeErlebacher(int64_t N, int64_t Steps) {
   auto Init = [](const std::vector<int64_t> &Idx) {
     return std::sin(0.1 * double(Idx[0])) * std::cos(0.1 * double(Idx[1])) +
            0.05 * double(Idx[2]);
-  };
-
-  App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &) {
-      return 0.5 * (Rd[1] - Rd[0]) + 0.5 * (Rd[3] - Rd[2]);
-    });
-    I.setSemantics(1, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &Acc) {
-      double V = Rd[0] + 0.5 * (Rd[2] - Rd[1]);
-      Acc["dsum"] += V;
-      return V;
-    });
-    I.setSemantics(2, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &) {
-      return Rd[0] - CPipe * Rd[1];
-    });
-    I.initArray("F", Init);
-    I.initArray("D", [](const std::vector<int64_t> &) { return 0.0; });
   };
 
   App.Check = [N, Steps, Init](Interpreter &I, std::string &Err) {

@@ -15,6 +15,8 @@
 
 #include "apps/Apps.h"
 
+#include "hpf/HpfParser.h"
+
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -33,7 +35,11 @@ AppInstance apps::makeGauss(int64_t N) {
 
   P.addProcs("PA", {Program::procDimSym("P1"), Program::procDimSym("P2")});
   P.addTemplate("T", {range(1, N), range(1, N)});
-  P.addArray("A", {range(1, N), range(1, N)});
+  // Diagonally dominant so the elimination stays well-conditioned:
+  // 1/(1+|i-j|), plus N on the diagonal.
+  P.addArray("A", {range(1, N), range(1, N)}).Init =
+      parseInit("(i,j) 1/(1 + abs(i - j)) + " + std::to_string(N) +
+                "*max(0, 1 - abs(i - j))");
   P.addAlign({"A", "T", {alignDim(0), alignDim(1)}});
   P.addDistribute({"T", "PA", {distCyclic(), distCyclic()}});
 
@@ -43,29 +49,14 @@ AppInstance apps::makeGauss(int64_t N) {
   Nest.Name = "update";
   Nest.Loops = {loop("i", AffineExpr("pv") + 1, N),
                 loop("j", AffineExpr("pv") + 1, N)};
-  Statement S;
-  S.Write = ref("A", {"i", "j"});
-  S.Reads = {ref("A", {"i", "j"}), ref("A", {"i", "pv"}),
-             ref("A", {"pv", "j"})};
-  S.SemanticsId = 0;
-  S.Cost = 2;
-  Nest.Stmts = {S};
+  Nest.Stmts = {parseStatement("A(i,j) = A(i,j) - A(i,pv)*A(pv,j) cost 2")};
   P.addNestIn(Piv, Nest);
 
   auto Init = [N](const std::vector<int64_t> &Idx) {
-    // Diagonally dominant so the elimination stays well-conditioned.
     double V = 1.0 / double(1 + std::abs(Idx[0] - Idx[1]));
     if (Idx[0] == Idx[1])
       V += double(N);
     return V;
-  };
-
-  App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &) {
-      return Rd[0] - Rd[1] * Rd[2];
-    });
-    I.initArray("A", Init);
   };
 
   App.Check = [N, Init](Interpreter &I, std::string &Err) {

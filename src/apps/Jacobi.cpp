@@ -13,6 +13,8 @@
 
 #include "apps/Apps.h"
 
+#include "hpf/HpfParser.h"
+
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -33,8 +35,9 @@ AppInstance apps::makeJacobi(int64_t N, int64_t Steps) {
   // same compiled code runs on any grid (the paper leaves P unspecified).
   P.addProcs("PR", {Program::procDimSym("PV"), Program::procDimSym("PH")});
   P.addTemplate("T", {range(1, N), range(1, N)});
-  P.addArray("U", {range(1, N), range(1, N)});
-  P.addArray("V", {range(1, N), range(1, N)});
+  for (const char *A : {"U", "V"})
+    P.addArray(A, {range(1, N), range(1, N)}).Init =
+        parseInit("(i,j) sin(0.05*i) + cos(0.07*j)");
   P.addAlign({"U", "T", {alignDim(0), alignDim(1)}});
   P.addAlign({"V", "T", {alignDim(0), alignDim(1)}});
   P.addDistribute({"T", "PR", {distBlock(), distBlock()}});
@@ -45,28 +48,17 @@ AppInstance apps::makeJacobi(int64_t N, int64_t Steps) {
     ComputeNest Nest;
     Nest.Name = "sweep";
     Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1)};
-    Statement S;
-    S.Write = ref("V", {"i", "j"});
-    S.Reads = {ref("U", {AffineExpr("i") - 1, "j"}),
-               ref("U", {AffineExpr("i") + 1, "j"}),
-               ref("U", {"i", AffineExpr("j") - 1}),
-               ref("U", {"i", AffineExpr("j") + 1}),
-               ref("U", {"i", "j"})};
-    S.SemanticsId = 0;
-    S.Cost = 6; // 4 adds, 1 mul, 1 diff
-    Nest.Stmts = {S};
+    // 4 adds, 1 mul, 1 diff; the residual is the largest change.
+    Nest.Stmts = {parseStatement(
+        "V(i,j) = 0.25*(U(i-1,j) + U(i+1,j) + U(i,j-1) + U(i,j+1)) cost 6 "
+        "accum max resid abs(V(i,j) - U(i,j))")};
     P.addNestIn(Time, Nest);
   }
   {
     ComputeNest Nest;
     Nest.Name = "copyback";
     Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1)};
-    Statement S;
-    S.Write = ref("U", {"i", "j"});
-    S.Reads = {ref("V", {"i", "j"})};
-    S.SemanticsId = 1;
-    S.Cost = 1;
-    Nest.Stmts = {S};
+    Nest.Stmts = {parseStatement("U(i,j) = V(i,j)")};
     P.addNestIn(Time, Nest);
   }
   Reduction R;
@@ -76,21 +68,6 @@ AppInstance apps::makeJacobi(int64_t N, int64_t Steps) {
 
   auto Init = [](const std::vector<int64_t> &Idx) {
     return std::sin(0.05 * double(Idx[0])) + std::cos(0.07 * double(Idx[1]));
-  };
-
-  App.Setup = [Init](spmd::Interpreter &I) {
-    I.setSemantics(0, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &Acc) {
-      double V = 0.25 * (Rd[0] + Rd[1] + Rd[2] + Rd[3]);
-      Acc["resid"] = std::max(Acc["resid"], std::abs(V - Rd[4]));
-      return V;
-    });
-    I.setSemantics(1, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &) {
-      return Rd[0];
-    });
-    I.initArray("U", Init);
-    I.initArray("V", Init);
   };
 
   App.Check = [N, Steps, Init](Interpreter &I, std::string &Err) {

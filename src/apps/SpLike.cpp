@@ -12,12 +12,14 @@
 /// ON_HOME partitionings, and local copy nests. The paper's SP-4 uses a
 /// fixed 2x2 processor grid; sp-sym leaves the total symbolic
 /// (2 x number_of_processors()/2). Compile time depends on program
-/// *structure*, which this generator matches; the numerics are generic and
-/// runnable for validity checks.
+/// *structure*, which this generator matches; the numerics are simple
+/// averages, runnable for validity checks.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "apps/Apps.h"
+
+#include "hpf/HpfParser.h"
 
 using namespace dhpf;
 using namespace dhpf::apps;
@@ -40,7 +42,8 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
   // Three 3-D state arrays plus one 4-D array (leading free dimension of
   // extent 5, like SP's u(5,N,N,N)).
   for (const char *A : {"U", "V", "W"}) {
-    P.addArray(A, {range(1, N), range(1, N), range(1, N)});
+    P.addArray(A, {range(1, N), range(1, N), range(1, N)}).Init =
+        parseInit("(i,j,k) i + 2*j + 3*k");
     P.addAlign({A, "T", {alignDim(0), alignDim(1), alignDim(2)}});
   }
   P.addArray("Q", {range(1, 5), range(1, N), range(1, N), range(1, N)});
@@ -51,8 +54,8 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
   for (unsigned Pi = 0; Pi != Procedures; ++Pi) {
     Procedure &Proc = P.addProcedure("sub" + std::to_string(Pi));
     unsigned Kind = Pi % 5;
-    const char *Src = Arrays3[Pi % 3];
-    const char *Dst = Arrays3[(Pi + 1) % 3];
+    const std::string Src = Arrays3[Pi % 3];
+    const std::string Dst = Arrays3[(Pi + 1) % 3];
     switch (Kind) {
     case 0: {
       // compute_rhs-like: 7-point stencil, shifts in both distributed dims.
@@ -60,17 +63,10 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
       Nest.Name = Proc.Name + "/rhs";
       Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1),
                     loop("k", 2, N - 1)};
-      Statement S;
-      S.Write = ref(Dst, {"i", "j", "k"});
-      S.Reads = {ref(Src, {"i", AffineExpr("j") - 1, "k"}),
-                 ref(Src, {"i", AffineExpr("j") + 1, "k"}),
-                 ref(Src, {"i", "j", AffineExpr("k") - 1}),
-                 ref(Src, {"i", "j", AffineExpr("k") + 1}),
-                 ref(Src, {AffineExpr("i") - 1, "j", "k"}),
-                 ref(Src, {AffineExpr("i") + 1, "j", "k"})};
-      S.SemanticsId = 0;
-      S.Cost = 8;
-      Nest.Stmts = {S};
+      Nest.Stmts = {parseStatement(
+          Dst + "(i,j,k) = (" + Src + "(i,j-1,k) + " + Src + "(i,j+1,k) + " +
+          Src + "(i,j,k-1) + " + Src + "(i,j,k+1) + " + Src + "(i-1,j,k) + " +
+          Src + "(i+1,j,k))/6 cost 8")};
       P.addNest(Proc, Nest);
       break;
     }
@@ -80,13 +76,8 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
       Nest.Name = Proc.Name + "/ysolve";
       Nest.Loops = {loop("j", 2, N), loop("i", 1, N), loop("k", 1, N)};
       Nest.VectorizeLevel = 1;
-      Statement S;
-      S.Write = ref(Dst, {"i", "j", "k"});
-      S.Reads = {ref(Dst, {"i", AffineExpr("j") - 1, "k"}),
-                 ref(Src, {"i", "j", "k"})};
-      S.SemanticsId = 1;
-      S.Cost = 3;
-      Nest.Stmts = {S};
+      Nest.Stmts = {parseStatement(Dst + "(i,j,k) = (" + Dst + "(i,j-1,k) + " +
+                                   Src + "(i,j,k))/2 cost 3")};
       P.addNest(Proc, Nest);
       break;
     }
@@ -95,13 +86,8 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
       ComputeNest Nest;
       Nest.Name = Proc.Name + "/nonowner";
       Nest.Loops = {loop("i", 1, N), loop("j", 2, N), loop("k", 1, N)};
-      Statement S;
-      S.Write = ref(Dst, {"i", "j", "k"});
-      S.Reads = {ref(Src, {"i", AffineExpr("j") - 1, "k"})};
-      S.OnHome = {ref(Src, {"i", AffineExpr("j") - 1, "k"})};
-      S.SemanticsId = 2;
-      S.Cost = 2;
-      Nest.Stmts = {S};
+      Nest.Stmts = {parseStatement(Dst + "(i,j,k) = " + Src + "(i,j-1,k) onhome " +
+                                   Src + "(i,j-1,k) cost 2")};
       P.addNest(Proc, Nest);
       break;
     }
@@ -112,18 +98,9 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
       Nest.Name = Proc.Name + "/flux";
       Nest.Loops = {loop("i", 1, N), loop("j", 1, N),
                     loop("k", 2, N - 1)};
-      Statement S1;
-      S1.Write = ref("Q", {2, "i", "j", "k"});
-      S1.Reads = {ref(Src, {"i", "j", AffineExpr("k") - 1}),
-                  ref(Src, {"i", "j", AffineExpr("k") + 1})};
-      S1.SemanticsId = 3;
-      S1.Cost = 4;
-      Statement S2;
-      S2.Write = ref(Dst, {"i", "j", "k"});
-      S2.Reads = {ref(Src, {"i", "j", "k"})};
-      S2.SemanticsId = 4;
-      S2.Cost = 1;
-      Nest.Stmts = {S1, S2};
+      Nest.Stmts = {parseStatement("Q(2,i,j,k) = (" + Src + "(i,j,k-1) + " +
+                                   Src + "(i,j,k+1))/2 cost 4"),
+                    parseStatement(Dst + "(i,j,k) = " + Src + "(i,j,k)")};
       P.addNest(Proc, Nest);
       break;
     }
@@ -132,12 +109,9 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
       ComputeNest Nest;
       Nest.Name = Proc.Name + "/add";
       Nest.Loops = {loop("i", 1, N), loop("j", 1, N), loop("k", 1, N)};
-      Statement S;
-      S.Write = ref(Dst, {"i", "j", "k"});
-      S.Reads = {ref(Dst, {"i", "j", "k"}), ref(Src, {"i", "j", "k"})};
-      S.SemanticsId = 4;
-      S.Cost = 2;
-      Nest.Stmts = {S};
+      Nest.Stmts = {parseStatement(Dst + "(i,j,k) = (" + Dst + "(i,j,k) + " +
+                                   Src + "(i,j,k))/2 cost 2 accum sum rnorm " +
+                                   Dst + "(i,j,k)")};
       P.addNest(Proc, Nest);
       Reduction R;
       R.O = Reduction::Op::Sum;
@@ -148,22 +122,6 @@ AppInstance apps::makeSpLike(unsigned Procedures, bool SymbolicProcs,
     }
   }
 
-  App.Setup = [](spmd::Interpreter &I) {
-    auto Avg = [](std::span<const double> Rd,
-                  std::span<const int64_t>, AccumMap &) {
-      double S = 0;
-      for (double V : Rd)
-        S += V;
-      return S / double(Rd.size());
-    };
-    for (int Id = 0; Id != 5; ++Id)
-      I.setSemantics(Id, Avg);
-    for (const char *A : {"U", "V", "W"})
-      I.initArray(A, [](const std::vector<int64_t> &Idx) {
-        return double(Idx[0] + 2 * Idx[1] + 3 * Idx[2]);
-      });
-    I.initArray("Q", [](const std::vector<int64_t> &) { return 0.0; });
-  };
   // No serial check: this is the compile-time subject. Validity (ownership
   // and message matching) is still verified by the interpreter.
   return App;

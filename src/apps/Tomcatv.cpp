@@ -16,6 +16,8 @@
 
 #include "apps/Apps.h"
 
+#include "hpf/HpfParser.h"
+
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -38,8 +40,15 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
 
   P.addProcs("P", {Program::procDimSym("NP")});
   P.addTemplate("T", {range(1, N), range(1, N)});
-  for (const char *A : {"X", "Y", "RX", "RY"}) {
-    P.addArray(A, {range(1, N), range(1, N)});
+  const std::pair<const char *, const char *> Arrays[] = {
+      {"X", "(i,j) 0.01*i + sin(0.1*j)"},
+      {"Y", "(i,j) 0.02*j + cos(0.1*i)"},
+      {"RX", nullptr},
+      {"RY", nullptr}};
+  for (auto [A, Init] : Arrays) {
+    ArrayDecl &D = P.addArray(A, {range(1, N), range(1, N)});
+    if (Init)
+      D.Init = parseInit(Init);
     P.addAlign({A, "T", {alignDim(0), alignDim(1)}});
   }
   P.addDistribute({"T", "P", {distBlock(), distStar()}});
@@ -48,26 +57,19 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
   Phase &Time = P.addSeqLoop(Main, "t", Steps);
 
   // Residual stencils: one statement group (identical owner-computes CPs),
-  // two coalesced communication events (X and Y boundary rows).
+  // two coalesced communication events (X and Y boundary rows). Each
+  // residual's largest magnitude feeds its own max reduction.
   {
     ComputeNest Nest;
     Nest.Name = "resid";
     Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1)};
-    Statement SX;
-    SX.Write = ref("RX", {"i", "j"});
-    SX.Reads = {ref("X", {AffineExpr("i") - 1, "j"}),
-                ref("X", {AffineExpr("i") + 1, "j"}),
-                ref("X", {"i", AffineExpr("j") - 1}),
-                ref("X", {"i", AffineExpr("j") + 1}),
-                ref("X", {"i", "j"})};
-    SX.SemanticsId = 0;
-    SX.Cost = 7;
-    Statement SY = SX;
-    SY.Write = ref("RY", {"i", "j"});
-    for (auto &Rd : SY.Reads)
-      Rd.Array = "Y";
-    SY.SemanticsId = 0;
-    Nest.Stmts = {SX, SY};
+    for (const char *C : {"X", "Y"}) {
+      std::string A = C, R = "R" + A;
+      Nest.Stmts.push_back(parseStatement(
+          R + "(i,j) = " + A + "(i-1,j) + " + A + "(i+1,j) + " + A +
+          "(i,j-1) + " + A + "(i,j+1) - 4*" + A + "(i,j) cost 7 accum max " +
+          (A == "X" ? "rxm" : "rym") + " abs(" + R + "(i,j))"));
+    }
     P.addNestIn(Time, Nest);
   }
   // Two maxloc-style reductions (the paper implements these specially;
@@ -85,15 +87,8 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
     ComputeNest Nest;
     Nest.Name = "update";
     Nest.Loops = {loop("i", 2, N - 1), loop("j", 2, N - 1)};
-    Statement SX;
-    SX.Write = ref("X", {"i", "j"});
-    SX.Reads = {ref("X", {"i", "j"}), ref("RX", {"i", "j"})};
-    SX.SemanticsId = 1;
-    SX.Cost = 2;
-    Statement SY = SX;
-    SY.Write = ref("Y", {"i", "j"});
-    SY.Reads = {ref("Y", {"i", "j"}), ref("RY", {"i", "j"})};
-    Nest.Stmts = {SX, SY};
+    Nest.Stmts = {parseStatement("X(i,j) = X(i,j) + 0.35*RX(i,j) cost 2"),
+                  parseStatement("Y(i,j) = Y(i,j) + 0.35*RY(i,j) cost 2")};
     P.addNestIn(Time, Nest);
   }
 
@@ -102,22 +97,6 @@ AppInstance apps::makeTomcatv(int64_t N, int64_t Steps) {
   };
   auto InitY = [](const std::vector<int64_t> &Idx) {
     return 0.02 * double(Idx[1]) + std::cos(0.1 * double(Idx[0]));
-  };
-
-  App.Setup = [InitX, InitY](spmd::Interpreter &I) {
-    I.setSemantics(0, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &Acc) {
-      double R = Rd[0] + Rd[1] + Rd[2] + Rd[3] - 4.0 * Rd[4];
-      Acc["rxm"] = std::max(Acc["rxm"], std::abs(R));
-      Acc["rym"] = Acc["rxm"];
-      return R;
-    });
-    I.setSemantics(1, [](std::span<const double> Rd,
-                         std::span<const int64_t>, AccumMap &) {
-      return Rd[0] + Omega * Rd[1];
-    });
-    I.initArray("X", InitX);
-    I.initArray("Y", InitY);
   };
 
   App.Check = [N, Steps, InitX, InitY](Interpreter &I, std::string &Err) {

@@ -72,6 +72,9 @@ struct NestAnalysis {
   Relation Dep;        ///< the dependence relation (core/Dependence.h)
   bool OrderRefused = false;
   bool SplitRefused = false;
+  /// The communication level a flow dependence across processors needs,
+  /// when it is deeper than the nest's own (the program is refused).
+  unsigned NeededLevel = 0;
   // VPPass
   Relation BusyVP;
   bool AnyBusy = false;
@@ -99,6 +102,9 @@ struct CompileContext {
   unsigned Threads = 1;
   /// Shared worker pool for the analysis passes (null = sequential).
   std::unique_ptr<ThreadPool> Pool;
+  /// A pass refused the program (reported into Diags when there is one);
+  /// the driver stops and returns no output.
+  bool Refused = false;
 
   CompileContext(const hpf::Program &P, CompilerOptions Opts)
       : P(P), Opts(std::move(Opts)), MB(P) {}

@@ -83,6 +83,7 @@ bool core::validateProgram(const Program &P, DiagnosticEngine &Diags) {
           std::to_string(TIt->second.rank()));
   }
 
+  std::set<std::string> Reduces; // the checked procedure's
   std::function<void(const Phase &)> CheckPhase = [&](const Phase &Ph) {
     if (Ph.K == Phase::Kind::Nest) {
       const ComputeNest &Nest = Ph.Nest;
@@ -99,14 +100,27 @@ bool core::validateProgram(const Program &P, DiagnosticEngine &Diags) {
           CheckRef(R, Where);
         for (const Reference &R : St.OnHome)
           CheckRef(R, Where + " (onhome)");
+        if (St.Acc && !Reduces.count(St.Acc->Name))
+          Err(Where + " accumulates into '" + St.Acc->Name +
+              "', which is not a reduce of its procedure");
       }
     }
     for (const Phase &Sub : Ph.Body)
       CheckPhase(Sub);
   };
-  for (const Procedure &Proc : P.procedures())
+  std::function<void(const Phase &)> CollectReduces = [&](const Phase &Ph) {
+    if (Ph.K == Phase::Kind::Reduce)
+      Reduces.insert(Ph.Reduce.Name);
+    for (const Phase &Sub : Ph.Body)
+      CollectReduces(Sub);
+  };
+  for (const Procedure &Proc : P.procedures()) {
+    Reduces.clear();
+    for (const Phase &Ph : Proc.Phases)
+      CollectReduces(Ph);
     for (const Phase &Ph : Proc.Phases)
       CheckPhase(Ph);
+  }
 
   // Every distributed array must trace to a distributed template: the map
   // builder asserts this; report it as a diagnostic first.
@@ -289,6 +303,8 @@ std::unique_ptr<CompileOutput> CompilerDriver::run() {
                                     std::to_string(Ctx.Nests.size()));
         P->run(Ctx);
       }
+      if (Ctx.Refused)
+        return nullptr;
       obs::MetricsRegistry::global()
           .counter(std::string("core.pass.") + P->name() + ".runs")
           ->inc();

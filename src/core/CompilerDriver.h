@@ -43,7 +43,9 @@ public:
                  DiagnosticEngine *Diags = nullptr);
 
   /// Runs the full pipeline. Returns null iff validation failed (only
-  /// possible when a DiagnosticEngine was attached; the errors are in it).
+  /// possible when a DiagnosticEngine was attached; the errors are in it)
+  /// or a pass refused the program (a flow dependence that communication
+  /// placement cannot serve; reported when one is attached).
   std::unique_ptr<CompileOutput> run();
 
   /// The pipeline's pass names in order (the values -dump-after accepts).

@@ -50,6 +50,20 @@ Relation withOutNames(const Relation &R, const std::vector<std::string> &Names) 
   return Out;
 }
 
+/// { s -> t : s_k = t_k for k < Outer } over \p NumLoops loops.
+Relation agreeOn(unsigned NumLoops, unsigned Outer) {
+  std::vector<std::string> S, T;
+  for (unsigned K = 0; K != NumLoops; ++K) {
+    S.push_back("s" + std::to_string(K));
+    T.push_back("t" + std::to_string(K));
+  }
+  Relation R(Space::map(S, T));
+  Conjunct &C = R.addConjunct();
+  for (unsigned K = 0; K != Outer; ++K)
+    C.addConstraint({{C.inCol(K), 1}, {C.outCol(K), -1}}, 0, /*IsEq=*/true);
+  return R;
+}
+
 std::vector<unsigned> sourceOrder(unsigned N) {
   std::vector<unsigned> Order(N);
   std::iota(Order.begin(), Order.end(), 0u);
@@ -97,6 +111,55 @@ Relation core::dependenceRelation(const MapBuilder &MB,
       D = D.unionWith(Pairs);
     }
   return D.simplify().coalesce();
+}
+
+Relation core::crossProcessorFlow(const MapBuilder &MB,
+                                  const ComputeNest &Nest,
+                                  const std::vector<const Relation *> &Iters) {
+  Relation Loops = MB.loopSet(Nest);
+  Relation Before = orderRelation(sourceOrder(Nest.Loops.size()), false);
+  std::vector<std::string> Vars, Later;
+  for (const Loop &L : Nest.Loops) {
+    Vars.push_back(L.Var);
+    Later.push_back(L.Var + "'");
+  }
+  Relation Cross = Relation::empty(Space::map(Vars, Later));
+  for (size_t A = 0; A != Nest.Stmts.size(); ++A) {
+    if (!Iters[A])
+      continue;
+    const Reference &W = Nest.Stmts[A].Write;
+    for (size_t B = 0; B != Nest.Stmts.size(); ++B) {
+      if (!Iters[B])
+        continue;
+      for (const Reference &R : Nest.Stmts[B].Reads) {
+        if (R.Array != W.Array)
+          continue;
+        Relation Flow =
+            MB.refMap(Nest, W)
+                .composeWith(withOutNames(MB.refMap(Nest, R).inverse(), Later))
+                .restrictDomain(*Iters[A])
+                .restrictRange(Loops)
+                .intersect(Before)
+                .simplify();
+        if (Flow.isEmpty())
+          continue;
+        // The representative processor runs the source but not the sink.
+        Cross = Cross.unionWith(
+            Flow.restrictRange(Loops.subtract(*Iters[B])).simplify());
+      }
+    }
+  }
+  return Cross.simplify().coalesce();
+}
+
+unsigned core::placementLevelFor(const Relation &Cross, unsigned Level,
+                                 unsigned NumLoops) {
+  if (Cross.isEmpty())
+    return Level;
+  while (Level < NumLoops &&
+         !Cross.intersect(agreeOn(NumLoops, Level)).isEmpty())
+    ++Level;
+  return Level;
 }
 
 std::vector<unsigned> core::storageOrder(const ComputeNest &Nest,

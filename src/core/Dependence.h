@@ -23,6 +23,14 @@
 ///   - one section scanned as disjoint pieces in any order:
 ///                              D restricted to (section -> section) = {}
 ///
+/// Communication placement is tested the same way. Messages move between
+/// iterations of the loops outside a nest's communication level (its
+/// `vectorize` level), so a flow dependence whose source and sink run on
+/// different processors must differ in one of those loops: the flow part
+/// of D across processors, restricted to pairs that agree on the outer
+/// loops, must be empty. (An anti-dependence needs no test: receives are
+/// hoisted before the nest, so they deliver the old values it reads.)
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_CORE_DEPENDENCE_H
@@ -38,6 +46,22 @@ namespace core {
 /// The dependence relation D of \p Nest, a map loop -> loop.
 Relation dependenceRelation(const hpf::MapBuilder &MB,
                             const hpf::ComputeNest &Nest);
+
+/// The flow part of D across processors: pairs s -> t where statement a
+/// writes at s the element statement b reads at t, s runs first, and some
+/// processor executes s but not t. \p Iters[k] is statement k's iteration
+/// set on the representative processor (Partition.h's cpIterSet), null for
+/// a replicated statement, which no pair involves. With a symbolic
+/// processor count this holds for a pair that some processor count splits.
+Relation crossProcessorFlow(const hpf::MapBuilder &MB,
+                            const hpf::ComputeNest &Nest,
+                            const std::vector<const Relation *> &Iters);
+
+/// The smallest communication level L >= \p Level at which placement
+/// serves \p Cross (a map over \p NumLoops loops): no pair of it agrees on
+/// the first L loops. \p Level itself when it already does.
+unsigned placementLevelFor(const Relation &Cross, unsigned Level,
+                           unsigned NumLoops);
 
 /// The loop order that scans \p Nest's first written array in storage
 /// order: the loops below the first \p Fixed (the communication level,

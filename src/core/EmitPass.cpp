@@ -253,8 +253,9 @@ private:
         Rd.Subs.push_back(affineToExpr(E));
       CS.Reads.push_back(std::move(Rd));
     }
+    CS.Body = S.Body;
+    CS.Acc = S.Acc;
     CS.Cost = S.Cost;
-    CS.SemanticsId = S.SemanticsId;
     CS.Label = Nest.Name + "/S" + std::to_string(S.Id);
     SP->Stmts[S.Id] = std::move(CS);
     return S.Id;

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <numeric>
+#include <set>
 #include <ostream>
 #include <utility>
 
@@ -269,6 +270,7 @@ public:
     Ctx.forEachNest([&](size_t I) {
       const ComputeNest &Nest = *Ctx.Nests[I];
       NestAnalysis &NA = Ctx.NestAnalyses[I];
+      checkPlacement(Ctx, Nest, NA);
       NA.LoopOrder.resize(Nest.Loops.size());
       std::iota(NA.LoopOrder.begin(), NA.LoopOrder.end(), 0u);
       bool Reorder = Ctx.Opts.ReorderLoops;
@@ -335,6 +337,48 @@ public:
           NA.SplitPieces[K].clear();
       }
     });
+    for (size_t I = 0; I != Ctx.Nests.size(); ++I) {
+      unsigned Need = Ctx.NestAnalyses[I].NeededLevel;
+      if (!Need)
+        continue;
+      Ctx.Refused = true;
+      if (Ctx.Diags)
+        Ctx.Diags->error(
+            SourceLoc(Ctx.P.name().empty() ? "<program>" : Ctx.P.name()),
+            "nest '" + Ctx.Nests[I]->Name +
+                "' reads on one processor a value another writes inside "
+                "its communication level, where no message can carry it; "
+                "write 'nest " +
+                Ctx.Nests[I]->Name + " vectorize " + std::to_string(Need) +
+                "'");
+    }
+  }
+
+private:
+  /// Flow dependences across processors must be carried by the loops
+  /// outside the communication level (Dependence.h).
+  static void checkPlacement(CompileContext &Ctx, const ComputeNest &Nest,
+                             NestAnalysis &NA) {
+    std::set<std::string> Written;
+    for (const Statement &St : Nest.Stmts)
+      Written.insert(St.Write.Array);
+    bool ReadsWritten = false;
+    for (const Statement &St : Nest.Stmts)
+      for (const Reference &R : St.Reads)
+        ReadsWritten |= Written.count(R.Array) != 0;
+    if (!ReadsWritten)
+      return;
+    PhaseTimers::Scope S(NA.Timers, phase::Dependences);
+    std::vector<const Relation *> Iters;
+    for (size_t J = 0; J != Nest.Stmts.size(); ++J)
+      Iters.push_back(NA.CPs[J].Replicated ? nullptr
+                                           : &NA.GroupIters[NA.Groups[J]]);
+    unsigned V = effectiveVectorizeLevel(Nest);
+    unsigned Need =
+        placementLevelFor(crossProcessorFlow(Ctx.MB, Nest, Iters), V,
+                          static_cast<unsigned>(Nest.Loops.size()));
+    if (Need != V)
+      NA.NeededLevel = Need;
   }
 
   void dump(const CompileContext &Ctx, std::ostream &OS) const override {
@@ -346,7 +390,10 @@ public:
       for (size_t K = 0; K != NA.LoopOrder.size(); ++K)
         OS << (K ? "," : "") << Nest.Loops[NA.LoopOrder[K]].Var;
       OS << ")" << (NA.OrderRefused ? ", storage order refused" : "")
-         << (NA.SplitRefused ? ", split refused" : "") << "\n";
+         << (NA.SplitRefused ? ", split refused" : "");
+      if (NA.NeededLevel)
+        OS << ", needs vectorize " << NA.NeededLevel;
+      OS << "\n";
       if (NA.HasDep)
         OS << "  dep = " << NA.Dep.toString() << "\n";
       for (size_t K = 0; K != NA.SplitPieces.size(); ++K)

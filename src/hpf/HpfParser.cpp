@@ -11,9 +11,13 @@
 
 #include "hpf/HpfParser.h"
 
+#include "hpf/HpfPrinter.h"
+
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -45,6 +49,8 @@ public:
     while (Pos < S.size() && std::isspace(static_cast<unsigned char>(S[Pos])))
       ++Pos;
   }
+  size_t pos() const { return Pos; }
+  void seek(size_t P) { Pos = P; }
   bool atEnd() {
     skipWs();
     return Pos >= S.size() || S[Pos] == '!';
@@ -128,6 +134,35 @@ public:
     }
     return std::strtod(S.substr(B, Pos - B).c_str(), nullptr);
   }
+  /// A decimal literal of an expression: digits [. digits] [e [+-] digits].
+  double literal() {
+    skipWs();
+    if (!atNumber())
+      fail("expected number");
+    size_t B = Pos;
+    auto Digits = [&] {
+      while (Pos < S.size() && std::isdigit(static_cast<unsigned char>(S[Pos])))
+        ++Pos;
+    };
+    Digits();
+    if (Pos < S.size() && S[Pos] == '.') {
+      ++Pos;
+      Digits();
+    }
+    if (Pos < S.size() && (S[Pos] == 'e' || S[Pos] == 'E')) {
+      size_t E = Pos + 1;
+      if (E < S.size() && (S[E] == '+' || S[E] == '-'))
+        ++E;
+      if (E < S.size() && std::isdigit(static_cast<unsigned char>(S[E]))) {
+        Pos = E;
+        Digits();
+      }
+    }
+    double V = std::strtod(S.substr(B, Pos - B).c_str(), nullptr);
+    if (!std::isfinite(V))
+      fail("literal out of range");
+    return V;
+  }
   /// Lookahead for a keyword followed by a non-identifier character.
   bool tryKeyword(const std::string &KW) {
     skipWs();
@@ -181,6 +216,254 @@ private:
   unsigned LineNo;
 };
 
+/// The spelling every front end uses to recognise two references as one.
+std::string refKey(const Reference &R) {
+  std::string K = R.Array + "(";
+  for (const AffineExpr &E : R.Subs)
+    K += printAffine(E) + ",";
+  return K + ")";
+}
+
+Reference parseRef(LineLexer &L) {
+  Reference R;
+  R.Array = L.ident();
+  L.expect('(');
+  do {
+    R.Subs.push_back(L.affine());
+  } while (L.tryConsume(','));
+  L.expect(')');
+  return R;
+}
+
+/// Parses one double-valued expression (ValueExpr.h) on a line, by
+/// precedence: + - bind loosest, then * /, then unary -. In a statement
+/// body or accumulator operand, array references become the statement's
+/// reads (the written reference, inside an accumulator, the value just
+/// computed); in an initial value, the index names become Index leaves.
+class ValueParser {
+public:
+  /// A body or accumulator operand of \p St. \p Prog, when given, must
+  /// declare every array the expression reads.
+  ValueParser(LineLexer &L, const Program *Prog, Statement &St, bool InAccum)
+      : L(L), Prog(Prog), St(&St), InAccum(InAccum) {}
+  /// An initial value over the index names \p Names.
+  ValueParser(LineLexer &L, const std::vector<std::string> &Names)
+      : L(L), Names(&Names) {}
+
+  ValueExpr parse() {
+    Parsed P = expr();
+    return std::move(P.E);
+  }
+
+private:
+  struct Parsed {
+    ValueExpr E;
+    unsigned Depth = 1;
+  };
+  LineLexer &L;
+  const Program *Prog = nullptr;
+  Statement *St = nullptr;
+  bool InAccum = false;
+  const std::vector<std::string> *Names = nullptr;
+  unsigned Nest = 0, Nodes = 0;
+
+  Parsed node(ValueExpr E, unsigned Depth) {
+    if (++Nodes > MaxValueNodes)
+      L.fail("expression has more than " + std::to_string(MaxValueNodes) +
+             " operations and operands");
+    if (Depth > MaxValueDepth)
+      L.fail("expression nests deeper than " + std::to_string(MaxValueDepth) +
+             " levels");
+    return {std::move(E), Depth};
+  }
+  Parsed binary(ValueExpr::Kind K, Parsed A, Parsed B) {
+    unsigned D = std::max(A.Depth, B.Depth) + 1;
+    return node(ValueExpr::op(K, {std::move(A.E), std::move(B.E)}), D);
+  }
+  /// Entering a nested construct: bounds the parser's own recursion.
+  void enter() {
+    if (++Nest > MaxValueDepth)
+      L.fail("expression nests deeper than " + std::to_string(MaxValueDepth) +
+             " levels");
+  }
+
+  Parsed expr() {
+    Parsed A = term();
+    for (;;) {
+      if (L.tryConsume('+'))
+        A = binary(ValueExpr::Kind::Add, std::move(A), term());
+      else if (L.tryConsume('-'))
+        A = binary(ValueExpr::Kind::Sub, std::move(A), term());
+      else
+        return A;
+    }
+  }
+  Parsed term() {
+    Parsed A = unary();
+    for (;;) {
+      if (L.tryConsume('*'))
+        A = binary(ValueExpr::Kind::Mul, std::move(A), unary());
+      else if (L.tryConsume('/'))
+        A = binary(ValueExpr::Kind::Div, std::move(A), unary());
+      else
+        return A;
+    }
+  }
+  Parsed unary() {
+    if (!L.tryConsume('-'))
+      return primary();
+    enter();
+    Parsed A = unary();
+    --Nest;
+    unsigned D = A.Depth + 1;
+    return node(ValueExpr::op(ValueExpr::Kind::Neg, {std::move(A.E)}), D);
+  }
+  Parsed primary() {
+    if (L.atNumber())
+      return node(ValueExpr::num(L.literal()), 1);
+    if (L.tryConsume('(')) {
+      enter();
+      Parsed A = expr();
+      --Nest;
+      L.expect(')');
+      return A;
+    }
+    if (!L.atIdent())
+      L.fail("expected a number, '(', a function or an array reference");
+    L.skipWs();
+    size_t At = L.pos();
+    std::string Name = L.ident();
+    static const ValueExpr::Kind Fns[] = {
+        ValueExpr::Kind::Abs, ValueExpr::Kind::Min, ValueExpr::Kind::Max,
+        ValueExpr::Kind::Sin, ValueExpr::Kind::Cos};
+    for (ValueExpr::Kind K : Fns)
+      if (Name == valueFnName(K))
+        return call(K, Name);
+    if (Names) {
+      for (unsigned D = 0; D != Names->size(); ++D)
+        if ((*Names)[D] == Name)
+          return node(ValueExpr::leaf(ValueExpr::Kind::Index, D), 1);
+      L.fail(L.peek() == '(' ? "unknown function '" + Name + "'"
+                             : "unknown index name '" + Name + "'");
+    }
+    if (L.peek() != '(')
+      L.fail("'" + Name +
+             "' is not an array reference (a right-hand side reads arrays "
+             "and literals)");
+    L.seek(At);
+    if (Prog && !Prog->arrays().count(Name))
+      L.fail("unknown function or undeclared array '" + Name + "'");
+    return node(reference(parseRef(L)), 1);
+  }
+  Parsed call(ValueExpr::Kind K, const std::string &Name) {
+    if (!Names && (K == ValueExpr::Kind::Sin || K == ValueExpr::Kind::Cos))
+      L.fail("'" + Name + "' is only allowed in an init expression");
+    L.expect('(');
+    enter();
+    std::vector<ValueExpr> Ops;
+    unsigned D = 0;
+    do {
+      Parsed A = expr();
+      D = std::max(D, A.Depth);
+      Ops.push_back(std::move(A.E));
+    } while (L.tryConsume(','));
+    --Nest;
+    L.expect(')');
+    if (Ops.size() != valueArity(K))
+      L.fail("'" + Name + "' takes " + std::to_string(valueArity(K)) +
+             (valueArity(K) == 1 ? " argument" : " arguments"));
+    return node(ValueExpr::op(K, std::move(Ops)), D + 1);
+  }
+  /// A read of the statement, or inside an accumulator its written value.
+  ValueExpr reference(const Reference &R) {
+    std::string Key = refKey(R);
+    if (InAccum && Key == refKey(St->Write))
+      return ValueExpr::leaf(ValueExpr::Kind::Value, 0);
+    for (unsigned K = 0; K != St->Reads.size(); ++K)
+      if (refKey(St->Reads[K]) == Key)
+        return ValueExpr::leaf(ValueExpr::Kind::Read, K);
+    St->Reads.push_back(R);
+    return ValueExpr::leaf(ValueExpr::Kind::Read,
+                           static_cast<unsigned>(St->Reads.size() - 1));
+  }
+};
+
+/// True if the next identifier is one of the statement option keywords.
+bool peekOption(const LineLexer &L) {
+  LineLexer Copy = L;
+  return Copy.tryKeyword("onhome") || Copy.tryKeyword("cost") ||
+         Copy.tryKeyword("accum");
+}
+
+/// One statement line, W(subs) = <body> [onhome R] [cost c] [accum op name
+/// <operand>]. \p Prog, when given, must declare the arrays the
+/// expressions read; \p AccumAt receives where the accumulator's name is.
+Statement parseStatementLine(LineLexer &L, const Program *Prog,
+                         SourceLoc *AccumAt) {
+  Statement S;
+  S.Write = parseRef(L);
+  L.expect('=');
+  if (L.atEnd() || peekOption(L))
+    L.fail("a statement needs a right-hand side expression");
+  S.Body = ValueParser(L, Prog, S, /*InAccum=*/false).parse();
+  for (;;) {
+    if (L.tryKeyword("onhome")) {
+      S.OnHome.push_back(parseRef(L));
+      continue;
+    }
+    if (L.tryKeyword("cost")) {
+      S.Cost = L.real();
+      continue;
+    }
+    if (L.tryKeyword("accum")) {
+      if (S.Acc)
+        L.fail("a statement has at most one 'accum' clause");
+      Accumulate A;
+      if (L.tryKeyword("sum"))
+        A.O = Accumulate::Op::Sum;
+      else if (L.tryKeyword("max"))
+        A.O = Accumulate::Op::Max;
+      else
+        L.fail("unknown accumulation op (expected sum or max)");
+      if (AccumAt)
+        *AccumAt = L.loc();
+      A.Name = L.ident();
+      A.Operand = ValueParser(L, Prog, S, /*InAccum=*/true).parse();
+      S.Acc = std::move(A);
+      continue;
+    }
+    break;
+  }
+  if (L.atEnd())
+    return S;
+  if (LineLexer(L).tryKeyword("sem"))
+    L.fail("'sem' is gone: a statement computes its right-hand side "
+           "expression");
+  L.fail("expected an operator or a statement option (onhome, cost, "
+         "accum)");
+}
+
+/// An initial value, (<index names>) <expr>.
+ValueExpr parseInitValue(LineLexer &L) {
+  L.expect('(');
+  std::vector<std::string> Names;
+  do {
+    Names.push_back(L.ident());
+  } while (L.tryConsume(','));
+  L.expect(')');
+  return ValueParser(L, Names).parse();
+}
+
+/// The reduce names of \p Phases, timeloop bodies included.
+void reduceNames(const std::vector<Phase> &Phases,
+                 std::set<std::string> &Out) {
+  for (const Phase &Ph : Phases) {
+    if (Ph.K == Phase::Kind::Reduce)
+      Out.insert(Ph.Reduce.Name);
+    reduceNames(Ph.Body, Out);
+  }
+}
+
 class HpfParser {
 public:
   HpfParser(const std::string &Text, DiagnosticEngine &Diags,
@@ -227,6 +510,9 @@ private:
   std::vector<Phase *> SeqStack; // open timeloops
   bool InProc = false, InNest = false;
   ComputeNest PendingNest;
+  /// The open procedure's accumulator clauses: each must name one of its
+  /// reduce phases, which may follow the statement.
+  std::vector<std::pair<std::string, SourceLoc>> PendingAccums;
 
   void dispatch(LineLexer &L) {
     if (L.tryKeyword("program")) {
@@ -271,7 +557,7 @@ private:
       unsigned ElemBytes = 8;
       if (L.tryKeyword("bytes"))
         ElemBytes = static_cast<unsigned>(L.number());
-      Prog->addArray(Name, std::move(Dims), ElemBytes);
+      ArrayDecl &Decl = Prog->addArray(Name, std::move(Dims), ElemBytes);
       if (L.tryKeyword("align")) {
         // align (i,j,...) with T(expr|*, ...)
         L.expect('(');
@@ -312,6 +598,8 @@ private:
         L.expect(')');
         Prog->addAlign(A);
       }
+      if (L.tryKeyword("init"))
+        Decl.Init = parseInitValue(L);
       return;
     }
     if (L.tryKeyword("distribute")) {
@@ -360,6 +648,14 @@ private:
         L.fail("'endprocedure' inside an open nest");
       if (!SeqStack.empty())
         L.fail("'endprocedure' inside an open timeloop");
+      std::set<std::string> Reduces;
+      reduceNames(CurProc->Phases, Reduces);
+      for (const auto &[Name, At] : PendingAccums)
+        if (!Reduces.count(Name))
+          Diags.error(At, "accum names '" + Name +
+                              "', which is not a reduce of procedure '" +
+                              CurProc->Name + "'");
+      PendingAccums.clear();
       InProc = false;
       CurProc = nullptr;
       return;
@@ -449,48 +745,14 @@ private:
         Prog->addReductionIn(*SeqStack.back(), R);
       return;
     }
-    // Otherwise: an assignment statement  W(subs) = R(subs)... [options].
+    // Otherwise: an assignment statement  W(subs) = <expr> [options].
     if (!InNest)
       L.fail("statement outside a nest");
-    Statement S;
-    S.Write = parseRef(L);
-    L.expect('=');
-    while (L.atIdent() && !peekOption(L))
-      S.Reads.push_back(parseRef(L));
-    for (;;) {
-      if (L.tryKeyword("onhome")) {
-        S.OnHome.push_back(parseRef(L));
-        continue;
-      }
-      if (L.tryKeyword("cost")) {
-        S.Cost = L.real();
-        continue;
-      }
-      if (L.tryKeyword("sem")) {
-        S.SemanticsId = static_cast<int>(L.number());
-        continue;
-      }
-      break;
-    }
+    SourceLoc AccumAt;
+    Statement S = parseStatementLine(L, Prog.get(), &AccumAt);
+    if (S.Acc)
+      PendingAccums.push_back({S.Acc->Name, std::move(AccumAt)});
     PendingNest.Stmts.push_back(std::move(S));
-  }
-
-  /// True if the next identifier is one of the statement option keywords.
-  bool peekOption(LineLexer &L) {
-    LineLexer Copy = L;
-    return Copy.tryKeyword("onhome") || Copy.tryKeyword("cost") ||
-           Copy.tryKeyword("sem");
-  }
-
-  Reference parseRef(LineLexer &L) {
-    Reference R;
-    R.Array = L.ident();
-    L.expect('(');
-    do {
-      R.Subs.push_back(L.affine());
-    } while (L.tryConsume(','));
-    L.expect(')');
-    return R;
   }
 
   std::vector<DimRange> parseRanges(LineLexer &L) {
@@ -524,4 +786,36 @@ std::unique_ptr<Program> hpf::parseHpfProgram(const std::string &Text) {
     std::abort();
   }
   return P.take();
+}
+
+namespace {
+
+/// Runs \p Parse over the one-line \p Text for the builder API, aborting
+/// on malformed input like the trusted parseHpfProgram.
+template <typename T, typename Fn> T parseTrusted(const std::string &Text, Fn Parse) {
+  DiagnosticEngine Diags;
+  std::string File = "<builder>";
+  LineLexer L(Text, Diags, File, 1);
+  try {
+    T Out = Parse(L);
+    if (!L.atEnd())
+      L.fail("unexpected trailing input");
+    return Out;
+  } catch (ParseFailure &) {
+    std::fputs(Diags.str().c_str(), stderr);
+    std::fputs("hpf: malformed builder text rejected\n", stderr);
+    std::abort();
+  }
+}
+
+} // namespace
+
+Statement hpf::parseStatement(const std::string &Text) {
+  return parseTrusted<Statement>(Text, [](LineLexer &L) {
+    return parseStatementLine(L, nullptr, nullptr);
+  });
+}
+
+ValueExpr hpf::parseInit(const std::string &Text) {
+  return parseTrusted<ValueExpr>(Text, parseInitValue);
 }

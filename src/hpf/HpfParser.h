@@ -15,18 +15,29 @@
 ///   processors <name>(<extent|*sym>, ...)
 ///   template <name>(<lo>:<hi>, ...)
 ///   array <name>(<lo>:<hi>, ...) [align (<i>,<j>,..) with T(<expr>|*,..)]
+///       [init (<i>,<j>,..) <value>]
 ///   distribute <T>(block|cyclic|cyclic(k)|*, ...) onto <P>
 ///   procedure <name> ... endprocedure
 ///   timeloop <var> = <lo>, <hi> ... endloop
 ///   nest <name> [vectorize <level>]
 ///     do <var> = <lo-expr>, <hi-expr>
-///     <W>(<subs>) = <R1>(<subs>) [<R2>(...) ...]
-///         [onhome <A>(<subs>)] [cost <c>] [sem <id>]
+///     <W>(<subs>) = <value> [onhome <A>(<subs>)] [cost <c>]
+///         [accum sum|max <reduce-name> <value>]
 ///   endnest
 ///   reduce sum|max|maxloc <name> [elems <n>]
 ///
 /// Bound and subscript expressions are affine over loop variables and
 /// parameters: terms like `2*i`, `i+1`, `N-1`, `pv+1`, constants.
+///
+/// Values are double-valued (ValueExpr.h): decimal literals (`0.25`,
+/// `1e-3`), `+ - * /`, unary `-`, parentheses, and `abs`, `min`, `max`;
+/// an init value may also call `sin` and `cos`. A statement's value reads
+/// array references, `0.25*(U(i-1,j) + U(i+1,j))`, which become its reads
+/// in order of first appearance; inside the accum clause the statement's
+/// written reference stands for the value just computed, and the name
+/// must be a reduce of the enclosing procedure. An init value reads its
+/// index names: `init (i,j) sin(0.05*i) + cos(0.07*j)`. Arrays without
+/// one start at 0.
 ///
 /// Malformed input is rejected with recoverable, source-located
 /// diagnostics (file:line:col) in Debug and Release builds alike: a bad
@@ -58,6 +69,14 @@ parseHpfProgram(const std::string &Text, DiagnosticEngine &Diags,
 /// diagnostics to stderr and aborts on malformed input — unconditionally,
 /// not via assert(), so Release builds reject bad input identically.
 std::unique_ptr<Program> parseHpfProgram(const std::string &Text);
+
+/// One statement line in the syntax above, for the builder API (trusted
+/// input: aborts like the wrapper above). Arrays and reduce names are
+/// checked when the program is validated (core::validateProgram).
+Statement parseStatement(const std::string &Text);
+
+/// An initial value, "(<i>,<j>,..) <value>", for the builder API (trusted).
+ValueExpr parseInit(const std::string &Text);
 
 } // namespace hpf
 } // namespace dhpf

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 using namespace dhpf;
@@ -48,6 +49,84 @@ void printRef(std::ostringstream &OS, const Reference &R) {
   OS << ')';
 }
 
+/// Binding strength: + - loosest, then * /, then unary -, then operands.
+int precedence(const ValueExpr &E) {
+  switch (E.K) {
+  case ValueExpr::Kind::Add:
+  case ValueExpr::Kind::Sub:
+    return 1;
+  case ValueExpr::Kind::Mul:
+  case ValueExpr::Kind::Div:
+    return 2;
+  case ValueExpr::Kind::Neg:
+    return 3;
+  case ValueExpr::Kind::Num:
+    return std::signbit(E.Num) ? 3 : 4;
+  default:
+    return 4;
+  }
+}
+
+/// Prints \p E with the fewest parentheses that reparse to the same tree
+/// (operators associate to the left); \p Leaf prints reads, the computed
+/// value and index names.
+void printValue(std::ostringstream &OS, const ValueExpr &E,
+                const std::function<void(const ValueExpr &)> &Leaf) {
+  auto Operand = [&](const ValueExpr &Op, bool Paren) {
+    if (Paren)
+      OS << '(';
+    printValue(OS, Op, Leaf);
+    if (Paren)
+      OS << ')';
+  };
+  int P = precedence(E);
+  switch (E.K) {
+  case ValueExpr::Kind::Num:
+    if (std::signbit(E.Num))
+      OS << '-' << printValueNumber(-E.Num);
+    else
+      OS << printValueNumber(E.Num);
+    return;
+  case ValueExpr::Kind::Read:
+  case ValueExpr::Kind::Value:
+  case ValueExpr::Kind::Index:
+    Leaf(E);
+    return;
+  case ValueExpr::Kind::Neg:
+    OS << '-';
+    Operand(E.Ops[0], precedence(E.Ops[0]) < P);
+    return;
+  case ValueExpr::Kind::Add:
+  case ValueExpr::Kind::Sub:
+  case ValueExpr::Kind::Mul:
+  case ValueExpr::Kind::Div: {
+    static const char *Ops[] = {" + ", " - ", "*", "/"};
+    Operand(E.Ops[0], precedence(E.Ops[0]) < P);
+    OS << Ops[static_cast<int>(E.K) - static_cast<int>(ValueExpr::Kind::Add)];
+    Operand(E.Ops[1], precedence(E.Ops[1]) <= P);
+    return;
+  }
+  default:
+    OS << valueFnName(E.K) << '(';
+    for (size_t I = 0; I != E.Ops.size(); ++I) {
+      if (I)
+        OS << ", ";
+      printValue(OS, E.Ops[I], Leaf);
+    }
+    OS << ')';
+    return;
+  }
+}
+
+/// An initial value: its index list, then the value over it.
+void printInit(std::ostringstream &OS, const ValueExpr &E, unsigned Rank) {
+  OS << " init (";
+  for (unsigned D = 0; D != Rank; ++D)
+    OS << (D ? "," : "") << 'a' << D;
+  OS << ") ";
+  printValue(OS, E, [&](const ValueExpr &L) { OS << 'a' << L.Index; });
+}
+
 /// Prints a double so a reparse recovers the identical value: integers
 /// without a fraction, everything else with round-trip precision.
 void printCost(std::ostringstream &OS, double V) {
@@ -72,11 +151,11 @@ void printNest(std::ostringstream &OS, const ComputeNest &N,
   for (const Statement &S : N.Stmts) {
     OS << Pad << "  ";
     printRef(OS, S.Write);
-    OS << " =";
-    for (const Reference &R : S.Reads) {
-      OS << ' ';
-      printRef(OS, R);
-    }
+    OS << " = ";
+    auto Leaf = [&](const ValueExpr &L) {
+      printRef(OS, L.K == ValueExpr::Kind::Value ? S.Write : S.Reads[L.Index]);
+    };
+    printValue(OS, S.Body, Leaf);
     for (const Reference &R : S.OnHome) {
       OS << " onhome ";
       printRef(OS, R);
@@ -85,8 +164,12 @@ void printNest(std::ostringstream &OS, const ComputeNest &N,
       OS << " cost ";
       printCost(OS, S.Cost);
     }
-    if (S.SemanticsId >= 0)
-      OS << " sem " << S.SemanticsId;
+    if (S.Acc) {
+      OS << " accum "
+         << (S.Acc->O == Accumulate::Op::Sum ? "sum " : "max ") << S.Acc->Name
+         << ' ';
+      printValue(OS, S.Acc->Operand, Leaf);
+    }
     OS << '\n';
   }
   OS << Pad << "endnest\n";
@@ -195,6 +278,8 @@ std::string hpf::printHpfProgram(const Program &P) {
       }
       OS << ')';
     }
+    if (A.Init)
+      printInit(OS, *A.Init, A.rank());
     OS << '\n';
   }
   for (const auto &[Name, D] : P.distributes()) {

@@ -13,20 +13,25 @@
 /// ON_HOME computation partitionings, global reductions, and sequential
 /// (time-step) loops.
 ///
-/// A front end is deliberately out of scope (the paper starts from the
-/// primitive sets of Figure 2, which hpf/Maps.h builds from this IR); the
-/// benchmark applications in src/apps construct programs with the builder
-/// API here.
+/// Statements carry their arithmetic (ValueExpr.h): a right-hand side over
+/// the statement's reads, an optional accumulator clause feeding a
+/// reduction, and arrays an optional initial value, so every program runs
+/// its own computation on every engine. The benchmark applications in
+/// src/apps construct programs with the builder API here, writing
+/// statements and initial values in the textual syntax (HpfParser.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_HPF_PROGRAM_H
 #define DHPF_HPF_PROGRAM_H
 
+#include "hpf/ValueExpr.h"
+
 #include <cassert>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,6 +166,9 @@ struct ArrayDecl {
   std::string Name;
   std::vector<DimRange> Dims;
   unsigned ElemBytes = 8;
+  /// The initial value over the index variables (Index d is subscript d);
+  /// every element is 0 without one.
+  std::optional<ValueExpr> Init;
   unsigned rank() const { return Dims.size(); }
 };
 
@@ -173,17 +181,30 @@ inline Reference ref(std::string Array, std::vector<AffineExpr> Subs) {
   return {std::move(Array), std::move(Subs)};
 }
 
+/// A statement's accumulator clause: after each instance the executing
+/// processor folds Operand into its copy of the reduction variable Name
+/// (Sum: acc + v; Max: std::max(acc, v)).
+struct Accumulate {
+  enum class Op : uint8_t { Sum, Max };
+  Op O = Op::Sum;
+  std::string Name;
+  ValueExpr Operand; ///< over the reads and Value, the value just computed
+};
+
 /// One assignment statement inside a loop nest.
 struct Statement {
   int Id = -1;           // assigned by the Program builder
   Reference Write;
+  /// The distinct array references of Body and then of Acc's operand, in
+  /// order of first appearance: the reads the analyses see.
   std::vector<Reference> Reads;
+  ValueExpr Body; ///< the right-hand side; Read k is Reads[k]
+  std::optional<Accumulate> Acc;
   /// ON_HOME terms; when empty the owner-computes rule applies (the CP is
   /// ON_HOME of the write reference). Paper Section 3.1's general CP model:
   /// a union of arbitrary references.
   std::vector<Reference> OnHome;
   double Cost = 1.0;     // simulator work units per dynamic instance
-  int SemanticsId = -1;  // application hook executed by the interpreter
 };
 
 /// A counted loop with affine bounds (step 1).
@@ -213,7 +234,6 @@ struct Reduction {
   std::string Name;   // reduced scalar/array name (for reports)
   uint64_t Elems = 1; // message payload element count
   double Cost = 1.0;  // local work before combining
-  int SemanticsId = -1;
 };
 
 /// One phase of the (sequentially composed) program.

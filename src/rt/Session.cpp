@@ -1,4 +1,4 @@
-//===- rt/Session.cpp - Shared program/semantics resolution --------------===//
+//===- rt/Session.cpp - Shared program/session resolution ----------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
@@ -9,53 +9,14 @@
 #include "hpf/HpfPrinter.h"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 
 using namespace dhpf;
 using namespace dhpf::rt;
 
-namespace {
-
-/// Fallback semantics for programs with no registered benchmark: a
-/// deterministic function of the values read, plus a deterministic array
-/// initialization, so any valid .hpf input is runnable end to end.
-void genericSetup(spmd::Interpreter &I, const spmd::SpmdProgram &SP) {
-  std::set<int> Sems;
-  for (const spmd::CompiledStmt &S : SP.Stmts)
-    if (S.SemanticsId >= 0)
-      Sems.insert(S.SemanticsId);
-  for (int Id : Sems)
-    I.setSemantics(Id, [](std::span<const double> Reads,
-                          std::span<const int64_t>, spmd::AccumMap &) {
-      double V = 1.0;
-      for (double R : Reads)
-        V += 0.25 * R;
-      return V;
-    });
-  if (!SP.Source)
-    return;
-  for (const auto &A : SP.Source->arrays())
-    I.initArray(A.first, [](const std::vector<int64_t> &Idx) {
-      double V = 0.5;
-      for (int64_t X : Idx)
-        V = V * 1.9 + 0.3 * static_cast<double>(X);
-      return std::sin(V);
-    });
-}
-
-} // namespace
-
-void Session::setup(const spmd::SpmdProgram &SP,
-                    spmd::Interpreter &I) const {
-  if (Reg && Canonical) {
-    apps::AppInstance App = Reg->MakeCanonical();
-    App.Setup(I);
-  } else {
-    genericSetup(I, SP);
-  }
+void Session::setup(const spmd::SpmdProgram &, spmd::Interpreter &I) const {
+  I.seedArrays();
 }
 
 bool rt::parseIntArg(const std::string &Tok, int64_t Min, int64_t &Out) {

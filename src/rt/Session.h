@@ -1,4 +1,4 @@
-//===- rt/Session.h - Shared program/semantics resolution ----------------===//
+//===- rt/Session.h - Shared program/session resolution ------------------===//
 //
 // Part of dhpf-sets (PLDI 1998 dHPF reproduction).
 //
@@ -7,9 +7,9 @@
 /// \file
 /// The decisions every executor front end makes identically before running
 /// a compiled program: mapping a requested processor count onto the
-/// program's grid, and attaching runnable semantics — the registered
-/// benchmark's Setup when the program is a canonical export, else the
-/// deterministic generic semantics. `dhpfc run`, `dhpfc launch`, and the
+/// program's grid, seeding its arrays from their init values, and whether
+/// a registered benchmark's serial reference check applies (the program
+/// is its canonical export). `dhpfc run`, `dhpfc launch`, and the
 /// per-rank `dhpf_rt` all resolve through here, so a distributed run is
 /// configured bit-identically to the in-process engines it is compared
 /// against.
@@ -38,17 +38,18 @@ struct SessionOptions {
 };
 
 /// A program ready to execute: resolved processor shape, run
-/// configuration, and the semantics source.
+/// configuration, and the benchmark it is, if any.
 struct Session {
   std::string ProgName;
   spmd::RunConfig Config;        ///< ProcExtents and Params set
   std::vector<int64_t> Shape;    ///< resolved extents (empty: no PROCESSORS)
   const apps::RegistryEntry *Reg = nullptr; ///< null if not a benchmark
-  bool Canonical = false; ///< program matches the canonical export
+  /// The program matches the canonical export, so Reg's serial Check
+  /// applies to its result.
+  bool Canonical = false;
 
-  /// Registers semantics and seeds arrays on \p I (in-process or one rank
-  /// of a launch): the canonical benchmark Setup, or the generic
-  /// deterministic semantics.
+  /// Seeds \p I's arrays (in-process, or one rank of a launch) from the
+  /// program's init values.
   void setup(const spmd::SpmdProgram &SP, spmd::Interpreter &I) const;
 };
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 using namespace dhpf;
 using namespace dhpf::spmd;
@@ -352,4 +353,106 @@ private:
 Prog bc::compileExpr(const cg::Expr &E, const SlotConsts &Fixed) {
   assert(E.isValid() && "compiling an empty expression");
   return ExprCompiler(Fixed).take(E);
+}
+
+double ValueProg::eval(const double *Reads, double Value, const int64_t *Idx,
+                       double *Stack) const {
+  double *SP = Stack;
+  for (const VInsn &I : Code) {
+    switch (I.O) {
+    case VOp::PushK:
+      *SP++ = I.K;
+      break;
+    case VOp::PushRead:
+      *SP++ = Reads[I.A];
+      break;
+    case VOp::PushValue:
+      *SP++ = Value;
+      break;
+    case VOp::PushIndex:
+      *SP++ = static_cast<double>(Idx[I.A]);
+      break;
+    case VOp::Neg:
+      SP[-1] = -SP[-1];
+      break;
+    case VOp::Add:
+      --SP;
+      SP[-1] = SP[-1] + *SP;
+      break;
+    case VOp::Sub:
+      --SP;
+      SP[-1] = SP[-1] - *SP;
+      break;
+    case VOp::Mul:
+      --SP;
+      SP[-1] = SP[-1] * *SP;
+      break;
+    case VOp::Div:
+      --SP;
+      SP[-1] = SP[-1] / *SP;
+      break;
+    case VOp::Abs:
+      SP[-1] = std::fabs(SP[-1]);
+      break;
+    case VOp::Min:
+      --SP;
+      SP[-1] = std::min(SP[-1], *SP);
+      break;
+    case VOp::Max:
+      --SP;
+      SP[-1] = std::max(SP[-1], *SP);
+      break;
+    case VOp::Sin:
+      SP[-1] = std::sin(SP[-1]);
+      break;
+    case VOp::Cos:
+      SP[-1] = std::cos(SP[-1]);
+      break;
+    }
+  }
+  return SP[-1];
+}
+
+namespace {
+
+void emitValue(const hpf::ValueExpr &E, ValueProg &P, unsigned &Live) {
+  using K = hpf::ValueExpr::Kind;
+  auto Push = [&](VOp O, uint32_t A, double Kv) {
+    P.Code.push_back({O, A, Kv});
+    P.Depth = std::max(P.Depth, ++Live);
+  };
+  switch (E.K) {
+  case K::Num:
+    return Push(VOp::PushK, 0, E.Num);
+  case K::Read:
+    return Push(VOp::PushRead, E.Index, 0);
+  case K::Value:
+    return Push(VOp::PushValue, 0, 0);
+  case K::Index:
+    return Push(VOp::PushIndex, E.Index, 0);
+  default:
+    break;
+  }
+  for (const hpf::ValueExpr &Op : E.Ops)
+    emitValue(Op, P, Live);
+  static const std::pair<K, VOp> Ops[] = {
+      {K::Neg, VOp::Neg}, {K::Add, VOp::Add}, {K::Sub, VOp::Sub},
+      {K::Mul, VOp::Mul}, {K::Div, VOp::Div}, {K::Abs, VOp::Abs},
+      {K::Min, VOp::Min}, {K::Max, VOp::Max}, {K::Sin, VOp::Sin},
+      {K::Cos, VOp::Cos}};
+  for (const auto &[Kind, O] : Ops)
+    if (Kind == E.K)
+      P.Code.push_back({O, 0, 0});
+  Live -= static_cast<unsigned>(E.Ops.size()) - 1;
+}
+
+} // namespace
+
+ValueProg bc::compileValue(const hpf::ValueExpr &E) {
+  ValueProg P;
+  unsigned Live = 0;
+  emitValue(E, P, Live);
+  assert(Live == 1 && P.Depth <= hpf::MaxValueDepth + 1 &&
+         "malformed or unbounded value expression");
+  return P;
 }

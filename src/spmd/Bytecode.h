@@ -26,6 +26,7 @@
 #define DHPF_SPMD_BYTECODE_H
 
 #include "cg/Expr.h"
+#include "hpf/ValueExpr.h"
 
 #include <cstdint>
 #include <unordered_map>
@@ -77,6 +78,46 @@ public:
   std::vector<Insn> Code;
   unsigned Depth = 0;
 };
+
+/// A double-valued expression (hpf::ValueExpr), flattened to postfix: the
+/// bytecode engine's statement bodies and accumulator operands, and every
+/// engine's initial values. The operations and their order are the tree's
+/// exactly; nothing is folded.
+enum class VOp : uint8_t {
+  PushK,     // push K
+  PushRead,  // push Reads[A]
+  PushValue, // push the value just computed
+  PushIndex, // push Idx[A] as a double
+  Neg,       // top = -top
+  Add,       // pop b, a; push a + b (Sub, Mul, Div alike)
+  Sub,
+  Mul,
+  Div,
+  Abs,       // top = fabs(top)
+  Min,       // pop b, a; push std::min(a, b)
+  Max,       // pop b, a; push std::max(a, b)
+  Sin,       // top = sin(top)
+  Cos,
+};
+
+struct VInsn {
+  VOp O = VOp::PushK;
+  uint32_t A = 0;
+  double K = 0;
+};
+
+class ValueProg {
+public:
+  /// \p Stack needs depth() entries.
+  double eval(const double *Reads, double Value, const int64_t *Idx,
+              double *Stack) const;
+  unsigned depth() const { return Depth; }
+
+  std::vector<VInsn> Code;
+  unsigned Depth = 0;
+};
+
+ValueProg compileValue(const hpf::ValueExpr &E);
 
 /// Slots with run-constant values, resolved during compilation.
 using SlotConsts = std::unordered_map<unsigned, int64_t>;

@@ -266,6 +266,7 @@ PlanNode PlanLowering::lowerNode(const SpmdNode &N,
   case SpmdNode::Kind::Reduce:
     P.RedOp = N.RedOp;
     P.RedName = N.RedName;
+    P.RedSlot = accumSlot(Plan.Accums, N.RedName);
     P.RedBytes = N.RedBytes;
     P.RedCost = N.RedCost;
     break;
@@ -307,6 +308,7 @@ void PlanLowering::run() {
       Fixed[S] = It->second;
   }
 
+  Plan.Accums = Prog.accumulators();
   for (const CompiledStmt &S : Prog.Stmts) {
     StmtPlan SP;
     SP.WriteArray = ArrayIds.at(S.WriteArray);
@@ -317,8 +319,15 @@ void PlanLowering::run() {
       R.Flat = boxFlat(Rd.Subs, R.Array, Fixed);
       SP.Reads.push_back(std::move(R));
     }
+    SP.Body = bc::compileValue(S.Body);
+    Plan.ValueDepth = std::max(Plan.ValueDepth, SP.Body.depth());
+    if (S.Acc) {
+      SP.AccSlot = static_cast<int32_t>(accumSlot(Plan.Accums, S.Acc->Name));
+      SP.AccOp = S.Acc->O;
+      SP.AccOperand = bc::compileValue(S.Acc->Operand);
+      Plan.ValueDepth = std::max(Plan.ValueDepth, SP.AccOperand.depth());
+    }
     SP.Cost = S.Cost;
-    SP.SemanticsId = S.SemanticsId;
     Plan.Stmts.push_back(std::move(SP));
   }
 
@@ -411,6 +420,8 @@ PlanExecutor::PlanExecutor(const SpmdProgram &ProgIn, Interpreter &IIn,
     S.Regs.assign(I.Env[P].begin(), I.Env[P].end());
     S.Stack.assign(Plan.StackDepth + 1, 0);
     S.Reads.assign(MaxReads, 0.0);
+    S.Values.assign(Plan.ValueDepth, 0.0);
+    S.Acc.assign(Plan.Accums.size(), 0.0);
     S.PartnerPos.assign(NP, -1);
   }
   SendCache.assign(Plan.Events.size(), std::vector<SideCache>(NP));
@@ -577,9 +588,6 @@ struct PlanExecutor::NativeState {
   static void writeSlow(DhpfCtx *C, int32_t A, int64_t F, double V) {
     host(C).writeFast(rank(C), static_cast<uint32_t>(A), F, V);
   }
-  static double stmt(DhpfCtx *C, int32_t Leaf, int32_t N) {
-    return host(C).runStmt(rank(C), Leaf, static_cast<size_t>(N));
-  }
   static void progress(DhpfCtx *C) { host(C).Com.progress(); }
   static void growPairs(DhpfCtx *C) {
     Scratch &S = host(C).PerProc[rank(C)];
@@ -591,13 +599,6 @@ struct PlanExecutor::NativeState {
     C->CapPairs = Cap;
   }
 };
-
-double PlanExecutor::runStmt(unsigned P, int32_t Leaf, size_t N) {
-  Scratch &S = PerProc[P];
-  const StmtFn *Fn = Sems[Leaf];
-  assert(Fn && "statement without semantics");
-  return (*Fn)({S.Reads.data(), N}, S.Regs, I.Accums[P]);
-}
 
 void PlanExecutor::setupNative() {
   native::PlanSource Src;
@@ -634,7 +635,6 @@ void PlanExecutor::setupNative() {
     NS->LeafCostSec.push_back(SP.Cost * SPW);
   for (unsigned P = Lo; P != Hi; ++P) {
     Scratch &S = PerProc[P];
-    assert(S.Reads.size() >= Src.MaxReads && "read buffer too narrow");
     NativeState::Tables &Tab = NS->Ranks[P - Lo];
     DhpfCtx &C = S.Ctx;
     C.Host = this;
@@ -644,7 +644,7 @@ void PlanExecutor::setupNative() {
     C.Valid = Tab.Valid.data();
     C.Base = Tab.Base.data();
     C.Size = Tab.Size.data();
-    C.Reads = S.Reads.data();
+    C.Accum = S.Acc.data();
     C.LeafCostSec = NS->LeafCostSec.data();
     C.Clock = &I.Mach.clockRef(P);
     C.Stmts = &S.Stmts;
@@ -652,7 +652,6 @@ void PlanExecutor::setupNative() {
     C.ProgressEvery = ProgressEvery;
     C.ReadSlow = &NativeState::readSlow;
     C.WriteSlow = &NativeState::writeSlow;
-    C.Stmt = &NativeState::stmt;
     C.Progress = &NativeState::progress;
     C.PairQ = nullptr; // bound per event enumeration
     C.PairF = nullptr;
@@ -1019,9 +1018,9 @@ void PlanExecutor::runCompute(const PlanNode &N) {
   obs::TraceSpan Span(Com.Trace, N.SpanName, "rt.exec");
   if (Native && Native->T && N.NativeComputeId >= 0) {
     // The compiled loop nest performs the identical sequence of reads,
-    // statement calls, stores, clock bumps, instance counts and progress
-    // pumps; slow paths (non-local elements) come back through the
-    // trampolines.
+    // statement arithmetic, accumulations, stores, clock bumps, instance
+    // counts and progress pumps; slow paths (non-local elements) come back
+    // through the trampolines.
     const DhpfComputeFn Fn = Native->T->Compute[N.NativeComputeId];
     forProcs([&](unsigned P) {
       Scratch &S = PerProc[P];
@@ -1034,12 +1033,20 @@ void PlanExecutor::runCompute(const PlanNode &N) {
     Scratch &S = PerProc[P];
     int64_t *Regs = S.Regs.data();
     int64_t *Stack = S.Stack.data();
+    double *Reads = S.Reads.data();
+    double *Values = S.Values.data();
     walkAll(N.Loops, Regs, Stack, [&](int32_t Leaf, const int64_t *R) {
       const StmtPlan &SP = Plan.Stmts[Leaf];
       for (size_t K = 0; K != SP.Reads.size(); ++K)
-        S.Reads[K] = readFast(P, SP.Reads[K].Array,
-                              SP.Reads[K].Flat.eval(R, Stack), S);
-      double V = runStmt(P, Leaf, SP.Reads.size());
+        Reads[K] = readFast(P, SP.Reads[K].Array,
+                            SP.Reads[K].Flat.eval(R, Stack), S);
+      double V = SP.Body.eval(Reads, 0, nullptr, Values);
+      if (SP.AccSlot >= 0) {
+        double A = SP.AccOperand.eval(Reads, V, nullptr, Values);
+        double &Acc = S.Acc[SP.AccSlot];
+        Acc = SP.AccOp == hpf::Accumulate::Op::Sum ? Acc + A
+                                                   : std::max(Acc, A);
+      }
       writeFast(P, SP.WriteArray, SP.WriteFlat.eval(R, Stack), V);
       I.Mach.addCompute(P, SP.Cost);
       ++S.Stmts;
@@ -1055,10 +1062,10 @@ void PlanExecutor::runCompute(const PlanNode &N) {
 void PlanExecutor::runReduce(const PlanNode &N) {
   std::vector<double> Own;
   for (unsigned P = Lo; P != Hi; ++P)
-    Own.push_back(I.Accums[P][N.RedName]);
+    Own.push_back(PerProc[P].Acc[N.RedSlot]);
   double Combined = Com.allReduce(N, Own);
   for (unsigned P = Lo; P != Hi; ++P)
-    I.Accums[P][N.RedName] = Combined;
+    PerProc[P].Acc[N.RedSlot] = Combined;
   I.Result.FinalAccums[N.RedName] = Combined;
 }
 
@@ -1097,12 +1104,6 @@ void PlanExecutor::runNode(const PlanNode &N) {
 }
 
 RunResult PlanExecutor::run() {
-  Sems.assign(Plan.Stmts.size(), nullptr);
-  for (size_t K = 0; K != Plan.Stmts.size(); ++K) {
-    auto It = I.Semantics.find(Plan.Stmts[K].SemanticsId);
-    if (It != I.Semantics.end())
-      Sems[K] = &It->second;
-  }
   {
     obs::TraceSpan Span(Com.Trace, "rank:run", "rt");
     if (Prog.Root)

@@ -104,8 +104,13 @@ struct StmtPlan {
     bc::Prog Flat;
   };
   std::vector<Read> Reads;
+  /// The body over the reads; NativeGen emits the same program as C.
+  bc::ValueProg Body;
+  /// With an accumulator clause: its slot, op and operand.
+  int32_t AccSlot = -1;
+  hpf::Accumulate::Op AccOp = hpf::Accumulate::Op::Sum;
+  bc::ValueProg AccOperand;
   double Cost = 1.0;
-  int SemanticsId = -1;
 };
 
 /// One lowered communication event.
@@ -144,6 +149,7 @@ struct PlanNode {
   // Reduce
   SpmdNode::ReduceOp RedOp = SpmdNode::ReduceOp::Sum;
   std::string RedName;
+  uint32_t RedSlot = 0; ///< the accumulator slot (ExecPlan::Accums)
   uint64_t RedBytes = 8;
   double RedCost = 1.0;
   std::vector<PlanNode> Children;
@@ -162,11 +168,13 @@ struct DimPlan {
 /// The complete lowered program.
 struct ExecPlan {
   std::vector<std::string> ArrayNames; // dense id -> name
+  std::vector<std::string> Accums;     // accumulator slot -> name
   std::vector<StmtPlan> Stmts;         // indexed by leaf id
   std::vector<EventPlan> Events;       // indexed by EventId
   PlanNode Root;
   std::vector<DimPlan> Dims;
   unsigned StackDepth = 1; // max bytecode stack depth over the whole plan
+  unsigned ValueDepth = 1; // max ValueProg stack depth over the statements
 };
 
 /// Lowers \p Prog once against the storage layout \p S and the run's
@@ -246,10 +254,13 @@ private:
     /// Interpreter::Env and written on every loop iteration.
     LineVector<int64_t> Regs;
     LineVector<int64_t> Stack;
-    /// The statement read buffer, as wide as the widest statement. Compute
-    /// fills it (native kernels through Ctx.Reads) and hands it to the
-    /// statement semantics as a span.
+    /// The statement read buffer, as wide as the widest statement, and the
+    /// stack its body and accumulator operand evaluate on (bytecode).
     LineVector<double> Reads;
+    LineVector<double> Values;
+    /// The rank's accumulators, [slot]; native kernels fold into them
+    /// through Ctx.Accum.
+    LineVector<double> Acc;
     /// The native kernels' view of this rank (unused under bytecode).
     DhpfCtx Ctx = {};
     /// Raw (partner, unbased box flat) enumeration, split into parallel
@@ -282,7 +293,6 @@ private:
   ExecPlan Plan;
   const StorageLayout &Storage;
   std::unique_ptr<ThreadPool> Pool;
-  std::vector<const StmtFn *> Sems;   // by stmt id, resolved at run()
   std::vector<Scratch> PerProc;
   std::vector<std::vector<SideCache>> SendCache, RecvCache; // [event][proc]
   /// The local ranks' stores, [rank - Lo][array id].
@@ -310,9 +320,6 @@ private:
   struct NativeState;
   std::unique_ptr<NativeState> Native;
   void setupNative();
-  /// Runs statement \p Leaf's semantics on the first \p N values of rank
-  /// \p P's read buffer.
-  double runStmt(unsigned P, int32_t Leaf, size_t N);
 
   // Execution.
   void runNode(const PlanNode &N);

@@ -141,13 +141,16 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
   AllBindings = std::move(L.AllBindings);
   Mach = sim::Machine(NumProcs, Config.Machine);
   setupEnvs();
-  Accums.resize(NumProcs);
+  AccNames = Prog.accumulators();
   if (C && C->Size != NumProcs)
     throw std::runtime_error("comm spans " + std::to_string(C->Size) +
                              " ranks but the layout needs " +
                              std::to_string(NumProcs));
   if (E == EngineKind::Tree) {
     setupArrays();
+    Accums.assign(NumProcs, std::vector<double>(AccNames.size(), 0.0));
+    for (const CompiledStmt &S : Prog.Stmts)
+      StmtAcc.push_back(S.Acc ? accumSlot(AccNames, S.Acc->Name) : 0);
     Overlay.resize(NumProcs);
     Pending.resize(NumProcs);
     return;
@@ -174,8 +177,18 @@ EngineKind Interpreter::resolveEngine(EngineKind E) {
   return EngineKind::Bytecode;
 }
 
-void Interpreter::setSemantics(int Id, StmtFn Fn) {
-  Semantics[Id] = std::move(Fn);
+void Interpreter::seedArrays() {
+  if (!Prog.Source)
+    return;
+  for (const auto &[Name, A] : Prog.Source->arrays()) {
+    if (!A.Init)
+      continue;
+    bc::ValueProg Init = bc::compileValue(*A.Init);
+    initArray(Name, [&Init](const std::vector<int64_t> &Idx) {
+      double Stack[hpf::MaxValueDepth + 1];
+      return Init.eval(nullptr, 0, Idx.data(), Stack);
+    });
+  }
 }
 
 void Interpreter::initArray(
@@ -308,10 +321,15 @@ void Interpreter::execCompute(const SpmdNode &N) {
                       Idx.push_back(Sub.eval(E));
                     Reads.push_back(readElem(P, Rd.Array, Idx));
                   }
-                  auto SemIt = Semantics.find(S.SemanticsId);
-                  assert(SemIt != Semantics.end() &&
-                         "statement without semantics");
-                  double V = SemIt->second(Reads, E, Accums[P]);
+                  double V = hpf::evalValue(S.Body, Reads.data(), 0, nullptr);
+                  if (S.Acc) {
+                    double A = hpf::evalValue(S.Acc->Operand, Reads.data(),
+                                              V, nullptr);
+                    double &Acc = Accums[P][StmtAcc[Leaf]];
+                    Acc = S.Acc->O == hpf::Accumulate::Op::Sum
+                              ? Acc + A
+                              : std::max(Acc, A);
+                  }
                   Idx.clear();
                   for (const cg::Expr &Sub : S.WriteSubs)
                     Idx.push_back(Sub.eval(E));
@@ -461,8 +479,9 @@ void Interpreter::execReduce(const SpmdNode &N) {
                         ? -std::numeric_limits<double>::infinity()
                         : 0.0;
   std::vector<double *> Slot(NumProcs);
+  uint32_t K = accumSlot(AccNames, N.RedName);
   for (unsigned P = 0; P != NumProcs; ++P) {
-    double &V = Accums[P][N.RedName];
+    double &V = Accums[P][K];
     Slot[P] = &V;
     Combined = N.RedOp == SpmdNode::ReduceOp::Max ? std::max(Combined, V)
                                                   : Combined + V;

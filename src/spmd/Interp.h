@@ -28,10 +28,13 @@
 /// rank always runs the plan executor; the tree walk stays the in-process
 /// oracle that distributed runs are checked against.
 ///
-/// Application semantics (the right-hand sides of statements, reduction
-/// accumulators) are supplied by the benchmark applications as callbacks,
-/// so the same compiled program both measures simulated time and produces
-/// numerically checkable results.
+/// Every engine computes the program's own arithmetic: statement bodies and
+/// accumulator clauses (hpf/ValueExpr.h) — the tree walk evaluates the
+/// trees, the plan executor a flat program or inline C — and seedArrays()
+/// seeds arrays from their init values on the host. So the same compiled
+/// program both measures simulated time and produces numerically checkable
+/// results. Accumulators are per-processor slots, one per name of
+/// SpmdProgram::accumulators().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -57,16 +59,8 @@
 namespace dhpf {
 namespace spmd {
 
-/// Per-processor named accumulators (for reductions and convergence tests).
+/// Accumulator values by name (RunResult::FinalAccums).
 using AccumMap = std::map<std::string, double>;
-
-/// Statement semantics: computes the value to store from the values read.
-/// \p Env is the current loop-variable environment; \p Acc the executing
-/// processor's accumulators. Under the plan executor both spans view the
-/// executing rank's own read buffer and loop registers, uncopied.
-using StmtFn = std::function<double(std::span<const double> Reads,
-                                    std::span<const int64_t> Env,
-                                    AccumMap &Acc)>;
 
 /// Which execution engine runs the program.
 enum class EngineKind : uint8_t {
@@ -186,13 +180,13 @@ public:
   Interpreter(const SpmdProgram &Prog, RunConfig Config, Comm &C);
   ~Interpreter();
 
-  /// Registers statement semantics for a SemanticsId.
-  void setSemantics(int Id, StmtFn Fn);
+  /// Seeds every array that declares an init value from it (the others
+  /// stay 0).
+  void seedArrays();
 
   /// Seeds initial array contents: \p Init(indices) -> value. Each rank of
   /// the plan executor seeds only the elements it owns, and the ranks seed
-  /// concurrently, so \p Init must be safe to call from several threads,
-  /// as statement semantics are.
+  /// concurrently, so \p Init must be safe to call from several threads.
   void initArray(const std::string &Name,
                  const std::function<double(const std::vector<int64_t> &)>
                      &Init);
@@ -240,13 +234,17 @@ private:
   /// Global arrays assembled by array() from the plan executor's ranks.
   mutable std::map<std::string, ArrayStore> Assembled;
   mutable std::mutex AssembledMu; ///< guards Assembled
-  std::map<int, StmtFn> Semantics;
+  /// SpmdProgram::accumulators(): slot -> name.
+  std::vector<std::string> AccNames;
 
   // Per-processor state.
   /// Variable environments. The tree engine walks these; the plan executor
   /// starts its per-rank loop registers from them (ExecPlan.h).
   std::vector<std::vector<int64_t>> Env;
-  std::vector<AccumMap> Accums;
+  /// The tree engine's accumulators, [proc][slot], and each statement's
+  /// accumulator slot.
+  std::vector<std::vector<double>> Accums;
+  std::vector<uint32_t> StmtAcc;
   /// The tree oracle's copies of non-owned elements, per proc and array:
   /// received values and non-owner writes, the last one winning.
   std::vector<std::map<std::string, std::unordered_map<int64_t, double>>>

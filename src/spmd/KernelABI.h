@@ -16,11 +16,14 @@
 /// Kernels see the world through DhpfCtx: the executing rank's storage
 /// boxes (Layout.h) with a validity byte per element for the inline fast
 /// path — a kernel's flats are unbased box flats, identical on every rank,
-/// and the rank's Base turns one into an index into its box — callbacks
-/// for the slow paths (non-owner writes, validity violations), the
-/// statement-semantics trampoline, a progress hook (the Figure 4
-/// compute/comm overlap window), and a growable (partner, flat) pair
-/// buffer for communication-event enumeration.
+/// and the rank's Base turns one into an index into its box — the rank's
+/// accumulator slots, callbacks for the slow paths (non-owner writes,
+/// validity violations), a progress hook (the Figure 4 compute/comm
+/// overlap window), and a growable (partner, flat) pair buffer for
+/// communication-event enumeration. Statement arithmetic is inline C:
+/// nothing calls back into the host per statement instance, and a compute
+/// function keeps the clock and both instance counters in locals, writing
+/// them back before Progress and on return.
 ///
 /// Compatibility is verified at load time, not assumed: the kernel bakes
 /// DHPF_KERNEL_ABI_VERSION, sizeof(DhpfCtx) as the C compiler saw it, and
@@ -36,7 +39,7 @@
 
 #include <stdint.h>
 
-#define DHPF_KERNEL_ABI_VERSION 3
+#define DHPF_KERNEL_ABI_VERSION 4
 
 /// The symbol every kernel exports; resolves to a DhpfEntryFn.
 #define DHPF_KERNEL_ENTRY_SYMBOL "dhpf_kernel_entry"
@@ -46,7 +49,6 @@
   typedef struct DhpfCtx DhpfCtx;                                             \
   typedef double (*DhpfReadSlowFn)(DhpfCtx *, int32_t, int64_t);              \
   typedef void (*DhpfWriteSlowFn)(DhpfCtx *, int32_t, int64_t, double);       \
-  typedef double (*DhpfStmtCbFn)(DhpfCtx *, int32_t, int32_t);                \
   typedef void (*DhpfHookFn)(DhpfCtx *);                                      \
   enum { DhpfValidOwn = 1 };    /* validity bit: the rank owns it */          \
   struct DhpfCtx {                                                            \
@@ -57,7 +59,7 @@
     uint8_t *const *Valid;      /* [array id] validity byte per element */    \
     const int64_t *Base;        /* [array id] unbased flat of box index 0 */  \
     const int64_t *Size;        /* [array id] box element count */            \
-    double *Reads;              /* statement read buffer (>= max arity) */    \
+    double *Accum;              /* [slot] the rank's accumulators */          \
     const double *LeafCostSec;  /* [leaf id] Cost * SecPerWork */             \
     double *Clock;              /* simulated per-proc clock */                \
     uint64_t *Stmts;            /* statement-instance counter */              \
@@ -65,7 +67,6 @@
     uint64_t ProgressEvery;     /* pump period; UINT64_MAX disables */        \
     DhpfReadSlowFn ReadSlow;    /* element not yet valid: a violation */      \
     DhpfWriteSlowFn WriteSlow;  /* non-owner write */                         \
-    DhpfStmtCbFn Stmt;          /* statement semantics: (ctx, leaf, n) */     \
     DhpfHookFn Progress;        /* transport progress pump */                 \
     uint32_t *PairQ;            /* event enumeration: partner ranks */        \
     int64_t *PairF;             /* event enumeration: unbased box flats */    \

@@ -170,9 +170,12 @@ bool compileTU(const std::string &CPath, const std::string &SoPath,
   std::string TmpSo = SoPath + ".tmp" + Pid;
   std::string ErrFile = SoPath + ".err" + Pid;
   // -fwrapv gives signed overflow two's-complement semantics, matching the
-  // host engines' checked-arithmetic value behaviour for in-range programs.
+  // host engines' checked-arithmetic value behaviour for in-range programs;
+  // -ffp-contract=off keeps a*b+c two roundings, as on the host (no FMA),
+  // so statement arithmetic is bit-identical on every target.
   std::string Cmd = KernelCache::compilerCommand() +
-                    " -O2 -fPIC -fwrapv -shared -o " + shq(TmpSo) + " " +
+                    " -O2 -fPIC -fwrapv -ffp-contract=off -shared -o " +
+                    shq(TmpSo) + " " +
                     shq(CPath) + " 2> " + shq(ErrFile);
   int RC = std::system(Cmd.c_str());
   std::string Diag = readFile(ErrFile);

@@ -9,10 +9,13 @@
 #include "spmd/ExecPlan.h"
 #include "spmd/KernelABI.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 using namespace dhpf;
@@ -154,6 +157,71 @@ std::string exprC(const bc::Prog &P, const Scope &S) {
   return Stk.back();
 }
 
+/// A double literal C reads back as exactly \p V (a '.' or exponent makes
+/// it a double; -0 keeps its sign as -(0.0)).
+std::string valueLit(double V) {
+  std::string S = hpf::printValueNumber(std::fabs(V));
+  if (S.find_first_of(".e") == std::string::npos)
+    S += ".0";
+  return std::signbit(V) ? "(-" + S + ")" : S;
+}
+
+/// C expression text for one statement value program: read k is `r<k>`,
+/// the value just computed `x`. One parenthesized C operation per program
+/// operation, in the program's order.
+std::string valueC(const bc::ValueProg &P) {
+  std::vector<std::string> Stk;
+  auto bin = [&](const std::string &Pre, const char *Mid) {
+    std::string B = std::move(Stk.back());
+    Stk.pop_back();
+    Stk.back() = Pre + Stk.back() + Mid + B + ")";
+  };
+  for (const bc::VInsn &In : P.Code) {
+    switch (In.O) {
+    case bc::VOp::PushK:
+      Stk.push_back(valueLit(In.K));
+      break;
+    case bc::VOp::PushRead:
+      Stk.push_back("r" + std::to_string(In.A));
+      break;
+    case bc::VOp::PushValue:
+      Stk.push_back("x");
+      break;
+    case bc::VOp::Neg:
+      Stk.back() = "(-" + Stk.back() + ")";
+      break;
+    case bc::VOp::Add:
+      bin("(", " + ");
+      break;
+    case bc::VOp::Sub:
+      bin("(", " - ");
+      break;
+    case bc::VOp::Mul:
+      bin("(", " * ");
+      break;
+    case bc::VOp::Div:
+      bin("(", " / ");
+      break;
+    case bc::VOp::Abs:
+      Stk.back() = "fabs(" + Stk.back() + ")";
+      break;
+    case bc::VOp::Min:
+      bin("dhpf_vmin(", ", ");
+      break;
+    case bc::VOp::Max:
+      bin("dhpf_vmax(", ", ");
+      break;
+    case bc::VOp::PushIndex:
+    case bc::VOp::Sin:
+    case bc::VOp::Cos:
+      assert(false && "initial values are computed on the host");
+      break;
+    }
+  }
+  assert(Stk.size() == 1 && "malformed value program");
+  return Stk.back();
+}
+
 std::string atomC(const PlanAtom &At, const Scope &S) {
   std::string E = exprC(At.E, S);
   switch (At.K) {
@@ -291,19 +359,28 @@ void Emitter::emitComputeLeaf(int32_t LeafId, Scope &Sc) {
   open("{ /* stmt " + std::to_string(LeafId) + " -> " +
        Plan.ArrayNames[SP.WriteArray] + " */");
   for (size_t K = 0; K != SP.Reads.size(); ++K)
-    line("c->Reads[" + std::to_string(K) + "] = dhpf_load(c, " +
+    line("const double r" + std::to_string(K) + " = dhpf_load(c, " +
          std::to_string(SP.Reads[K].Array) + ", " +
          exprC(SP.Reads[K].Flat, Sc) + ");");
-  unsigned T = NextId++;
-  line("const double x" + std::to_string(T) + " = c->Stmt(c, " +
-       std::to_string(LeafId) + ", " + std::to_string(SP.Reads.size()) +
-       ");");
+  line("const double x = " + valueC(SP.Body) + ";");
+  if (SP.AccSlot >= 0) {
+    std::string Acc = "acc[" + std::to_string(SP.AccSlot) + "]";
+    std::string V = valueC(SP.AccOperand);
+    line(Acc + " = " +
+         (SP.AccOp == hpf::Accumulate::Op::Sum
+              ? "(" + Acc + " + " + V + ")"
+              : "dhpf_vmax(" + Acc + ", " + V + ")") +
+         ";");
+  }
   line("dhpf_store(c, " + std::to_string(SP.WriteArray) + ", " +
-       exprC(SP.WriteFlat, Sc) + ", x" + std::to_string(T) + ");");
-  line("*c->Clock += c->LeafCostSec[" + std::to_string(LeafId) + "];");
-  line("++*c->Stmts;");
-  open("if (++c->ProgressCtr >= c->ProgressEvery) {");
-  line("c->ProgressCtr = 0;");
+       exprC(SP.WriteFlat, Sc) + ", x);");
+  line("clk += cost" + std::to_string(LeafId) + ";");
+  line("++nst;");
+  open("if (++pc >= c->ProgressEvery) {");
+  line("pc = 0;");
+  line("*c->Clock = clk;");
+  line("*c->Stmts = nst;");
+  line("c->ProgressCtr = pc;");
   line("c->Progress(c);");
   close();
   close();
@@ -379,11 +456,33 @@ void Emitter::emitComputeFn(const PlanNode &N) {
   if (N.Loops.Nodes.empty()) {
     line("(void)c;");
     line("(void)R;");
-  } else {
-    Scope Sc;
-    emitAstAll(N.Loops, Sc,
-               [this](int32_t L, Scope &SIn) { emitComputeLeaf(L, SIn); });
+    close();
+    line("");
+    return;
   }
+  // The clock and the instance counters live in locals (written back
+  // before Progress and on return), as do the leaves' costs: the C
+  // compiler cannot keep them in registers across the slow-path calls.
+  std::set<int32_t> Leaves;
+  for (const PlanAst::Node &Nd : N.Loops.Nodes)
+    if (Nd.K == PlanAst::Node::Kind::Leaf)
+      Leaves.insert(Nd.LeafId);
+  if (std::any_of(Leaves.begin(), Leaves.end(), [&](int32_t L) {
+        return Plan.Stmts[L].AccSlot >= 0;
+      }))
+    line("double *const acc = c->Accum;");
+  line("double clk = *c->Clock;");
+  line("uint64_t nst = *c->Stmts;");
+  line("uint64_t pc = c->ProgressCtr;");
+  for (int32_t L : Leaves)
+    line("const double cost" + std::to_string(L) + " = c->LeafCostSec[" +
+         std::to_string(L) + "];");
+  Scope Sc;
+  emitAstAll(N.Loops, Sc,
+             [this](int32_t L, Scope &SIn) { emitComputeLeaf(L, SIn); });
+  line("*c->Clock = clk;");
+  line("*c->Stmts = nst;");
+  line("c->ProgressCtr = pc;");
   close();
   line("");
 }
@@ -511,9 +610,6 @@ PlanSource Emitter::run() {
   Out.Fingerprint = fnv1a64(S);
   Out.NumCompute = static_cast<int32_t>(Comp.size());
   Out.NumEvents = static_cast<int32_t>(Plan.Events.size());
-  for (const StmtPlan &SP : Plan.Stmts)
-    if (SP.Reads.size() > Out.MaxReads)
-      Out.MaxReads = static_cast<unsigned>(SP.Reads.size());
 
   char FP[32];
   std::snprintf(FP, sizeof(FP), "0x%016llx",
@@ -567,6 +663,12 @@ std::string native::helperPreamble() {
          "  return b < a ? b : a;\n"
          "}\n"
          "static inline int64_t dhpf_max(int64_t a, int64_t b) {\n"
+         "  return a < b ? b : a;\n"
+         "}\n"
+         "static inline double dhpf_vmin(double a, double b) {\n"
+         "  return b < a ? b : a;\n"
+         "}\n"
+         "static inline double dhpf_vmax(double a, double b) {\n"
          "  return a < b ? b : a;\n"
          "}\n";
 }

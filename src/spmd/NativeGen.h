@@ -8,7 +8,7 @@
 /// Lowers a built ExecPlan to one self-contained C translation unit — the
 /// generated node code the paper's multiple-mappings codegen ultimately
 /// targets. Each Compute node becomes a C function running its loop nest
-/// for one processor rank; each communication event side becomes a
+/// for one processor rank, with every statement's arithmetic inline; each communication event side becomes a
 /// (partner, flat-element) enumeration function with the DimPlan
 /// virtual-processor mapping folded to constants; each Reduce node becomes
 /// a combine body with the engines' exact floating-point order; and the
@@ -45,7 +45,6 @@ struct PlanSource {
   uint64_t Fingerprint = 0; ///< FNV-1a of C (matches the baked table field)
   int32_t NumCompute = 0;
   int32_t NumEvents = 0;
-  unsigned MaxReads = 0; ///< widest statement read arity in the plan
 };
 
 /// Emits the complete kernel TU for \p Plan. Requires the plan's compute
@@ -59,8 +58,9 @@ PlanSource emitPlanSource(const ExecPlan &Plan);
 /// shift/mask forms, INT64 boundaries).
 std::string emitExprC(const bc::Prog &P, const std::string &Regs);
 
-/// The static helper preamble (dhpf_fdiv/dhpf_cdiv/dhpf_fmod/min/max and
-/// the load/store fast paths) every generated TU — and every test TU using
+/// The static helper preamble (dhpf_fdiv/dhpf_cdiv/dhpf_fmod/min/max, the
+/// double dhpf_vmin/dhpf_vmax with std::min/std::max's operand semantics,
+/// and the load/store fast paths) every generated TU — and every test TU using
 /// emitExprC — starts with. Mirrors support/MathExtras.h semantics.
 std::string helperPreamble();
 

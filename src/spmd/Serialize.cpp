@@ -130,6 +130,56 @@ void writeExpr(std::ostream &OS, const cg::Expr &E) {
   }
 }
 
+/// A statement's double literal: %.17g (bit-exact), always with a '.' or an
+/// exponent so the reader takes it as a double and -0 keeps its sign.
+std::string fmtValueNum(double V) {
+  std::string S = fmtDouble(V);
+  if (S.find_first_of(".eEn") == std::string::npos)
+    S += ".0";
+  return S;
+}
+
+const char *valueOpName(hpf::ValueExpr::Kind K) {
+  switch (K) {
+  case hpf::ValueExpr::Kind::Neg:
+    return "neg";
+  case hpf::ValueExpr::Kind::Add:
+    return "+";
+  case hpf::ValueExpr::Kind::Sub:
+    return "-";
+  case hpf::ValueExpr::Kind::Mul:
+    return "*";
+  case hpf::ValueExpr::Kind::Div:
+    return "/";
+  default:
+    return hpf::valueFnName(K);
+  }
+}
+
+/// A statement body or accumulator operand: (k <literal>), (r <read>), (w)
+/// for the value just computed, and (<op> <operands>...).
+void writeValue(std::ostream &OS, const hpf::ValueExpr &E) {
+  switch (E.K) {
+  case hpf::ValueExpr::Kind::Num:
+    OS << "(k " << fmtValueNum(E.Num) << ")";
+    return;
+  case hpf::ValueExpr::Kind::Read:
+    OS << "(r " << E.Index << ")";
+    return;
+  case hpf::ValueExpr::Kind::Value:
+    OS << "(w)";
+    return;
+  default:
+    OS << "(" << valueOpName(E.K);
+    for (const hpf::ValueExpr &Op : E.Ops) {
+      OS << " ";
+      writeValue(OS, Op);
+    }
+    OS << ")";
+    return;
+  }
+}
+
 void writeGuard(std::ostream &OS, const cg::Guard &G) {
   OS << "(or";
   for (const auto &Conj : G.AnyOf) {
@@ -263,7 +313,7 @@ void writeNode(std::ostream &OS, const SpmdNode *N) {
 
 std::string spmd::serializeSpmdProgram(const SpmdProgram &P) {
   std::ostringstream OS;
-  OS << "(spmd 2\n";
+  OS << "(spmd 3\n";
 
   OS << " (vars";
   for (unsigned I = 0; I != P.Vars.size(); ++I)
@@ -289,8 +339,8 @@ std::string spmd::serializeSpmdProgram(const SpmdProgram &P) {
 
   OS << " (stmts";
   for (const CompiledStmt &S : P.Stmts) {
-    OS << "\n  (stmt " << S.Id << " " << S.SemanticsId << " "
-       << fmtDouble(S.Cost) << " " << quoted(S.Label) << " "
+    OS << "\n  (stmt " << S.Id << " " << fmtDouble(S.Cost) << " "
+       << quoted(S.Label) << " "
        << quoted(S.WriteArray) << " (";
     for (unsigned I = 0; I != S.WriteSubs.size(); ++I) {
       if (I)
@@ -309,7 +359,18 @@ std::string spmd::serializeSpmdProgram(const SpmdProgram &P) {
       }
       OS << "))";
     }
-    OS << "))";
+    OS << ")\n   ";
+    writeValue(OS, S.Body);
+    if (S.Acc) {
+      OS << " (accum "
+         << (S.Acc->O == hpf::Accumulate::Op::Sum ? "sum" : "max") << " "
+         << quoted(S.Acc->Name) << " ";
+      writeValue(OS, S.Acc->Operand);
+      OS << ")";
+    } else {
+      OS << " nil";
+    }
+    OS << ")";
   }
   OS << ")\n";
 
@@ -393,6 +454,10 @@ private:
   size_t Pos = 0;
   size_t LineStart = 0;
   unsigned Line = 1;
+  /// Open lists: bounded so no input can overflow the recursive reader
+  /// (statement bodies nest at most hpf::MaxValueDepth deep).
+  unsigned Depth = 0;
+  static constexpr unsigned MaxNesting = 1024;
 
   void skipWS() {
     while (Pos != Text.size()) {
@@ -419,6 +484,9 @@ private:
     SourceLoc L = loc();
     char C = Text[Pos];
     if (C == '(') {
+      if (++Depth > MaxNesting)
+        failHere("lists nest deeper than " + std::to_string(MaxNesting) +
+                 " levels");
       ++Pos;
       SExpr E;
       E.K = SExpr::Kind::List;
@@ -429,6 +497,7 @@ private:
           fail(L, "unterminated list");
         if (Text[Pos] == ')') {
           ++Pos;
+          --Depth;
           return E;
         }
         E.Items.push_back(parseOne());
@@ -541,7 +610,7 @@ public:
         !isSym(Top.Items[0], "spmd"))
       fail(Top.Loc, "expected (spmd <version> ...)");
     if (Top.Items.size() < 2 || Top.Items[1].K != SExpr::Kind::Int ||
-        Top.Items[1].I != 2)
+        Top.Items[1].I != 3)
       fail(Top.Loc, "unsupported spmd serialization version");
 
     // Index the sections, then decode in dependency order (vars first:
@@ -675,19 +744,20 @@ private:
 
   void decodeStmts(const SExpr &S) {
     for (size_t I = 1; I != S.Items.size(); ++I) {
-      const SExpr &St = asList(S.Items[I], "stmt", 8);
+      const SExpr &St = asList(S.Items[I], "stmt", 9);
+      if (St.Items.size() != 9)
+        fail(St.Loc, "too many items in (stmt ...)");
       CompiledStmt CS;
       CS.Id = static_cast<int>(asInt(St.Items[1]));
-      CS.SemanticsId = static_cast<int>(asInt(St.Items[2]));
-      CS.Cost = asDouble(St.Items[3]);
-      CS.Label = asStr(St.Items[4]);
-      CS.WriteArray = asStr(St.Items[5]);
-      const SExpr &Subs = St.Items[6];
+      CS.Cost = asDouble(St.Items[2]);
+      CS.Label = asStr(St.Items[3]);
+      CS.WriteArray = asStr(St.Items[4]);
+      const SExpr &Subs = St.Items[5];
       if (Subs.K != SExpr::Kind::List)
         fail(Subs.Loc, "expected a subscript list");
       for (const SExpr &E : Subs.Items)
         CS.WriteSubs.push_back(decodeExpr(E));
-      const SExpr &Reads = St.Items[7];
+      const SExpr &Reads = St.Items[6];
       if (Reads.K != SExpr::Kind::List)
         fail(Reads.Loc, "expected a read list");
       for (const SExpr &R : Reads.Items) {
@@ -699,6 +769,24 @@ private:
         for (const SExpr &E : RL.Items[2].Items)
           Rd.Subs.push_back(decodeExpr(E));
         CS.Reads.push_back(std::move(Rd));
+      }
+      unsigned Nodes = 0;
+      CS.Body = decodeValue(St.Items[7], CS.Reads.size(), false, 1, Nodes);
+      if (!isSym(St.Items[8], "nil")) {
+        const SExpr &A = asList(St.Items[8], "accum", 4);
+        if (A.Items.size() != 4)
+          fail(A.Loc, "accum expects op, name and operand");
+        hpf::Accumulate Acc;
+        if (isSym(A.Items[1], "sum"))
+          Acc.O = hpf::Accumulate::Op::Sum;
+        else if (isSym(A.Items[1], "max"))
+          Acc.O = hpf::Accumulate::Op::Max;
+        else
+          fail(A.Items[1].Loc, "unknown accumulation op");
+        Acc.Name = asStr(A.Items[2]);
+        Nodes = 0;
+        Acc.Operand = decodeValue(A.Items[3], CS.Reads.size(), true, 1, Nodes);
+        CS.Acc = std::move(Acc);
       }
       Prog->Stmts.push_back(std::move(CS));
     }
@@ -732,6 +820,56 @@ private:
   }
 
   //===------------------------ expressions / ASTs -----------------------===//
+
+  /// A statement body (\p InAccum: an accumulator operand) over \p NumReads
+  /// reads, bounded like the .hpf parser's.
+  hpf::ValueExpr decodeValue(const SExpr &S, size_t NumReads, bool InAccum,
+                             unsigned Depth, unsigned &Nodes) {
+    using K = hpf::ValueExpr::Kind;
+    if (Depth > hpf::MaxValueDepth || ++Nodes > hpf::MaxValueNodes)
+      fail(S.Loc, "statement expression too deep or too large");
+    if (S.K != SExpr::Kind::List || S.Items.empty() ||
+        S.Items[0].K != SExpr::Kind::Sym)
+      fail(S.Loc, "expected a value expression");
+    const std::string &Op = S.Items[0].S;
+    auto Arity = [&](size_t N) {
+      if (S.Items.size() != N + 1)
+        fail(S.Loc, "value operator '" + Op + "' expects " +
+                        std::to_string(N) + " operand(s)");
+    };
+    if (Op == "k") {
+      Arity(1);
+      return hpf::ValueExpr::num(asDouble(S.Items[1]));
+    }
+    if (Op == "r") {
+      Arity(1);
+      int64_t R = asInt(S.Items[1]);
+      if (R < 0 || static_cast<uint64_t>(R) >= NumReads)
+        fail(S.Items[1].Loc, "read " + std::to_string(R) +
+                                 " out of range (statement has " +
+                                 std::to_string(NumReads) + " reads)");
+      return hpf::ValueExpr::leaf(K::Read, static_cast<unsigned>(R));
+    }
+    if (Op == "w") {
+      Arity(0);
+      if (!InAccum)
+        fail(S.Loc, "(w) is only meaningful in an accumulator operand");
+      return hpf::ValueExpr::leaf(K::Value, 0);
+    }
+    static const K Ops[] = {K::Neg, K::Add, K::Sub, K::Mul,
+                            K::Div, K::Abs, K::Min, K::Max};
+    for (K Kind : Ops) {
+      if (Op != valueOpName(Kind))
+        continue;
+      Arity(hpf::valueArity(Kind));
+      std::vector<hpf::ValueExpr> Operands;
+      for (size_t I = 1; I != S.Items.size(); ++I)
+        Operands.push_back(
+            decodeValue(S.Items[I], NumReads, InAccum, Depth + 1, Nodes));
+      return hpf::ValueExpr::op(Kind, std::move(Operands));
+    }
+    fail(S.Items[0].Loc, "unknown value operator '" + Op + "'");
+  }
 
   cg::Expr decodeExpr(const SExpr &S) {
     if (isSym(S, "nil"))

@@ -8,13 +8,14 @@
 /// A canonical textual form for compiled SPMD programs, so compilation and
 /// execution can run in separate processes (dhpfc compile -> .spmd file ->
 /// dhpfc run). serializeSpmdProgram renders every component — the variable
-/// table, compiled statements, communication events (loop ASTs and the
-/// compile-time in-place verdict), and the node tree — as a single
-/// s-expression, and embeds the mini-HPF source text (via printHpfProgram)
-/// because the interpreter rebuilds layouts and array extents from it. No
-/// relation is serialized: a run needs none. parseSpmdProgram reads the
-/// form back; the reparsed program executes bit-identically to the
-/// in-memory original.
+/// table, compiled statements with their bodies and accumulator clauses,
+/// communication events (loop ASTs and the compile-time in-place verdict),
+/// and the node tree — as a single s-expression, and embeds the mini-HPF
+/// source text (via printHpfProgram) because the interpreter rebuilds
+/// layouts, array extents and initial values from it. No relation is
+/// serialized: a run needs none. parseSpmdProgram reads the form back; the
+/// reparsed program executes bit-identically to the in-memory original.
+/// The form is version 3 (`(spmd 3`); an older version is refused.
 ///
 //===----------------------------------------------------------------------===//
 

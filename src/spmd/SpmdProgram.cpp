@@ -6,12 +6,21 @@
 
 #include "spmd/SpmdProgram.h"
 
+#include <algorithm>
+#include <cassert>
 #include <sstream>
 
 using namespace dhpf;
 using namespace dhpf::spmd;
 
 namespace {
+
+void collectReduces(const SpmdNode &N, std::vector<std::string> &Out) {
+  if (N.K == SpmdNode::Kind::Reduce)
+    Out.push_back(N.RedName);
+  for (const auto &C : N.Children)
+    collectReduces(*C, Out);
+}
 
 void printNode(const SpmdNode &N, const SpmdProgram &P, unsigned Indent,
                std::ostringstream &OS) {
@@ -68,4 +77,23 @@ std::string SpmdProgram::print() const {
   if (Root)
     printNode(*Root, *this, 0, OS);
   return OS.str();
+}
+
+std::vector<std::string> SpmdProgram::accumulators() const {
+  std::vector<std::string> Names;
+  if (Root)
+    collectReduces(*Root, Names);
+  for (const CompiledStmt &S : Stmts)
+    if (S.Acc)
+      Names.push_back(S.Acc->Name);
+  std::sort(Names.begin(), Names.end());
+  Names.erase(std::unique(Names.begin(), Names.end()), Names.end());
+  return Names;
+}
+
+uint32_t spmd::accumSlot(const std::vector<std::string> &Names,
+                         const std::string &Name) {
+  auto It = std::lower_bound(Names.begin(), Names.end(), Name);
+  assert(It != Names.end() && *It == Name && "unknown accumulator");
+  return static_cast<uint32_t>(It - Names.begin());
 }

@@ -25,6 +25,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,8 @@ struct InPlaceResult;
 namespace spmd {
 
 /// One compiled statement: subscripts resolved to expressions over the
-/// shared variable table. LeafId in compute ASTs indexes these.
+/// shared variable table, and the source statement's arithmetic. LeafId
+/// in compute ASTs indexes these.
 struct CompiledStmt {
   int Id = -1;
   std::string WriteArray;
@@ -45,8 +47,9 @@ struct CompiledStmt {
     std::vector<cg::Expr> Subs;
   };
   std::vector<Read> Reads;
+  hpf::ValueExpr Body; ///< Read k is Reads[k]
+  std::optional<hpf::Accumulate> Acc;
   double Cost = 1.0;
-  int SemanticsId = -1;
   std::string Label;
 };
 
@@ -130,7 +133,15 @@ struct SpmdProgram {
 
   /// Pretty-prints the node program (loops as pseudo-Fortran).
   std::string print() const;
+
+  /// The accumulator names, sorted: every reduce node's and every
+  /// statement accumulator's. An accumulator's slot is its index here.
+  std::vector<std::string> accumulators() const;
 };
+
+/// The slot of accumulator \p Name in \p Names (SpmdProgram::accumulators).
+uint32_t accumSlot(const std::vector<std::string> &Names,
+                   const std::string &Name);
 
 } // namespace spmd
 } // namespace dhpf

@@ -33,7 +33,7 @@ void runApp(AppInstance App,
     RunConfig RC;
     RC.ProcExtents = {{App.ProcArrayName, Shape}};
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     std::string Cfg;
     for (int64_t S : Shape)
@@ -105,7 +105,7 @@ TEST(Apps, RunTimeDoesNoSetEngineWork) {
       RC.Engine = E;
       pset::CacheStats Before = pset::OpCache::global().stats();
       Interpreter I(Compiled->Program, RC);
-      App.Setup(I);
+      I.seedArrays();
       EXPECT_TRUE(I.run().Valid) << App.Name;
       pset::CacheStats Ran = pset::OpCache::global().stats() - Before;
       EXPECT_EQ(Ran.Hits + Ran.Misses, 0u)

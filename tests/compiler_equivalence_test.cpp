@@ -13,6 +13,7 @@
 
 #include "apps/Apps.h"
 #include "core/Compiler.h"
+#include "hpf/HpfParser.h"
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,7 @@ std::vector<double> finalArray(const SpmdProgram &SP, const AppInstance &App,
   RunConfig RC;
   RC.ProcExtents = {{App.ProcArrayName, Shape}};
   Interpreter I(SP, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunResult RR = I.run();
   Valid = RR.Valid;
   const ArrayStore &A = I.array(Array);
@@ -129,12 +130,7 @@ Program cyclicKStencil(bool Symbolic, int64_t K) {
   ComputeNest N;
   N.Name = "stencil";
   N.Loops = {loop("i", 2, 23)};
-  Statement S;
-  S.Write = ref("A", {"i"});
-  S.Reads = {ref("B", {AffineExpr("i") - 1}),
-             ref("B", {AffineExpr("i") + 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i) = B(i-1)*10 + B(i+1)")};
   P.addNest(Proc, N);
   return P;
 }
@@ -147,10 +143,6 @@ void runCyclicK(bool Symbolic, int64_t K,
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](std::span<const double> R,
-                         std::span<const int64_t>, AccumMap &) {
-      return R[0] * 10.0 + R[1];
-    });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {
       return double(Idx[0]);
     });

@@ -189,7 +189,7 @@ distribute T(block) onto P
 procedure main
   nest copy
     do i = 1, 16
-    A(i) = B(i+1) sem 0
+    A(i) = B(i+1)
   endnest
 endprocedure
 EOF

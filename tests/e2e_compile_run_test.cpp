@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "hpf/HpfParser.h"
 #include "spmd/Interp.h"
 
 #include <gtest/gtest.h>
@@ -42,11 +43,7 @@ Program stencilProgram(bool SymbolicProcs) {
   ComputeNest N;
   N.Name = "stencil";
   N.Loops = {loop("i", 2, 15)};
-  Statement S;
-  S.Write = ref("A", {"i"});
-  S.Reads = {ref("B", {AffineExpr("i") - 1}), ref("B", {AffineExpr("i") + 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i) = B(i-1) + B(i+1)")};
   P.addNest(Proc, N);
   return P;
 }
@@ -57,10 +54,6 @@ void runStencil(const Program &P, CompilerOptions Opts,
   RunConfig RC;
   RC.ProcExtents = Procs;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return R[0] + R[1];
-  });
   I.initArray("B", [](const std::vector<int64_t> &Idx) {
     return double(Idx[0] * Idx[0]);
   });
@@ -102,10 +95,6 @@ TEST(EndToEnd, Stencil1DSymbolicProcs) {
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](std::span<const double> R,
-                         std::span<const int64_t>, AccumMap &) {
-      return R[0] + R[1];
-    });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {
       return double(Idx[0]);
     });
@@ -134,12 +123,7 @@ TEST(EndToEnd, Stencil1DCyclicSymbolic) {
   ComputeNest N;
   N.Name = "stencil";
   N.Loops = {loop("i", 2, 15)};
-  Statement S;
-  S.Write = ref("A", {"i"});
-  S.Reads = {ref("B", {AffineExpr("i") - 1}),
-             ref("B", {AffineExpr("i") + 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i) = B(i-1) + B(i+1)")};
   P.addNest(Proc, N);
 
   auto Compiled = compileProgram(P);
@@ -147,10 +131,6 @@ TEST(EndToEnd, Stencil1DCyclicSymbolic) {
     RunConfig RC;
     RC.ProcExtents = {{"P", {NP}}};
     Interpreter I(Compiled->Program, RC);
-    I.setSemantics(0, [](std::span<const double> R,
-                         std::span<const int64_t>, AccumMap &) {
-      return R[0] + R[1];
-    });
     I.initArray("B", [](const std::vector<int64_t> &Idx) {
       return double(3 * Idx[0] + 1);
     });
@@ -178,24 +158,14 @@ TEST(EndToEnd, Jacobi2DBlockBlock) {
   ComputeNest N;
   N.Name = "sweep";
   N.Loops = {loop("i", 2, 11), loop("j", 2, 11)};
-  Statement S;
-  S.Write = ref("V", {"i", "j"});
-  S.Reads = {ref("U", {AffineExpr("i") - 1, "j"}),
-             ref("U", {AffineExpr("i") + 1, "j"}),
-             ref("U", {"i", AffineExpr("j") - 1}),
-             ref("U", {"i", AffineExpr("j") + 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement(
+      "V(i,j) = 0.25*(U(i-1,j) + U(i+1,j) + U(i,j-1) + U(i,j+1))")};
   P.addNest(Proc, N);
 
   auto Compiled = compileProgram(P);
   EXPECT_GT(Compiled->NumCommEvents, 0u);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return 0.25 * (R[0] + R[1] + R[2] + R[3]);
-  });
   auto Init = [](const std::vector<int64_t> &Idx) {
     return double(Idx[0] * 100 + Idx[1]);
   };
@@ -231,23 +201,15 @@ TEST(EndToEnd, TimeLoopWithReduction) {
     ComputeNest N;
     N.Name = "avg";
     N.Loops = {loop("i", 2, 15)};
-    Statement S;
-    S.Write = ref("V", {"i"});
-    S.Reads = {ref("U", {AffineExpr("i") - 1}),
-               ref("U", {AffineExpr("i") + 1}), ref("U", {"i"})};
-    S.SemanticsId = 0;
-    N.Stmts = {S};
+    N.Stmts = {parseStatement("V(i) = (U(i-1) + U(i+1) + U(i))/3 accum max "
+                              "diff abs(V(i) - U(i))")};
     P.addNestIn(Loop0, N);
   }
   {
     ComputeNest N;
     N.Name = "copyback";
     N.Loops = {loop("i", 2, 15)};
-    Statement S;
-    S.Write = ref("U", {"i"});
-    S.Reads = {ref("V", {"i"})};
-    S.SemanticsId = 1;
-    N.Stmts = {S};
+    N.Stmts = {parseStatement("U(i) = V(i)")};
     P.addNestIn(Loop0, N);
   }
   Reduction R;
@@ -258,16 +220,6 @@ TEST(EndToEnd, TimeLoopWithReduction) {
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> Rd,
-                       std::span<const int64_t>, AccumMap &Acc) {
-    double NewV = (Rd[0] + Rd[1] + Rd[2]) / 3.0;
-    Acc["diff"] = std::max(Acc["diff"], std::abs(NewV - Rd[2]));
-    return NewV;
-  });
-  I.setSemantics(1, [](std::span<const double> Rd,
-                       std::span<const int64_t>, AccumMap &) {
-    return Rd[0];
-  });
   I.initArray("U", [](const std::vector<int64_t> &Idx) {
     return Idx[0] == 8 ? 16.0 : 0.0;
   });
@@ -306,21 +258,12 @@ TEST(EndToEnd, NonOwnerComputesWriteComm) {
   ComputeNest N;
   N.Name = "shift";
   N.Loops = {loop("i", 2, 16)};
-  Statement S;
-  S.Write = ref("A", {"i"});
-  S.Reads = {ref("B", {AffineExpr("i") - 1})};
-  S.OnHome = {ref("B", {AffineExpr("i") - 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i) = 2*B(i-1) onhome B(i-1)")};
   P.addNest(Proc, N);
 
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return 2.0 * R[0];
-  });
   I.initArray("B",
               [](const std::vector<int64_t> &Idx) { return double(Idx[0]); });
   RunResult RR = I.run();
@@ -350,20 +293,12 @@ TEST(EndToEnd, PipelinedPlacement) {
   N.Name = "sweep";
   N.Loops = {loop("i", 2, 8), loop("j", 1, 8)};
   N.VectorizeLevel = 1; // the i-carried dependence blocks hoisting
-  Statement S;
-  S.Write = ref("A", {"i", "j"});
-  S.Reads = {ref("A", {AffineExpr("i") - 1, "j"}), ref("B", {"i", "j"})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i,j) = A(i-1,j) + B(i,j)")};
   P.addNest(Proc, N);
 
   auto Compiled = compileProgram(P);
   RunConfig RC;
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return R[0] + R[1];
-  });
   I.initArray("A", [](const std::vector<int64_t> &Idx) {
     return Idx[0] == 1 ? double(Idx[1]) : 0.0;
   });

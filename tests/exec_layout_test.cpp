@@ -5,10 +5,9 @@
 // The in-process plan executor runs ranks on worker threads. Everything a
 // rank writes inside a parallel compute nest on every statement instance
 // — its simulated clock, its statement counters, its native kernel
-// context, its read buffer, the statement arguments the semantics receive,
-// its loop registers (the Env block) and its accumulators — must sit on
-// cache lines no other rank writes, or each write bounces a line between
-// cores. A friend probe collects those byte ranges per rank; the test
+// context, its read buffer and value stack, its loop registers (the Env
+// block) and its accumulators — must sit on cache lines no other rank
+// writes, or each write bounces a line between cores. A friend probe collects those byte ranges per rank; the test
 // asserts that no 64-byte line holds bytes of two ranks, for P in
 // {2, 3, 4, 8} under the bytecode and native engines. The layout must not depend on which thread
 // first touched what, so each configuration also runs on one thread,
@@ -24,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,18 +63,15 @@ struct RankLayoutProbe {
     Add(&S.SinceProgress, sizeof S.SinceProgress, "progress counter");
     Add(&S.Ctx, sizeof S.Ctx, "kernel context");
     Add(S.Reads.data(), S.Reads.size() * sizeof(double), "read buffer");
+    Add(S.Values.data(), S.Values.size() * sizeof(double), "value stack");
+    Add(S.Acc.data(), S.Acc.size() * sizeof(double), "accumulators");
     Add(S.Regs.data(), S.Regs.size() * sizeof(int64_t), "Env block");
     Add(S.Stack.data(), S.Stack.size() * sizeof(int64_t), "bytecode stack");
-    // Accumulators are std::map nodes, each wider than a line, so two
-    // ranks' values can never share one; checked all the same.
-    for (const auto &[Name, V] : I.Accums[P])
-      Add(&V, sizeof V, "accumulator " + Name);
     if (I.Exec->Native) {
       // Where the compiled kernels write, as their context says.
       Add(S.Ctx.Clock, sizeof(double), "kernel clock");
       Add(S.Ctx.Stmts, sizeof(uint64_t), "kernel statement counter");
-      Add(S.Ctx.Reads, S.Reads.size() * sizeof(double),
-          "kernel read buffer");
+      Add(S.Ctx.Accum, S.Acc.size() * sizeof(double), "kernel accumulators");
     }
     return Out;
   }
@@ -88,18 +83,6 @@ struct RankLayoutProbe {
 namespace {
 
 constexpr uintptr_t Line = 64;
-
-/// The statement arguments the semantics saw, as byte ranges.
-struct ArgLog {
-  std::mutex M;
-  std::vector<WriteRange> Args;
-
-  void add(const void *B, size_t Bytes, const char *What) {
-    uintptr_t A = reinterpret_cast<uintptr_t>(B);
-    std::lock_guard<std::mutex> L(M);
-    Args.push_back({A, A + Bytes, What});
-  }
-};
 
 void checkLayout(const AppInstance &App, const CompileOutput &Compiled,
                  EngineKind Engine, const std::vector<int64_t> &Shape,
@@ -117,43 +100,19 @@ void checkLayout(const AppInstance &App, const CompileOutput &Compiled,
   RC.Engine = Engine;
   RC.ExecThreads = Threads;
   Interpreter I(Compiled.Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   ASSERT_NE(RankLayoutProbe::executor(I), nullptr);
   if (Engine == EngineKind::Native) {
     ASSERT_TRUE(RankLayoutProbe::native(I));
   }
 
-  // Semantics that log the spans they receive, so the statement arguments
-  // are checked where they really point, and that update an accumulator
-  // as jacobi's own semantics do.
-  ArgLog Log;
-  for (int Id : {0, 1})
-    I.setSemantics(Id, [&Log](std::span<const double> Reads,
-                              std::span<const int64_t> Env, AccumMap &Acc) {
-      Log.add(Reads.data(), Reads.size_bytes(), "statement arguments");
-      Log.add(Env.data(), Env.size_bytes(), "statement Env");
-      Acc["resid"] += 1.0;
-      return Reads.empty() ? 0.0 : Reads[0];
-    });
+  // jacobi folds every sweep instance into its resid accumulator.
   RunResult R = I.run();
   EXPECT_GT(R.StmtInstances, 0u);
 
   std::vector<std::vector<WriteRange>> ByRank(NP);
   for (unsigned P = 0; P != NP; ++P)
     ByRank[P] = RankLayoutProbe::writes(I, P);
-
-  // Every statement argument lies inside one rank's own storage.
-  ASSERT_FALSE(Log.Args.empty());
-  for (const WriteRange &A : Log.Args) {
-    unsigned Owners = 0;
-    for (unsigned P = 0; P != NP; ++P)
-      for (const WriteRange &W : ByRank[P])
-        if (A.Begin >= W.Begin && A.End <= W.End) {
-          ++Owners;
-          break;
-        }
-    EXPECT_EQ(Owners, 1u) << A.What << " not inside one rank's storage";
-  }
 
   // No 64-byte line holds bytes of two ranks.
   std::map<uintptr_t, std::pair<unsigned, std::string>> LineOwner;

@@ -35,12 +35,12 @@ procedure main
     nest sweep
       do i = 2, 15
       do j = 2, 15
-      V(i,j) = U(i-1,j) U(i+1,j) U(i,j-1) U(i,j+1) cost 6 sem 0
+      V(i,j) = 0.25*(U(i-1,j) + U(i+1,j) + U(i,j-1) + U(i,j+1)) cost 6 accum max resid V(i,j)
     endnest
     nest copyback
       do i = 2, 15
       do j = 2, 15
-      U(i,j) = V(i,j) sem 1
+      U(i,j) = V(i,j)
     endnest
     reduce max resid
   endloop
@@ -85,7 +85,7 @@ TEST(HpfParser, AffineSubscripts) {
       "procedure main\n"
       "  nest n vectorize 1\n"
       "    do i = 2, 19\n"
-      "    A(i) = A(i-1) B(2*i-3) onhome A(i-1) sem 0\n"
+      "    A(i) = A(i-1) + B(2*i-3) onhome A(i-1)\n"
       "  endnest\n"
       "endprocedure\n");
   const Align *Al = P->alignOf("A");
@@ -112,16 +112,6 @@ TEST(HpfParser, ParsedProgramCompilesAndRuns) {
   RunConfig RC;
   RC.ProcExtents = {{"PR", {2, 2}}};
   Interpreter I(Compiled->Program, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &Acc) {
-    double V = 0.25 * (R[0] + R[1] + R[2] + R[3]);
-    Acc["resid"] = std::max(Acc["resid"], V);
-    return V;
-  });
-  I.setSemantics(1, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return R[0];
-  });
   auto Init = [](const std::vector<int64_t> &Idx) {
     return double(Idx[0] * 16 + Idx[1]);
   };
@@ -164,7 +154,7 @@ TEST(HpfParser, NestedTimeloops) {
                            "    timeloop u = 1, 2\n"
                            "      nest n\n"
                            "        do i = 1, 8\n"
-                           "        A(i) = B(i) sem 0\n"
+                           "        A(i) = B(i)\n"
                            "      endnest\n"
                            "    endloop\n"
                            "    reduce sum s\n"

@@ -137,6 +137,34 @@ TEST(MalformedInput, HpfValidationErrors) {
   }
 }
 
+/// A flow dependence across processors inside the communication level: the
+/// write A(i,j) at (i,j) is read at (i+1,j-1), on the next block of j, and
+/// nothing sends it (examples/regress/skewswap.hpf is this nest with
+/// vectorize 1). It used to compile and run silently wrong at P >= 2.
+TEST(MalformedInput, FlowAcrossProcessorsInsideCommLevel) {
+  const char *Text = "program skew\n"
+                     "processors P(*NP)\n"
+                     "template T(1:32, 1:32)\n"
+                     "array A(1:32, 1:32) align (a0,a1) with T(a0,a1)\n"
+                     "array B(1:32, 1:32) align (a0,a1) with T(a0,a1)\n"
+                     "distribute T(*, block) onto P\n"
+                     "procedure main\n"
+                     "  nest skew\n"
+                     "    do i = 2, 31\n"
+                     "    do j = 2, 31\n"
+                     "    A(i,j) = A(i-1,j+1) + 0.5*B(i,j-1)\n"
+                     "  endnest\n"
+                     "endprocedure\n";
+  DiagnosticEngine Diags;
+  auto P = hpf::parseHpfProgram(Text, Diags, "skew.hpf");
+  ASSERT_TRUE(static_cast<bool>(P)) << Diags.str();
+  EXPECT_EQ(nullptr, core::CompilerDriver(**P, {}, &Diags).run());
+  EXPECT_NE(Diags.str().find("skew: error: nest 'skew'"), std::string::npos)
+      << Diags.str();
+  EXPECT_NE(Diags.str().find("'nest skew vectorize 1'"), std::string::npos)
+      << Diags.str();
+}
+
 TEST(MalformedInput, SetText) {
   const std::vector<BadCase> Cases = {
       {"unterminated tuple", "{ [a : a >= 0 }", 1},
@@ -158,7 +186,7 @@ TEST(MalformedInput, SetText) {
 
 /// A minimal well-formed .spmd skeleton the structural cases perturb.
 std::string spmdSkeleton(const std::string &Events, const std::string &Root) {
-  return "(spmd 2\n"                                       // line 1
+  return "(spmd 3\n"                                       // line 1
          " (vars \"i\")\n"                                 // line 2
          " (proc \"P\" (vpdim block 0 4 \"\" 2 \"\" 0 1 0))\n" // line 3
          " (myslots 0)\n"                                  // line 4
@@ -172,14 +200,15 @@ std::string spmdSkeleton(const std::string &Events, const std::string &Root) {
 TEST(MalformedInput, SpmdPrograms) {
   const std::vector<BadCase> Cases = {
       {"empty input", "", 0},
-      {"truncated list", "(spmd 2 (vars", 1},
+      {"truncated list", "(spmd 3 (vars", 1},
       {"wrong magic", "(program 1)", 1},
       {"version 1", "(spmd 1)", 1},
-      {"unsupported version", "(spmd 3)", 1},
-      {"missing sections", "(spmd 2 (vars))", 1},
+      {"version 2", "(spmd 2)", 1},
+      {"unsupported version", "(spmd 4)", 1},
+      {"missing sections", "(spmd 3 (vars))", 1},
       {"trailing garbage", spmdSkeleton("", "(seq)") + ")", 10},
       {"duplicate section",
-       "(spmd 2 (vars) (vars) (proc \"P\") (myslots) (coordslots) (stmts) "
+       "(spmd 3 (vars) (vars) (proc \"P\") (myslots) (coordslots) (stmts) "
        "(events) (root (seq)) (source nil))",
        1},
       {"slot out of range", spmdSkeleton("", "(compute \"n\" (loop \"i\" 7 "
@@ -202,11 +231,11 @@ TEST(MalformedInput, SpmdPrograms) {
                     "(seq)"),
        7},
       {"bad embedded source",
-       "(spmd 2\n (vars)\n (proc \"P\")\n (myslots)\n (coordslots)\n"
+       "(spmd 3\n (vars)\n (proc \"P\")\n (myslots)\n (coordslots)\n"
        " (stmts)\n (events)\n (root (seq))\n (source \"program\"))\n",
        0},
-      {"unterminated string", "(spmd 2 (vars \"i))", 1},
-      {"non-integer slot", "(spmd 2 (vars \"i\") (proc \"P\") (myslots 1.5) "
+      {"unterminated string", "(spmd 3 (vars \"i))", 1},
+      {"non-integer slot", "(spmd 3 (vars \"i\") (proc \"P\") (myslots 1.5) "
                            "(coordslots) (stmts) (events) (root (seq)) "
                            "(source nil))",
        1},

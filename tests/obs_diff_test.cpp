@@ -70,7 +70,7 @@ Observed runOnce(AppInstance (*Make)(), const std::vector<int64_t> &Shape,
   RC.Engine = Engine;
   RC.ExecThreads = Threads;
   Interpreter I(Compiled->Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunResult RR = I.run();
 
   for (const auto &[Name, Decl] : App.Prog->arrays()) {
@@ -171,7 +171,7 @@ TEST(ObsDiff, InProcessRunRecordsExecutorSpans) {
     RC.Engine = Engine;
     RC.ExecThreads = 4;
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     uint64_t Before = Dispatched->value();
     GB.clear();
     GB.start();

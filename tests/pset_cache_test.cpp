@@ -442,7 +442,7 @@ TEST(CacheNumerics, CachedParallelJacobiValidates) {
   spmd::RunConfig RC;
   RC.ProcExtents = {{App.ProcArrayName, {2, 2}}};
   spmd::Interpreter I(Out->Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   spmd::RunResult RR = I.run();
   ASSERT_TRUE(RR.Valid);
   std::string Err;

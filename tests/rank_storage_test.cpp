@@ -112,7 +112,7 @@ procedure main
   nest use
     do i = 2, 8
     do j = 1, 8
-    A(i,j) = A(i-1,j) C(j) sem 0
+    A(i,j) = A(i-1,j)*C(j)
   endnest
 endprocedure
 )");
@@ -150,7 +150,7 @@ procedure main
   nest update
     do i = 2, N
     do j = 1, N
-    A(i,j) = A(i-1,j) sem 0
+    A(i,j) = A(i-1,j)
   endnest
 endprocedure
 )");
@@ -187,7 +187,7 @@ TEST(RankStorage, AssembledArraysFollowTheRun) {
     RC.Engine = E;
     RC.ExecThreads = 1;
     I.emplace(C->Program, RC);
-    App.Setup(*I);
+    I->seedArrays();
   };
   std::optional<Interpreter> Tree, Plan;
   Run(EngineKind::Tree, Tree);
@@ -220,19 +220,19 @@ TEST(RankStorage, AssembledArraysFollowTheRun) {
 const char *ReplW = R"(program replw
 processors P(*NP)
 template T(1:20)
-array A(1:20) align (a0) with T(a0)
-array C(1:6)
+array A(1:20) align (a0) with T(a0) init (a0) sin(0.4*a0)
+array C(1:6) init (a0) 0.1*a0
 distribute T(block) onto P
 
 procedure main
   timeloop t = 1, 2
     nest coef
       do j = 1, 6
-      C(j) = C(j) sem 0
+      C(j) = 0.5*C(j) + 1
     endnest
     nest scale
       do i = 1, 20
-      A(i) = A(i) C(3) sem 1
+      A(i) = A(i) + C(3)
     endnest
   endloop
 endprocedure

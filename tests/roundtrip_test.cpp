@@ -64,7 +64,7 @@ RunSnapshot runOnce(const spmd::SpmdProgram &SP, const apps::AppInstance &App,
   RC.ProcExtents[App.ProcArrayName] = Shape;
   RC.Engine = Engine;
   spmd::Interpreter I(SP, RC);
-  App.Setup(I);
+  I.seedArrays();
   RunSnapshot Snap;
   Snap.Result = I.run();
   EXPECT_TRUE(Snap.Result.Valid);
@@ -158,7 +158,7 @@ TEST(RoundTrip, ParsedProgramRunsBitIdentically) {
         RC.ProcExtents[S.App.ProcArrayName] = S.ProcShape;
         RC.Engine = E;
         spmd::Interpreter I(*Parsed, RC);
-        S.App.Setup(I);
+        I.seedArrays();
         ASSERT_TRUE(I.run().Valid);
         EXPECT_TRUE(S.App.Check(I, Err)) << S.App.Name << ": " << Err;
       }

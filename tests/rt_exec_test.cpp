@@ -69,7 +69,6 @@ enum class Mesh { Loopback, Socket };
 /// Runs \p SP distributed on \p Mesh with one thread per rank and returns
 /// every rank's result file. Any rank error fails the test.
 std::vector<std::string> rankResults(const spmd::SpmdProgram &SP,
-                                     const apps::AppInstance &App,
                                      const spmd::RunConfig &RC, Mesh Kind) {
   spmd::ProgramLayout L = spmd::resolveLayout(SP, RC);
   unsigned NP = L.NumProcs;
@@ -100,7 +99,7 @@ std::vector<std::string> rankResults(const spmd::SpmdProgram &SP,
         }
         rt::TransportComm C(*T);
         spmd::Interpreter I(SP, RC, C);
-        App.Setup(I);
+        I.seedArrays();
         spmd::RunResult RR = I.run();
         Dumps[R] = rt::serializeRankDump(rt::dumpRank(I, *T, RR));
       } catch (const std::exception &Ex) {
@@ -133,12 +132,11 @@ std::vector<rt::RankDump> parseAll(const std::vector<std::string> &Files) {
 
 /// rankResults, then the launcher's parse and merge.
 rt::MergedRun runDistributed(const spmd::SpmdProgram &SP,
-                             const apps::AppInstance &App,
                              const spmd::RunConfig &RC, Mesh Kind) {
   rt::MergedRun Merged;
   std::string Err;
   EXPECT_TRUE(rt::mergeRankDumps(
-      SP, RC, parseAll(rankResults(SP, App, RC, Kind)), Merged, Err))
+      SP, RC, parseAll(rankResults(SP, RC, Kind)), Merged, Err))
       << Err;
   return Merged;
 }
@@ -176,14 +174,14 @@ void checkApp(const Subject &S, const std::vector<int64_t> &Shape) {
   RC.ProcExtents[S.App.ProcArrayName] = Shape;
 
   spmd::Interpreter I(SP, RC);
-  S.App.Setup(I);
+  I.seedArrays();
   spmd::RunResult Ref = I.run();
   ASSERT_TRUE(Ref.Valid);
 
-  rt::MergedRun Loop = runDistributed(SP, S.App, RC, Mesh::Loopback);
+  rt::MergedRun Loop = runDistributed(SP, RC, Mesh::Loopback);
   expectBitIdentical(Loop, Ref, I);
 
-  rt::MergedRun Sock = runDistributed(SP, S.App, RC, Mesh::Socket);
+  rt::MergedRun Sock = runDistributed(SP, RC, Mesh::Socket);
   expectBitIdentical(Sock, Ref, I);
 
   // Loopback and socket must also agree with each other on the merged
@@ -215,12 +213,12 @@ TEST(RtExec, CollectiveAlgorithmsBitIdenticalAtP8) {
   RC.ProcExtents[App.ProcArrayName] = {2, 4};
 
   spmd::Interpreter I(SP, RC);
-  App.Setup(I);
+  I.seedArrays();
   spmd::RunResult Ref = I.run();
   ASSERT_TRUE(Ref.Valid);
 
   for (Mesh Kind : {Mesh::Loopback, Mesh::Socket}) {
-    rt::MergedRun M = runDistributed(SP, App, RC, Kind);
+    rt::MergedRun M = runDistributed(SP, RC, Kind);
     expectBitIdentical(M, Ref, I);
     EXPECT_EQ(M.R.CollMessages, 84u);
     EXPECT_EQ(M.R.CollBytes, 672u);
@@ -353,7 +351,7 @@ TEST(RtExec, ComputePumpsProgressEvery256Statements) {
     RC.ProcExtents[App.ProcArrayName] = {2, 2};
     RC.Engine = E;
     uint64_t Before = Pumps->value();
-    rt::MergedRun M = runDistributed(SP, App, RC, Mesh::Loopback);
+    rt::MergedRun M = runDistributed(SP, RC, Mesh::Loopback);
     uint64_t Calls = Pumps->value() - Before, Stmts = M.R.StmtInstances;
     EXPECT_GT(Calls, 0u);
     EXPECT_LE(Calls * 256, Stmts);
@@ -376,7 +374,7 @@ struct JacobiFiles {
 
   JacobiFiles() {
     RC.ProcExtents[App.ProcArrayName] = apps::findApp("jacobi")->ProcShape(4);
-    Files = rankResults(Compiled->Program, App, RC, Mesh::Loopback);
+    Files = rankResults(Compiled->Program, RC, Mesh::Loopback);
   }
 };
 
@@ -560,7 +558,7 @@ TEST(RtExec, TraceSendEventsMatchMessageCounters) {
         auto T = Mesh.transport(R);
         rt::TransportComm C(*T, &Bufs[R]);
         spmd::Interpreter I(SP, RC, C);
-        S.App.Setup(I);
+        I.seedArrays();
         Msgs[R] = I.run().Messages;
       } catch (const std::exception &Ex) {
         Errs[R] = Ex.what();
@@ -633,7 +631,7 @@ TEST(RtExec, FaultInjectionDiagnosesNeverHangs) {
         auto T = Mesh.transport(R);
         rt::TransportComm C(*T);
         spmd::Interpreter I(SP, RC, C);
-        S.App.Setup(I);
+        I.seedArrays();
         I.run();
       } catch (const net::TransportError &Ex) {
         Errs[R] = Ex.what();

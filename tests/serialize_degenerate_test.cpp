@@ -40,7 +40,7 @@ procedure main
     nest copy
       do i = 1, 8
       do j = 1, 8
-      B(i,j) = A(i,j) sem 0
+      B(i,j) = A(i,j)
     endnest
   endloop
 endprocedure
@@ -56,7 +56,7 @@ procedure main
   timeloop t = 1, 1
     nest empty
       do i = 6, 5
-      A(i) = A(i-1) sem 0
+      A(i) = A(i-1)
     endnest
   endloop
 endprocedure
@@ -65,14 +65,14 @@ endprocedure
 const char *OneProcSrc = R"(program oneproc
 processors PR(1)
 template T(1:6)
-array A(1:6) align (a0) with T(a0)
+array A(1:6) align (a0) with T(a0) init (a0) a0
 distribute T(block) onto PR
 
 procedure main
   timeloop t = 1, 2
     nest shift
       do i = 2, 6
-      A(i) = A(i-1) sem 0
+      A(i) = A(i-1) + 1 accum sum acc A(i)
     endnest
     reduce sum acc
   endloop
@@ -93,7 +93,7 @@ compileSource(const char *Src, std::unique_ptr<hpf::Program> &ProgOut) {
 }
 
 /// serialize -> parse -> serialize must be a fixpoint, and the reparsed
-/// program must execute identically (via the generic session semantics).
+/// program must execute identically (seeded through the session).
 void checkFixpointAndRun(const char *Src, int64_t NumProcs,
                          uint64_t ExpectMessages, uint64_t ExpectStmts) {
   std::unique_ptr<hpf::Program> Prog;

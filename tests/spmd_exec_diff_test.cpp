@@ -71,7 +71,7 @@ Observed runOnce(const CompileOutput &Compiled, const AppInstance &App,
   RC.Engine = Engine;
   RC.ExecThreads = Threads;
   Interpreter I(Compiled.Program, RC);
-  App.Setup(I);
+  I.seedArrays();
   return observe(I, *App.Prog);
 }
 
@@ -157,7 +157,7 @@ void diffApp(AppInstance App, const std::vector<int64_t> &ProcShape) {
     RC.Engine = EngineKind::Bytecode;
     RC.ExecThreads = 4;
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     EXPECT_TRUE(RR.Valid) << App.Name;
     std::string Err;

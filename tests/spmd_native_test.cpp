@@ -235,7 +235,7 @@ TEST(KernelCache, WarmRunCompilesNothing) {
     RC.Engine = EngineKind::Native;
     RC.ExecThreads = 1;
     Interpreter I(Compiled->Program, RC);
-    App.Setup(I);
+    I.seedArrays();
     RunResult RR = I.run();
     EXPECT_TRUE(RR.Valid);
   };

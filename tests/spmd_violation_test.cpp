@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "hpf/HpfParser.h"
 #include "spmd/Interp.h"
 #include "spmd/KernelCache.h"
 #include "spmd/Layout.h"
@@ -49,11 +50,7 @@ Program stencilProgram() {
   ComputeNest N;
   N.Name = "stencil";
   N.Loops = {loop("i", 2, 15)};
-  Statement S;
-  S.Write = ref("A", {"i"});
-  S.Reads = {ref("B", {AffineExpr("i") - 1}), ref("B", {AffineExpr("i") + 1})};
-  S.SemanticsId = 0;
-  N.Stmts = {S};
+  N.Stmts = {parseStatement("A(i) = B(i-1) + B(i+1)")};
   P.addNest(Proc, N);
   return P;
 }
@@ -64,10 +61,6 @@ RunResult runBroken(const SpmdProgram &SP, EngineKind Engine) {
   RC.Engine = Engine;
   RC.ExecThreads = 1; // broken programs are only deterministic sequentially
   Interpreter I(SP, RC);
-  I.setSemantics(0, [](std::span<const double> R,
-                       std::span<const int64_t>, AccumMap &) {
-    return R[0] + R[1];
-  });
   I.initArray("B", [](const std::vector<int64_t> &Idx) {
     return double(Idx[0] * Idx[0]);
   });
