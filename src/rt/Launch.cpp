@@ -282,25 +282,25 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   }
 
   Phase.emplace(TB, "launch:merge", "rt");
-  std::vector<RankDump> Dumps;
+  // The values stay in the files' bytes until the merge places them.
+  std::vector<std::string> Bytes(NP);
+  std::vector<RankFile> Files(NP);
   for (unsigned R = 0; R != NP; ++R) {
     std::string Path = Dir + "/rank" + std::to_string(R) + ".result";
-    std::string Bytes, Err;
-    RankDump D;
-    if (!readWholeFile(Path, Bytes)) {
+    std::string Err;
+    if (!readWholeFile(Path, Bytes[R])) {
       LR.Error = "rank " + std::to_string(R) + " exited 0 but left no "
                  "result file";
       break;
     }
-    if (!parseRankDump(Bytes, D, Err)) {
+    if (!parseRankFile(Bytes[R], Files[R], Err)) {
       LR.Error = "rank " + std::to_string(R) + ": " + Err;
       break;
     }
-    Dumps.push_back(std::move(D));
   }
   if (LR.Error.empty()) {
     std::string Err;
-    if (mergeRankDumps(SP, S.Config, Dumps, LR.Merged, Err))
+    if (mergeRankFiles(SP, S.Config, Files, LR.Merged, Err))
       LR.Ok = true;
     else
       LR.Error = "merge failed: " + Err;

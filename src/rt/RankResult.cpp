@@ -160,7 +160,23 @@ std::string rt::serializeRankDump(const RankDump &D) {
 
 bool rt::parseRankDump(const std::string &B, RankDump &Out,
                        std::string &Err) {
-  Out = RankDump();
+  RankFile F;
+  if (!parseRankFile(B, F, Err))
+    return false;
+  Out = std::move(F.Head);
+  for (const auto &[Name, V] : F.Owned) {
+    std::vector<double> &Vals = Out.Owned[Name];
+    Vals.resize(V.Count);
+    if (V.Count != 0)
+      std::memcpy(Vals.data(), V.Data, 8 * V.Count);
+  }
+  return true;
+}
+
+bool rt::parseRankFile(const std::string &B, RankFile &File,
+                       std::string &Err) {
+  File = RankFile();
+  RankDump &Out = File.Head;
   size_t Size = B.size();
   Reader In{B.data(), IdentBytes, IdentBytes, Err}; // empty until checked
   auto Truncated = [&] {
@@ -250,12 +266,10 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
     if (!In.string(Name, "array name length") ||
         !In.count(Count, 8, "value count of array '" + Name + "'"))
       return false;
-    auto [It, Fresh] = Out.Owned.try_emplace(Name);
-    if (!Fresh)
+    if (!File.Owned.try_emplace(Name, RankFile::Values{B.data() + In.Pos,
+                                                       Count})
+             .second)
       return In.fail("array '" + Name + "' appears twice");
-    It->second.resize(Count);
-    if (Count != 0)
-      std::memcpy(It->second.data(), B.data() + In.Pos, 8 * Count);
     In.Pos += 8 * Count;
   }
   if (In.left() != 0)
@@ -267,15 +281,35 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
 bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
                         const std::vector<RankDump> &Dumps, MergedRun &Out,
                         std::string &Err) {
+  std::vector<RankFile> Files(Dumps.size());
+  for (size_t K = 0; K != Dumps.size(); ++K) {
+    const RankDump &D = Dumps[K];
+    RankDump &H = Files[K].Head;
+    H.Rank = D.Rank;
+    H.NP = D.NP;
+    H.R = D.R;
+    H.OverlapNum = D.OverlapNum;
+    H.OverlapDen = D.OverlapDen;
+    for (const auto &[Name, V] : D.Owned)
+      Files[K].Owned[Name] = {reinterpret_cast<const char *>(V.data()),
+                              V.size()};
+  }
+  return mergeRankFiles(SP, Config, Files, Out, Err);
+}
+
+bool rt::mergeRankFiles(const SpmdProgram &SP, const RunConfig &Config,
+                        const std::vector<RankFile> &Files, MergedRun &Out,
+                        std::string &Err) {
   ProgramLayout L = resolveLayout(SP, Config);
   unsigned NP = L.NumProcs;
-  if (Dumps.size() != NP) {
-    Err = "have " + std::to_string(Dumps.size()) + " rank dumps, need " +
+  if (Files.size() != NP) {
+    Err = "have " + std::to_string(Files.size()) + " rank dumps, need " +
           std::to_string(NP);
     return false;
   }
-  std::vector<const RankDump *> ByRank(NP, nullptr);
-  for (const RankDump &D : Dumps) {
+  std::vector<const RankFile *> ByRank(NP, nullptr);
+  for (const RankFile &F : Files) {
+    const RankDump &D = F.Head;
     if (D.NP != NP || D.Rank >= NP) {
       Err = "rank dump " + std::to_string(D.Rank) + "/" +
             std::to_string(D.NP) + " does not match the layout";
@@ -285,7 +319,7 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
       Err = "duplicate dump for rank " + std::to_string(D.Rank);
       return false;
     }
-    ByRank[D.Rank] = &D;
+    ByRank[D.Rank] = &F;
   }
 
   Out.R = RunResult();
@@ -294,9 +328,9 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
   for (const ArrayLayout &A : Layouts)
     Out.Arrays.emplace(A.Name, ArrayStore(A.Lo, A.Extent, A.ElemBytes));
   uint64_t ONum = 0, ODen = 0;
-  const RankDump &D0 = *ByRank[0];
+  const RankDump &D0 = ByRank[0]->Head;
   for (unsigned P = 0; P != NP; ++P) {
-    const RankDump &D = *ByRank[P];
+    const RankDump &D = ByRank[P]->Head;
     Out.R.Messages += D.R.Messages;
     Out.R.Bytes += D.R.Bytes;
     Out.R.SpanCopies += D.R.SpanCopies;
@@ -323,7 +357,7 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
         return false;
       }
     }
-    for (const auto &[Name, V] : D.Owned)
+    for (const auto &[Name, V] : ByRank[P]->Owned)
       if (!Out.Arrays.count(Name)) {
         Err = "rank " + std::to_string(P) + " dumped unknown array '" +
               Name + "'";
@@ -333,14 +367,13 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
 
   // Place each rank's values by formula: the k-th value rank P reported
   // for an array is the k-th element of it that P owns, in flat order.
-  static const std::vector<double> None;
   for (const ArrayLayout &A : Layouts) {
     ArrayStore &G = Out.Arrays.at(A.Name);
     std::vector<int64_t> Stride = columnStrides(A.Extent);
     for (unsigned P = 0; P != NP; ++P) {
       auto It = ByRank[P]->Owned.find(A.Name);
-      const std::vector<double> &V =
-          It == ByRank[P]->Owned.end() ? None : It->second;
+      RankFile::Values V =
+          It == ByRank[P]->Owned.end() ? RankFile::Values() : It->second;
       std::vector<std::vector<int64_t>> Own;
       size_t Owns = 0;
       if (!A.Replicated || P == 0) {
@@ -349,9 +382,9 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
         for (const std::vector<int64_t> &Dim : Own)
           Owns *= Dim.size();
       }
-      if (V.size() != Owns) {
+      if (V.Count != Owns) {
         Err = "rank " + std::to_string(P) + " dumped " +
-              std::to_string(V.size()) + " values of array '" + A.Name +
+              std::to_string(V.Count) + " values of array '" + A.Name +
               "' but owns " + std::to_string(Owns);
         return false;
       }
@@ -362,7 +395,7 @@ bool rt::mergeRankDumps(const SpmdProgram &SP, const RunConfig &Config,
         int64_t F = 0;
         for (size_t D = 0; D != Idx.size(); ++D)
           F += (Idx[D] - A.Lo[D]) * Stride[D];
-        std::memcpy(G.data() + F, V.data() + K, Len * sizeof(double));
+        std::memcpy(G.data() + F, V.Data + 8 * K, Len * sizeof(double));
         K += Len;
       });
     }

@@ -79,6 +79,21 @@ std::string serializeRankDump(const RankDump &D);
 /// Parses a result file; false (with \p Err set) on malformed input.
 bool parseRankDump(const std::string &Bytes, RankDump &Out, std::string &Err);
 
+/// A result file parsed in place, as the launcher merges it: the array
+/// values stay in the file's bytes, which must outlive it.
+struct RankFile {
+  RankDump Head; ///< everything but Head.Owned, which stays empty
+  /// Count raw 8-byte values, in the file's byte order, at Data.
+  struct Values {
+    const char *Data = nullptr;
+    uint64_t Count = 0;
+  };
+  std::map<std::string, Values> Owned;
+};
+
+/// parseRankDump without copying the values out of \p Bytes.
+bool parseRankFile(const std::string &Bytes, RankFile &Out, std::string &Err);
+
 /// A reassembled distributed run: the merged result plus full arrays.
 struct MergedRun {
   spmd::RunResult R;
@@ -98,6 +113,13 @@ struct MergedRun {
 bool mergeRankDumps(const spmd::SpmdProgram &SP,
                     const spmd::RunConfig &Config,
                     const std::vector<RankDump> &Dumps, MergedRun &Out,
+                    std::string &Err);
+
+/// mergeRankDumps over files parsed in place: each run of owned values is
+/// copied once, from the file's bytes into the merged array.
+bool mergeRankFiles(const spmd::SpmdProgram &SP,
+                    const spmd::RunConfig &Config,
+                    const std::vector<RankFile> &Files, MergedRun &Out,
                     std::string &Err);
 
 } // namespace rt

@@ -70,7 +70,8 @@ std::string offsetOf(const std::string &P, int64_t Lo) {
 
 /// Slot-to-C mapping: loop variables in scope read their C local (so the
 /// C compiler sees the full induction structure); everything else reads
-/// the register file, which the kernel keeps current for the callbacks.
+/// the register file, which a kernel only reads: no callback looks at it,
+/// so loop variables never go back to it.
 struct Scope {
   std::string Regs = "R";
   std::map<unsigned, std::string> Locals;
@@ -298,7 +299,6 @@ void Emitter::emitAst(const PlanAst &A, uint32_t Idx, Scope &Sc,
   case PlanAst::Node::Kind::Loop: {
     unsigned T = NextId++;
     std::string V = "v" + std::to_string(T);
-    std::string Slot = Sc.Regs + "[" + std::to_string(N.VarSlot) + "]";
     open("{");
     line("const int64_t lo" + std::to_string(T) + " = " +
          exprC(A.Exprs[N.LB], Sc) + ";");
@@ -306,12 +306,10 @@ void Emitter::emitAst(const PlanAst &A, uint32_t Idx, Scope &Sc,
          exprC(A.Exprs[N.UB], Sc) + ";");
     line("const int64_t st" + std::to_string(T) + " = " +
          (N.Step < 0 ? std::string("1") : exprC(A.Exprs[N.Step], Sc)) + ";");
-    line("const int64_t sv" + std::to_string(T) + " = " + Slot + ";");
     line("int64_t " + V + ";");
     open("for (" + V + " = lo" + std::to_string(T) + "; " + V + " <= hi" +
          std::to_string(T) + "; " + V + " += st" + std::to_string(T) +
          ") {");
-    line(Slot + " = " + V + ";");
     auto Saved = Sc.Locals.emplace(N.VarSlot, V);
     std::string Prev;
     if (!Saved.second) {
@@ -325,7 +323,6 @@ void Emitter::emitAst(const PlanAst &A, uint32_t Idx, Scope &Sc,
     else
       Saved.first->second = Prev;
     close();
-    line(Slot + " = sv" + std::to_string(T) + ";");
     close();
     return;
   }
@@ -358,10 +355,14 @@ void Emitter::emitComputeLeaf(int32_t LeafId, Scope &Sc) {
   const StmtPlan &SP = Plan.Stmts[LeafId];
   open("{ /* stmt " + std::to_string(LeafId) + " -> " +
        Plan.ArrayNames[SP.WriteArray] + " */");
+  auto Tables = [](uint32_t A) {
+    std::string N = std::to_string(A);
+    return N + ", d" + N + ", ok" + N + ", b" + N + ", n" + N;
+  };
   for (size_t K = 0; K != SP.Reads.size(); ++K)
     line("const double r" + std::to_string(K) + " = dhpf_load(c, " +
-         std::to_string(SP.Reads[K].Array) + ", " +
-         exprC(SP.Reads[K].Flat, Sc) + ");");
+         Tables(SP.Reads[K].Array) + ", " + exprC(SP.Reads[K].Flat, Sc) +
+         ");");
   line("const double x = " + valueC(SP.Body) + ";");
   if (SP.AccSlot >= 0) {
     std::string Acc = "acc[" + std::to_string(SP.AccSlot) + "]";
@@ -372,7 +373,7 @@ void Emitter::emitComputeLeaf(int32_t LeafId, Scope &Sc) {
               : "dhpf_vmax(" + Acc + ", " + V + ")") +
          ";");
   }
-  line("dhpf_store(c, " + std::to_string(SP.WriteArray) + ", " +
+  line("dhpf_store(c, " + Tables(SP.WriteArray) + ", " +
        exprC(SP.WriteFlat, Sc) + ", x);");
   line("clk += cost" + std::to_string(LeafId) + ";");
   line("++nst;");
@@ -461,12 +462,27 @@ void Emitter::emitComputeFn(const PlanNode &N) {
     return;
   }
   // The clock and the instance counters live in locals (written back
-  // before Progress and on return), as do the leaves' costs: the C
-  // compiler cannot keep them in registers across the slow-path calls.
+  // before Progress and on return), as do the leaves' costs and the
+  // tables of the arrays they touch (a rank's storage never moves during
+  // a compute): the C compiler cannot keep them in registers across the
+  // slow-path calls.
   std::set<int32_t> Leaves;
+  std::set<uint32_t> Arrays;
   for (const PlanAst::Node &Nd : N.Loops.Nodes)
-    if (Nd.K == PlanAst::Node::Kind::Leaf)
+    if (Nd.K == PlanAst::Node::Kind::Leaf) {
       Leaves.insert(Nd.LeafId);
+      const StmtPlan &SP = Plan.Stmts[Nd.LeafId];
+      Arrays.insert(SP.WriteArray);
+      for (const StmtPlan::Read &R : SP.Reads)
+        Arrays.insert(R.Array);
+    }
+  for (uint32_t A : Arrays) {
+    std::string K = std::to_string(A);
+    line("double *const d" + K + " = c->Data[" + K + "];");
+    line("uint8_t *const ok" + K + " = c->Valid[" + K + "];");
+    line("const int64_t b" + K + " = c->Base[" + K + "], n" + K +
+         " = c->Size[" + K + "];");
+  }
   if (std::any_of(Leaves.begin(), Leaves.end(), [&](int32_t L) {
         return Plan.Stmts[L].AccSlot >= 0;
       }))
@@ -532,18 +548,21 @@ PlanSource Emitter::run() {
   S += helperPreamble();
   line("");
   // Context-dependent helpers (fast-path element access, pair buffer).
-  line("static inline double dhpf_load(DhpfCtx *c, int32_t a, int64_t g) {");
-  line("  const int64_t f = g - c->Base[a];");
-  line("  if ((uint64_t)f < (uint64_t)c->Size[a] && c->Valid[a][f])");
-  line("    return c->Data[a][f];");
+  // Array a's tables arrive as d (data), ok (validity), b (base), n (size).
+  line("static inline double dhpf_load(DhpfCtx *c, int32_t a, const double *d,");
+  line("                               const uint8_t *ok, int64_t b,");
+  line("                               int64_t n, int64_t g) {");
+  line("  const int64_t f = g - b;");
+  line("  if ((uint64_t)f < (uint64_t)n && ok[f])");
+  line("    return d[f];");
   line("  return c->ReadSlow(c, a, g);");
   line("}");
-  line("static inline void dhpf_store(DhpfCtx *c, int32_t a, int64_t g,");
-  line("                              double v) {");
-  line("  const int64_t f = g - c->Base[a];");
-  line("  if ((uint64_t)f < (uint64_t)c->Size[a] &&");
-  line("      (c->Valid[a][f] & DhpfValidOwn)) {");
-  line("    c->Data[a][f] = v;");
+  line("static inline void dhpf_store(DhpfCtx *c, int32_t a, double *d,");
+  line("                              const uint8_t *ok, int64_t b,");
+  line("                              int64_t n, int64_t g, double v) {");
+  line("  const int64_t f = g - b;");
+  line("  if ((uint64_t)f < (uint64_t)n && (ok[f] & DhpfValidOwn)) {");
+  line("    d[f] = v;");
   line("    return;");
   line("  }");
   line("  c->WriteSlow(c, a, g, v);");

@@ -109,7 +109,7 @@ array C(1:8) align (a0) with T(*, a0)
 distribute T(block, *) onto P
 
 procedure main
-  nest use
+  nest use vectorize 1
     do i = 2, 8
     do j = 1, 8
     A(i,j) = A(i-1,j)*C(j)
@@ -147,7 +147,7 @@ array A(1:N, 1:N) align (a0,a1) with T(a0,a1)
 distribute T(cyclic, cyclic) onto PA
 
 procedure main
-  nest update
+  nest update vectorize 1
     do i = 2, N
     do j = 1, N
     A(i,j) = A(i-1,j)
