@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Maps the program names embedded in exported .hpf / .spmd files back to
-/// the benchmark constructors, so the dhpfc CLI can attach runnable
-/// semantics (Setup) and the serial reference check (Check) to a program it
-/// parsed from text. The Setup/Check closures only reference semantics ids,
-/// array names, and the canonical problem size, so they apply to any
-/// structurally identical program — in particular one reconstructed from
-/// the serialized form — as long as it was exported at the canonical size.
+/// the benchmark constructors, so the dhpfc CLI can attach the serial
+/// reference check (Check) to a program it parsed from text. Programs
+/// carry their own arithmetic; Check only references array names and the
+/// canonical problem size, so it applies to any program that prints like
+/// the canonical export — in particular one reconstructed from the
+/// serialized form.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -118,23 +118,8 @@ public:
     }
     return V;
   }
-  /// A non-negative decimal number, optionally with a fraction (costs).
-  double real() {
-    skipWs();
-    if (!atNumber())
-      fail("expected number");
-    size_t B = Pos;
-    while (Pos < S.size() && std::isdigit(static_cast<unsigned char>(S[Pos])))
-      ++Pos;
-    if (Pos < S.size() && S[Pos] == '.') {
-      ++Pos;
-      while (Pos < S.size() &&
-             std::isdigit(static_cast<unsigned char>(S[Pos])))
-        ++Pos;
-    }
-    return std::strtod(S.substr(B, Pos - B).c_str(), nullptr);
-  }
-  /// A decimal literal of an expression: digits [. digits] [e [+-] digits].
+  /// A finite non-negative decimal literal, digits [. digits] [e [+-]
+  /// digits]: an expression's constant or a cost.
   double literal() {
     skipWs();
     if (!atNumber())
@@ -216,7 +201,7 @@ private:
   unsigned LineNo;
 };
 
-/// The spelling every front end uses to recognise two references as one.
+/// Two references name one read when they print alike.
 std::string refKey(const Reference &R) {
   std::string K = R.Array + "(";
   for (const AffineExpr &E : R.Subs)
@@ -412,7 +397,7 @@ Statement parseStatementLine(LineLexer &L, const Program *Prog,
       continue;
     }
     if (L.tryKeyword("cost")) {
-      S.Cost = L.real();
+      S.Cost = L.literal();
       continue;
     }
     if (L.tryKeyword("accum")) {

@@ -67,7 +67,7 @@ bool parseParamArg(const std::string &KV,
                    std::map<std::string, int64_t> &Params, std::string &Err);
 /// \}
 
-/// Resolves shape + semantics for \p SP. Returns std::nullopt and fills
+/// Resolves the shape and benchmark of \p SP. Returns std::nullopt and fills
 /// \p Err when the processor count cannot be mapped onto the grid.
 std::optional<Session> resolveSession(const spmd::SpmdProgram &SP,
                                       const SessionOptions &Opts,
