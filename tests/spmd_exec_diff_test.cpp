@@ -7,9 +7,9 @@
 // tree-walking interpreter: bit-identical array state, identical message
 // traffic and simulated times, identical accumulators — for every Figure 7
 // application, and independent of the number of execution threads. Each
-// application runs with its own semantics at its canonical size, and again
-// the way `dist-fig7` and `dhpfc run` run it: at a non-canonical size with
-// rt::Session's generic semantics, at P=8. The native legs are skipped
+// application runs at its canonical size, and again the way `dist-fig7`
+// and `dhpfc run` run it: at a non-canonical size, seeded through
+// rt::Session, at P=8. The native legs are skipped
 // (with a note) when no C compiler answers the kernel cache's probe.
 //
 //===----------------------------------------------------------------------===//
@@ -166,9 +166,9 @@ void diffApp(AppInstance App, const std::vector<int64_t> &ProcShape) {
 }
 
 /// Runs \p App, at a non-canonical size, the way `dist-fig7` and `dhpfc
-/// run` do: resolved through rt::Session at P=8, seeded and given the
-/// generic semantics by Session::setup. Bytecode and native at 1, 3 and 4
-/// execution threads must match the tree oracle exactly.
+/// run` do: resolved through rt::Session at P=8 and seeded by
+/// Session::setup. Bytecode and native at 1, 3 and 4 execution threads
+/// must match the tree oracle exactly.
 void diffSession(AppInstance App) {
   auto Compiled = compileProgram(*App.Prog);
   ASSERT_TRUE(Compiled) << App.Name;
@@ -219,8 +219,9 @@ TEST(SpmdExecDiff, JacobiOneProc) { diffApp(makeJacobi(12, 2), {1, 1}); }
 // An odd processor count exercises ragged block boundaries.
 TEST(SpmdExecDiff, GaussRagged) { diffApp(makeGauss(12), {2, 3}); }
 
-// The Figure 7 programs as `dist-fig7` runs them, shrunk: generic
-// semantics, non-canonical sizes, eight ranks.
+// The Figure 7 programs as `dist-fig7` runs them, shrunk: non-canonical
+// sizes, eight ranks. (The names predate statement bodies, when such
+// programs ran generic placeholder arithmetic.)
 TEST(SpmdExecDiff, JacobiGenericP8) { diffSession(makeJacobi(20, 2)); }
 
 TEST(SpmdExecDiff, TomcatvGenericP8) { diffSession(makeTomcatv(22, 2)); }
