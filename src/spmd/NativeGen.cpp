@@ -159,7 +159,7 @@ std::string exprC(const bc::Prog &P, const Scope &S) {
 }
 
 /// A double literal C reads back as exactly \p V (a '.' or exponent makes
-/// it a double; -0 keeps its sign as -(0.0)).
+/// it a double; a negative zero prints as (-0.0)).
 std::string valueLit(double V) {
   std::string S = hpf::printValueNumber(std::fabs(V));
   if (S.find_first_of(".e") == std::string::npos)
