@@ -141,13 +141,13 @@ Interpreter::Interpreter(const SpmdProgram &ProgIn, RunConfig ConfigIn,
   AllBindings = std::move(L.AllBindings);
   Mach = sim::Machine(NumProcs, Config.Machine);
   setupEnvs();
-  AccNames = Prog.accumulators();
   if (C && C->Size != NumProcs)
     throw std::runtime_error("comm spans " + std::to_string(C->Size) +
                              " ranks but the layout needs " +
                              std::to_string(NumProcs));
   if (E == EngineKind::Tree) {
     setupArrays();
+    AccNames = Prog.accumulators();
     Accums.assign(NumProcs, std::vector<double>(AccNames.size(), 0.0));
     for (const CompiledStmt &S : Prog.Stmts)
       StmtAcc.push_back(S.Acc ? accumSlot(AccNames, S.Acc->Name) : 0);

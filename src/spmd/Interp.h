@@ -234,7 +234,7 @@ private:
   /// Global arrays assembled by array() from the plan executor's ranks.
   mutable std::map<std::string, ArrayStore> Assembled;
   mutable std::mutex AssembledMu; ///< guards Assembled
-  /// SpmdProgram::accumulators(): slot -> name.
+  /// The tree engine's SpmdProgram::accumulators(): slot -> name.
   std::vector<std::string> AccNames;
 
   // Per-processor state.
