@@ -6,6 +6,7 @@
 
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
@@ -25,6 +26,10 @@ std::atomic<uint32_t> &nextTid() {
 }
 
 thread_local uint32_t TlsTid = UINT32_MAX;
+
+/// The lane metadata's argument holding the buffer's start: steady-clock
+/// microseconds, the same clock in every process of a machine.
+constexpr const char *StartKey = "steady_start_us";
 
 } // namespace
 
@@ -101,10 +106,18 @@ std::string TraceBuffer::chromeJson() const {
   std::lock_guard<std::mutex> Lock(M);
   std::ostringstream OS;
   OS << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  // Lane metadata first, so viewers label the lane even when empty.
+  // Lane metadata first, so viewers label the lane even when empty; it
+  // carries the buffer's start on the steady clock, which every process
+  // of the machine shares, for mergeChromeTraces.
   OS << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << Lane
      << ", \"tid\": 0, \"args\": {\"name\": \"" << jsonEscape(LaneName)
-     << "\"}}";
+     << "\"";
+  if (Epoch != std::chrono::steady_clock::time_point())
+    OS << ", \"" << StartKey << "\": "
+       << std::chrono::duration_cast<std::chrono::microseconds>(
+              Epoch.time_since_epoch())
+              .count();
+  OS << "}}";
   for (const TraceEvent &E : Events) {
     OS << ",\n{\"name\": \"" << jsonEscape(E.Name) << "\", \"cat\": \""
        << jsonEscape(E.Cat) << "\", \"ph\": \"" << E.Ph
@@ -212,6 +225,58 @@ bool extractEventArray(const std::string &Doc, std::string &Body) {
   return false;
 }
 
+/// The start a chromeJson document records for its lane, if any.
+bool laneStart(const std::string &Doc, uint64_t &Start) {
+  std::string Key = std::string("\"") + StartKey + "\": ";
+  size_t At = Doc.find(Key);
+  if (At == std::string::npos)
+    return false;
+  const char *P = Doc.c_str() + At + Key.size();
+  char *End = nullptr;
+  Start = std::strtoull(P, &End, 10);
+  return End != P;
+}
+
+/// \p Body, an event array's contents, with \p Shift added to the "ts" of
+/// every event in it. The scan respects string literals and nesting, so
+/// a "ts" inside an event's args stays as it is.
+std::string shiftTimestamps(const std::string &Body, uint64_t Shift) {
+  if (Shift == 0)
+    return Body;
+  std::string Out;
+  Out.reserve(Body.size() + Body.size() / 16);
+  int Depth = 0;
+  for (size_t I = 0; I != Body.size();) {
+    char C = Body[I];
+    if (C != '"') {
+      Depth += C == '{' || C == '[' ? 1 : C == '}' || C == ']' ? -1 : 0;
+      Out += C;
+      ++I;
+      continue;
+    }
+    size_t End = I + 1;
+    while (End < Body.size() && Body[End] != '"')
+      End += Body[End] == '\\' ? 2 : 1;
+    End = std::min(End + 1, Body.size());
+    bool TsKey = Depth == 1 && Body.compare(I, End - I, "\"ts\"") == 0;
+    Out.append(Body, I, End - I);
+    I = End;
+    if (!TsKey)
+      continue;
+    size_t Num = Body.find_first_not_of(" :", I);
+    size_t NumEnd = Num == std::string::npos
+                        ? Num
+                        : Body.find_first_not_of("0123456789", Num);
+    if (Num == std::string::npos || NumEnd == Num)
+      continue;
+    Out.append(Body, I, Num - I);
+    Out += std::to_string(
+        std::strtoull(Body.c_str() + Num, nullptr, 10) + Shift);
+    I = NumEnd == std::string::npos ? Body.size() : NumEnd;
+  }
+  return Out;
+}
+
 bool allWhitespace(const std::string &S) {
   for (char C : S)
     if (C != ' ' && C != '\n' && C != '\t' && C != '\r')
@@ -222,13 +287,23 @@ bool allWhitespace(const std::string &S) {
 } // namespace
 
 std::string obs::mergeChromeTraces(const std::vector<std::string> &Docs) {
+  // One clock: each lane moves by how much later than the earliest lane
+  // its buffer started.
+  std::vector<uint64_t> Starts(Docs.size(), 0);
+  std::vector<bool> HasStart(Docs.size(), false);
+  uint64_t Earliest = UINT64_MAX;
+  for (size_t K = 0; K != Docs.size(); ++K)
+    if ((HasStart[K] = laneStart(Docs[K], Starts[K])))
+      Earliest = std::min(Earliest, Starts[K]);
   std::ostringstream OS;
   OS << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   bool First = true;
-  for (const std::string &Doc : Docs) {
+  for (size_t K = 0; K != Docs.size(); ++K) {
     std::string Body;
-    if (!extractEventArray(Doc, Body) || allWhitespace(Body))
+    if (!extractEventArray(Docs[K], Body) || allWhitespace(Body))
       continue;
+    if (HasStart[K])
+      Body = shiftTimestamps(Body, Starts[K] - Earliest);
     // Trim surrounding whitespace so the joined array stays tidy.
     size_t B = Body.find_first_not_of(" \n\t\r");
     size_t E = Body.find_last_not_of(" \n\t\r");

@@ -21,9 +21,14 @@
 /// in lane R+1 (`dhpf_rt` sets this from --rank). `mergeChromeTraces`
 /// stitches per-rank trace files into one timeline by concatenating their
 /// event arrays — lanes keep rank events apart, so the merged file shows
-/// the driver plus every rank side by side. Timestamps are per-process
-/// (each rank's clock starts at its own buffer start); the merge aligns
-/// lanes at t=0, which is what the overlap analysis wants.
+/// the driver plus every rank side by side. Timestamps in one document are
+/// per-process (microseconds since its buffer started); the lane metadata
+/// event records that start as steady-clock microseconds
+/// (`steady_start_us`), a clock all processes of a machine share, and the
+/// merge moves each lane by its start minus the earliest start. So the
+/// merged timeline is on one clock: it shows when each rank started after
+/// the launcher forked it, and how long the launcher waited after the last
+/// rank exited.
 ///
 /// Threads within a lane get small dense `tid`s in first-use order;
 /// setThreadId() pins the calling thread's id (the in-process rank
@@ -139,8 +144,10 @@ std::string jsonEscape(const std::string &S);
 
 /// Merges several Chrome trace JSON documents (each the chromeJson() of
 /// one lane, or a per-rank trace file) into one timeline document by
-/// concatenating their traceEvents arrays. Inputs that are empty or lack
-/// a traceEvents array are skipped. The result is always valid JSON.
+/// concatenating their traceEvents arrays, each event's "ts" moved by its
+/// lane's start minus the earliest lane start (a document that records no
+/// start stays as it is). Inputs that are empty or lack a traceEvents
+/// array are skipped. The result is always valid JSON.
 std::string mergeChromeTraces(const std::vector<std::string> &Docs);
 
 /// If DHPF_TRACE names a file, starts the global buffer (lane \p Lane,

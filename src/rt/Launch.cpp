@@ -10,16 +10,21 @@
 #include "obs/Trace.h"
 #include "spmd/Layout.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
 #include <fstream>
 #include <optional>
+#include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -78,6 +83,59 @@ void removeTree(const std::string &Dir) {
   }
   ::rmdir(Dir.c_str());
 }
+
+/// A rank's result file mapped read-only for the merge, unmapped on every
+/// exit path.
+struct MappedFile {
+  void *Addr = MAP_FAILED;
+  size_t Size = 0;
+  MappedFile() = default;
+  MappedFile(const MappedFile &) = delete;
+  MappedFile &operator=(const MappedFile &) = delete;
+  ~MappedFile() {
+    if (Addr != MAP_FAILED)
+      ::munmap(Addr, Size);
+  }
+  /// False when \p Path cannot be opened; an empty file maps to no bytes.
+  bool map(const std::string &Path) {
+    int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (Fd < 0)
+      return false;
+    struct stat St;
+    bool Ok = ::fstat(Fd, &St) == 0;
+    if (Ok && St.st_size > 0) {
+      Size = static_cast<size_t>(St.st_size);
+      Addr = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
+      Ok = Addr != MAP_FAILED;
+    }
+    ::close(Fd);
+    return Ok;
+  }
+  std::string_view bytes() const {
+    return Addr == MAP_FAILED
+               ? std::string_view()
+               : std::string_view(static_cast<const char *>(Addr), Size);
+  }
+};
+
+/// One pidfd per rank, as poll() takes them: a rank's turns readable when
+/// it exits. Each is closed once its rank is reaped, the rest on every
+/// exit path.
+struct RankWatch {
+  std::vector<pollfd> Fds;
+  explicit RankWatch(unsigned NP) : Fds(NP, pollfd{-1, POLLIN, 0}) {}
+  RankWatch(const RankWatch &) = delete;
+  RankWatch &operator=(const RankWatch &) = delete;
+  ~RankWatch() {
+    for (const pollfd &P : Fds)
+      if (P.fd >= 0)
+        ::close(P.fd);
+  }
+  void drop(unsigned R) {
+    ::close(Fds[R].fd);
+    Fds[R].fd = -1; // poll() skips it
+  }
+};
 
 /// Owns the mesh scratch directory for the duration of a launch: every
 /// exit path — success, any failure, or an exception from parsing/merging
@@ -171,22 +229,27 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   std::optional<obs::TraceSpan> Phase;
   Phase.emplace(TB, "launch:spawn", "rt");
   std::vector<pid_t> Pids(NP, -1);
+  RankWatch Watch(NP);
+  // Kills and reaps the ranks spawned so far, and fails the launch.
+  auto Abandon = [&](std::string Why) {
+    LR.Error = std::move(Why);
+    for (pid_t Pid : Pids)
+      if (Pid >= 0) {
+        ::kill(Pid, SIGKILL);
+        ::waitpid(Pid, nullptr, 0);
+      }
+    if (Opts.KeepDir)
+      LR.Dir = Dir;
+    return LR;
+  };
   for (unsigned R = 0; R != NP; ++R) {
     std::vector<std::string> Args = Common;
     Args.push_back("--rank=" + std::to_string(R));
     Args.push_back("--result=" + Dir + "/rank" + std::to_string(R) +
                    ".result");
     pid_t Pid = ::fork();
-    if (Pid < 0) {
-      LR.Error = "fork failed: " + std::string(std::strerror(errno));
-      for (unsigned K = 0; K != R; ++K) {
-        ::kill(Pids[K], SIGKILL);
-        ::waitpid(Pids[K], nullptr, 0);
-      }
-      if (Opts.KeepDir)
-        LR.Dir = Dir;
-      return LR;
-    }
+    if (Pid < 0)
+      return Abandon("fork failed: " + std::string(std::strerror(errno)));
     if (Pid == 0) {
       std::string ErrPath = Dir + "/rank" + std::to_string(R) + ".err";
       int Fd = ::open(ErrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -208,6 +271,11 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
       ::_exit(127);
     }
     Pids[R] = Pid;
+    // The wait below sleeps until a rank exits or the deadline passes.
+    Watch.Fds[R].fd = static_cast<int>(::syscall(SYS_pidfd_open, Pid, 0));
+    if (Watch.Fds[R].fd < 0)
+      return Abandon("cannot watch rank " + std::to_string(R) +
+                     ": pidfd_open: " + std::strerror(errno));
   }
 
   // Supervise: reap under the deadline; kill stragglers past it so a hung
@@ -218,8 +286,18 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   unsigned Live = NP;
   bool TimedOut = false;
   while (Live != 0) {
+    int64_t Left = Deadline - nowMs();
+    int Ready = Left > 0 ? ::poll(Watch.Fds.data(), NP,
+                                  static_cast<int>(std::min<int64_t>(
+                                      Left, INT_MAX)))
+                         : 0;
+    if (Ready < 0 && errno == EINTR)
+      continue;
+    if (Ready < 0)
+      return Abandon("waiting for the ranks: poll: " +
+                     std::string(std::strerror(errno)));
     // Checked before reaping: ranks found finished only after the deadline
-    // has passed (the last poll slept through it) still fail the launch.
+    // has passed (the wait woke past it) still fail the launch.
     if (nowMs() >= Deadline) {
       TimedOut = true;
       for (unsigned R = 0; R != NP; ++R)
@@ -236,21 +314,16 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
       }
       break;
     }
-    bool Reaped = false;
     for (unsigned R = 0; R != NP; ++R) {
-      if (Pids[R] < 0)
+      if (Watch.Fds[R].fd < 0 || Watch.Fds[R].revents == 0)
         continue;
       int St = 0;
-      pid_t W = ::waitpid(Pids[R], &St, WNOHANG);
-      if (W == Pids[R]) {
-        Status[R] = St;
-        Pids[R] = -1;
-        --Live;
-        Reaped = true;
-      }
+      ::waitpid(Pids[R], &St, 0); // it has exited: this does not block
+      Status[R] = St;
+      Pids[R] = -1;
+      Watch.drop(R);
+      --Live;
     }
-    if (Live != 0 && !Reaped)
-      ::usleep(5000);
   }
 
   std::string Fail;
@@ -282,18 +355,18 @@ LaunchResult rt::launchRanks(const spmd::SpmdProgram &SP, const Session &S,
   }
 
   Phase.emplace(TB, "launch:merge", "rt");
-  // The values stay in the files' bytes until the merge places them.
-  std::vector<std::string> Bytes(NP);
+  // The values stay in the mapped files until the merge places them.
+  std::vector<MappedFile> Maps(NP);
   std::vector<RankFile> Files(NP);
   for (unsigned R = 0; R != NP; ++R) {
     std::string Path = Dir + "/rank" + std::to_string(R) + ".result";
     std::string Err;
-    if (!readWholeFile(Path, Bytes[R])) {
+    if (!Maps[R].map(Path)) {
       LR.Error = "rank " + std::to_string(R) + " exited 0 but left no "
                  "result file";
       break;
     }
-    if (!parseRankFile(Bytes[R], Files[R], Err)) {
+    if (!parseRankFile(Maps[R].bytes(), Files[R], Err)) {
       LR.Error = "rank " + std::to_string(R) + ": " + Err;
       break;
     }

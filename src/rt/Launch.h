@@ -11,6 +11,10 @@
 /// forever), collects the per-rank result files, and merges them into a
 /// RunResult + arrays bit-comparable with the in-process engines.
 ///
+/// The launcher sleeps in poll() on one pidfd per rank, so it wakes when
+/// a rank exits rather than on a timer, and maps each result file
+/// read-only to merge the values in place (rt/RankResult.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DHPF_RT_LAUNCH_H
@@ -55,7 +59,8 @@ struct LaunchResult {
 };
 
 /// Runs \p Session's program distributed across its processor count.
-/// Blocking; never hangs past the deadline.
+/// Blocking; never hangs past the deadline. Fails the launch, killing the
+/// ranks already spawned, when a fork or a rank's pidfd_open fails.
 LaunchResult launchRanks(const spmd::SpmdProgram &SP, const Session &S,
                          const LaunchOptions &Opts);
 

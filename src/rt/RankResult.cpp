@@ -9,9 +9,14 @@
 #include "spmd/Layout.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 using namespace dhpf;
 using namespace dhpf::rt;
@@ -36,37 +41,143 @@ uint64_t bitsOf(double D) {
 
 /// FNV-1a's multiply and xor over 8-byte words, then over the tail bytes:
 /// each step is a bijection of the running hash, so any changed word, and
-/// so any flipped byte, changes the result.
-uint64_t checksum(const char *P, size_t N) {
+/// so any flipped byte, changes the result. The bytes arrive in pieces of
+/// any length; a word split across pieces is carried to the next.
+class WordHash {
+public:
+  void add(const char *P, size_t N) {
+    if (Held != 0) {
+      size_t Take = std::min(N, 8 - Held);
+      std::memcpy(Part + Held, P, Take);
+      Held += Take;
+      P += Take;
+      N -= Take;
+      if (Held != 8)
+        return;
+      mix(Part);
+      Held = 0;
+    }
+    for (; N >= 8; P += 8, N -= 8)
+      mix(P);
+    std::memcpy(Part, P, N);
+    Held = N;
+  }
+  uint64_t finish() const {
+    uint64_t R = H;
+    for (size_t I = 0; I != Held; ++I) {
+      R ^= static_cast<unsigned char>(Part[I]);
+      R *= 0x100000001b3ull;
+    }
+    return R;
+  }
+
+private:
   uint64_t H = 0xcbf29ce484222325ull;
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
+  char Part[8] = {};
+  size_t Held = 0;
+
+  void mix(const char *P) {
     uint64_t W;
-    std::memcpy(&W, P + I, 8);
+    std::memcpy(&W, P, 8);
     H ^= W;
     H *= 0x100000001b3ull;
   }
-  for (; I != N; ++I) {
-    H ^= static_cast<unsigned char>(P[I]);
-    H *= 0x100000001b3ull;
-  }
-  return H;
+};
+
+uint64_t checksum(const char *P, size_t N) {
+  WordHash H;
+  H.add(P, N);
+  return H.finish();
 }
 
-uint64_t wordAt(const std::string &B, size_t Pos) {
+uint64_t wordAt(std::string_view B, size_t Pos) {
   uint64_t V = 0;
   std::memcpy(&V, B.data() + Pos, 8);
   return V;
 }
 
-void putWord(std::string &B, uint64_t V) {
-  B.append(reinterpret_cast<const char *>(&V), 8);
-}
+/// A result file as the pieces writev sends: the small fields gathered in
+/// one buffer, long runs of values pointing straight into the rank's box.
+/// Runs shorter than GatherBelow values (a CYCLIC array's are one value
+/// each) are gathered too, rather than costing an iovec apiece.
+class RankPieces {
+public:
+  RankPieces(const Interpreter &I, const net::Transport &T,
+             const RunResult &R) {
+    gather(Magic, sizeof(Magic));
+    uint32_t Ident[2] = {Version, ByteOrderProbe};
+    gather(Ident, sizeof(Ident));
+    word(0); // the total, known once everything is laid out
+    for (uint64_t W :
+         {uint64_t(T.rank()), uint64_t(T.size()), R.Messages, R.Bytes,
+          R.SpanCopies, R.PackedCopies, R.StmtInstances, R.CollMessages,
+          R.CollBytes, T.stats().BytesFlushedDuringCompute,
+          T.stats().WireBytesSent, uint64_t(R.Valid)})
+      word(W);
+    word(R.Violations.size());
+    for (const std::string &V : R.Violations)
+      text(V);
+    word(R.FinalAccums.size());
+    for (const auto &[Name, V] : R.FinalAccums) {
+      text(Name);
+      word(bitsOf(V));
+    }
+    size_t Arrays = Gathered.size();
+    word(0);
+    uint64_t NArrays = 0;
+    I.reportOwned(
+        T.rank(),
+        [&](const std::string &Name, uint64_t Count) {
+          ++NArrays;
+          text(Name);
+          word(Count);
+        },
+        [&](const double *V, int64_t Len) {
+          if (Len < GatherBelow)
+            gather(V, 8 * Len);
+          else
+            List.push_back({reinterpret_cast<const char *>(V), 0,
+                            8 * static_cast<size_t>(Len)});
+        });
+    std::memcpy(&Gathered[Arrays], &NArrays, 8);
+    uint64_t Total = TrailerBytes;
+    for (const Piece &P : List)
+      Total += P.Len;
+    std::memcpy(&Gathered[IdentBytes - 8], &Total, 8);
+    word(Total);
+    WordHash H;
+    forEach([&](const char *P, size_t N) { H.add(P, N); });
+    word(H.finish());
+  }
 
-void putString(std::string &B, const std::string &S) {
-  putWord(B, S.size());
-  B += S;
-}
+  /// Calls \p F(Data, Len) for each piece in file order.
+  template <typename Fn> void forEach(Fn &&F) const {
+    for (const Piece &P : List)
+      F(P.Ext ? P.Ext : Gathered.data() + P.Off, P.Len);
+  }
+
+private:
+  static constexpr int64_t GatherBelow = 64;
+  /// Ext, or (Ext null) the gathered bytes at Off.
+  struct Piece {
+    const char *Ext;
+    size_t Off, Len;
+  };
+  std::string Gathered;
+  std::vector<Piece> List;
+
+  void gather(const void *P, size_t N) {
+    if (List.empty() || List.back().Ext)
+      List.push_back({nullptr, Gathered.size(), 0});
+    Gathered.append(static_cast<const char *>(P), N);
+    List.back().Len += N;
+  }
+  void word(uint64_t V) { gather(&V, 8); }
+  void text(const std::string &S) {
+    word(S.size());
+    gather(S.data(), S.size());
+  }
+};
 
 /// Reads words and strings from [Pos, End), checking every length and
 /// count against the bytes that remain before using it.
@@ -109,57 +220,58 @@ struct Reader {
 
 } // namespace
 
-RankDump rt::dumpRank(const Interpreter &I, const net::Transport &T,
-                      const RunResult &R) {
-  RankDump D;
-  D.Rank = T.rank();
-  D.NP = T.size();
-  D.R = R;
-  D.OverlapNum = T.stats().BytesFlushedDuringCompute;
-  D.OverlapDen = T.stats().WireBytesSent;
-  D.Owned = I.ownedValues(D.Rank);
-  return D;
-}
-
-std::string rt::serializeRankDump(const RankDump &D) {
-  size_t Values = 0;
-  for (const auto &[Name, V] : D.Owned)
-    Values += V.size();
+std::string rt::rankFileBytes(const Interpreter &I, const net::Transport &T,
+                              const RunResult &R) {
   std::string B;
-  B.reserve(1024 + 8 * Values);
-  B.append(Magic, sizeof(Magic));
-  uint32_t Ident[2] = {Version, ByteOrderProbe};
-  B.append(reinterpret_cast<const char *>(Ident), sizeof(Ident));
-  putWord(B, 0); // the total, known once everything is written
-  for (uint64_t W :
-       {uint64_t(D.Rank), uint64_t(D.NP), D.R.Messages, D.R.Bytes,
-        D.R.SpanCopies, D.R.PackedCopies, D.R.StmtInstances,
-        D.R.CollMessages, D.R.CollBytes, D.OverlapNum, D.OverlapDen,
-        uint64_t(D.R.Valid)})
-    putWord(B, W);
-  putWord(B, D.R.Violations.size());
-  for (const std::string &V : D.R.Violations)
-    putString(B, V);
-  putWord(B, D.R.FinalAccums.size());
-  for (const auto &[Name, V] : D.R.FinalAccums) {
-    putString(B, Name);
-    putWord(B, bitsOf(V));
-  }
-  putWord(B, D.Owned.size());
-  for (const auto &[Name, V] : D.Owned) {
-    putString(B, Name);
-    putWord(B, V.size());
-    B.append(reinterpret_cast<const char *>(V.data()), 8 * V.size());
-  }
-  uint64_t Total = B.size() + TrailerBytes;
-  std::memcpy(&B[IdentBytes - 8], &Total, 8);
-  putWord(B, Total);
-  putWord(B, checksum(B.data(), B.size()));
+  RankPieces(I, T, R).forEach([&](const char *P, size_t N) { B.append(P, N); });
   return B;
 }
 
-bool rt::parseRankDump(const std::string &B, RankDump &Out,
+bool rt::writeRankFile(const Interpreter &I, const net::Transport &T,
+                       const RunResult &R, const std::string &Path,
                        std::string &Err) {
+  RankPieces Pieces(I, T, R);
+  std::vector<iovec> Iov;
+  Pieces.forEach([&](const char *P, size_t N) {
+    Iov.push_back({const_cast<char *>(P), N});
+  });
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  if (Fd < 0) {
+    Err = "cannot write " + Path;
+    return false;
+  }
+  // writev takes at most IOV_MAX pieces and may stop short: resume after
+  // what it wrote.
+  bool Ok = true;
+  for (size_t K = 0; Ok && K != Iov.size();) {
+    int N = static_cast<int>(std::min<size_t>(Iov.size() - K, IOV_MAX));
+    ssize_t W = ::writev(Fd, &Iov[K], N);
+    if (W < 0 && errno == EINTR)
+      continue;
+    if (W <= 0) {
+      Ok = false;
+      break;
+    }
+    for (size_t Done = static_cast<size_t>(W); Done != 0;) {
+      size_t Step = std::min(Done, Iov[K].iov_len);
+      Iov[K].iov_base = static_cast<char *>(Iov[K].iov_base) + Step;
+      Iov[K].iov_len -= Step;
+      Done -= Step;
+      if (Iov[K].iov_len == 0)
+        ++K;
+    }
+    while (K != Iov.size() && Iov[K].iov_len == 0)
+      ++K;
+  }
+  if (::close(Fd) != 0)
+    Ok = false;
+  if (!Ok)
+    Err = "short write to " + Path;
+  return Ok;
+}
+
+bool rt::parseRankDump(std::string_view B, RankDump &Out, std::string &Err) {
   RankFile F;
   if (!parseRankFile(B, F, Err))
     return false;
@@ -173,7 +285,7 @@ bool rt::parseRankDump(const std::string &B, RankDump &Out,
   return true;
 }
 
-bool rt::parseRankFile(const std::string &B, RankFile &File,
+bool rt::parseRankFile(std::string_view B, RankFile &File,
                        std::string &Err) {
   File = RankFile();
   RankDump &Out = File.Head;

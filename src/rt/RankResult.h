@@ -20,6 +20,12 @@
 /// denominators. Ranks run on real time, so a merged run has no simulated
 /// time (RunResult::SimSeconds stays 0); callers time the launch itself.
 ///
+/// One writer makes the file (writeRankFile; rankFileBytes for tests): the
+/// header, then each array's owned runs straight from the rank's box, then
+/// the trailer, checksummed as the pieces pass and sent with writev. The
+/// launcher maps each file read-only and merges the values from the
+/// mapping (parseRankFile, mergeRankFiles).
+///
 /// The result file is binary, in the writer's byte order. Besides the two
 /// 32-bit identification words every integer is a 64-bit word, and every
 /// double is its raw 8 bytes:
@@ -49,6 +55,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dhpf {
@@ -68,16 +75,20 @@ struct RankDump {
   std::map<std::string, std::vector<double>> Owned;
 };
 
-/// Captures the state of \p I, which ran rank T.rank() over \p T and
-/// returned \p R, as a dump.
-RankDump dumpRank(const spmd::Interpreter &I, const net::Transport &T,
-                  const spmd::RunResult &R);
+/// Writes the result file of rank T.rank(), which ran \p I over \p T and
+/// returned \p R, to \p Path. False, with \p Err "cannot write <Path>" or
+/// "short write to <Path>", when the file cannot be created, written
+/// whole or closed.
+bool writeRankFile(const spmd::Interpreter &I, const net::Transport &T,
+                   const spmd::RunResult &R, const std::string &Path,
+                   std::string &Err);
 
-/// The result file's bytes for \p D.
-std::string serializeRankDump(const RankDump &D);
+/// The bytes writeRankFile writes.
+std::string rankFileBytes(const spmd::Interpreter &I,
+                          const net::Transport &T, const spmd::RunResult &R);
 
 /// Parses a result file; false (with \p Err set) on malformed input.
-bool parseRankDump(const std::string &Bytes, RankDump &Out, std::string &Err);
+bool parseRankDump(std::string_view Bytes, RankDump &Out, std::string &Err);
 
 /// A result file parsed in place, as the launcher merges it: the array
 /// values stay in the file's bytes, which must outlive it.
@@ -92,7 +103,7 @@ struct RankFile {
 };
 
 /// parseRankDump without copying the values out of \p Bytes.
-bool parseRankFile(const std::string &Bytes, RankFile &Out, std::string &Err);
+bool parseRankFile(std::string_view Bytes, RankFile &Out, std::string &Err);
 
 /// A reassembled distributed run: the merged result plus full arrays.
 struct MergedRun {

@@ -415,7 +415,146 @@ double ValueProg::eval(const double *Reads, double Value, const int64_t *Idx,
 
 namespace {
 
-void emitValue(const hpf::ValueExpr &E, ValueProg &P, unsigned &Live) {
+/// Applies \p F at stack level \p L, which holds \p X: a scalar stays a
+/// scalar in Scal[L], a vector goes to that level's buffer \p Dst.
+template <typename Fn>
+void unaryRun(RunVal &X, double *Scal, double *Dst, int64_t Len, Fn F) {
+  if (!X.Vec) {
+    *Scal = F(*X.P);
+    X.P = Scal;
+    return;
+  }
+  for (int64_t J = 0; J != Len; ++J)
+    Dst[J] = F(X.P[J]);
+  X.P = Dst;
+}
+
+/// Combines the two levels \p X (below) and \p Y into \p X, like unaryRun.
+template <typename Fn>
+void binaryRun(RunVal &X, const RunVal &Y, double *Scal, double *Dst,
+               int64_t Len, Fn F) {
+  if (!X.Vec && !Y.Vec) {
+    *Scal = F(*X.P, *Y.P);
+    X.P = Scal;
+    return;
+  }
+  const double *A = X.P, *B = Y.P;
+  if (X.Vec && Y.Vec)
+    for (int64_t J = 0; J != Len; ++J)
+      Dst[J] = F(A[J], B[J]);
+  else if (X.Vec)
+    for (int64_t J = 0; J != Len; ++J)
+      Dst[J] = F(A[J], *B);
+  else
+    for (int64_t J = 0; J != Len; ++J)
+      Dst[J] = F(*A, B[J]);
+  X = {Dst, true};
+}
+
+} // namespace
+
+void ValueProg::evalRun(const RunVal *Reads, const int64_t *Idx, int64_t Len,
+                        double *Out, double *Buf) const {
+  // Level L keeps a scalar in Scal[L] and a vector in Vecs(L); level 0's
+  // vector is the output itself.
+  double *Scal = Buf;
+  auto Vecs = [&](unsigned L) {
+    return L == 0 ? Out : Buf + Depth + (L - 1) * Len;
+  };
+  RunVal St[hpf::MaxValueDepth + 1];
+  unsigned SP = 0;
+  auto Un = [&](auto F) {
+    unaryRun(St[SP - 1], &Scal[SP - 1], Vecs(SP - 1), Len, F);
+  };
+  auto Bin = [&](auto F) {
+    --SP;
+    binaryRun(St[SP - 1], St[SP], &Scal[SP - 1], Vecs(SP - 1), Len, F);
+  };
+  for (const VInsn &I : Code) {
+    switch (I.O) {
+    case VOp::PushK:
+      St[SP++] = {&I.K, false};
+      break;
+    case VOp::PushRead:
+      St[SP++] = Reads[I.A];
+      break;
+    case VOp::PushValue:
+      assert(false && "an init value reads no Value");
+      break;
+    case VOp::PushIndex:
+      if (I.A == 0) {
+        double *D = Vecs(SP);
+        for (int64_t J = 0; J != Len; ++J)
+          D[J] = static_cast<double>(Idx[0] + J);
+        St[SP] = {D, true};
+      } else {
+        Scal[SP] = static_cast<double>(Idx[I.A]);
+        St[SP] = {&Scal[SP], false};
+      }
+      ++SP;
+      break;
+    case VOp::Neg:
+      Un([](double A) { return -A; });
+      break;
+    case VOp::Abs:
+      Un([](double A) { return std::fabs(A); });
+      break;
+    case VOp::Sin:
+      Un([](double A) { return std::sin(A); });
+      break;
+    case VOp::Cos:
+      Un([](double A) { return std::cos(A); });
+      break;
+    case VOp::Add:
+      Bin([](double A, double B) { return A + B; });
+      break;
+    case VOp::Sub:
+      Bin([](double A, double B) { return A - B; });
+      break;
+    case VOp::Mul:
+      Bin([](double A, double B) { return A * B; });
+      break;
+    case VOp::Div:
+      Bin([](double A, double B) { return A / B; });
+      break;
+    case VOp::Min:
+      Bin([](double A, double B) { return std::min(A, B); });
+      break;
+    case VOp::Max:
+      Bin([](double A, double B) { return std::max(A, B); });
+      break;
+    }
+  }
+  const RunVal &R = St[0];
+  if (!R.Vec)
+    std::fill_n(Out, Len, *R.P);
+  else if (R.P != Out)
+    std::copy_n(R.P, Len, Out);
+}
+
+namespace {
+
+constexpr int NoIndex = -1, ManyIndices = -2;
+
+/// The one index \p E reads, NoIndex or ManyIndices.
+int indexUse(const hpf::ValueExpr &E) {
+  if (E.K == hpf::ValueExpr::Kind::Index)
+    return static_cast<int>(E.Index);
+  int U = NoIndex;
+  for (const hpf::ValueExpr &Op : E.Ops) {
+    int V = indexUse(Op);
+    if (V == ManyIndices || (U != NoIndex && V != NoIndex && V != U))
+      return ManyIndices;
+    if (V != NoIndex)
+      U = V;
+  }
+  return U;
+}
+
+/// Appends \p E to \p P in postfix. With \p Seed, a non-leaf subtree that
+/// reads at most one index becomes a term of it, and \p P reads the term.
+void emitValue(const hpf::ValueExpr &E, ValueProg &P, unsigned &Live,
+               SeedProg *Seed = nullptr) {
   using K = hpf::ValueExpr::Kind;
   auto Push = [&](VOp O, uint32_t A, double Kv) {
     P.Code.push_back({O, A, Kv});
@@ -433,8 +572,16 @@ void emitValue(const hpf::ValueExpr &E, ValueProg &P, unsigned &Live) {
   default:
     break;
   }
+  if (Seed) {
+    int U = indexUse(E);
+    if (U != ManyIndices) {
+      Push(VOp::PushRead, static_cast<uint32_t>(Seed->Terms.size()), 0);
+      Seed->Terms.push_back({compileValue(E), U});
+      return;
+    }
+  }
   for (const hpf::ValueExpr &Op : E.Ops)
-    emitValue(Op, P, Live);
+    emitValue(Op, P, Live, Seed);
   static const std::pair<K, VOp> Ops[] = {
       {K::Neg, VOp::Neg}, {K::Add, VOp::Add}, {K::Sub, VOp::Sub},
       {K::Mul, VOp::Mul}, {K::Div, VOp::Div}, {K::Abs, VOp::Abs},
@@ -455,4 +602,14 @@ ValueProg bc::compileValue(const hpf::ValueExpr &E) {
   assert(Live == 1 && P.Depth <= hpf::MaxValueDepth + 1 &&
          "malformed or unbounded value expression");
   return P;
+}
+
+SeedProg bc::compileSeed(const hpf::ValueExpr &E) {
+  assert(E.K != hpf::ValueExpr::Kind::Read &&
+         E.K != hpf::ValueExpr::Kind::Value && "not an init value");
+  SeedProg S;
+  unsigned Live = 0;
+  emitValue(E, S.Residual, Live, &S);
+  assert(Live == 1 && "malformed value expression");
+  return S;
 }

@@ -106,11 +106,26 @@ struct VInsn {
   double K = 0;
 };
 
+/// An operand of ValueProg::evalRun: \p P[0 .. Len) when Vec, else the one
+/// value *P every element of the run shares.
+struct RunVal {
+  const double *P = nullptr;
+  bool Vec = false;
+};
+
 class ValueProg {
 public:
   /// \p Stack needs depth() entries.
   double eval(const double *Reads, double Value, const int64_t *Idx,
               double *Stack) const;
+  /// eval over a run of \p Len elements that share every index but the
+  /// first, which counts up from Idx[0], one instruction at a time over
+  /// the whole run; the results go to \p Out[0 .. Len). Read k is
+  /// \p Reads[k]; the program reads no Value. Every element sees eval's
+  /// operations on the same operand bits. \p Buf needs depth() * (Len + 1)
+  /// entries.
+  void evalRun(const RunVal *Reads, const int64_t *Idx, int64_t Len,
+               double *Out, double *Buf) const;
   unsigned depth() const { return Depth; }
 
   std::vector<VInsn> Code;
@@ -118,6 +133,22 @@ public:
 };
 
 ValueProg compileValue(const hpf::ValueExpr &E);
+
+/// An init value split for seeding by tables (DESIGN.md §7). A term is a
+/// maximal non-leaf subtree that reads at most one index: a seeder
+/// evaluates it once per index value along that dimension. The residual is
+/// the rest of the tree, with Read k standing for term k's value.
+struct SeedProg {
+  struct Term {
+    ValueProg Prog;
+    int Dim = -1; ///< the index the term reads; -1 when it reads none
+  };
+  std::vector<Term> Terms;
+  ValueProg Residual;
+};
+
+/// Splits the init value \p E (no Read or Value leaves) into a SeedProg.
+SeedProg compileSeed(const hpf::ValueExpr &E);
 
 /// Slots with run-constant values, resolved during compilation.
 using SlotConsts = std::unordered_map<unsigned, int64_t>;

@@ -439,12 +439,17 @@ PlanExecutor::~PlanExecutor() = default;
 // Rank-local storage
 //===----------------------------------------------------------------------===//
 
+std::vector<std::vector<int64_t>> PlanExecutor::ownedLists(unsigned P,
+                                                          uint32_t A) const {
+  return Storage.Arrays[A].owned(rankCoords({I.ProcShape, NP, {}}, P));
+}
+
 template <typename Fn>
-void PlanExecutor::forOwned(unsigned P, uint32_t A, Fn &&F) const {
+void PlanExecutor::forOwned(unsigned P, uint32_t A,
+                            const std::vector<std::vector<int64_t>> &Own,
+                            Fn &&F) const {
   const ArrayLayout &AL = Storage.Arrays[A];
   const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
-  std::vector<std::vector<int64_t>> Own =
-      AL.owned(rankCoords({I.ProcShape, NP, {}}, P));
   forEachRun(Own, [&](const std::vector<int64_t> &Idx, int64_t Len) {
     int64_t B = 0, G = 0;
     for (size_t D = 0; D != Idx.size(); ++D) {
@@ -474,6 +479,7 @@ void PlanExecutor::setupStores() {
         R.Base += BLo[D] * BoxStride[A][D];
       R.Valid.assign(R.Box.size(), 0);
       forOwned(P, static_cast<uint32_t>(A),
+               ownedLists(P, static_cast<uint32_t>(A)),
                [&](const std::vector<int64_t> &, int64_t B, int64_t,
                    int64_t Len) {
                  std::fill_n(R.Valid.begin() + B, Len, ValidOwn);
@@ -490,7 +496,7 @@ void PlanExecutor::seed(
   forProcs([&](unsigned P) {
     RankStore &R = store(P, A);
     std::vector<int64_t> At;
-    forOwned(P, A,
+    forOwned(P, A, ownedLists(P, A),
              [&](const std::vector<int64_t> &Idx, int64_t B, int64_t,
                  int64_t Len) {
                At = Idx;
@@ -500,6 +506,99 @@ void PlanExecutor::seed(
   });
 }
 
+void PlanExecutor::seedInits() {
+  std::vector<uint32_t> Ids;
+  std::vector<bc::SeedProg> Seeds;
+  std::vector<bc::ValueProg> Wholes;
+  for (uint32_t A = 0; A != Storage.Arrays.size(); ++A) {
+    const hpf::ValueExpr *Init = nullptr;
+    if (Prog.Source) {
+      auto It = Prog.Source->arrays().find(Storage.Arrays[A].Name);
+      if (It != Prog.Source->arrays().end() && It->second.Init)
+        Init = &*It->second.Init;
+    }
+    if (!Init)
+      continue;
+    Ids.push_back(A);
+    Seeds.push_back(bc::compileSeed(*Init));
+    Wholes.push_back(bc::compileValue(*Init));
+  }
+  forProcs([&](unsigned P) {
+    for (size_t K = 0; K != Ids.size(); ++K)
+      seedInit(P, Ids[K], Seeds[K], Wholes[K]);
+  });
+}
+
+void PlanExecutor::seedInit(unsigned P, uint32_t A, const bc::SeedProg &S,
+                            const bc::ValueProg &Whole) {
+  std::vector<std::vector<int64_t>> Own = ownedLists(P, A);
+  for (const std::vector<int64_t> &Dim : Own)
+    if (Dim.empty())
+      return;
+  double *Box = store(P, A).Box.data();
+  const std::vector<int64_t> &BLo = Storage.BoxLo[P][A];
+  const std::vector<int64_t> &BExt = Storage.BoxExtent[A];
+  // Nothing repeats along the one dimension of a vector: evaluate each
+  // element straight into its run, with no table.
+  if (Own.size() == 1) {
+    LineVector<double> Stack(Whole.depth());
+    forOwned(P, A, Own,
+             [&](const std::vector<int64_t> &Idx, int64_t B, int64_t,
+                 int64_t Len) {
+               for (int64_t J = 0; J != Len; ++J) {
+                 int64_t X = Idx[0] + J;
+                 Box[B + J] = Whole.eval(nullptr, 0, &X, Stack.data());
+               }
+             });
+    return;
+  }
+  // This rank's scratch, on lines of its own: one table per term, as long
+  // as the box along the term's dimension (one entry for a term that reads
+  // no index), a stack for evaluating terms, and evalRun's buffer for the
+  // longest run.
+  size_t Words = 0, TermDepth = 1;
+  std::vector<size_t> TabAt;
+  for (const bc::SeedProg::Term &T : S.Terms) {
+    TabAt.push_back(Words);
+    Words += T.Dim < 0 ? 1 : static_cast<size_t>(BExt[T.Dim]);
+    TermDepth = std::max<size_t>(TermDepth, T.Prog.depth());
+  }
+  size_t StackAt = Words;
+  Words += TermDepth;
+  size_t BufAt = Words;
+  Words += S.Residual.depth() * static_cast<size_t>(BExt[0] + 1);
+  LineVector<double> Scr(Words);
+  LineVector<bc::RunVal> Reads(S.Terms.size());
+  LineVector<int64_t> At(Own.size(), 0);
+  for (size_t K = 0; K != S.Terms.size(); ++K) {
+    const bc::SeedProg::Term &T = S.Terms[K];
+    double *Tab = Scr.data() + TabAt[K];
+    if (T.Dim < 0) {
+      Tab[0] = T.Prog.eval(nullptr, 0, At.data(), Scr.data() + StackAt);
+      continue;
+    }
+    for (int64_t X : Own[T.Dim]) {
+      At[T.Dim] = X;
+      Tab[X - BLo[T.Dim]] =
+          T.Prog.eval(nullptr, 0, At.data(), Scr.data() + StackAt);
+    }
+  }
+  forOwned(P, A, Own,
+           [&](const std::vector<int64_t> &Idx, int64_t B, int64_t,
+               int64_t Len) {
+             for (size_t K = 0; K != S.Terms.size(); ++K) {
+               int D = S.Terms[K].Dim;
+               const double *Tab = Scr.data() + TabAt[K];
+               Reads[K] = D < 0 ? bc::RunVal{Tab, false}
+                          : D == 0
+                              ? bc::RunVal{Tab + (Idx[0] - BLo[0]), true}
+                              : bc::RunVal{Tab + (Idx[D] - BLo[D]), false};
+             }
+             S.Residual.evalRun(Reads.data(), Idx.data(), Len, Box + B,
+                                Scr.data() + BufAt);
+           });
+}
+
 ArrayStore PlanExecutor::assemble(uint32_t A) const {
   const ArrayLayout &AL = Storage.Arrays[A];
   ArrayStore Out(AL.Lo, AL.Extent, AL.ElemBytes);
@@ -507,7 +606,7 @@ ArrayStore PlanExecutor::assemble(uint32_t A) const {
     if (AL.Replicated && P != Lo)
       continue;
     const ArrayStore &Box = store(P, A).Box;
-    forOwned(P, A,
+    forOwned(P, A, ownedLists(P, A),
              [&](const std::vector<int64_t> &, int64_t B, int64_t G,
                  int64_t Len) {
                std::memcpy(Out.data() + G, Box.values().data() + B,
@@ -517,23 +616,26 @@ ArrayStore PlanExecutor::assemble(uint32_t A) const {
   return Out;
 }
 
-std::vector<double> PlanExecutor::ownedValues(unsigned R, uint32_t A) const {
-  std::vector<double> Out;
-  if (Storage.Arrays[A].Replicated && R != 0)
-    return Out;
-  const ArrayStore &Box = store(R, A).Box;
-  int64_t Owns = 1;
-  for (const std::vector<int64_t> &Dim :
-       Storage.Arrays[A].owned(rankCoords({I.ProcShape, NP, {}}, R)))
-    Owns *= static_cast<int64_t>(Dim.size());
-  Out.reserve(Owns);
-  forOwned(R, A,
-           [&](const std::vector<int64_t> &, int64_t B, int64_t,
-               int64_t Len) {
-             const double *V = Box.values().data() + B;
-             Out.insert(Out.end(), V, V + Len);
-           });
-  return Out;
+void PlanExecutor::reportOwned(
+    unsigned R,
+    const std::function<void(const std::string &, uint64_t)> &Array,
+    const std::function<void(const double *, int64_t)> &Run) const {
+  for (uint32_t A = 0; A != Storage.Arrays.size(); ++A) {
+    const ArrayLayout &AL = Storage.Arrays[A];
+    if (AL.Replicated && R != 0) {
+      Array(AL.Name, 0);
+      continue;
+    }
+    std::vector<std::vector<int64_t>> Own = ownedLists(R, A);
+    uint64_t Count = 1;
+    for (const std::vector<int64_t> &Dim : Own)
+      Count *= Dim.size();
+    Array(AL.Name, Count);
+    const double *Box = store(R, A).Box.values().data();
+    forOwned(R, A, Own,
+             [&](const std::vector<int64_t> &, int64_t B, int64_t,
+                 int64_t Len) { Run(Box + B, Len); });
+  }
 }
 
 int64_t PlanExecutor::globalFlat(unsigned P, uint32_t A, int64_t F) const {

@@ -207,10 +207,17 @@ public:
   /// Seeds the elements of array \p A each local rank owns.
   void seed(uint32_t A,
             const std::function<double(const std::vector<int64_t> &)> &Init);
+  /// Seeds every array that declares an init value: each local rank
+  /// evaluates the value's terms into tables along their dimensions and
+  /// the residual over its owned runs (DESIGN.md §7).
+  void seedInits();
   /// Array \p A as a whole, placed from the local ranks' owned blocks.
   ArrayStore assemble(uint32_t A) const;
-  /// See Interpreter::ownedValues.
-  std::vector<double> ownedValues(unsigned R, uint32_t A) const;
+  /// See Interpreter::reportOwned.
+  void reportOwned(
+      unsigned R,
+      const std::function<void(const std::string &, uint64_t)> &Array,
+      const std::function<void(const double *, int64_t)> &Run) const;
 
 private:
   /// One rank's storage of one array (Layout.h): its box, a validity byte
@@ -307,12 +314,22 @@ private:
   void setupStores();
   /// The flat index in the whole array of rank \p P's box index \p F.
   int64_t globalFlat(unsigned P, uint32_t A, int64_t F) const;
+  /// Per dimension, the indices of array \p A that rank \p P owns
+  /// (ArrayLayout::owned).
+  std::vector<std::vector<int64_t>> ownedLists(unsigned P, uint32_t A) const;
   /// Calls \p Fn(Idx, BoxIndex, GlobalFlat, Len) for each run of
   /// consecutive dimension-0 elements of array \p A that rank \p P owns
-  /// (every element of a replicated array), in increasing flat order: the
-  /// run starts at index tuple Idx, box index BoxIndex and flat index
-  /// GlobalFlat in the whole array, and holds Len elements.
-  template <typename Fn> void forOwned(unsigned P, uint32_t A, Fn &&F) const;
+  /// (every element of a replicated array; \p Own is ownedLists(P, A)),
+  /// in increasing flat order: the run starts at index tuple Idx, box
+  /// index BoxIndex and flat index GlobalFlat in the whole array, and
+  /// holds Len elements.
+  template <typename Fn>
+  void forOwned(unsigned P, uint32_t A,
+                const std::vector<std::vector<int64_t>> &Own, Fn &&F) const;
+  /// seedInits for rank \p P and array \p A, whose init value is \p Whole
+  /// and splits into \p S.
+  void seedInit(unsigned P, uint32_t A, const bc::SeedProg &S,
+                const bc::ValueProg &Whole);
 
   /// Native-engine state: the loaded kernel table and the array tables
   /// every rank's Scratch::Ctx points at (defined in ExecPlan.cpp; null

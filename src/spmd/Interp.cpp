@@ -178,17 +178,17 @@ EngineKind Interpreter::resolveEngine(EngineKind E) {
 }
 
 void Interpreter::seedArrays() {
+  if (Exec) {
+    Exec->seedInits();
+    return;
+  }
   if (!Prog.Source)
     return;
-  for (const auto &[Name, A] : Prog.Source->arrays()) {
-    if (!A.Init)
-      continue;
-    bc::ValueProg Init = bc::compileValue(*A.Init);
-    initArray(Name, [&Init](const std::vector<int64_t> &Idx) {
-      double Stack[hpf::MaxValueDepth + 1];
-      return Init.eval(nullptr, 0, Idx.data(), Stack);
-    });
-  }
+  for (const auto &[Name, A] : Prog.Source->arrays())
+    if (A.Init)
+      initArray(Name, [&Init = *A.Init](const std::vector<int64_t> &Idx) {
+        return hpf::evalValue(Init, nullptr, 0, Idx.data());
+      });
 }
 
 void Interpreter::initArray(
@@ -562,11 +562,10 @@ const ArrayStore &Interpreter::array(const std::string &Name) const {
   return It->second;
 }
 
-std::map<std::string, std::vector<double>>
-Interpreter::ownedValues(unsigned R) const {
+void Interpreter::reportOwned(
+    unsigned R,
+    const std::function<void(const std::string &, uint64_t)> &Array,
+    const std::function<void(const double *, int64_t)> &Run) const {
   assert(Exec && "only the plan executor's ranks report owned values");
-  std::map<std::string, std::vector<double>> Out;
-  for (const auto &[Name, AId] : ArrayIds)
-    Out[Name] = Exec->ownedValues(R, AId);
-  return Out;
+  Exec->reportOwned(R, Array, Run);
 }

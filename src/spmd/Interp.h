@@ -181,7 +181,9 @@ public:
   ~Interpreter();
 
   /// Seeds every array that declares an init value from it (the others
-  /// stay 0).
+  /// stay 0). The tree oracle evaluates the value per element; the plan
+  /// executor evaluates its terms into tables and the rest over each owned
+  /// run (DESIGN.md §7), with identical bits.
   void seedArrays();
 
   /// Seeds initial array contents: \p Init(indices) -> value. Each rank of
@@ -203,10 +205,16 @@ public:
   /// several threads, but not while run() is running.
   const ArrayStore &array(const std::string &Name) const;
 
-  /// Per array, the values rank \p R reports: its owned elements in
-  /// increasing flat order; all of a replicated array for rank 0, nothing
-  /// for the others. \p R must run in this process on the plan executor.
-  std::map<std::string, std::vector<double>> ownedValues(unsigned R) const;
+  /// What rank \p R reports to a launch (rt/RankResult.h), array by array
+  /// in name order: \p Array(Name, Count), then \p Run(Values, Len) for
+  /// each run of consecutive elements it owns, in increasing flat order,
+  /// straight from its box. Rank 0 reports a replicated array whole, the
+  /// others report it empty. \p R must run in this process on the plan
+  /// executor.
+  void reportOwned(
+      unsigned R,
+      const std::function<void(const std::string &, uint64_t)> &Array,
+      const std::function<void(const double *, int64_t)> &Run) const;
 
   /// The engine a RunConfig resolves to (Auto consults DHPF_SPMD_ENGINE).
   static EngineKind resolveEngine(EngineKind E);

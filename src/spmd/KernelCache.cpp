@@ -10,6 +10,7 @@
 #include "obs/Trace.h"
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +96,57 @@ std::string shq(const std::string &S) {
   }
   Out += "'";
   return Out;
+}
+
+/// \p Word as the shell would run it: the file it names when it holds a
+/// slash, else its first match on PATH; "" when that is no executable.
+std::string findExecutable(const std::string &Word) {
+  auto Exec = [](const std::string &P) {
+    struct stat St;
+    return ::stat(P.c_str(), &St) == 0 && S_ISREG(St.st_mode) &&
+           ::access(P.c_str(), X_OK) == 0;
+  };
+  if (Word.find('/') != std::string::npos)
+    return Exec(Word) ? Word : "";
+  const char *Path = std::getenv("PATH");
+  std::string Dirs = Path ? Path : "/usr/bin:/bin";
+  size_t Start = 0;
+  for (;;) {
+    size_t End = Dirs.find(':', Start);
+    std::string Dir = Dirs.substr(Start, End == std::string::npos
+                                             ? std::string::npos
+                                             : End - Start);
+    std::string Cand = (Dir.empty() ? "." : Dir) + "/" + Word;
+    if (Exec(Cand))
+      return Cand;
+    if (End == std::string::npos)
+      return "";
+    Start = End + 1;
+  }
+}
+
+/// The compiler's part of the cache key: the command, then for each of its
+/// words that names an executable, that file's real path, device, inode,
+/// size and change time. "" when the first word names no executable.
+std::string compilerIdentity(const std::string &Cmd) {
+  std::istringstream Words(Cmd);
+  std::string Id = Cmd, W;
+  for (bool First = true; Words >> W; First = false) {
+    std::string Exe = findExecutable(W);
+    char Real[PATH_MAX];
+    struct stat St;
+    if (Exe.empty() || !::realpath(Exe.c_str(), Real) ||
+        ::stat(Real, &St) != 0) {
+      if (First)
+        return "";
+      continue;
+    }
+    Id += '\n' + std::string(Real) + ' ' + std::to_string(St.st_dev) + ' ' +
+          std::to_string(St.st_ino) + ' ' + std::to_string(St.st_size) +
+          ' ' + std::to_string(St.st_ctim.tv_sec) + '.' +
+          std::to_string(St.st_ctim.tv_nsec);
+  }
+  return Id;
 }
 
 obs::Counter *hitCtr() {
@@ -278,6 +330,22 @@ bool KernelCache::probeLocked() {
   return ProbeState == 1;
 }
 
+const std::string &KernelCache::identityLocked() {
+  if (!IdentityDone) {
+    Identity = compilerIdentity(compilerCommand());
+    IdentityDone = true;
+  }
+  return Identity;
+}
+
+bool KernelCache::compilerMissingLocked(std::string *Err) {
+  if (!identityLocked().empty())
+    return false;
+  *Err = "no working C compiler: `" + compilerCommand() +
+         "` names no executable (set DHPF_CC to override)";
+  return true;
+}
+
 bool KernelCache::compilerAvailable() {
   std::lock_guard<std::mutex> L(M);
   return probeLocked();
@@ -291,14 +359,11 @@ std::string KernelCache::compilerVersion() {
 
 const Kernel *KernelCache::get(const PlanSource &Src, std::string *Err) {
   std::lock_guard<std::mutex> L(M);
-  if (!probeLocked()) {
-    *Err = "no working C compiler: `" + compilerCommand() +
-           " --version` failed (set DHPF_CC to override)";
+  if (compilerMissingLocked(Err))
     return nullptr;
-  }
 
   uint64_t Key =
-      fnv1a64(Version + '\0' + std::to_string(DHPF_KERNEL_ABI_VERSION) +
+      fnv1a64(Identity + '\0' + std::to_string(DHPF_KERNEL_ABI_VERSION) +
               '\0' + Src.C);
   auto It = Modules.find(Key);
   if (It != Modules.end()) {
@@ -367,11 +432,8 @@ const Kernel *KernelCache::get(const PlanSource &Src, std::string *Err) {
 void *KernelCache::loadRaw(const std::string &CSrc, const std::string &Symbol,
                            std::string *Err) {
   std::lock_guard<std::mutex> L(M);
-  if (!probeLocked()) {
-    *Err = "no working C compiler: `" + compilerCommand() +
-           " --version` failed (set DHPF_CC to override)";
+  if (compilerMissingLocked(Err))
     return nullptr;
-  }
   std::string Base = "/tmp/dhpf-raw-" + std::to_string(::getpid()) + "-" +
                      hex16(fnv1a64(CSrc));
   std::string CPath = Base + ".c", SoPath = Base + ".so";

@@ -16,12 +16,19 @@
 ///    the cache directory, written atomically (pid-suffixed temp + rename)
 ///    so concurrent ranks never observe a torn file.
 ///
-/// The cache key is FNV-1a over compiler identity (the first line of
-/// `$DHPF_CC --version`), DHPF_KERNEL_ABI_VERSION, and the full generated
-/// source — so a compiler upgrade, an ABI bump, or any plan change each
-/// miss cleanly. Loads are verified against the table the kernel itself
-/// baked in (ABI version, sizeof(DhpfCtx), plan fingerprint, function
-/// counts); a stale or foreign `.so` is recompiled, never trusted.
+/// The cache key is FNV-1a over the compiler's identity,
+/// DHPF_KERNEL_ABI_VERSION, and the full generated source. The identity is
+/// the compiler command (DHPF_CC or `cc`) plus, for each of its words that
+/// names an executable (a path, or its first match on PATH), that file's
+/// real path, device, inode, size and change time, computed once per
+/// process from stat calls alone: a warm hit starts no process. So a
+/// compiler upgrade, a switched `cc` alternative, a different DHPF_CC, an
+/// ABI bump or any plan change each miss cleanly. (Entries written by
+/// builds that keyed by the first line of `cc --version` miss once.) Loads
+/// are verified against the table the kernel itself baked in (ABI version,
+/// sizeof(DhpfCtx), plan fingerprint, function counts); a stale or foreign
+/// `.so` is recompiled, never trusted. Only compilerVersion() and
+/// compilerAvailable() run `--version`.
 ///
 /// Environment:
 ///   DHPF_KERNEL_CACHE  cache directory; `off` or `0` disables disk reuse
@@ -71,7 +78,8 @@ public:
   KernelCache(const KernelCache &) = delete;
   KernelCache &operator=(const KernelCache &) = delete;
 
-  /// True when a working C compiler answered the version probe.
+  /// True when a working C compiler answered the version probe, which
+  /// runs `$DHPF_CC --version` once per process.
   bool compilerAvailable();
   /// First line of `$DHPF_CC --version` ("" when unavailable).
   std::string compilerVersion();
@@ -90,8 +98,9 @@ public:
   static unsigned sweepStale(const std::string &Dir);
 
   /// Gets or builds the kernel for \p Src. On failure returns nullptr and
-  /// explains in \p Err (missing compiler, compile error with the
-  /// compiler's stderr, dlopen failure, verification mismatch).
+  /// explains in \p Err (a compiler command whose first word names no
+  /// executable, compile error with the compiler's stderr, dlopen failure,
+  /// verification mismatch).
   const Kernel *get(const PlanSource &Src, std::string *Err);
 
   /// Test hook: compile an arbitrary C translation unit and resolve one
@@ -106,8 +115,13 @@ private:
   std::set<std::string> Swept;        // dirs already swept for stale tmps
   int ProbeState = 0;                 // 0 unprobed, 1 ok, -1 missing
   std::string Version;
+  bool IdentityDone = false;
+  std::string Identity; // "" when the compiler is missing
 
   bool probeLocked();
+  const std::string &identityLocked();
+  /// True, with \p Err set, when the compiler command names no executable.
+  bool compilerMissingLocked(std::string *Err);
 };
 
 } // namespace native

@@ -215,6 +215,77 @@ trace-launch)
     esac
     [ "$n" -eq "$want" ] || fail "$n '$span' spans, want $want"
   done
+  # One clock across lanes: every rank forks inside launch:spawn and is
+  # reaped inside launch:wait, so all its spans lie between the two.
+  python3 - "$W/t.json" <<'EOF' || fail "rank spans outside launch:spawn..launch:wait"
+import json, sys
+ev = [e for e in json.load(open(sys.argv[1]))["traceEvents"]
+      if e.get("ph") == "X"]
+span = {e["name"]: e for e in ev if e["pid"] == 0}
+lo = span["launch:spawn"]["ts"]
+hi = span["launch:wait"]["ts"] + span["launch:wait"]["dur"]
+out = [e for e in ev if e["pid"] != 0 and
+       not lo <= e["ts"] <= e["ts"] + e["dur"] <= hi]
+for e in out[:5]:
+    print("outside [%d, %d]: %s" % (lo, hi, e))
+sys.exit(1 if out or len(ev) == len(span) else 0)
+EOF
+  ;;
+kernel-cache-warm | kernel-cache-touch)
+  # The kernel cache keys by the compiler's executables, not by its
+  # --version output: a warm run or launch starts no compiler process,
+  # and a changed compiler file compiles again.
+  echo 'int x;' | cc -x c -c -o /dev/null - 2>/dev/null || {
+    echo "skip ($CASE): no C compiler answers"
+    exit 77
+  }
+  cat >"$W/cc.sh" <<EOF
+#!/bin/sh
+echo "\$*" >>"$W/cc.log"
+exec cc "\$@"
+EOF
+  chmod +x "$W/cc.sh"
+  DHPF_CC=$W/cc.sh
+  DHPF_KERNEL_CACHE=$W/kc
+  export DHPF_CC DHPF_KERNEL_CACHE
+  : >"$W/cc.log"
+  calls() { wc -l <"$W/cc.log"; }
+  runs() {
+    "$DHPFC" run "$PROG" -p 4 --engine=native 2>&1 |
+      grep -qx 'reference check: OK' || fail "native run did not check"
+  }
+  runs
+  [ "$(calls)" -ge 1 ] || fail "the cold run never called the compiler"
+  n=$(calls)
+  case $CASE in
+  kernel-cache-warm)
+    runs
+    out=$("$DHPFC" launch "$PROG" -p 4 --engine=native 2>&1) ||
+      fail "launch: exit $?"
+    echo "$out" | grep -q 'in-process agreement (native engine): OK' ||
+      fail "launch did not agree: $out"
+    [ "$(calls)" -eq "$n" ] ||
+      fail "a warm run called the compiler: $(tail -n +$((n + 1)) "$W/cc.log")"
+    ;;
+  kernel-cache-touch)
+    chmod 700 "$W/cc.sh"
+    runs
+    [ "$(calls)" -gt "$n" ] || fail "no compile after chmod of the compiler"
+    n=$(calls)
+    touch "$W/cc.sh"
+    runs
+    [ "$(calls)" -gt "$n" ] || fail "no compile after touch of the compiler"
+    ;;
+  esac
+  ;;
+kernel-cache-no-cc)
+  # A compiler that does not exist: the run still completes through
+  # bytecode, after one note on stderr.
+  out=$(DHPF_CC=/nonexistent DHPF_KERNEL_CACHE=$W/kc \
+    "$DHPFC" run "$PROG" -p 4 --engine=native 2>&1) || fail "exit $?: $out"
+  echo "$out" | grep -q 'native engine unavailable, falling back to bytecode' ||
+    fail "no fallback note: $out"
+  echo "$out" | grep -qx 'reference check: OK' || fail "no check: $out"
   ;;
 run-hpf)
   # run compiles an .hpf source and runs the serialized result; -p 8

@@ -21,6 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <cstdlib>
+#include <thread>
 
 using namespace dhpf;
 using namespace dhpf::obs;
@@ -230,31 +233,53 @@ TEST(Trace, ThreadIdsAreStablePerThread) {
 // Cross-lane merge
 //===----------------------------------------------------------------------===//
 
+/// The "ts" of the first event named \p Name in \p Doc.
+uint64_t tsOf(const std::string &Doc, const std::string &Name) {
+  size_t At = Doc.find("{\"name\": \"" + Name + "\"");
+  EXPECT_NE(At, std::string::npos) << Name;
+  At = Doc.find("\"ts\": ", At);
+  return std::strtoull(Doc.c_str() + At + 6, nullptr, 10);
+}
+
 TEST(Trace, MergePreservesLanesAndEvents) {
-  TraceBuffer Driver, R0, R1;
+  TraceBuffer Driver, R0, R1, Late;
   Driver.setLane(0, "driver");
   R0.setLane(1, "rank 0");
   R1.setLane(2, "rank 1");
+  Late.setLane(3, "rank 2");
   for (TraceBuffer *B : {&Driver, &R0, &R1})
     B->start();
   { TraceSpan S(&Driver, "compile", "compile"); }
   { TraceSpan S(&R0, "send", "rt.comm"); }
   { TraceSpan S(&R1, "recv", "rt.comm"); }
   { TraceSpan S(&R1, "send", "rt.comm"); }
+  // A buffer started about 5 ms after the others: its lane moves by that
+  // much in the merge, onto the others' clock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Late.start();
+  { TraceSpan S(&Late, "late", "rt"); }
 
+  std::string LateDoc = Late.chromeJson();
   std::string Merged = mergeChromeTraces(
-      {Driver.chromeJson(), R0.chromeJson(), R1.chromeJson()});
+      {Driver.chromeJson(), R0.chromeJson(), R1.chromeJson(), LateDoc});
   ASSERT_TRUE(structurallyValidJson(Merged)) << Merged;
-  // All three lanes present.
+  // All four lanes present.
   EXPECT_NE(Merged.find("\"pid\": 0"), std::string::npos);
   EXPECT_NE(Merged.find("\"pid\": 1"), std::string::npos);
   EXPECT_NE(Merged.find("\"pid\": 2"), std::string::npos);
+  EXPECT_NE(Merged.find("\"pid\": 3"), std::string::npos);
   size_t NSend = 0;
   for (size_t Pos = 0;
        (Pos = Merged.find("\"name\": \"send\"", Pos)) != std::string::npos;
        ++Pos)
     ++NSend;
   EXPECT_EQ(NSend, 2u);
+  // The lane's own document keeps its buffer-relative time.
+  uint64_t Own = tsOf(LateDoc, "late"), Shifted = tsOf(Merged, "late");
+  EXPECT_LT(Own, 5000u);
+  EXPECT_GE(Shifted, Own + 4999) << Merged;
+  EXPECT_LT(Shifted, Own + 5000000) << Merged;
+  EXPECT_LT(tsOf(Merged, "compile"), 5000u);
 }
 
 TEST(Trace, MergeSkipsEmptyAndMalformedDocs) {

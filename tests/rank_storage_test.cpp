@@ -279,8 +279,7 @@ Arrays distributed(const SpmdProgram &SP, int64_t NP) {
       S->setup(SP, I);
       RunResult RR = I.run();
       std::string E;
-      EXPECT_TRUE(rt::parseRankDump(
-          rt::serializeRankDump(rt::dumpRank(I, *T, RR)), Dumps[R], E))
+      EXPECT_TRUE(rt::parseRankDump(rt::rankFileBytes(I, *T, RR), Dumps[R], E))
           << E;
     });
   for (std::thread &T : Ts)

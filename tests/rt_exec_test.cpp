@@ -9,7 +9,7 @@
 /// (the plan executor over rt::TransportComm) — over the loopback mesh AND
 /// over real Unix sockets — produce results bit-identical to the in-process
 /// engines, for all four Figure 7 benchmarks at P in {1, 4}. The comparison
-/// goes through the full result pipeline (dump -> serialize -> parse ->
+/// goes through the full result pipeline (the streamed writer -> parse ->
 /// merge), so the binary result file is covered by the same assertions,
 /// and hostile result files (cut short, corrupted, oversized counts,
 /// foreign identification words, value counts that disagree with the
@@ -23,6 +23,7 @@
 
 #include "apps/Registry.h"
 #include "core/Compiler.h"
+#include "hpf/HpfParser.h"
 #include "net/Loopback.h"
 #include "net/Socket.h"
 #include "obs/Metrics.h"
@@ -39,7 +40,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -101,7 +105,7 @@ std::vector<std::string> rankResults(const spmd::SpmdProgram &SP,
         spmd::Interpreter I(SP, RC, C);
         I.seedArrays();
         spmd::RunResult RR = I.run();
-        Dumps[R] = rt::serializeRankDump(rt::dumpRank(I, *T, RR));
+        Dumps[R] = rt::rankFileBytes(I, *T, RR);
       } catch (const std::exception &Ex) {
         Errs[R] = Ex.what();
       }
@@ -530,6 +534,153 @@ TEST(RtDump, MergeRejectsCountsTheOwnerMapDisagreesWith) {
   EXPECT_NE(Err.find("rank 1 dumped 65 values of array 'V' but owns 64"),
             std::string::npos)
       << Err;
+}
+
+/// Runs \p Src (a mini-HPF program on processors P(*NP)) on a P = \p NP
+/// loopback mesh, one thread per rank, and calls \p Check(I, T, RR) on
+/// each rank once it has run.
+template <typename Fn>
+void runRanks(const std::string &Src, unsigned NP, Fn Check) {
+  std::unique_ptr<hpf::Program> Prog = hpf::parseHpfProgram(Src);
+  ASSERT_TRUE(Prog);
+  std::unique_ptr<core::CompileOutput> C = core::compileProgram(*Prog);
+  ASSERT_TRUE(C);
+  spmd::RunConfig RC;
+  RC.ProcExtents = {{"P", {NP}}};
+  net::LoopbackMesh Mesh(NP);
+  std::vector<std::thread> Ts;
+  for (unsigned R = 0; R != NP; ++R)
+    Ts.emplace_back([&, R] {
+      std::unique_ptr<net::Transport> T = Mesh.transport(R);
+      rt::TransportComm Comm(*T);
+      spmd::Interpreter I(C->Program, RC, Comm);
+      I.seedArrays();
+      spmd::RunResult RR = I.run();
+      Check(I, *T, RR);
+    });
+  for (std::thread &T : Ts)
+    T.join();
+}
+
+/// Array names of every length from 1 to 9 put the boundaries of the
+/// streamed checksum's 8-byte words at every offset of a name, on a CYCLIC
+/// template (one-value runs, gathered), a (*, BLOCK) one (70-value runs,
+/// sent straight from the box) and a replicated array. Parsing what the
+/// writer wrote gives back every counter and every value the rank owns,
+/// and a byte flipped anywhere past the identification words fails the
+/// checksum.
+TEST(RtDump, WriterRoundTripsNamesOfEveryLength) {
+  std::string Src = "program names\nprocessors P(*NP)\n"
+                    "template TC(1:20)\ntemplate TB(1:70, 1:6)\n";
+  const char *Inits[] = {"sin(a0)", "cos(0.1*a0) + a1", "1/a0",
+                         "0.5*a0 - a1", "a0", "-a0*a1", "a0*a0",
+                         "cos(a0) + a1", "sin(a0*3)"};
+  std::vector<std::string> Names;
+  for (unsigned L = 1; L <= 9; ++L) {
+    std::string N(L, static_cast<char>('A' + L - 1));
+    Names.push_back(N);
+    bool Block = L % 2 == 0;
+    std::string Dims = Block ? "(1:70, 1:6)" : "(1:20)";
+    std::string Idx = Block ? "(a0,a1)" : "(a0)";
+    Src += "array " + N + Dims;
+    if (L != 5) // EEEEE is replicated
+      Src += " align " + Idx + " with " + (Block ? "TB" : "TC") + Idx;
+    Src += " init " + Idx + " " + Inits[L - 1] + "\n";
+  }
+  Src += "distribute TC(cyclic) onto P\ndistribute TB(*, block) onto P\n"
+         "\nprocedure main\n  nest step\n    do i = 1, 20\n"
+         "    A(i) = A(i) + CCC(i) cost 1 accum sum s A(i)\n  endnest\n"
+         "  reduce sum s\nendprocedure\n";
+  std::mutex Mu;
+  std::vector<std::string> Files;
+  runRanks(Src, 3, [&](const spmd::Interpreter &I, const net::Transport &T,
+                       const spmd::RunResult &RR) {
+    std::map<std::string, std::vector<double>> Owned;
+    std::vector<double> *Cur = nullptr;
+    I.reportOwned(
+        T.rank(),
+        [&](const std::string &Name, uint64_t) { Cur = &Owned[Name]; },
+        [&](const double *V, int64_t Len) {
+          Cur->insert(Cur->end(), V, V + Len);
+        });
+    std::string F = rt::rankFileBytes(I, T, RR);
+    rt::RankDump D;
+    std::string Err;
+    ASSERT_TRUE(rt::parseRankDump(F, D, Err)) << Err;
+    EXPECT_EQ(D.Rank, T.rank());
+    EXPECT_EQ(D.NP, 3u);
+    EXPECT_EQ(D.R.Messages, RR.Messages);
+    EXPECT_EQ(D.R.Bytes, RR.Bytes);
+    EXPECT_EQ(D.R.SpanCopies, RR.SpanCopies);
+    EXPECT_EQ(D.R.PackedCopies, RR.PackedCopies);
+    EXPECT_EQ(D.R.StmtInstances, RR.StmtInstances);
+    EXPECT_EQ(D.R.CollMessages, RR.CollMessages);
+    EXPECT_EQ(D.R.CollBytes, RR.CollBytes);
+    EXPECT_EQ(D.R.Valid, RR.Valid);
+    EXPECT_EQ(D.R.Violations, RR.Violations);
+    EXPECT_EQ(D.OverlapNum, T.stats().BytesFlushedDuringCompute);
+    EXPECT_EQ(D.OverlapDen, T.stats().WireBytesSent);
+    ASSERT_EQ(D.R.FinalAccums.size(), 1u);
+    EXPECT_EQ(0, std::memcmp(&D.R.FinalAccums.at("s"),
+                             &RR.FinalAccums.at("s"), sizeof(double)));
+    ASSERT_EQ(D.Owned.size(), Owned.size());
+    for (const auto &[Name, V] : Owned) {
+      const std::vector<double> &Got = D.Owned.at(Name);
+      ASSERT_EQ(Got.size(), V.size()) << Name;
+      EXPECT_TRUE(V.empty() ||
+                  std::memcmp(Got.data(), V.data(), 8 * V.size()) == 0)
+          << Name;
+    }
+    std::lock_guard<std::mutex> L(Mu);
+    Files.push_back(std::move(F));
+  });
+  ASSERT_EQ(Files.size(), 3u);
+  for (const std::string &F : Files) {
+    // Rank 0 carries EEEEE's 20 values; every rank names all nine arrays.
+    for (const std::string &N : Names)
+      EXPECT_NE(F.find(N), std::string::npos) << N;
+    for (size_t Off = 16; Off != F.size(); ++Off) {
+      std::string G = F;
+      G[Off] = static_cast<char>(G[Off] ^ 0x5a);
+      std::string Why = parseError(G);
+      ASSERT_NE(Why.find("checksum"), std::string::npos)
+          << "flip at " << Off << " of " << F.size() << ": " << Why;
+    }
+  }
+}
+
+/// A rank with more long runs than one writev takes (IOV_MAX) writes the
+/// same bytes as the string form; a full device or a missing directory
+/// fails the write by name.
+TEST(RtDump, WriterFileMatchesItsStringForm) {
+  std::string Src = "program wide\nprocessors P(*NP)\n"
+                    "template T(1:64, 1:1100)\ntemplate TC(1:30)\n"
+                    "array W(1:64, 1:1100) align (a0,a1) with T(a0,a1) "
+                    "init (a0,a1) sin(0.01*a0) + a1\n"
+                    "array C(1:30) align (a0) with TC(a0) init (a0) a0\n"
+                    "distribute T(*, block) onto P\n"
+                    "distribute TC(cyclic) onto P\n\nprocedure main\n"
+                    "  nest step\n    do i = 1, 30\n    C(i) = C(i) + 1\n"
+                    "  endnest\nendprocedure\n";
+  char Dir[] = "/tmp/dhpf_writer_test_XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  runRanks(Src, 1, [&](const spmd::Interpreter &I, const net::Transport &T,
+                       const spmd::RunResult &RR) {
+    std::string Path = std::string(Dir) + "/rank0.result", Err;
+    ASSERT_TRUE(rt::writeRankFile(I, T, RR, Path, Err)) << Err;
+    std::ifstream In(Path, std::ios::binary);
+    std::string Got((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+    EXPECT_EQ(Got, rt::rankFileBytes(I, T, RR));
+    EXPECT_GT(Got.size(), 64u * 1100 * 8);
+    ::unlink(Path.c_str());
+    EXPECT_FALSE(rt::writeRankFile(I, T, RR, "/dev/full", Err));
+    EXPECT_EQ(Err, "short write to /dev/full");
+    std::string Missing = std::string(Dir) + "/no/such/dir";
+    EXPECT_FALSE(rt::writeRankFile(I, T, RR, Missing, Err));
+    EXPECT_EQ(Err, "cannot write " + Missing);
+  });
+  ::rmdir(Dir);
 }
 
 /// Per-rank trace buffers wired through TransportComm: the comm emits one

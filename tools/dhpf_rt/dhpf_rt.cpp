@@ -196,18 +196,9 @@ int main(int Argc, char **Argv) {
 
     {
       obs::TraceSpan Span(TB, "rank:dump", "rt");
-      rt::RankDump D = rt::dumpRank(*I, *T, R);
-      std::ofstream Out(O.ResultPath, std::ios::binary | std::ios::trunc);
-      if (!Out) {
-        std::cerr << "dhpf_rt rank " << O.Rank << ": cannot write "
-                  << O.ResultPath << "\n";
-        return 1;
-      }
-      Out << rt::serializeRankDump(D);
-      Out.close();
-      if (!Out) {
-        std::cerr << "dhpf_rt rank " << O.Rank << ": short write to "
-                  << O.ResultPath << "\n";
+      std::string Err;
+      if (!rt::writeRankFile(*I, *T, R, O.ResultPath, Err)) {
+        std::cerr << "dhpf_rt rank " << O.Rank << ": " << Err << "\n";
         return 1;
       }
     }
